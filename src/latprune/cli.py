@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -77,7 +78,19 @@ def _write(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    _write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _write(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+def _budget(text: str | float, flag: str) -> float:
+    """A finite budget given on the command line; the solver library alone
+    accepts an infinite one."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValidationError(f"{flag}: {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{flag}: budget must be finite, got {text!r}")
+    return value
 
 
 def _load_problem(args) -> tuple:
@@ -206,6 +219,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    _budget(args.budget_ms, "--budget-ms")
     manifest = _manifest(
         "solve",
         {"arch": args.arch, "scores": args.scores, "lut": args.lut},
@@ -246,7 +260,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    budgets = [float(b) for b in args.budgets.split(",") if b.strip()]
+    budgets = [_budget(b.strip(), "--budgets") for b in args.budgets.split(",") if b.strip()]
     if not budgets:
         raise ValidationError("sweep: --budgets needs at least one value")
     manifest = _manifest(

@@ -20,6 +20,13 @@ re-verifying every reported solution with the canonical evaluation
 functions.  ``solve_exhaustive`` enumerates the full state space and is the
 ground-truth oracle for everything else.
 
+The search is incremental.  A node fixes a prefix of the variable order, so
+each block's responses are cached under the values of the variables it
+reads within that prefix (``PruningProblem.read_positions``), all grid rows
+at once; a child extends the parent's key by one value and re-prices only
+the blocks its variable affects.  ``repair_heuristic`` likewise re-prices,
+after each step, only the moves whose latency or loss that step changed.
+
 Determinism: identical problem + config give identical solutions and node
 counts.  Worker threads only parallelize independent per-block bound
 evaluations, reduced in a fixed order, so thread count never changes any
@@ -336,6 +343,14 @@ class PruningProblem:
                     if block.kind == "cnn_chain" and block.input_ref == key:
                         touched.append(i)
                 self.affected[var] = tuple(sorted(set(touched)))
+
+        # Positions in var_order of the variables each block's response reads.
+        # Search nodes fix a prefix of var_order, so a block's values at its
+        # fixed read positions identify its responses.
+        self.read_positions: list[tuple[int, ...]] = [
+            tuple(i for i, var in enumerate(self.var_order) if b in self.affected[var])
+            for b in range(len(self.models))
+        ]
 
         # Scale for the multiplier search window.
         per_block_max = []
@@ -668,60 +683,89 @@ def repair_heuristic(problem: PruningProblem, start: Assignment) -> Assignment |
                 asg.omega[d] = 1
     asg.validate_for(arch)
 
+    blocks = arch.blocks
+    tables = problem.tables
     readers = {d: [] for d in problem.dim_order}
-    for block in arch.blocks:
+    for block in blocks:
         if block.kind == "cnn_chain" and block.input_ref in readers:
             readers[block.input_ref].append(block)
 
-    def blocks_latency(a: Assignment, blocks: list[BlockSpec]) -> float:
+    # A move on block i changes the latency of i and of the chains reading
+    # its dimensions (`group[i]`).  It re-prices their removal and decrement
+    # moves, plus the decrement of the dimension that i's chain reads.
+    group = [[b] + [r for d in b.dims for r in readers[d]] for b in blocks]
+    dim_pos = {d: i for i, d in enumerate(problem.dim_order)}
+    stale = []
+    for i, block in enumerate(blocks):
+        orders = set()
+        for b in group[i]:
+            orders.add(b.id - 1)
+            orders.update(len(blocks) + dim_pos[d] for d in b.dims)
+        if block.kind == "cnn_chain" and block.input_ref in dim_pos:
+            orders.add(len(blocks) + dim_pos[block.input_ref])
+        stale.append(sorted(orders))
+
+    lat = [block_latency(asg, tables, arch, b) for b in blocks]
+
+    def kept_latency(affected: list[BlockSpec]) -> float:
         total = 0.0
-        for b in blocks:
-            if a.kappa_of(b) == 1:
-                total += block_latency(a, problem.tables, arch, b)
+        for b in affected:
+            if asg.kappa_of(b) == 1:
+                total += lat[b.id - 1]
         return total
 
-    latency = constraint_value(asg, problem.tables, arch)
-    while latency > problem.budget:
-        best = None
-        order = 0
-        for block in arch.blocks:
+    def price(order: int):
+        """(loss/saved, loss, order, kind, key) of one move, or None."""
+        if order < len(blocks):
+            block = blocks[order]
             if block.removable and asg.kappa[block.id] == 1:
-                saved = block_latency(asg, problem.tables, arch, block)
+                saved = lat[order]
                 if saved > 0:
                     lost = sum(
                         float(problem.vectors[d].values[asg.omega[d] - 1])
                         for d in block.dims
                     )
-                    move = (lost / saved, lost, order, "kappa", block.id)
-                    if best is None or move[:3] < best[:3]:
-                        best = move
-            order += 1
-        for d in problem.dim_order:
-            block = arch.owner_block(d)
-            j = asg.omega[d]
-            if asg.kappa_of(block) == 1 and j > 1:
-                affected = [block] + readers[d]
-                before = blocks_latency(asg, affected)
-                asg.omega[d] = j - 1
-                saved = before - blocks_latency(asg, affected)
-                asg.omega[d] = j
-                if saved > 0:
-                    vec = problem.vectors[d].values
-                    lost = float(vec[j - 1]) - float(vec[j - 2])
-                    move = (lost / saved, lost, order, "omega", d)
-                    if best is None or move[:3] < best[:3]:
-                        best = move
-            order += 1
+                    return (lost / saved, lost, order, "kappa", block.id)
+            return None
+        d = problem.dim_order[order - len(blocks)]
+        block = arch.owner_block(d)
+        j = asg.omega[d]
+        if asg.kappa_of(block) == 1 and j > 1:
+            affected = [block] + readers[d]
+            before = kept_latency(affected)
+            asg.omega[d] = j - 1
+            after = 0.0
+            for b in affected:
+                if asg.kappa_of(b) == 1:
+                    after += block_latency(asg, tables, arch, b)
+            asg.omega[d] = j
+            saved = before - after
+            if saved > 0:
+                vec = problem.vectors[d].values
+                lost = float(vec[j - 1]) - float(vec[j - 2])
+                return (lost / saved, lost, order, "omega", d)
+        return None
+
+    moves = [price(order) for order in range(len(blocks) + len(problem.dim_order))]
+    latency = kept_latency(blocks)
+    while latency > problem.budget:
+        best = min((m for m in moves if m is not None), default=None)
         if best is None:
             return None
         _, _, _, kind, key = best
         if kind == "kappa":
+            changed = key - 1
             asg.kappa[key] = 0
-            for d in arch.blocks[key - 1].dims:
+            for d in blocks[changed].dims:
                 asg.omega[d] = 1
         else:
+            changed = arch.owner_block(key).id - 1
             asg.omega[key] -= 1
-        latency = constraint_value(asg, problem.tables, arch)
+        for b in group[changed]:
+            lat[b.id - 1] = block_latency(asg, tables, arch, b)
+        for order in stale[changed]:
+            moves[order] = price(order)
+        latency = kept_latency(blocks)
     return asg
 
 
@@ -731,9 +775,8 @@ def repair_heuristic(problem: PruningProblem, start: Assignment) -> Assignment |
 
 
 class _Search:
-    def __init__(self, problem: PruningProblem, config: SolverConfig):
+    def __init__(self, problem: PruningProblem):
         self.problem = problem
-        self.config = config
         self.n_vars = len(problem.var_order)
         self.budget = problem.budget
         self.incumbent: Assignment | None = None
@@ -744,60 +787,58 @@ class _Search:
         self.lam_psi: list[float] = [0.0]
         self.best_lambda_index = 0
 
+        # Per branching position: the domain, the position of the owning
+        # block's removal bit for choices that removal makes moot, and for
+        # each block the variable affects, the read positions fixed above it.
+        self.domains: list[tuple[int, ...]] = []
+        self.removed_by: list[int | None] = []
+        self.parent_reads: list[tuple[tuple[int, tuple[int, ...]], ...]] = []
+        kappa_pos = {
+            key: i for i, (kind, key) in enumerate(problem.var_order) if kind == "kappa"
+        }
+        for depth, var in enumerate(problem.var_order):
+            kind, key = var
+            if kind == "kappa":
+                self.domains.append((1, 0))
+                self.removed_by.append(None)
+            else:
+                self.domains.append(tuple(range(1, problem.arch.dims[key].option_count + 1)))
+                self.removed_by.append(kappa_pos.get(problem.arch.owner_block(key).id))
+            self.parent_reads.append(tuple(
+                (b, tuple(p for p in problem.read_positions[b] if p < depth))
+                for b in problem.affected[var]
+            ))
+
     # -- responses with caching ----------------------------------------------
 
-    def _relevant(self, model: _BlockModel, fixed: dict) -> tuple:
-        items = []
-        kb = fixed.get(("kappa", model.block.id))
-        if kb is not None:
-            items.append(("kappa", model.block.id, kb))
-        for d in model.dim_ids:
-            v = fixed.get(("omega", d))
-            if v is not None:
-                items.append(("dim", d, v))
-        if model.input_dim_id is not None:
-            v = fixed.get(("omega", model.input_dim_id))
-            if v is not None:
-                items.append(("input", model.input_dim_id, v))
-        return tuple(items)
-
-    def response(self, b: int, g: int, fixed: dict) -> BlockResponse:
-        model = self.problem.models[b]
-        key = (b, g, self._relevant(model, fixed))
-        hit = self.response_cache.get(key)
-        if hit is not None:
-            return hit
-        omega_fixed, kappa_fixed = _fixed_views(self.problem, fixed)
-        if g == -1:  # min-latency row
-            resp = model.response(
-                1.0,
-                fixed=omega_fixed,
-                kappa_fixed=kappa_fixed.get(model.block.id),
-                minimize_latency=True,
+    def rows(self, b: int, key: tuple[int, ...]) -> tuple[BlockResponse, ...]:
+        """Block b's responses at every grid multiplier, then its min-latency
+        row, with its first len(key) read variables fixed to key."""
+        rows = self.response_cache.get((b, key))
+        if rows is None:
+            problem = self.problem
+            model = problem.models[b]
+            omega_fixed = {}
+            kappa_fixed = None
+            for p, value in zip(problem.read_positions[b], key):
+                kind, var_key = problem.var_order[p]
+                if kind == "kappa":
+                    kappa_fixed = value
+                else:
+                    omega_fixed[var_key] = value
+            rows = tuple(
+                model.response(lam, fixed=omega_fixed, kappa_fixed=kappa_fixed)
+                for lam in self.lambda_grid
+            ) + (
+                model.response(
+                    1.0, fixed=omega_fixed, kappa_fixed=kappa_fixed, minimize_latency=True
+                ),
             )
-        else:
-            resp = model.response(
-                self.lambda_grid[g],
-                fixed=omega_fixed,
-                kappa_fixed=kappa_fixed.get(model.block.id),
-            )
-        self.response_cache[key] = resp
-        return resp
+            self.response_cache[(b, key)] = rows
+        return rows
 
-    def sums_for(self, fixed: dict) -> tuple[float, ...]:
-        sums = []
-        for g in range(len(self.lambda_grid)):
-            total = 0.0
-            for b in range(len(self.problem.models)):
-                total += self.response(b, g, fixed).score
-            sums.append(total)
-        return tuple(sums)
-
-    def min_latency_for(self, fixed: dict) -> float:
-        min_lat = 0.0
-        for b in range(len(self.problem.models)):
-            min_lat += -self.response(b, -1, fixed).score
-        return min_lat
+    def key_of(self, b: int, values: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(values[p] for p in self.problem.read_positions[b] if p < len(values))
 
     def bound_of(self, sums: tuple[float, ...]) -> float:
         return min(s + p for s, p in zip(sums, self.lam_psi))
@@ -819,11 +860,11 @@ class _Search:
             if key < self.incumbent_key:
                 self.incumbent, self.incumbent_key = assignment, key
 
-    def lagrangian_assignment(self, g: int, fixed: dict) -> Assignment:
+    def lagrangian_assignment(self, g: int, values: tuple[int, ...]) -> Assignment:
         omega = {}
         kappa = {}
         for b, model in enumerate(self.problem.models):
-            resp = self.response(b, g, fixed)
+            resp = self.rows(b, self.key_of(b, values))[g]
             omega.update(resp.choices)
             if model.block.removable:
                 kappa[model.block.id] = resp.kappa
@@ -850,13 +891,14 @@ def solve_branch_and_bound(
     config.validate()
     start = time.perf_counter()
     deadline = start + config.time_limit
-    search = _Search(problem, config)
+    search = _Search(problem)
 
     # Quick infeasibility check: an optimistic lower bound on achievable
     # latency already above the budget settles the instance.
-    root_fixed: dict = {}
     feas_margin = 1e-9 * (1.0 + (problem.budget if math.isfinite(problem.budget) else 0.0))
-    root_min_lat = search.min_latency_for(root_fixed)
+    root_min_lat = 0.0
+    for model in problem.models:
+        root_min_lat += -model.response(1.0, minimize_latency=True).score
     if root_min_lat > problem.budget + feas_margin:
         return PruningSolution(
             status="infeasible",
@@ -881,15 +923,22 @@ def solve_branch_and_bound(
         grid = sorted({0.0, 0.5 * lam_star, lam_star, 1.5 * lam_star, 2.0 * lam_star})
         search.lambda_grid = grid
         search.lam_psi = [lam * problem.budget for lam in grid]
-    root_sums = search.sums_for(root_fixed)
+    n_rows = len(search.lambda_grid)
+    root_sums = []
+    for g in range(n_rows):
+        total = 0.0
+        for b in range(len(problem.models)):
+            total += search.rows(b, ())[g].score
+        root_sums.append(total)
+    root_sums = tuple(root_sums)
     search.best_lambda_index = min(
         range(len(search.lambda_grid)),
         key=lambda g: root_sums[g] + search.lam_psi[g],
     )
 
     # Seed incumbents: each grid multiplier's maximizer, then greedy repairs.
-    for g in range(len(search.lambda_grid)):
-        search.try_incumbent(search.lagrangian_assignment(g, root_fixed))
+    for g in range(n_rows):
+        search.try_incumbent(search.lagrangian_assignment(g, ()))
     max_assignment = Assignment(
         omega={d: problem.arch.dims[d].option_count for d in problem.dim_order},
         kappa={b.id: 1 for b in problem.kappa_blocks()},
@@ -897,7 +946,7 @@ def solve_branch_and_bound(
     search.try_incumbent(repair_heuristic(problem, max_assignment))
     best_g = search.best_lambda_index
     search.try_incumbent(
-        repair_heuristic(problem, search.lagrangian_assignment(best_g, root_fixed))
+        repair_heuristic(problem, search.lagrangian_assignment(best_g, ()))
     )
 
     root_bound = search.bound_of(root_sums)
@@ -923,56 +972,53 @@ def solve_branch_and_bound(
             timed_out = True
             break
 
-        fixed = dict(zip(problem.var_order, values))
-
-        # Skip choices of blocks already removed: they change nothing.
+        # Skip choices of blocks already removed: they change nothing.  Block
+        # bits come first in var_order, so the bit is fixed by now.
         while depth < search.n_vars:
-            kind, key = problem.var_order[depth]
-            if kind == "omega":
-                owner = problem.arch.owner_block(key)
-                if owner.removable and fixed.get(("kappa", owner.id)) == 0:
-                    fixed[("omega", key)] = 1
-                    values = values + (1,)
-                    depth += 1
-                    continue
-            break
+            p = search.removed_by[depth]
+            if p is None or values[p] != 0:
+                break
+            values = values + (1,)
+            depth += 1
 
         if depth == search.n_vars:
-            search.try_incumbent(problem.full_assignment(fixed))
+            search.try_incumbent(problem.full_assignment(dict(zip(problem.var_order, values))))
             continue
 
         if node_count % 64 == 0:
             search.try_incumbent(
-                search.lagrangian_assignment(search.best_lambda_index, fixed)
+                search.lagrangian_assignment(search.best_lambda_index, values)
             )
 
-        var = problem.var_order[depth]
-        kind, key = var
-        domain = (1, 0) if kind == "kappa" else tuple(
-            range(1, problem.arch.dims[key].option_count + 1)
-        )
-        for value in domain:
-            child_fixed = dict(fixed)
-            child_fixed[var] = value
+        # Only the blocks this variable affects change; each child's key
+        # extends the parent's by the new value.
+        parent_keys = [
+            (b, tuple(values[p] for p in reads)) for b, reads in search.parent_reads[depth]
+        ]
+        parent_rows = [search.rows(b, key) for b, key in parent_keys]
+        for value in search.domains[depth]:
+            child_rows = [search.rows(b, key + (value,)) for b, key in parent_keys]
             child_sums = []
-            for g in range(len(search.lambda_grid)):
+            for g in range(n_rows):
                 s = sums[g]
-                for b in problem.affected[var]:
-                    s = s - search.response(b, g, fixed).score
-                    s = s + search.response(b, g, child_fixed).score
+                for parent, child in zip(parent_rows, child_rows):
+                    s = s - parent[g].score
+                    s = s + child[g].score
                 child_sums.append(s)
             child_min_lat = min_lat
-            for b in problem.affected[var]:
-                child_min_lat = child_min_lat - (-search.response(b, -1, fixed).score)
-                child_min_lat = child_min_lat + (-search.response(b, -1, child_fixed).score)
+            for parent, child in zip(parent_rows, child_rows):
+                child_min_lat = child_min_lat - (-parent[-1].score)
+                child_min_lat = child_min_lat + (-child[-1].score)
             if child_min_lat > problem.budget + feas_margin:
                 continue
-            child_bound = search.bound_of(tuple(child_sums))
+            child_bound = search.bound_of(child_sums)
             if child_bound <= threshold():
                 continue
             child_values = values + (value,)
             if depth + 1 == search.n_vars:
-                search.try_incumbent(problem.full_assignment(child_fixed))
+                search.try_incumbent(
+                    problem.full_assignment(dict(zip(problem.var_order, child_values)))
+                )
             else:
                 heapq.heappush(
                     heap,

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latprune.cli import main
+from latprune.cli import _write_json, main
 
 DATA = Path(__file__).parent.parent / "demos" / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -135,8 +135,7 @@ class TestSolve:
         assert report["assignment"] == oracle["assignment"]
 
         golden = GOLDEN / "tiny_mixed_report.json"
-        if not golden.exists():  # pragma: no cover - first-run bootstrap
-            golden.write_bytes((out / "report.json").read_bytes())
+        assert golden.exists(), f"golden file {golden} is missing"
         assert (out / "report.json").read_bytes() == golden.read_bytes()
 
     def test_reruns_and_thread_counts_are_byte_identical(self, tmp_path):
@@ -197,6 +196,15 @@ class TestSolve:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("budget", ["inf", "nan"])
+    def test_non_finite_budget_exits_3_before_writing(self, tmp_path, capsys, budget):
+        inputs = synth(tmp_path)
+        out = tmp_path / "run"
+        code = main(solve_args(DATA / "tiny_mixed.arch.json", inputs, out, budget))
+        assert code == 3
+        assert "--budget-ms" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_exits_4(self, tmp_path):
         code = main(
             [
@@ -230,6 +238,35 @@ class TestSweep:
         assert len(lines) == 2 + 4  # manifest comment + header + rows
         importances = [float(line.split(",")[2]) for line in lines[2:]]
         assert importances == sorted(importances)
+
+
+    @pytest.mark.parametrize(
+        "budgets, entry",
+        [("0.2,abc", "'abc'"), ("0.2,inf", "'inf'"), ("nan,0.2", "'nan'"), ("0.2, x1", "'x1'")],
+    )
+    def test_bad_budget_entry_exits_3_and_is_named(self, tmp_path, capsys, budgets, entry):
+        inputs = synth(tmp_path)
+        out = tmp_path / "sweep"
+        code = main(
+            [
+                "sweep",
+                "--arch", str(DATA / "tiny_mixed.arch.json"),
+                "--scores", str(inputs / "scores.json"),
+                "--lut", str(inputs / "lut.json"),
+                "--budgets", budgets,
+                "--out", str(out),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "--budgets" in err and entry in err
+        assert not out.exists()
+
+
+def test_json_writer_rejects_non_finite_values(tmp_path):
+    with pytest.raises(ValueError):
+        _write_json(tmp_path / "x.json", {"budget_ms": float("inf")})
+    assert not (tmp_path / "x.json").exists()
 
 
 class TestCompareLatencyModels:

@@ -1,0 +1,223 @@
+"""Differential tests of the solver against independent references.
+
+* ``repair_heuristic`` re-prices only the moves a step changed; it must
+  return exactly what the full-rescan loop below returns.
+* ``solve_branch_and_bound`` must match ``solve_exhaustive`` on
+  integer-valued instances, where many states tie on importance and the
+  ``tie_key`` order decides the answer.
+
+Both draw chains fed by a permanent block's conv output, the one
+cross-block dependency in the model.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from latprune import (
+    Assignment,
+    BlockSpec,
+    LatencyTable,
+    TableSet,
+    assemble,
+    build_all_vectors,
+    constraint_value,
+    repair_heuristic,
+    solve_branch_and_bound,
+    solve_exhaustive,
+)
+from latprune.importance import RawScores
+from latprune.latency import block_latency
+
+from conftest import conv_dim, dense_assignment, make_arch, tf_dims, trunk_dim
+
+
+def full_rescan_repair(problem, start):
+    """Reference greedy repair: prices every move again after each step."""
+    arch = problem.arch
+    asg = start.copy()
+    for block in arch.blocks:
+        if asg.kappa_of(block) == 0:
+            for d in block.dims:
+                asg.omega[d] = 1
+    asg.validate_for(arch)
+
+    readers = {d: [] for d in problem.dim_order}
+    for block in arch.blocks:
+        if block.kind == "cnn_chain" and block.input_ref in readers:
+            readers[block.input_ref].append(block)
+
+    def blocks_latency(a, blocks):
+        total = 0.0
+        for b in blocks:
+            if a.kappa_of(b) == 1:
+                total += block_latency(a, problem.tables, arch, b)
+        return total
+
+    latency = constraint_value(asg, problem.tables, arch)
+    while latency > problem.budget:
+        best = None
+        order = 0
+        for block in arch.blocks:
+            if block.removable and asg.kappa[block.id] == 1:
+                saved = block_latency(asg, problem.tables, arch, block)
+                if saved > 0:
+                    lost = sum(
+                        float(problem.vectors[d].values[asg.omega[d] - 1])
+                        for d in block.dims
+                    )
+                    move = (lost / saved, lost, order, "kappa", block.id)
+                    if best is None or move[:3] < best[:3]:
+                        best = move
+            order += 1
+        for d in problem.dim_order:
+            block = arch.owner_block(d)
+            j = asg.omega[d]
+            if asg.kappa_of(block) == 1 and j > 1:
+                affected = [block] + readers[d]
+                before = blocks_latency(asg, affected)
+                asg.omega[d] = j - 1
+                saved = before - blocks_latency(asg, affected)
+                asg.omega[d] = j
+                if saved > 0:
+                    vec = problem.vectors[d].values
+                    lost = float(vec[j - 1]) - float(vec[j - 2])
+                    move = (lost / saved, lost, order, "omega", d)
+                    if best is None or move[:3] < best[:3]:
+                        best = move
+            order += 1
+        if best is None:
+            return None
+        _, _, _, kind, key = best
+        if kind == "kappa":
+            asg.kappa[key] = 0
+            for d in arch.blocks[key - 1].dims:
+                asg.omega[d] = 1
+        else:
+            asg.omega[key] -= 1
+        latency = constraint_value(asg, problem.tables, arch)
+    return asg
+
+
+@st.composite
+def instances(draw, max_options=3, tf_options=2, max_layers=3, top=3):
+    """(arch, raw scores, tables) with integer scores in [-1, top] and
+    latencies in [0, top].
+
+    When `chained` is drawn, block 1 is a permanent chain and every later
+    block is a chain reading one of its conv outputs."""
+    chained = draw(st.booleans())
+    n_blocks = draw(st.integers(2 if chained else 1, 3))
+    dims = [trunk_dim("trunk")]
+    blocks = []
+    producers = []
+    for b in range(1, n_blocks + 1):
+        first = b == 1 and chained
+        kind = "cnn_chain" if chained else draw(st.sampled_from(["cnn_chain", "transformer"]))
+        removable = False if first else draw(st.booleans())
+        if kind == "transformer":
+            roles = ("emb", "head", "qk", "v", "mlp")
+            options = {r: draw(st.integers(1, tf_options)) for r in roles}
+            block_dims = tf_dims(f"b{b}", options)
+            input_ref = None
+        else:
+            n_layers = draw(st.integers(1, max_layers))
+            block_dims = [
+                conv_dim(f"b{b}_c{i}", draw(st.integers(1, max_options)), draw(st.integers(1, 2)))
+                for i in range(1, n_layers + 1)
+            ]
+            input_ref = draw(st.sampled_from(producers)) if chained and not first else "trunk"
+            if first:
+                producers = [d.id for d in block_dims]
+        dims.extend(block_dims)
+        blocks.append(
+            BlockSpec(
+                id=b,
+                kind=kind,
+                dims=tuple(d.id for d in block_dims),
+                removable=removable,
+                input_ref=input_ref,
+            )
+        )
+    arch = make_arch(dims, blocks)
+
+    def integers(n, lo, hi):
+        return np.array(draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n)), dtype=float)
+
+    raw = {
+        d.id: RawScores(dim_id=d.id, scores=integers(d.max_elements, -1, top))
+        for d in arch.dims.values()
+    }
+    tables = TableSet()
+    for block in arch.blocks:
+        if block.kind == "cnn_chain":
+            for layer, (din, dout) in enumerate(arch.conv_axes(block), start=1):
+                shape = (din.option_count, dout.option_count)
+                tables.add(LatencyTable(
+                    block_id=block.id, part="conv_layer", layer=layer,
+                    axes=(din.id, dout.id),
+                    data=integers(math.prod(shape), 0, top).reshape(shape),
+                ))
+        else:
+            tdims = arch.transformer_dims(block)
+            for part, roles in (
+                ("qk", ("emb", "head", "qk")),
+                ("vproj", ("emb", "head", "v")),
+                ("mlp", ("emb", "mlp")),
+            ):
+                shape = tuple(tdims[r].option_count for r in roles)
+                tables.add(LatencyTable(
+                    block_id=block.id, part=part,
+                    axes=tuple(tdims[r].id for r in roles),
+                    data=integers(math.prod(shape), 0, top).reshape(shape),
+                ))
+    return arch, raw, tables
+
+
+@st.composite
+def repair_cases(draw):
+    arch, raw, tables = draw(instances(max_options=5, top=draw(st.sampled_from([3, 50]))))
+    dense = constraint_value(dense_assignment(arch), tables, arch)
+    budget = draw(st.integers(1, int(dense) + 1)) - draw(st.sampled_from([0.0, 0.5]))
+    start = Assignment(
+        omega={
+            d: draw(st.integers(1, arch.dims[d].option_count))
+            for b in arch.blocks for d in b.dims
+        },
+        kappa={b.id: draw(st.integers(0, 1)) for b in arch.blocks if b.removable},
+    )
+    if draw(st.booleans()):
+        start = dense_assignment(arch)
+    problem = assemble(arch, build_all_vectors(arch, raw), tables, budget)
+    return problem, start
+
+
+@settings(max_examples=300, deadline=None)
+@given(repair_cases())
+def test_incremental_repair_matches_full_rescan(case):
+    problem, start = case
+    expected = full_rescan_repair(problem, start)
+    got = repair_heuristic(problem, start)
+    if expected is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert got.omega == expected.omega
+        assert got.kappa == expected.kappa
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(max_layers=2), st.integers(0, 100))
+def test_branch_and_bound_tie_break_matches_exhaustive(case, percent):
+    arch, raw, tables = case
+    dense = constraint_value(dense_assignment(arch), tables, arch)
+    budget = max(1.0, float(round(dense * percent / 100)))
+    problem = assemble(arch, build_all_vectors(arch, raw), tables, budget)
+    oracle = solve_exhaustive(problem)
+    sol = solve_branch_and_bound(problem)
+    assert sol.status == oracle.status
+    if oracle.status == "optimal":
+        assert sol.importance == oracle.importance
+        assert sol.assignment == oracle.assignment
+        assert problem.tie_key(sol.assignment) == problem.tie_key(oracle.assignment)

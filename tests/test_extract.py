@@ -196,8 +196,7 @@ class TestSummarize:
         structure = self._structure({1: 1, 2: 0, 3: 1, 4: 0})
         text, csv = summarize(structure)
         payload = text + "---\n" + csv
-        if not golden.exists():  # pragma: no cover - first-run bootstrap
-            golden.write_text(payload)
+        assert golden.exists(), f"golden file {golden} is missing"
         assert payload == golden.read_text()
 
 
