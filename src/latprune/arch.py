@@ -31,6 +31,12 @@ from .errors import ParseError, ValidationError
 
 ROLES = ("conv_out", "emb", "head", "qk", "v", "mlp", "fixed_external")
 TRANSFORMER_ROLES = ("emb", "head", "qk", "v", "mlp")
+# Latency tables of a transformer block: part -> the roles of its axes.
+TRANSFORMER_PARTS = {
+    "qk": ("emb", "head", "qk"),
+    "vproj": ("emb", "head", "v"),
+    "mlp": ("emb", "mlp"),
+}
 BLOCK_KINDS = ("cnn_chain", "transformer")
 
 # Reserved key allowed (and ignored) in every document this package reads.
@@ -231,7 +237,16 @@ class ArchitectureSpec:
                 )
 
 
-def _require_keys(obj: dict, required: set[str], optional: set[str], where: str) -> None:
+def load_json(document: str, where: str):
+    """Decode a JSON document; a syntax error becomes a ParseError naming `where`."""
+    try:
+        return json.loads(document)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{where}: invalid JSON at line {exc.lineno} "
+                         f"column {exc.colno}: {exc.msg}") from None
+
+
+def require_keys(obj: dict, required: set[str], optional: set[str], where: str) -> None:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object, got {type(obj).__name__}")
     keys = set(obj)
@@ -244,14 +259,14 @@ def _require_keys(obj: dict, required: set[str], optional: set[str], where: str)
 
 
 def architecture_from_obj(obj: dict) -> ArchitectureSpec:
-    _require_keys(obj, {"name", "dims", "blocks"}, set(), "architecture")
+    require_keys(obj, {"name", "dims", "blocks"}, set(), "architecture")
     if not isinstance(obj["dims"], list) or not isinstance(obj["blocks"], list):
         raise ParseError("architecture: 'dims' and 'blocks' must be lists")
 
     dims: dict[str, DimensionSpec] = {}
     for i, entry in enumerate(obj["dims"]):
         where = f"dims[{i}]"
-        _require_keys(
+        require_keys(
             entry,
             {"id", "role", "option_count", "group_size", "max_elements"},
             set(),
@@ -272,7 +287,7 @@ def architecture_from_obj(obj: dict) -> ArchitectureSpec:
     blocks = []
     for i, entry in enumerate(obj["blocks"]):
         where = f"blocks[{i}]"
-        _require_keys(entry, {"id", "kind", "removable", "dims"}, {"input_ref"}, where)
+        require_keys(entry, {"id", "kind", "removable", "dims"}, {"input_ref"}, where)
         if not isinstance(entry["dims"], list) or not all(
             isinstance(d, str) for d in entry["dims"]
         ):
@@ -296,12 +311,7 @@ def architecture_from_obj(obj: dict) -> ArchitectureSpec:
 
 def parse_architecture(document: str) -> ArchitectureSpec:
     """Parse and validate a JSON architecture document."""
-    try:
-        obj = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"architecture: invalid JSON at line {exc.lineno} "
-                         f"column {exc.colno}: {exc.msg}") from None
-    return architecture_from_obj(obj)
+    return architecture_from_obj(load_json(document, "architecture"))
 
 
 def architecture_to_obj(arch: ArchitectureSpec) -> dict:
@@ -378,18 +388,13 @@ def validate_problem_shapes(arch: ArchitectureSpec, tables, vectors) -> None:
                 _check_axes(block.id, f"conv_layer {layer}", table, (din, dout))
         else:
             tdims = arch.transformer_dims(block)
-            expected = {
-                "qk": (tdims["emb"], tdims["head"], tdims["qk"]),
-                "vproj": (tdims["emb"], tdims["head"], tdims["v"]),
-                "mlp": (tdims["emb"], tdims["mlp"]),
-            }
-            for part, axes in expected.items():
+            for part, roles in TRANSFORMER_PARTS.items():
                 table = tables.part(block.id, part)
                 if table is None:
                     raise ValidationError(
                         f"block {block.id}: missing {part} table"
                     )
-                _check_axes(block.id, part, table, axes)
+                _check_axes(block.id, part, table, tuple(tdims[r] for r in roles))
 
 
 def _check_axes(block_id: int, label: str, table, expected_dims) -> None:

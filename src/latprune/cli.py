@@ -6,7 +6,7 @@ input hashes and parameters; its hash is stamped into each output file so
 reruns on identical inputs are byte-identical.  Wall-clock timings live in a
 separate ``timing.json`` sidecar, never in the stamped outputs.
 
-Exit codes: 0 success, 2 infeasible, 3 validation error, 4 I/O error.
+Exit codes: 0 success, 2 infeasible, 3 validation or usage error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -81,6 +81,25 @@ def _write_json(path: Path, obj: dict) -> None:
     _write(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
+def _write_manifest(out: Path, manifest: RunManifest) -> None:
+    _write_json(out / "manifest.json", {**manifest.to_obj(), "hash": manifest.hash()})
+
+
+def _write_structure(out: Path, structure, stamp: str) -> None:
+    """structure.json, summary.csv and summary.txt of an extracted plan."""
+    text, csv = extract_mod.summarize(structure)
+    _write(out / "structure.json", extract_mod.serialize_structure(structure, manifest=stamp))
+    _write(out / "summary.csv", f"# manifest: {stamp}\n" + csv)
+    _write(out / "summary.txt", text + f"manifest: {stamp}\n")
+
+
+def _typed(value, types, where: str):
+    """`value` if it is an instance of `types`; a bool never counts as a number."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ParseError(f"{where}: unexpected {type(value).__name__} value {value!r}")
+    return value
+
+
 def _budget(text: str | float, flag: str) -> float:
     """A finite budget given on the command line; the solver library alone
     accepts an infinite one."""
@@ -138,12 +157,12 @@ def _assignment_csv(arch, assignment, manifest_hash: str) -> str:
 
 
 def _solver_config(args) -> solver_mod.SolverConfig:
+    if args.threads < 1:
+        raise ValidationError(f"--threads must be >= 1, got {args.threads}")
     return solver_mod.SolverConfig(
         mode=args.mode,
         time_limit=args.time_limit,
         tolerance=args.tolerance,
-        rng_seed=args.seed,
-        threads=args.threads,
     )
 
 
@@ -178,7 +197,7 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     _write(out / "scores.json", imp_mod.serialize_scores(scores, manifest=manifest.hash()))
     _write(out / "lut.json", lat_mod.serialize_lut(tables, manifest=manifest.hash()))
-    _write_json(out / "manifest.json", {**manifest.to_obj(), "hash": manifest.hash()})
+    _write_manifest(out, manifest)
     print(f"synth: wrote scores.json and lut.json under {out}")
     return EXIT_OK
 
@@ -228,7 +247,6 @@ def cmd_solve(args) -> int:
             "mode": args.mode,
             "time_limit": args.time_limit,
             "tolerance": args.tolerance,
-            "seed": args.seed,
         },
     )
     arch, raw_scores, vectors, tables = _load_problem(args)
@@ -239,16 +257,13 @@ def cmd_solve(args) -> int:
     stamp = manifest.hash()
     _write_json(out / "report.json", _solution_report(solution, args.budget_ms, stamp))
     _write_json(out / "timing.json", {"wall_time_s": solution.wall_time})
-    _write_json(out / "manifest.json", {**manifest.to_obj(), "hash": stamp})
+    _write_manifest(out, manifest)
     if solution.status == "infeasible":
         print(f"solve: infeasible ({solution.message})")
         return EXIT_INFEASIBLE
 
     structure = extract_mod.extract_structure(solution, problem, raw_scores)
-    text, csv = extract_mod.summarize(structure)
-    _write(out / "structure.json", extract_mod.serialize_structure(structure, manifest=stamp))
-    _write(out / "summary.csv", f"# manifest: {stamp}\n" + csv)
-    _write(out / "summary.txt", text + f"manifest: {stamp}\n")
+    _write_structure(out, structure, stamp)
     _write(out / "assignment.csv", _assignment_csv(arch, solution.assignment, stamp))
     if structure.degenerate:
         print("solve: warning: optimal plan removes every block (degenerate network)")
@@ -271,16 +286,16 @@ def cmd_sweep(args) -> int:
             "mode": args.mode,
             "time_limit": args.time_limit,
             "tolerance": args.tolerance,
-            "seed": args.seed,
         },
     )
+    config = _solver_config(args)
     arch, raw_scores, vectors, tables = _load_problem(args)
     stamp = manifest.hash()
     rows = [f"# manifest: {stamp}", "budget_ms,status,importance,latency_ms,gap,node_count"]
     total_wall = 0.0
     for budget in budgets:
         problem = solver_mod.assemble(arch, vectors, tables, budget)
-        solution = solver_mod.solve(problem, _solver_config(args))
+        solution = solver_mod.solve(problem, config)
         total_wall += solution.wall_time
         if solution.status == "infeasible":
             rows.append(f"{budget!r},infeasible,,,,{solution.node_count}")
@@ -293,7 +308,7 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     _write(out / "sweep.csv", "\n".join(rows) + "\n")
     _write_json(out / "timing.json", {"wall_time_s": total_wall})
-    _write_json(out / "manifest.json", {**manifest.to_obj(), "hash": stamp})
+    _write_manifest(out, manifest)
     print(f"sweep: wrote {len(budgets)} rows to {out / 'sweep.csv'}")
     return EXIT_OK
 
@@ -306,7 +321,7 @@ def cmd_compare_latency_models(args) -> int:
     )
     arch = arch_mod.parse_architecture(_read_text(args.arch))
     tables = lat_mod.parse_lut(_read_text(args.lut))
-    traj_obj = json.loads(_read_text(args.trajectory))
+    traj_obj = arch_mod.load_json(_read_text(args.trajectory), "trajectory")
     if isinstance(traj_obj, dict):
         extra = set(traj_obj) - {"steps", MANIFEST_KEY}
         if extra:
@@ -327,7 +342,7 @@ def cmd_compare_latency_models(args) -> int:
             rows.append(f"{step.step},layer,{dim_id},,,,{eps!r},{bound!r}")
     out = Path(args.out)
     _write(out / "latency_models.csv", "\n".join(rows) + "\n")
-    _write_json(out / "manifest.json", {**manifest.to_obj(), "hash": stamp})
+    _write_manifest(out, manifest)
     print(f"compare-latency-models: wrote {out / 'latency_models.csv'}")
     return EXIT_OK
 
@@ -344,14 +359,28 @@ def cmd_extract(args) -> int:
         {},
     )
     arch, raw_scores, vectors, tables = _load_problem(args)
-    report = json.loads(_read_text(args.report))
-    if report.get("assignment") is None:
-        raise ValidationError("extract: report carries no assignment (infeasible solve?)")
-    assignment = imp_mod.Assignment(
-        omega={k: int(v) for k, v in report["assignment"]["omega"].items()},
-        kappa={int(k): int(v) for k, v in report["assignment"]["kappa"].items()},
+    report = arch_mod.load_json(_read_text(args.report), "report")
+    arch_mod.require_keys(
+        report,
+        {"status", "budget_ms", "importance", "latency_ms", "assignment"},
+        {"bound", "gap", "node_count", "message"},
+        "report",
     )
-    problem = solver_mod.assemble(arch, vectors, tables, report["budget_ms"])
+    plan = report["assignment"]
+    if plan is None:
+        raise ValidationError("extract: report carries no assignment (infeasible solve?)")
+    arch_mod.require_keys(plan, {"omega", "kappa"}, set(), "report: assignment")
+    for name in ("omega", "kappa"):
+        for key, value in _typed(plan[name], dict, f"report: assignment.{name}").items():
+            _typed(value, int, f"report: assignment.{name}[{key!r}]")
+    if not all(b.isdecimal() for b in plan["kappa"]):
+        raise ParseError(f"report: assignment.kappa: block ids must be integers, "
+                         f"got {sorted(plan['kappa'])}")
+    assignment = imp_mod.Assignment(
+        omega=dict(plan["omega"]), kappa={int(b): k for b, k in plan["kappa"].items()}
+    )
+    budget = _typed(report["budget_ms"], (int, float), "report: budget_ms")
+    problem = solver_mod.assemble(arch, vectors, tables, budget)
     assignment.validate_for(arch)
     solution = solver_mod.PruningSolution(
         status=report["status"],
@@ -363,13 +392,9 @@ def cmd_extract(args) -> int:
         wall_time=0.0,
     )
     structure = extract_mod.extract_structure(solution, problem, raw_scores)
-    text, csv = extract_mod.summarize(structure)
     out = Path(args.out)
-    stamp = manifest.hash()
-    _write(out / "structure.json", extract_mod.serialize_structure(structure, manifest=stamp))
-    _write(out / "summary.csv", f"# manifest: {stamp}\n" + csv)
-    _write(out / "summary.txt", text + f"manifest: {stamp}\n")
-    _write_json(out / "manifest.json", {**manifest.to_obj(), "hash": stamp})
+    _write_structure(out, structure, manifest.hash())
+    _write_manifest(out, manifest)
     print(f"extract: wrote structure files under {out}")
     return EXIT_OK
 
@@ -393,8 +418,9 @@ def _add_solver_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--time-limit", type=float, default=60.0, help="seconds")
     parser.add_argument("--tolerance", type=float, default=0.0)
-    parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--threads", type=int, default=1, help="ignored; the solver is sequential"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -456,8 +482,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     try:
         return args.fn(args)
     except (ParseError, ValidationError, SolveError) as exc:

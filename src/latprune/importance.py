@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arch import ArchitectureSpec, BlockSpec, DimensionSpec, MANIFEST_KEY, kept_elements
+from .arch import ArchitectureSpec, BlockSpec, DimensionSpec, MANIFEST_KEY, kept_elements, load_json
 from .errors import ParseError, ValidationError
 
 
@@ -74,6 +74,9 @@ class Assignment:
                     raise ValidationError(
                         f"{dim.id!r}: option {j} out of range [1, {dim.option_count}]"
                     )
+        unknown = sorted(set(self.omega) - set(arch.dims))
+        if unknown:
+            raise ValidationError(f"assignment gives options for unknown dimensions {unknown}")
         for block_id in self.kappa:
             block = arch.blocks[block_id - 1] if 1 <= block_id <= len(arch.blocks) else None
             if block is None or not block.removable:
@@ -146,11 +149,7 @@ def objective_value(
 
 def parse_scores(document: str) -> dict[str, RawScores]:
     """Parse a JSON scores document: a list of {dim_id, scores} records."""
-    try:
-        obj = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"scores: invalid JSON at line {exc.lineno} "
-                         f"column {exc.colno}: {exc.msg}") from None
+    obj = load_json(document, "scores")
     if isinstance(obj, dict):
         extra = set(obj) - {"scores", MANIFEST_KEY}
         if extra:

@@ -32,7 +32,8 @@ from functools import reduce
 
 import numpy as np
 
-from .arch import ArchitectureSpec, BlockSpec, MANIFEST_KEY, kept_elements
+from .arch import ArchitectureSpec, BlockSpec, MANIFEST_KEY, kept_elements, load_json
+from .arch import TRANSFORMER_PARTS, TRANSFORMER_ROLES
 from .errors import ParseError, SolveError, ValidationError
 from .importance import Assignment
 
@@ -70,10 +71,10 @@ class LatencyTable:
             )
         if not np.all(np.isfinite(self.data)):
             idx = np.argwhere(~np.isfinite(self.data))[0]
-            raise ValidationError(f"{label}: non-finite entry at index {tuple(idx)}")
+            raise ValidationError(f"{label}: non-finite entry at index {tuple(idx.tolist())}")
         if np.any(self.data < 0):
             idx = np.argwhere(self.data < 0)[0]
-            raise ValidationError(f"{label}: negative entry at index {tuple(idx)}")
+            raise ValidationError(f"{label}: negative entry at index {tuple(idx.tolist())}")
 
     def label(self) -> str:
         if self.part == "conv_layer":
@@ -130,13 +131,8 @@ def block_latency(
 
     tdims = arch.transformer_dims(block)
     choice = {role: assignment.omega[d.id] for role, d in tdims.items()}
-    parts = (
-        ("qk", ("emb", "head", "qk")),
-        ("vproj", ("emb", "head", "v")),
-        ("mlp", ("emb", "mlp")),
-    )
     subtotal = 0.0
-    for part, roles in parts:
+    for part, roles in TRANSFORMER_PARTS.items():
         table = tables.part(block.id, part)
         if table is None:
             raise ValidationError(f"block {block.id}: missing {part} table")
@@ -243,12 +239,11 @@ def embed_decomposed(
                 expand[layer - 1] = slice(None)
             full = full + data[tuple(expand)]
     else:
-        roles_by_part = {"qk": (0, 1, 2), "vproj": (0, 1, 3), "mlp": (0, 4)}
-        for part, axes in roles_by_part.items():
+        for part, roles in TRANSFORMER_PARTS.items():
             table = tables.part(block.id, part)
             expand = [None] * len(dims)
-            for a in axes:
-                expand[a] = slice(None)
+            for r in roles:
+                expand[TRANSFORMER_ROLES.index(r)] = slice(None)
             full = full + table.data[tuple(expand)]
     return full
 
@@ -323,12 +318,7 @@ def synth_lut(
         else:
             tdims = arch.transformer_dims(block)
             eff = {r: _effective(kept_counts(d), params.tile) for r, d in tdims.items()}
-            part_axes = (
-                ("qk", ("emb", "head", "qk")),
-                ("vproj", ("emb", "head", "v")),
-                ("mlp", ("emb", "mlp")),
-            )
-            for part, roles in part_axes:
+            for part, roles in TRANSFORMER_PARTS.items():
                 grids = np.meshgrid(*(eff[r] for r in roles), indexing="ij")
                 data = params.overhead + params.unit_cost * params.spatial * reduce(
                     np.multiply, grids
@@ -411,13 +401,17 @@ class PruneTrajectory:
             conv_dims.extend(block.dims)
         prev = {d: arch.dim(d).option_count for d in conv_dims}
         for t, step in enumerate(self.steps):
-            if set(step) != set(conv_dims):
+            if not isinstance(step, dict) or set(step) != set(conv_dims):
                 raise ValidationError(
                     f"trajectory step {t}: must assign exactly the conv dimensions "
                     f"{sorted(conv_dims)}"
                 )
             for d, j in step.items():
                 dim = arch.dim(d)
+                if isinstance(j, bool) or not isinstance(j, int):
+                    raise ValidationError(
+                        f"trajectory step {t}: {d!r} option must be an integer, got {j!r}"
+                    )
                 if not 1 <= j <= dim.option_count:
                     raise ValidationError(
                         f"trajectory step {t}: {d!r} option {j} out of range "
@@ -499,11 +493,7 @@ def parse_lut(document: str) -> TableSet:
     (conv_layer records add ``layer``) and a row-major payload in either
     ``data`` (list of numbers) or ``data_b64`` (little-endian float64).
     """
-    try:
-        obj = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"lut: invalid JSON at line {exc.lineno} "
-                         f"column {exc.colno}: {exc.msg}") from None
+    obj = load_json(document, "lut")
     if isinstance(obj, dict):
         extra = set(obj) - {"tables", MANIFEST_KEY}
         if extra:

@@ -28,9 +28,7 @@ the blocks its variable affects.  ``repair_heuristic`` likewise re-prices,
 after each step, only the moves whose latency or loss that step changed.
 
 Determinism: identical problem + config give identical solutions and node
-counts.  Worker threads only parallelize independent per-block bound
-evaluations, reduced in a fixed order, so thread count never changes any
-reported field.
+counts.  The solver runs sequentially in the calling thread.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ import heapq
 import itertools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +59,6 @@ class SolverConfig:
     time_limit: float = 60.0  # seconds
     lambda_iters: int = 64
     tolerance: float = 0.0  # absolute optimality gap accepted
-    rng_seed: int = 0  # reserved for stochastic modes
-    threads: int = 1
 
     def validate(self) -> None:
         if self.mode not in ("exhaustive", "branch_and_bound", "heuristic_only"):
@@ -74,8 +69,6 @@ class SolverConfig:
             raise ValidationError("lambda_iters must be >= 1")
         if self.tolerance < 0:
             raise ValidationError("tolerance must be nonnegative")
-        if self.threads < 1:
-            raise ValidationError("threads must be >= 1")
 
 
 @dataclass
@@ -296,7 +289,7 @@ class _BlockModel:
 class PruningProblem:
     """Immutable bundle of architecture, vectors, tables and budget.
 
-    Built by ``assemble``; shared read-only across solver workers.
+    Built by ``assemble``; read-only afterwards.
     """
 
     def __init__(
@@ -449,46 +442,28 @@ def dual_bound(
     fixed: dict | None = None,
     threads: int = 1,
 ) -> float:
-    """Upper bound on the constrained optimum for any lam >= 0."""
+    """Upper bound on the constrained optimum for any lam >= 0.
+
+    `threads` is ignored: the solver is sequential.  It stays so that
+    existing callers keep working.
+    """
     if lam < 0:
         raise ValidationError("multiplier must be nonnegative")
-    scores = _block_scores(problem, lam, fixed or {}, threads)
+    omega_fixed = {}
+    kappa_fixed = {}
+    for (kind, key), value in (fixed or {}).items():
+        if kind == "kappa":
+            kappa_fixed[key] = value
+        else:
+            omega_fixed[key] = value
     total = 0.0
-    for s in scores:
-        total += s
+    for model in problem.models:
+        total += model.response(
+            lam, fixed=omega_fixed, kappa_fixed=kappa_fixed.get(model.block.id)
+        ).score
     if lam == 0.0:
         return total
     return total + lam * problem.budget
-
-
-def _fixed_views(problem: PruningProblem, fixed: dict) -> tuple[dict, dict]:
-    """Split a {var: value} map into per-dim options and per-block bits."""
-    omega = {}
-    kappa = {}
-    for (kind, key), value in fixed.items():
-        if kind == "kappa":
-            kappa[key] = value
-        else:
-            omega[key] = value
-    return omega, kappa
-
-
-def _block_scores(
-    problem: PruningProblem, lam: float, fixed: dict, threads: int
-) -> list[float]:
-    omega_fixed, kappa_fixed = _fixed_views(problem, fixed)
-
-    def score(model: _BlockModel) -> float:
-        return model.response(
-            lam,
-            fixed=omega_fixed,
-            kappa_fixed=kappa_fixed.get(model.block.id),
-        ).score
-
-    if threads > 1 and len(problem.models) >= 4:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(score, problem.models))
-    return [score(model) for model in problem.models]
 
 
 def _golden_section_min(fn, lo: float, hi: float, iters: int) -> float:
@@ -508,6 +483,15 @@ def _golden_section_min(fn, lo: float, hi: float, iters: int) -> float:
             d = a + inv_phi * (b - a)
             fd = fn(d)
     return c if fc <= fd else d
+
+
+def _fit_multiplier(problem: PruningProblem, iters: int) -> float:
+    """The root multiplier: golden-section minimizer of ``dual_bound`` over
+    [0, lam_max].  0.0 for an infinite budget, where latency costs nothing."""
+    if not math.isfinite(problem.budget):
+        return 0.0
+    lam_max = max(problem.importance_scale / problem.min_latency_step, 1.0)
+    return _golden_section_min(lambda lam: dual_bound(problem, lam), 0.0, lam_max, iters)
 
 
 # ---------------------------------------------------------------------------
@@ -911,15 +895,9 @@ def solve_branch_and_bound(
             message="optimistic minimum latency already exceeds the budget",
         )
 
-    # Multiplier grid fitted at the root.
-    if math.isfinite(problem.budget):
-        lam_max = max(problem.importance_scale / problem.min_latency_step, 1.0)
-        lam_star = _golden_section_min(
-            lambda lam: dual_bound(problem, lam, threads=config.threads),
-            0.0,
-            lam_max,
-            config.lambda_iters,
-        )
+    # Multiplier grid fitted at the root; an infinite budget keeps lam 0 alone.
+    lam_star = _fit_multiplier(problem, config.lambda_iters)
+    if lam_star > 0.0:
         grid = sorted({0.0, 0.5 * lam_star, lam_star, 1.5 * lam_star, 2.0 * lam_star})
         search.lambda_grid = grid
         search.lam_psi = [lam * problem.budget for lam in grid]
@@ -1061,8 +1039,6 @@ def solve_branch_and_bound(
     else:
         status = "optimal"
         message = ""
-        if not heap and top_bound > threshold():
-            bound = importance
     return PruningSolution(
         status=status,
         assignment=search.incumbent,
@@ -1078,21 +1054,7 @@ def solve_branch_and_bound(
 def solve_heuristic(problem: PruningProblem, config: SolverConfig) -> PruningSolution:
     """Greedy repair from the dense assignment, bounded by the root dual."""
     start = time.perf_counter()
-    lam_max = (
-        max(problem.importance_scale / problem.min_latency_step, 1.0)
-        if math.isfinite(problem.budget)
-        else 0.0
-    )
-    lam_star = (
-        _golden_section_min(
-            lambda lam: dual_bound(problem, lam, threads=config.threads),
-            0.0,
-            lam_max,
-            config.lambda_iters,
-        )
-        if lam_max > 0
-        else 0.0
-    )
+    lam_star = _fit_multiplier(problem, config.lambda_iters)
     bound = min(dual_bound(problem, 0.0), dual_bound(problem, lam_star))
     dense = Assignment(
         omega={d: problem.arch.dims[d].option_count for d in problem.dim_order},

@@ -205,6 +205,27 @@ class TestSolve:
         assert "--budget-ms" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "budget, extra, named",
+        [
+            ("abc", (), "--budget-ms"),
+            ("-inf", (), "--budget-ms"),
+            ("0.25", ("--seed", "0"), "--seed"),
+            ("0.25", ("--threads", "0"), "--threads"),
+        ],
+    )
+    def test_usage_errors_exit_3_before_writing(self, tmp_path, capsys, budget, extra, named):
+        inputs = synth(tmp_path)
+        out = tmp_path / "run"
+        code = main(solve_args(DATA / "tiny_mixed.arch.json", inputs, out, budget, *extra))
+        assert code == 3
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        assert main(["solve", "--help"]) == 0
+        assert "--budget-ms" in capsys.readouterr().out
+
     def test_missing_input_exits_4(self, tmp_path):
         code = main(
             [
@@ -350,6 +371,31 @@ class TestCompareLatencyModels:
         for row in layer_rows:
             assert float(row[6]) <= float(row[7]) + 1e-12  # epsilon <= bound
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ('{"steps": [', "invalid JSON"),
+            ('{"steps": [{"c1": "x", "c2": 1}]}', "'c1'"),
+            ('{"steps": [{"c1": true, "c2": 1}]}', "'c1'"),
+            ('{"steps": [["c1", "c2"]]}', "step 0"),
+        ],
+    )
+    def test_malformed_trajectory_exits_3(self, tmp_path, capsys, text, named):
+        arch = self._cnn_arch(tmp_path)
+        inputs = self._synth_for(tmp_path, arch)
+        traj = tmp_path / "traj.json"
+        traj.write_text(text)
+        code = main(
+            [
+                "compare-latency-models",
+                "--arch", str(arch), "--lut", str(inputs / "lut.json"),
+                "--trajectory", str(traj), "--out", str(tmp_path / "cmp"),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "trajectory" in err and named in err
+
     def test_transformer_arch_rejected(self, tmp_path):
         inputs = synth(tmp_path)
         traj = self._write_traj(tmp_path, [])
@@ -362,6 +408,46 @@ class TestCompareLatencyModels:
             ]
         )
         assert code == 3
+
+
+def _edit(fn):
+    """A report mutation that edits the decoded report in place."""
+
+    def mutate(text: str) -> str:
+        report = json.loads(text)
+        fn(report)
+        return json.dumps(report)
+
+    return mutate
+
+
+BAD_REPORTS = [
+    pytest.param(lambda text: text[:-4], "invalid JSON", id="invalid-json"),
+    pytest.param(lambda text: "[1, 2]", "expected an object", id="not-an-object"),
+    *(
+        pytest.param(_edit(lambda r, key=key: r.pop(key)), key, id=f"missing-{key}")
+        for key in ("budget_ms", "status", "importance", "latency_ms", "assignment")
+    ),
+    pytest.param(_edit(lambda r: r.update(budget_ms=True)), "budget_ms", id="bool-budget"),
+    pytest.param(_edit(lambda r: r.update(extra=1)), "extra", id="unknown-key"),
+    pytest.param(
+        _edit(lambda r: r["assignment"]["omega"].update(b1_c1="x")), "b1_c1", id="string-option"
+    ),
+    pytest.param(
+        _edit(lambda r: r["assignment"]["omega"].update(b1_c1=True)), "b1_c1", id="bool-option"
+    ),
+    pytest.param(
+        _edit(lambda r: r["assignment"]["kappa"].update({"2": True})), "kappa", id="bool-kappa"
+    ),
+    pytest.param(
+        _edit(lambda r: r["assignment"]["kappa"].update({"x": 1})), "kappa", id="kappa-block-id"
+    ),
+    pytest.param(
+        _edit(lambda r: r["assignment"]["omega"].update(zz_unknown=1)),
+        "zz_unknown",
+        id="unknown-dim",
+    ),
+]
 
 
 class TestExtractCommand:
@@ -386,3 +472,27 @@ class TestExtractCommand:
         solved.pop("_manifest")
         re_extracted.pop("_manifest")
         assert solved == re_extracted
+
+    @pytest.mark.parametrize("mutate, named", BAD_REPORTS)
+    def test_malformed_report_exits_3_and_names_the_field(
+        self, tmp_path, capsys, mutate, named
+    ):
+        inputs = synth(tmp_path)
+        run = tmp_path / "run"
+        assert main(solve_args(DATA / "tiny_mixed.arch.json", inputs, run, "0.25")) == 0
+        bad = tmp_path / "bad_report.json"
+        bad.write_text(mutate((run / "report.json").read_text()))
+        out = tmp_path / "re"
+        code = main(
+            [
+                "extract",
+                "--report", str(bad),
+                "--arch", str(DATA / "tiny_mixed.arch.json"),
+                "--scores", str(inputs / "scores.json"),
+                "--lut", str(inputs / "lut.json"),
+                "--out", str(out),
+            ]
+        )
+        assert code == 3
+        assert named in capsys.readouterr().err
+        assert not out.exists()

@@ -315,6 +315,13 @@ class TestReplay:
         with pytest.raises(ValidationError, match="nonincreasing"):
             replay_trajectory(traj, tables, arch)
 
+    @pytest.mark.parametrize("option", ["2", True, 2.0])
+    def test_non_integer_option_rejected(self, option):
+        arch, tables = self._tiled_setup()
+        traj = PruneTrajectory(steps=({"c1": 3, "c2": option},))
+        with pytest.raises(ValidationError, match="'c2' option must be an integer"):
+            replay_trajectory(traj, tables, arch)
+
     def test_transformer_arch_rejected(self):
         rng = np.random.default_rng(31)
         arch = None
@@ -352,7 +359,15 @@ class TestLutIO:
         {"tables": [{"block_id": 1, "part": "conv_layer", "layer": 1,
                      "axes": ["a", "b"], "shape": [1, 2], "data": [1.0, -0.5]}]}
         """
-        with pytest.raises(ValidationError, match="negative entry"):
+        with pytest.raises(ValidationError, match=r"negative entry at index \(0, 1\)$"):
+            parse_lut(doc)
+
+    def test_non_finite_entry_reports_index(self):
+        doc = """
+        {"tables": [{"block_id": 1, "part": "conv_layer", "layer": 1,
+                     "axes": ["a", "b"], "shape": [2, 1], "data": [1.0, NaN]}]}
+        """
+        with pytest.raises(ValidationError, match=r"non-finite entry at index \(1, 0\)$"):
             parse_lut(doc)
 
     def test_rank_mismatch_for_declared_part(self):
