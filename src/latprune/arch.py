@@ -58,7 +58,7 @@ class DimensionSpec:
             raise ValidationError(f"dimension {self.id!r}: unknown role {self.role!r}")
         for field in ("option_count", "group_size", "max_elements"):
             value = getattr(self, field)
-            if not isinstance(value, int) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValidationError(
                     f"dimension {self.id!r}: {field} must be a positive integer, got {value!r}"
                 )
@@ -246,6 +246,18 @@ def load_json(document: str, where: str):
                          f"column {exc.colno}: {exc.msg}") from None
 
 
+def typed(value, kind, where: str, item=None):
+    """`value` if it is a `kind` (a type or tuple of types) whose entries, when
+    `item` is given, are `item`s; a bool never counts as a number.  Shared by
+    the document readers, so a wrong type names its field."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ParseError(f"{where}: unexpected {type(value).__name__} value {value!r}")
+    if item is not None:
+        for i, entry in enumerate(value):
+            typed(entry, item, f"{where}[{i}]")
+    return value
+
+
 def require_keys(obj: dict, required: set[str], optional: set[str], where: str) -> None:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object, got {type(obj).__name__}")
@@ -260,8 +272,8 @@ def require_keys(obj: dict, required: set[str], optional: set[str], where: str) 
 
 def architecture_from_obj(obj: dict) -> ArchitectureSpec:
     require_keys(obj, {"name", "dims", "blocks"}, set(), "architecture")
-    if not isinstance(obj["dims"], list) or not isinstance(obj["blocks"], list):
-        raise ParseError("architecture: 'dims' and 'blocks' must be lists")
+    typed(obj["dims"], list, "architecture.dims")
+    typed(obj["blocks"], list, "architecture.blocks")
 
     dims: dict[str, DimensionSpec] = {}
     for i, entry in enumerate(obj["dims"]):
@@ -272,26 +284,23 @@ def architecture_from_obj(obj: dict) -> ArchitectureSpec:
             set(),
             where,
         )
-        if not isinstance(entry["id"], str):
-            raise ParseError(f"{where}: id must be a string")
+        typed(entry["id"], str, f"{where}.id")
         if entry["id"] in dims:
             raise ValidationError(f"{where}: duplicate dimension id {entry['id']!r}")
-        dims[entry["id"]] = DimensionSpec(
-            id=entry["id"],
-            role=entry["role"],
-            option_count=entry["option_count"],
-            group_size=entry["group_size"],
-            max_elements=entry["max_elements"],
-        )
+        sizes = {
+            field: typed(entry[field], int, f"{where}.{field}")
+            for field in ("option_count", "group_size", "max_elements")
+        }
+        dims[entry["id"]] = DimensionSpec(id=entry["id"], role=entry["role"], **sizes)
 
     blocks = []
     for i, entry in enumerate(obj["blocks"]):
         where = f"blocks[{i}]"
         require_keys(entry, {"id", "kind", "removable", "dims"}, {"input_ref"}, where)
-        if not isinstance(entry["dims"], list) or not all(
-            isinstance(d, str) for d in entry["dims"]
-        ):
-            raise ParseError(f"{where}: dims must be a list of dimension ids")
+        typed(entry["id"], int, f"{where}.id")
+        typed(entry["dims"], list, f"{where}.dims", str)
+        if entry.get("input_ref") is not None:
+            typed(entry["input_ref"], str, f"{where}.input_ref")
         if not isinstance(entry["removable"], bool):
             raise ParseError(f"{where}: removable must be a boolean")
         blocks.append(

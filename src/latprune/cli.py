@@ -93,13 +93,6 @@ def _write_structure(out: Path, structure, stamp: str) -> None:
     _write(out / "summary.txt", text + f"manifest: {stamp}\n")
 
 
-def _typed(value, types, where: str):
-    """`value` if it is an instance of `types`; a bool never counts as a number."""
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ParseError(f"{where}: unexpected {type(value).__name__} value {value!r}")
-    return value
-
-
 def _budget(text: str | float, flag: str) -> float:
     """A finite budget given on the command line; the solver library alone
     accepts an infinite one."""
@@ -159,6 +152,9 @@ def _assignment_csv(arch, assignment, manifest_hash: str) -> str:
 def _solver_config(args) -> solver_mod.SolverConfig:
     if args.threads < 1:
         raise ValidationError(f"--threads must be >= 1, got {args.threads}")
+    for flag, value in (("--time-limit", args.time_limit), ("--tolerance", args.tolerance)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{flag} must be finite, got {value!r}")
     return solver_mod.SolverConfig(
         mode=args.mode,
         time_limit=args.time_limit,
@@ -239,6 +235,7 @@ def cmd_check(args) -> int:
 
 def cmd_solve(args) -> int:
     _budget(args.budget_ms, "--budget-ms")
+    config = _solver_config(args)
     manifest = _manifest(
         "solve",
         {"arch": args.arch, "scores": args.scores, "lut": args.lut},
@@ -251,7 +248,7 @@ def cmd_solve(args) -> int:
     )
     arch, raw_scores, vectors, tables = _load_problem(args)
     problem = solver_mod.assemble(arch, vectors, tables, args.budget_ms)
-    solution = solver_mod.solve(problem, _solver_config(args))
+    solution = solver_mod.solve(problem, config)
 
     out = Path(args.out)
     stamp = manifest.hash()
@@ -371,15 +368,15 @@ def cmd_extract(args) -> int:
         raise ValidationError("extract: report carries no assignment (infeasible solve?)")
     arch_mod.require_keys(plan, {"omega", "kappa"}, set(), "report: assignment")
     for name in ("omega", "kappa"):
-        for key, value in _typed(plan[name], dict, f"report: assignment.{name}").items():
-            _typed(value, int, f"report: assignment.{name}[{key!r}]")
+        for key, value in arch_mod.typed(plan[name], dict, f"report: assignment.{name}").items():
+            arch_mod.typed(value, int, f"report: assignment.{name}[{key!r}]")
     if not all(b.isdecimal() for b in plan["kappa"]):
         raise ParseError(f"report: assignment.kappa: block ids must be integers, "
                          f"got {sorted(plan['kappa'])}")
     assignment = imp_mod.Assignment(
         omega=dict(plan["omega"]), kappa={int(b): k for b, k in plan["kappa"].items()}
     )
-    budget = _typed(report["budget_ms"], (int, float), "report: budget_ms")
+    budget = arch_mod.typed(report["budget_ms"], (int, float), "report: budget_ms")
     problem = solver_mod.assemble(arch, vectors, tables, budget)
     assignment.validate_for(arch)
     solution = solver_mod.PruningSolution(

@@ -32,7 +32,7 @@ from functools import reduce
 
 import numpy as np
 
-from .arch import ArchitectureSpec, BlockSpec, MANIFEST_KEY, kept_elements, load_json
+from .arch import ArchitectureSpec, BlockSpec, MANIFEST_KEY, kept_elements, load_json, typed
 from .arch import TRANSFORMER_PARTS, TRANSFORMER_ROLES
 from .errors import ParseError, SolveError, ValidationError
 from .importance import Assignment
@@ -516,9 +516,12 @@ def parse_lut(document: str) -> TableSet:
                 f"{where}: unknown keys "
                 f"{sorted(keys - {'block_id', 'part', 'axes', 'shape'} - payload_keys)}"
             )
-        shape = entry.get("shape")
-        if not isinstance(shape, list) or not all(isinstance(s, int) and s > 0 for s in shape):
+        shape = typed(entry.get("shape"), list, f"{where}.shape", int)
+        if not all(s > 0 for s in shape):
             raise ParseError(f"{where}: shape must be a list of positive integers")
+        layer = entry.get("layer")
+        if layer is not None:
+            typed(layer, int, f"{where}.layer")
         if "data" in entry:
             flat = np.asarray(entry["data"], dtype=np.float64)
         else:
@@ -533,11 +536,11 @@ def parse_lut(document: str) -> TableSet:
                 f"{math.prod(shape)}"
             )
         table = LatencyTable(
-            block_id=entry.get("block_id"),
+            block_id=typed(entry.get("block_id"), int, f"{where}.block_id"),
             part=entry.get("part"),
-            axes=tuple(entry.get("axes", ())),
+            axes=tuple(typed(entry.get("axes", []), list, f"{where}.axes", str)),
             data=flat.reshape(shape),
-            layer=entry.get("layer"),
+            layer=layer,
         )
         try:
             tables.add(table)

@@ -3,29 +3,31 @@
 The program maximizes total importance subject to total latency <= budget
 over one-hot keep-count choices per dimension and keep/remove bits per
 removable block.  Both contributions are additive over blocks and a removed
-block contributes zero to each, so the search decomposes per block:
+block contributes zero to each, so picking one state per block under the
+budget is a multiple-choice knapsack.  The one coupling between blocks is a
+chain reading a conv output of an earlier (permanent) block: its latency
+depends on that producer's option.
 
-* a cnn_chain interior is a max-score path over the (layer, option) lattice,
-  because each layer's latency couples only adjacent dimensions;
-* a transformer interior iterates (emb, head) and maximizes the qk, v and
-  mlp terms independently.
+``solve_branch_and_bound`` solves it exactly by a Pareto dynamic program:
 
-``dual_bound`` prices latency with a multiplier ``lam >= 0`` and sums the
-per-block best responses, giving a cheap upper bound on the constrained
-optimum for any ``lam``.  ``solve_branch_and_bound`` runs best-first search
-over a fixed variable order (block bits first, then dimensions by descending
-importance range), bounding nodes by the tightest of a small multiplier grid
-fitted at the root, seeding incumbents with a greedy feasibility repair, and
-re-verifying every reported solution with the canonical evaluation
-functions.  ``solve_exhaustive`` enumerates the full state space and is the
-ground-truth oracle for everything else.
+* each block's states are thinned to a (latency, importance) frontier
+  without enumerating the block -- a transformer per (emb, head) over the
+  (qk, v) pairs, then the mlp options; a chain by a Pareto pass along its
+  layers; one frontier per input option for a chain reading a conv output;
+* the upper concave hulls of the frontiers give the exact LP relaxation
+  of every suffix of blocks (Sinha & Zoltners, Oper. Res. 1979);
+* stages merge the frontiers in block-declaration order, dropping partial
+  plans that the LP bound and an incumbent (LP rounding, greedy repair)
+  rule out, or that another plan with the same open producer options
+  dominates.
 
-The search is incremental.  A node fixes a prefix of the variable order, so
-each block's responses are cached under the values of the variables it
-reads within that prefix (``PruningProblem.read_positions``), all grid rows
-at once; a child extends the parent's key by one value and re-prices only
-the blocks its variable affects.  ``repair_heuristic`` likewise re-prices,
-after each step, only the moves whose latency or loss that step changed.
+Sums follow the order of ``objective_value`` and ``constraint_value``, so a
+complete plan's importance and latency are theirs bit for bit and ties
+resolve by ``PruningProblem.tie_key``.  ``dual_bound`` prices latency with a
+multiplier and sums per-block best responses, an upper bound for any
+``lam >= 0``; ``solve_heuristic`` bounds a greedy repair with it.
+``solve_exhaustive`` enumerates the full state space and is the ground-truth
+oracle for everything else.
 
 Determinism: identical problem + config give identical solutions and node
 counts.  The solver runs sequentially in the calling thread.
@@ -33,11 +35,11 @@ counts.  The solver runs sequentially in the calling thread.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,12 +65,12 @@ class SolverConfig:
     def validate(self) -> None:
         if self.mode not in ("exhaustive", "branch_and_bound", "heuristic_only"):
             raise ValidationError(f"unknown solver mode {self.mode!r}")
-        if self.time_limit <= 0:
-            raise ValidationError("time_limit must be positive")
+        if not self.time_limit > 0:  # NaN fails every comparison
+            raise ValidationError(f"time_limit must be positive, got {self.time_limit!r}")
         if self.lambda_iters < 1:
             raise ValidationError("lambda_iters must be >= 1")
-        if self.tolerance < 0:
-            raise ValidationError("tolerance must be nonnegative")
+        if not self.tolerance >= 0:
+            raise ValidationError(f"tolerance must be nonnegative, got {self.tolerance!r}")
 
 
 @dataclass
@@ -101,13 +103,11 @@ class _BlockModel:
         tables: TableSet,
     ) -> None:
         self.block = block
-        self.index = block.id - 1
         self.dims = arch.block_dims(block)
         self.dim_ids = [d.id for d in self.dims]
         self.shape = tuple(d.option_count for d in self.dims)
         self.states = math.prod(self.shape)
         self.imp = [np.asarray(vectors[d.id].values, dtype=np.float64) for d in self.dims]
-        self.zero_imp = [np.zeros_like(v) for v in self.imp]
         self.kind = block.kind
         if block.kind == "cnn_chain":
             self.conv = [
@@ -126,8 +126,8 @@ class _BlockModel:
 
     # -- best responses -----------------------------------------------------
 
-    def _masked(self, imp: list[np.ndarray], pos: int, fixed: dict[str, int]) -> np.ndarray:
-        vec = imp[pos]
+    def _masked(self, pos: int, fixed: dict[str, int]) -> np.ndarray:
+        vec = self.imp[pos]
         j = fixed.get(self.dim_ids[pos])
         if j is None:
             return vec
@@ -135,18 +135,18 @@ class _BlockModel:
         out[j - 1] = vec[j - 1]
         return out
 
-    def _interior_cnn(self, lam, fixed, input_choice, imp):
+    def _interior_cnn(self, lam, fixed, input_choice):
         table0 = self.conv[0]
         if input_choice is _RELAX:
             cost0 = table0.min(axis=0)
         else:
             cost0 = table0[input_choice - 1]
-        f = self._masked(imp, 0, fixed) - lam * cost0
+        f = self._masked(0, fixed) - lam * cost0
         backptr = []
         for i in range(1, len(self.dims)):
             scores = f[:, None] - lam * self.conv[i]
             arg = np.argmax(scores, axis=0)
-            f = self._masked(imp, i, fixed) + scores[arg, np.arange(scores.shape[1])]
+            f = self._masked(i, fixed) + scores[arg, np.arange(scores.shape[1])]
             backptr.append(arg)
         j = int(np.argmax(f))
         score = float(f[j])
@@ -157,12 +157,8 @@ class _BlockModel:
             choices[i - 1] = j + 1
         return score, dict(zip(self.dim_ids, choices))
 
-    def _interior_transformer(self, lam, fixed, imp):
-        ie = self._masked(imp, 0, fixed)
-        ih = self._masked(imp, 1, fixed)
-        iq = self._masked(imp, 2, fixed)
-        iv = self._masked(imp, 3, fixed)
-        im = self._masked(imp, 4, fixed)
+    def _interior_transformer(self, lam, fixed):
+        ie, ih, iq, iv, im = (self._masked(pos, fixed) for pos in range(5))
         q_scores = iq[None, None, :] - lam * self.qk
         q_arg = np.argmax(q_scores, axis=2)
         q_best = np.take_along_axis(q_scores, q_arg[:, :, None], axis=2)[:, :, 0]
@@ -194,25 +190,21 @@ class _BlockModel:
         fixed: dict[str, int] | None = None,
         kappa_fixed: int | None = None,
         input_choice=_RELAX,
-        minimize_latency: bool = False,
     ) -> BlockResponse:
         """Maximize importance - lam * latency over this block's states.
 
         Removable blocks include the removed state (score 0) unless the bit
-        is pinned; ties at zero keep the block.  With `minimize_latency` the
-        importance terms are zeroed and lam acts as a pure latency weight,
-        so -score is the block's minimum achievable latency.
+        is pinned; ties at zero keep the block.
         """
         fixed = fixed or {}
-        imp = self.zero_imp if minimize_latency else self.imp
         if self.kind == "cnn_chain":
             if input_choice is _RELAX and self.input_fixed:
                 input_choice = 1
             elif input_choice is _RELAX and self.input_dim_id in fixed:
                 input_choice = fixed[self.input_dim_id]
-            score, choices = self._interior_cnn(lam, fixed, input_choice, imp)
+            score, choices = self._interior_cnn(lam, fixed, input_choice)
         else:
-            score, choices = self._interior_transformer(lam, fixed, imp)
+            score, choices = self._interior_transformer(lam, fixed)
 
         if not self.block.removable or kappa_fixed == 1:
             return BlockResponse(score, 1, choices)
@@ -306,45 +298,6 @@ class PruningProblem:
         self.models = [_BlockModel(arch, b, vectors, tables) for b in arch.blocks]
         self.dim_order = [d for b in arch.blocks for d in b.dims]
 
-        # Branching order: block bits first, then dimensions by descending
-        # importance range.
-        self.imp_range = {
-            d: float(np.max(vectors[d].values) - np.min(vectors[d].values))
-            for d in self.dim_order
-        }
-        kappa_vars = [("kappa", b.id) for b in arch.blocks if b.removable]
-        dim_pos = {d: i for i, d in enumerate(self.dim_order)}
-        omega_vars = [
-            ("omega", d)
-            for d in sorted(self.dim_order, key=lambda d: (-self.imp_range[d], dim_pos[d]))
-            if arch.dims[d].option_count > 1
-        ]
-        self.var_order: list[tuple[str, object]] = kappa_vars + omega_vars
-
-        owner = {}
-        for i, block in enumerate(arch.blocks):
-            for d in block.dims:
-                owner[d] = i
-        self.affected: dict[tuple[str, object], tuple[int, ...]] = {}
-        for var in self.var_order:
-            kind, key = var
-            if kind == "kappa":
-                self.affected[var] = (key - 1,)
-            else:
-                touched = [owner[key]]
-                for i, block in enumerate(arch.blocks):
-                    if block.kind == "cnn_chain" and block.input_ref == key:
-                        touched.append(i)
-                self.affected[var] = tuple(sorted(set(touched)))
-
-        # Positions in var_order of the variables each block's response reads.
-        # Search nodes fix a prefix of var_order, so a block's values at its
-        # fixed read positions identify its responses.
-        self.read_positions: list[tuple[int, ...]] = [
-            tuple(i for i, var in enumerate(self.var_order) if b in self.affected[var])
-            for b in range(len(self.models))
-        ]
-
         # Scale for the multiplier search window.
         per_block_max = []
         for model in self.models:
@@ -353,22 +306,12 @@ class PruningProblem:
         self.importance_scale = max(sum(per_block_max), 0.0)
         self.min_latency_step = _min_positive_step(tables)
 
-    def kappa_blocks(self) -> list[BlockSpec]:
-        return [b for b in self.arch.blocks if b.removable]
-
-    def full_assignment(self, values: dict[tuple[str, object], int]) -> Assignment:
-        omega = {}
-        kappa = {}
-        for block in self.arch.blocks:
-            if block.removable:
-                kappa[block.id] = values[("kappa", block.id)]
-        for d in self.dim_order:
-            dim = self.arch.dims[d]
-            if dim.option_count == 1:
-                omega[d] = 1
-            else:
-                omega[d] = values[("omega", d)]
-        return Assignment(omega=omega, kappa=kappa)
+    def dense_assignment(self) -> Assignment:
+        """Every dimension at its largest option, every block kept."""
+        return Assignment(
+            omega={d: self.arch.dims[d].option_count for d in self.dim_order},
+            kappa={b.id: 1 for b in self.arch.blocks if b.removable},
+        )
 
     def tie_key(self, assignment: Assignment):
         """Kept blocks sort first, then option indices ascending."""
@@ -754,301 +697,499 @@ def repair_heuristic(problem: PruningProblem, start: Assignment) -> Assignment |
 
 
 # ---------------------------------------------------------------------------
-# Branch and bound
+# Pareto frontiers and the dynamic program
 # ---------------------------------------------------------------------------
 
+_CHUNK = 32768  # candidate plans expanded at a time
 
-class _Search:
-    def __init__(self, problem: PruningProblem):
+
+class _Points(NamedTuple):
+    """Block states as parallel arrays.
+
+    ``lat`` and ``imp`` are the block's latency and importance subtotals,
+    summed in the order ``constraint_value`` and ``objective_value`` use.
+    ``removed`` is 1 for the removed state, ``rank`` orders kept states by
+    their option tuples (-1 for the removed state) and ``opts`` holds the
+    0-based option of each of the block's dimensions (0 when removed).
+    """
+
+    lat: np.ndarray
+    imp: np.ndarray
+    removed: np.ndarray
+    rank: np.ndarray
+    opts: np.ndarray
+
+    def take(self, idx) -> "_Points":
+        return _Points(*(a[idx] for a in self))
+
+
+def _dense(code: np.ndarray) -> np.ndarray:
+    """0-based ranks of integer codes, equal codes sharing a rank."""
+    return np.unique(code, return_inverse=True)[1].reshape(-1)
+
+
+def _group_ids(columns: np.ndarray) -> np.ndarray | None:
+    """Ids of the distinct rows of an (n, c) integer array; None when c is 0."""
+    if columns.shape[1] == 0:
+        return None
+    ids = np.zeros(columns.shape[0], dtype=np.int64)
+    for col in columns.T:
+        ids = _dense(ids * (int(col.max(initial=0)) + 1) + col)
+    return ids
+
+
+def _pareto(lat, imp, keys, margin: float, group=None) -> np.ndarray:
+    """Indices of the points to keep, sorted by group, then latency.
+
+    A point goes when another point of its group is no slower and has more
+    importance by over `margin` (more than the rounding of later additions
+    can take back), or has the same latency and importance and a smaller
+    key.  `keys`, most significant first, order the points as
+    ``PruningProblem.tie_key`` orders the plans they lead to.
+    """
+    if not lat.size:
+        return np.zeros(0, dtype=np.int64)
+    # A quicksort by latency settles the order unless latencies tie.
+    order = np.argsort(lat)
+    if group is None:
+        group = np.zeros(lat.size, dtype=np.int64)
+    else:
+        order = order[np.argsort(group[order], kind="stable")]
+    g, l = group[order], lat[order]
+    tied = (g[1:] == g[:-1]) & (l[1:] == l[:-1])
+    if tied.any():
+        order = np.lexsort((*reversed(keys), -imp, lat, group))
+        g, l = group[order], lat[order]
+        tied = (g[1:] == g[:-1]) & (l[1:] == l[:-1])
+    v = imp[order]
+    if g[0] == g[-1]:
+        best = np.maximum.accumulate(v)
+    else:  # a running maximum per group, on integer ranks of the values
+        values, rank = np.unique(v, return_inverse=True)
+        shift = np.concatenate(([0], np.cumsum(g[1:] != g[:-1]))) * values.size
+        best = values[np.maximum.accumulate(rank.reshape(-1) + shift) - shift]
+    same = tied & (v[1:] == v[:-1])
+    return order[(best <= v + margin) & np.concatenate(([True], ~same))]
+
+
+def _transformer_points(model: _BlockModel, margin: float) -> _Points:
+    """Kept transformer states: per (emb, head) the (qk, v) pairs are
+    filtered first, then every mlp option is added to the survivors."""
+    ie, ih, iq, iv, im = model.imp
+    n_q, n_v, n_m = model.shape[2:]
+    imp = (((0.0 + ie)[:, None, None, None] + ih[None, :, None, None])
+           + iq[None, None, :, None]) + iv[None, None, None, :]
+    # Part order qk, vproj, mlp, as in arch.TRANSFORMER_PARTS.
+    lat = (0.0 + model.qk)[:, :, :, None] + model.vproj[:, :, None, :]
+    flat = np.arange(imp.size)
+    qv = _pareto(lat.reshape(-1), imp.reshape(-1), (flat,), margin, flat // (n_q * n_v))
+    emb = qv // (imp.size // model.shape[0])
+    lat = (lat.reshape(-1)[qv][:, None] + model.mlp[emb]).reshape(-1)
+    imp = (imp.reshape(-1)[qv][:, None] + im[None, :]).reshape(-1)
+    state = (qv[:, None] * n_m + np.arange(n_m)).reshape(-1)
+    keep = _pareto(lat, imp, (state,), margin)
+    state = state[keep]
+    return _Points(
+        lat[keep], imp[keep], np.zeros(state.size, dtype=np.int64), state,
+        np.stack(np.unravel_index(state, model.shape), axis=1),
+    )
+
+
+def _chain_points(model: _BlockModel, row: int, reads: list[int], margin: float) -> _Points:
+    """Kept states of a chain whose first layer reads input option `row`:
+    a Pareto pass along the layers that keeps points apart per current
+    option, on which the next layer's latency depends, and per option of
+    the layers in `reads`, which later chains read."""
+    lat = 0.0 + model.conv[0][row]
+    imp = 0.0 + model.imp[0]
+    rank = np.arange(model.shape[0])
+    opts = rank[:, None]
+    for i in range(1, len(model.shape)):
+        n = model.shape[i]
+        lat = (lat[:, None] + model.conv[i][opts[:, -1]]).reshape(-1)
+        imp = (imp[:, None] + model.imp[i][None, :]).reshape(-1)
+        rank = (rank[:, None] * n + np.arange(n)).reshape(-1)
+        opts = np.concatenate(
+            [np.repeat(opts, n, axis=0), np.tile(np.arange(n), len(opts))[:, None]], axis=1
+        )
+        apart = [p for p in reads if p < i] + [i]
+        keep = _pareto(lat, imp, (rank,), margin, _group_ids(opts[:, apart]))
+        lat, imp, rank, opts = lat[keep], imp[keep], _dense(rank[keep]), opts[keep]
+    return _Points(lat, imp, np.zeros(lat.size, dtype=np.int64), rank, opts)
+
+
+def _hull(lat: np.ndarray, imp: np.ndarray) -> np.ndarray:
+    """Indices of the upper concave hull's vertices, latency ascending, from
+    the most important of the fastest points to the most important point."""
+    order = np.lexsort((-imp, lat))
+    v = imp[order]
+    rising = order[np.concatenate(([True], v[1:] > np.maximum.accumulate(v)[:-1]))]
+    x, y = lat.tolist(), imp.tolist()
+    hull: list[int] = []
+    for i in rising.tolist():
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            if (y[b] - y[a]) * (x[i] - x[a]) > (y[i] - y[a]) * (x[b] - x[a]):
+                break
+            hull.pop()
+        hull.append(i)
+    return np.array(hull, dtype=np.int64)
+
+
+class _Frontier:
+    """One block's Pareto points: one set per option of the conv output its
+    chain reads (a single set otherwise), concatenated; and the upper hull
+    of their union.  Points of a block whose dimensions later chains read
+    (the positions in `reads`) are kept apart per option of those."""
+
+    def __init__(self, model: _BlockModel, reads: list[int], margin: float) -> None:
+        self.reads = reads
+        if model.kind == "transformer":
+            sets = [_transformer_points(model, margin)]
+        else:
+            sets = [
+                _chain_points(model, row, reads, margin)
+                for row in range(model.conv[0].shape[0])
+            ]
+        if model.block.removable:
+            gone = _Points(np.zeros(1), np.zeros(1), np.ones(1, dtype=np.int64),
+                           np.full(1, -1), np.zeros((1, len(model.shape)), dtype=np.int64))
+            sets = [_Points(*map(np.concatenate, zip(s, gone))) for s in sets]
+        sets = [
+            s.take(_pareto(s.lat, s.imp, (s.removed, s.rank), margin,
+                           _group_ids(s.opts[:, reads])))
+            for s in sets
+        ]
+        self.points = _Points(*map(np.concatenate, zip(*sets)))
+        self.sizes = np.array([s.lat.size for s in sets])
+        self.offsets = np.cumsum(self.sizes) - self.sizes
+        self.rank_span = int(self.points.rank.max()) + 2
+        self.hull = _hull(self.points.lat, self.points.imp)
+
+
+def _frontiers(problem: PruningProblem, margin: float) -> list[_Frontier]:
+    read = {m.input_dim_id for m in problem.models}
+    return [
+        _Frontier(m, [p for p, d in enumerate(m.dim_ids) if d in read], margin)
+        for m in problem.models
+    ]
+
+
+class _Bound:
+    """The multiple-choice knapsack LP bound of every suffix of blocks.
+
+    A block enters with its hull's first vertex and its hull segments; a
+    chain reading a conv output uses the hull of all its input options'
+    points.  For the suffix from block k on, the segments of its blocks are
+    merged steepest first into cumulative latency and importance arrays, so
+    the LP optimum at a latency allowance is the base plus the segments that
+    fit, the last one in part (Sinha & Zoltners, Oper. Res. 1979).
+    """
+
+    def __init__(self, frontiers: list[_Frontier]) -> None:
+        n = len(frontiers)
+        self.base_lat = [0.0] * (n + 1)
+        self.base_imp = [0.0] * (n + 1)
+        self.cum_lat = [np.zeros(1)] * (n + 1)
+        self.cum_imp = [np.zeros(1)] * (n + 1)
+        self.slope = [np.zeros(0)] * (n + 1)
+        d_lat, d_imp = np.zeros(0), np.zeros(0)
+        for k in range(n - 1, -1, -1):
+            f = frontiers[k]
+            x, y = f.points.lat[f.hull], f.points.imp[f.hull]
+            self.base_lat[k] = self.base_lat[k + 1] + float(x[0])
+            self.base_imp[k] = self.base_imp[k + 1] + float(y[0])
+            d_lat = np.concatenate([d_lat, np.diff(x)])
+            d_imp = np.concatenate([d_imp, np.diff(y)])
+            order = np.argsort(-(d_imp / d_lat), kind="stable")
+            self.cum_lat[k] = np.concatenate(([0.0], np.cumsum(d_lat[order])))
+            self.cum_imp[k] = np.concatenate(([0.0], np.cumsum(d_imp[order])))
+            self.slope[k] = (d_imp / d_lat)[order]
+
+    def __call__(self, k: int, imp: np.ndarray, lat: np.ndarray, room: float) -> np.ndarray:
+        """Upper bound on every completion by blocks k.. of partial plans
+        with importance `imp` and latency `lat`, within latency `room`."""
+        slope = self.slope[k]
+        extra = room - lat - self.base_lat[k]
+        if slope.size:
+            cum_lat, cum_imp = self.cum_lat[k], self.cum_imp[k]
+            i = np.searchsorted(cum_lat, extra, side="right") - 1
+            j = np.clip(i, 0, slope.size - 1)
+            part = cum_imp[j] + slope[j] * (extra - cum_lat[j])
+            extra = np.where(i >= slope.size, cum_imp[-1], part)
+        else:
+            extra = 0.0
+        return imp + self.base_imp[k] + extra
+
+
+class _Incumbent:
+    """The best plan offered so far, by importance and then ``tie_key``."""
+
+    def __init__(self, problem: PruningProblem) -> None:
         self.problem = problem
-        self.n_vars = len(problem.var_order)
-        self.budget = problem.budget
-        self.incumbent: Assignment | None = None
-        self.incumbent_value = _NEG_INF
-        self.incumbent_key = None
-        self.response_cache: dict = {}
-        self.lambda_grid: list[float] = [0.0]
-        self.lam_psi: list[float] = [0.0]
-        self.best_lambda_index = 0
+        self.assignment: Assignment | None = None
+        self.value = _NEG_INF
+        self.key = None
 
-        # Per branching position: the domain, the position of the owning
-        # block's removal bit for choices that removal makes moot, and for
-        # each block the variable affects, the read positions fixed above it.
-        self.domains: list[tuple[int, ...]] = []
-        self.removed_by: list[int | None] = []
-        self.parent_reads: list[tuple[tuple[int, tuple[int, ...]], ...]] = []
-        kappa_pos = {
-            key: i for i, (kind, key) in enumerate(problem.var_order) if kind == "kappa"
-        }
-        for depth, var in enumerate(problem.var_order):
-            kind, key = var
-            if kind == "kappa":
-                self.domains.append((1, 0))
-                self.removed_by.append(None)
-            else:
-                self.domains.append(tuple(range(1, problem.arch.dims[key].option_count + 1)))
-                self.removed_by.append(kappa_pos.get(problem.arch.owner_block(key).id))
-            self.parent_reads.append(tuple(
-                (b, tuple(p for p in problem.read_positions[b] if p < depth))
-                for b in problem.affected[var]
-            ))
-
-    # -- responses with caching ----------------------------------------------
-
-    def rows(self, b: int, key: tuple[int, ...]) -> tuple[BlockResponse, ...]:
-        """Block b's responses at every grid multiplier, then its min-latency
-        row, with its first len(key) read variables fixed to key."""
-        rows = self.response_cache.get((b, key))
-        if rows is None:
-            problem = self.problem
-            model = problem.models[b]
-            omega_fixed = {}
-            kappa_fixed = None
-            for p, value in zip(problem.read_positions[b], key):
-                kind, var_key = problem.var_order[p]
-                if kind == "kappa":
-                    kappa_fixed = value
-                else:
-                    omega_fixed[var_key] = value
-            rows = tuple(
-                model.response(lam, fixed=omega_fixed, kappa_fixed=kappa_fixed)
-                for lam in self.lambda_grid
-            ) + (
-                model.response(
-                    1.0, fixed=omega_fixed, kappa_fixed=kappa_fixed, minimize_latency=True
-                ),
-            )
-            self.response_cache[(b, key)] = rows
-        return rows
-
-    def key_of(self, b: int, values: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(values[p] for p in self.problem.read_positions[b] if p < len(values))
-
-    def bound_of(self, sums: tuple[float, ...]) -> float:
-        return min(s + p for s, p in zip(sums, self.lam_psi))
-
-    # -- incumbents ------------------------------------------------------------
-
-    def try_incumbent(self, assignment: Assignment | None) -> None:
+    def offer(self, assignment: Assignment | None) -> None:
         if assignment is None:
             return
-        latency = constraint_value(assignment, self.problem.tables, self.problem.arch)
-        if latency > self.budget:
+        problem = self.problem
+        if constraint_value(assignment, problem.tables, problem.arch) > problem.budget:
             return
-        value = objective_value(assignment, self.problem.vectors, self.problem.arch)
-        if value > self.incumbent_value:
-            self.incumbent, self.incumbent_value = assignment, value
-            self.incumbent_key = self.problem.tie_key(assignment)
-        elif value == self.incumbent_value and self.incumbent is not None:
-            key = self.problem.tie_key(assignment)
-            if key < self.incumbent_key:
-                self.incumbent, self.incumbent_key = assignment, key
+        value = objective_value(assignment, problem.vectors, problem.arch)
+        if value > self.value:
+            self.assignment, self.value = assignment, value
+            self.key = problem.tie_key(assignment)
+        elif value == self.value and self.assignment is not None:
+            key = problem.tie_key(assignment)
+            if key < self.key:
+                self.assignment, self.key = assignment, key
 
-    def lagrangian_assignment(self, g: int, values: tuple[int, ...]) -> Assignment:
-        omega = {}
-        kappa = {}
-        for b, model in enumerate(self.problem.models):
-            resp = self.rows(b, self.key_of(b, values))[g]
-            omega.update(resp.choices)
-            if model.block.removable:
-                kappa[model.block.id] = resp.kappa
-        for d in self.problem.dim_order:
-            omega.setdefault(d, 1)
-        asg = Assignment(omega=omega, kappa=kappa)
-        for block in self.problem.arch.blocks:
-            if asg.kappa_of(block) == 0:
-                for d in block.dims:
-                    asg.omega[d] = 1
-        return asg
+
+def _plan(problem: PruningProblem, frontiers: list[_Frontier], points: list[int]) -> Assignment:
+    """The assignment of one frontier point per block."""
+    omega, kappa = {}, {}
+    for model, f, i in zip(problem.models, frontiers, points):
+        omega.update(zip(model.dim_ids, (f.points.opts[i] + 1).tolist()))
+        if model.block.removable:
+            kappa[model.block.id] = 1 - int(f.points.removed[i])
+    return Assignment(omega={d: omega[d] for d in problem.dim_order}, kappa=kappa)
+
+
+def _lp_rounding(problem: PruningProblem, frontiers: list[_Frontier], bound: _Bound) -> Assignment:
+    """Round the root LP optimum to a plan.
+
+    Hull segments are taken steepest first while they fit; once one does
+    not, its block takes no more.  Then each block in turn gets its most
+    important point within its LP latency plus the slack left; a chain
+    reading a conv output picks among the points for its producer's option.
+    """
+    hulls = [(f.points.lat[f.hull].tolist(), f.points.imp[f.hull].tolist()) for f in frontiers]
+    segments = sorted(
+        (-(y[t + 1] - y[t]) / (x[t + 1] - x[t]), k, t)
+        for k, (x, y) in enumerate(hulls)
+        for t in range(len(x) - 1)
+    )
+    step = [0] * len(frontiers)
+    left = problem.budget - bound.base_lat[0]
+    stopped = set()
+    for _, k, t in segments:
+        if k in stopped:
+            continue
+        x = hulls[k][0]
+        if x[t + 1] - x[t] <= left:
+            left -= x[t + 1] - x[t]
+            step[k] = t + 1
+        else:
+            stopped.add(k)
+
+    chosen = []
+    for k, f in enumerate(frontiers):
+        model = problem.models[k]
+        s = 0
+        if model.input_dim_id is not None:
+            producer = problem.arch.owner_block(model.input_dim_id).id - 1
+            pos = problem.models[producer].dim_ids.index(model.input_dim_id)
+            s = int(frontiers[producer].points.opts[chosen[producer], pos])
+        lo = int(f.offsets[s])
+        lat = f.points.lat[lo:lo + f.sizes[s]]
+        limit = hulls[k][0][step[k]] + left
+        fits = lat <= limit
+        if fits.any():
+            i = lo + int(np.argmax(np.where(fits, f.points.imp[lo:lo + lat.size], _NEG_INF)))
+        else:
+            i = lo + int(np.argmin(lat))
+        left = limit - float(f.points.lat[i])
+        chosen.append(i)
+    return _plan(problem, frontiers, chosen)
+
+
+def _pareto_dp(problem, frontiers, bound, incumbent, config, deadline, margin, room):
+    """Merge the frontiers block by block, in declaration order.
+
+    Returns (leaf, node count, largest pruned bound, timed out), where
+    leaf is the best complete plan found with its importance and latency
+    sums, or None.  A stage joins the kept partial plans with a
+    block's points, drops candidates that cannot fit (latency plus the
+    suffix minimum above `room`) or cannot beat the incumbent by more than
+    the tolerance (value plus the suffix LP bound), and keeps the rest
+    that no plan of the same open producer options dominates.
+    """
+    budget = problem.budget
+    last_reader = {m.input_dim_id: k for k, m in enumerate(problem.models)}
+    lat, imp = np.zeros(1), np.zeros(1)
+    kappa_rank = np.zeros(1, dtype=np.int64)
+    omega_rank = np.zeros(1, dtype=np.int64)
+    opts, open_dims = np.zeros((1, 0), dtype=np.int64), []
+    back = []
+    nodes = 0
+    pruned = _NEG_INF
+    floor = incumbent.value
+    last = len(frontiers) - 1
+
+    # Lagrangian pre-cut at the root LP multiplier lam: for any completion,
+    # importance <= imp + lam * (room - lat) + phi[k + 1] with
+    # phi[k] = sum over blocks b >= k of max(imp - lam * lat), which is
+    # separable, so each parent expands only the points of highest
+    # imp - lam * lat.  The exact LP bound then judges those.
+    i = int(np.searchsorted(bound.cum_lat[0], room - bound.base_lat[0], side="right")) - 1
+    lam = float(bound.slope[0][i]) if i < bound.slope[0].size else 0.0
+    scores = [f.points.imp - lam * f.points.lat for f in frontiers]
+    phi = np.concatenate((np.cumsum([float(s.max()) for s in scores][::-1])[::-1], [0.0]))
+
+    for k, f in enumerate(frontiers):
+        model = problem.models[k]
+        pts = f.points
+        if model.input_dim_id is None:
+            sets = np.zeros(lat.size, dtype=np.int64)
+        else:
+            sets = opts[:, open_dims.index(model.input_dim_id)]
+        head = imp + phi[k + 1] + (lam * (room - lat) if lam > 0 else 0.0)
+        need = floor + config.tolerance - 2 * margin - head
+        perm = np.zeros(pts.lat.size, dtype=np.int64)
+        counts = np.zeros(lat.size, dtype=np.int64)
+        for s in np.unique(sets).tolist():
+            lo, hi = f.offsets[s], f.offsets[s] + f.sizes[s]
+            perm[lo:hi] = lo + np.argsort(-scores[k][lo:hi], kind="stable")
+            ranked = -scores[k][perm[lo:hi]]
+            mine = sets == s
+            counts[mine] = np.searchsorted(ranked, -need[mine], side="left")
+            rest = mine & (counts < f.sizes[s])
+            if rest.any():
+                pruned = max(pruned, float((head[rest] - ranked[counts[rest]]).max()))
+        ends = np.cumsum(counts)
+        kept = []
+        lo = 0
+        while lo < lat.size:
+            if time.perf_counter() > deadline:
+                return None, nodes, pruned, True
+            base = ends[lo] - counts[lo]
+            hi = max(lo + 1, int(np.searchsorted(ends, base + _CHUNK, side="right")))
+            par = np.repeat(np.arange(lo, hi), counts[lo:hi])
+            pos = np.arange(par.size) - np.repeat(ends[lo:hi] - counts[lo:hi] - base, counts[lo:hi])
+            pt = perm[f.offsets[sets[par]] + pos]
+            c_lat = lat[par] + pts.lat[pt]
+            c_imp = imp[par] + pts.imp[pt]
+            if k == last:
+                fits = c_lat <= budget
+                value = c_imp
+            else:
+                fits = c_lat + bound.base_lat[k + 1] <= room
+                value = bound(k + 1, c_imp, c_lat, room)
+            good = fits & (value > floor + config.tolerance - margin)
+            cut = fits & ~good
+            if cut.any():
+                pruned = max(pruned, float(value[cut].max()))
+            if k == last and good.any():
+                floor = max(floor, float(c_imp[good].max()))
+            kept.append((par[good], pt[good], c_lat[good], c_imp[good]))
+            lo = hi
+        par, pt, c_lat, c_imp = map(np.concatenate, zip(*kept))
+        kappa_code = kappa_rank[par] * 2 + pts.removed[pt]
+        omega_code = omega_rank[par] * f.rank_span + pts.rank[pt] + 1
+        if k == last:
+            nodes += par.size
+            if not par.size:
+                return None, nodes, pruned, False
+            best = int(np.lexsort((omega_code, kappa_code, -c_imp))[0])
+            chosen = [int(pt[best])]
+            i = int(par[best])
+            for prev_par, prev_pt in reversed(back):
+                chosen.append(int(prev_pt[i]))
+                i = int(prev_par[i])
+            leaf = _plan(problem, frontiers, chosen[::-1])
+            return (leaf, float(c_imp[best]), float(c_lat[best])), nodes, pruned, False
+
+        cols = np.concatenate([opts[par], pts.opts[pt][:, f.reads]], axis=1)
+        open_dims = open_dims + [model.dim_ids[p] for p in f.reads]
+        still = [c for c, d in enumerate(open_dims) if last_reader[d] > k]
+        open_dims = [open_dims[c] for c in still]
+        cols = cols[:, still]
+        keep = _pareto(c_lat, c_imp, (kappa_code, omega_code), margin, _group_ids(cols))
+        lat, imp, opts = c_lat[keep], c_imp[keep], cols[keep]
+        kappa_rank, omega_rank = _dense(kappa_code[keep]), _dense(omega_code[keep])
+        back.append((par[keep], pt[keep]))
+        nodes += keep.size
+        if not keep.size:
+            break
+    return None, nodes, pruned, False
 
 
 def solve_branch_and_bound(
     problem: PruningProblem, config: SolverConfig | None = None
 ) -> PruningSolution:
-    """Best-first branch and bound with per-block Lagrangian bounds.
+    """Exact solve by a Pareto dynamic program over per-block frontiers.
 
-    Returns a proven-optimal solution within ``config.tolerance``, or the
-    best feasible one with its surviving bound when the time limit ends the
-    search first.
+    The incumbent is seeded by rounding the root LP optimum and by the
+    greedy repair of the dense plan.  Stages then merge the blocks'
+    frontiers in declaration order, pruning partial plans by the suffix LP
+    bound and the suffix minimum latency (see ``_pareto_dp``).  Returns a
+    proven-optimal solution within ``config.tolerance``, with bound the
+    largest pruned bound (at least the importance), or, when the time limit
+    ends the merge first, the incumbent with the root LP bound.
+    ``node_count`` is the number of partial plans kept, summed over stages.
     """
     config = config or SolverConfig()
     config.validate()
     start = time.perf_counter()
     deadline = start + config.time_limit
-    search = _Search(problem)
+    budget = problem.budget
+    # Rounding can move a sum by far less than either margin.
+    room = budget + 1e-9 * (1.0 + (budget if math.isfinite(budget) else 0.0))
+    scale = sum(float(np.max(np.abs(v))) for m in problem.models for v in m.imp)
+    margin = 1e-9 * (1.0 + scale)
 
-    # Quick infeasibility check: an optimistic lower bound on achievable
-    # latency already above the budget settles the instance.
-    feas_margin = 1e-9 * (1.0 + (problem.budget if math.isfinite(problem.budget) else 0.0))
-    root_min_lat = 0.0
-    for model in problem.models:
-        root_min_lat += -model.response(1.0, minimize_latency=True).score
-    if root_min_lat > problem.budget + feas_margin:
+    def finish(status, incumbent, nodes, bound_value=None, message=""):
+        latency = None
+        if incumbent is not None:
+            latency = constraint_value(incumbent.assignment, problem.tables, problem.arch)
+            if latency > budget:
+                raise SolveError("internal error: incumbent fails the latency recheck")
         return PruningSolution(
-            status="infeasible",
-            assignment=None,
-            importance=None,
-            latency=None,
-            bound=None,
-            node_count=0,
+            status=status,
+            assignment=incumbent and incumbent.assignment,
+            importance=incumbent and incumbent.value,
+            latency=latency,
+            bound=bound_value,
+            node_count=nodes,
             wall_time=time.perf_counter() - start,
-            message="optimistic minimum latency already exceeds the budget",
+            message=message,
         )
 
-    # Multiplier grid fitted at the root; an infinite budget keeps lam 0 alone.
-    lam_star = _fit_multiplier(problem, config.lambda_iters)
-    if lam_star > 0.0:
-        grid = sorted({0.0, 0.5 * lam_star, lam_star, 1.5 * lam_star, 2.0 * lam_star})
-        search.lambda_grid = grid
-        search.lam_psi = [lam * problem.budget for lam in grid]
-    n_rows = len(search.lambda_grid)
-    root_sums = []
-    for g in range(n_rows):
-        total = 0.0
-        for b in range(len(problem.models)):
-            total += search.rows(b, ())[g].score
-        root_sums.append(total)
-    root_sums = tuple(root_sums)
-    search.best_lambda_index = min(
-        range(len(search.lambda_grid)),
-        key=lambda g: root_sums[g] + search.lam_psi[g],
+    frontiers = _frontiers(problem, margin)
+    bound = _Bound(frontiers)
+    if bound.base_lat[0] > room:
+        return finish("infeasible", None, 0,
+                      message="optimistic minimum latency already exceeds the budget")
+
+    incumbent = _Incumbent(problem)
+    rounded = _lp_rounding(problem, frontiers, bound)
+    incumbent.offer(rounded)
+    incumbent.offer(repair_heuristic(problem, rounded))
+    incumbent.offer(repair_heuristic(problem, problem.dense_assignment()))
+
+    leaf, nodes, pruned, timed_out = _pareto_dp(
+        problem, frontiers, bound, incumbent, config, deadline, margin, room
     )
-
-    # Seed incumbents: each grid multiplier's maximizer, then greedy repairs.
-    for g in range(n_rows):
-        search.try_incumbent(search.lagrangian_assignment(g, ()))
-    max_assignment = Assignment(
-        omega={d: problem.arch.dims[d].option_count for d in problem.dim_order},
-        kappa={b.id: 1 for b in problem.kappa_blocks()},
-    )
-    search.try_incumbent(repair_heuristic(problem, max_assignment))
-    best_g = search.best_lambda_index
-    search.try_incumbent(
-        repair_heuristic(problem, search.lagrangian_assignment(best_g, ()))
-    )
-
-    root_bound = search.bound_of(root_sums)
-    heap: list = []
-    seq = itertools.count()
-    heapq.heappush(heap, (-root_bound, next(seq), 0, (), root_sums, root_min_lat))
-    node_count = 0
-    top_bound = root_bound
-    timed_out = False
-
-    def threshold() -> float:
-        margin = 1e-9 * (1.0 + abs(search.incumbent_value))
-        return search.incumbent_value + config.tolerance - margin
-
-    while heap:
-        neg_bound, _, depth, values, sums, min_lat = heapq.heappop(heap)
-        bound = -neg_bound
-        top_bound = bound
-        node_count += 1
-        if bound <= threshold():
-            break
-        if time.perf_counter() > deadline:
-            timed_out = True
-            break
-
-        # Skip choices of blocks already removed: they change nothing.  Block
-        # bits come first in var_order, so the bit is fixed by now.
-        while depth < search.n_vars:
-            p = search.removed_by[depth]
-            if p is None or values[p] != 0:
-                break
-            values = values + (1,)
-            depth += 1
-
-        if depth == search.n_vars:
-            search.try_incumbent(problem.full_assignment(dict(zip(problem.var_order, values))))
-            continue
-
-        if node_count % 64 == 0:
-            search.try_incumbent(
-                search.lagrangian_assignment(search.best_lambda_index, values)
-            )
-
-        # Only the blocks this variable affects change; each child's key
-        # extends the parent's by the new value.
-        parent_keys = [
-            (b, tuple(values[p] for p in reads)) for b, reads in search.parent_reads[depth]
-        ]
-        parent_rows = [search.rows(b, key) for b, key in parent_keys]
-        for value in search.domains[depth]:
-            child_rows = [search.rows(b, key + (value,)) for b, key in parent_keys]
-            child_sums = []
-            for g in range(n_rows):
-                s = sums[g]
-                for parent, child in zip(parent_rows, child_rows):
-                    s = s - parent[g].score
-                    s = s + child[g].score
-                child_sums.append(s)
-            child_min_lat = min_lat
-            for parent, child in zip(parent_rows, child_rows):
-                child_min_lat = child_min_lat - (-parent[-1].score)
-                child_min_lat = child_min_lat + (-child[-1].score)
-            if child_min_lat > problem.budget + feas_margin:
-                continue
-            child_bound = search.bound_of(child_sums)
-            if child_bound <= threshold():
-                continue
-            child_values = values + (value,)
-            if depth + 1 == search.n_vars:
-                search.try_incumbent(
-                    problem.full_assignment(dict(zip(problem.var_order, child_values)))
-                )
-            else:
-                heapq.heappush(
-                    heap,
-                    (
-                        -child_bound,
-                        next(seq),
-                        depth + 1,
-                        child_values,
-                        tuple(child_sums),
-                        child_min_lat,
-                    ),
-                )
-
-    wall = time.perf_counter() - start
-    if search.incumbent is None:
+    if leaf is not None:
+        plan, importance, latency = leaf
+        if (objective_value(plan, problem.vectors, problem.arch) != importance
+                or constraint_value(plan, problem.tables, problem.arch) != latency):
+            raise SolveError("internal error: a plan's sums differ from its recheck")
+        incumbent.offer(plan)
+    if incumbent.assignment is None:
         message = (
             "time limit reached before feasibility could be decided"
             if timed_out
             else "no state satisfies the latency budget"
         )
-        return PruningSolution(
-            status="infeasible",
-            assignment=None,
-            importance=None,
-            latency=None,
-            bound=None,
-            node_count=node_count,
-            wall_time=wall,
-            message=message,
-        )
-
-    importance = search.incumbent_value
-    latency = constraint_value(search.incumbent, problem.tables, problem.arch)
-    if latency > problem.budget:
-        raise SolveError("internal error: incumbent fails the latency recheck")
-    bound = max(importance, top_bound) if (timed_out or heap) else importance
+        return finish("infeasible", None, nodes, message=message)
     if timed_out:
-        status = "feasible_heuristic"
-        message = "time limit reached; reporting best incumbent and surviving bound"
-    else:
-        status = "optimal"
-        message = ""
-    return PruningSolution(
-        status=status,
-        assignment=search.incumbent,
-        importance=importance,
-        latency=latency,
-        bound=bound,
-        node_count=node_count,
-        wall_time=wall,
-        message=message,
-    )
+        root = float(bound(0, np.zeros(1), np.zeros(1), room)[0])
+        return finish("feasible_heuristic", incumbent, nodes, max(incumbent.value, root),
+                      "time limit reached; reporting best incumbent and surviving bound")
+    return finish("optimal", incumbent, nodes, max(incumbent.value, pruned))
 
 
 def solve_heuristic(problem: PruningProblem, config: SolverConfig) -> PruningSolution:
@@ -1056,11 +1197,7 @@ def solve_heuristic(problem: PruningProblem, config: SolverConfig) -> PruningSol
     start = time.perf_counter()
     lam_star = _fit_multiplier(problem, config.lambda_iters)
     bound = min(dual_bound(problem, 0.0), dual_bound(problem, lam_star))
-    dense = Assignment(
-        omega={d: problem.arch.dims[d].option_count for d in problem.dim_order},
-        kappa={b.id: 1 for b in problem.kappa_blocks()},
-    )
-    repaired = repair_heuristic(problem, dense)
+    repaired = repair_heuristic(problem, problem.dense_assignment())
     wall = time.perf_counter() - start
     if repaired is None:
         return PruningSolution(

@@ -272,3 +272,32 @@ def resnet50_like_problem(seed: int = 0, budget_fraction: float = 0.5):
     tables = synth_lut(arch, LatencyModelParams(), seed, noise=0.02)
     dense = constraint_value(dense_assignment(arch), tables, arch)
     return assemble(arch, vectors, tables, budget_fraction * dense), raw
+
+
+def vit_b12_architecture() -> ArchitectureSpec:
+    """ViT-B-12: 12 removable transformer blocks with emb 12 x 64, head
+    12 x 1, qk 8 x 8, v 8 x 8 and mlp 48 x 64 (options x group size)."""
+    shape = {"emb": (12, 64), "head": (12, 1), "qk": (8, 8), "v": (8, 8), "mlp": (48, 64)}
+    dims: list[DimensionSpec] = []
+    blocks: list[BlockSpec] = []
+    for b in range(1, 13):
+        block_dims = [
+            DimensionSpec(id=f"b{b}_{role}", role=role, option_count=options,
+                          group_size=group, max_elements=options * group)
+            for role, (options, group) in shape.items()
+        ]
+        dims.extend(block_dims)
+        blocks.append(BlockSpec(id=b, kind="transformer",
+                                dims=tuple(d.id for d in block_dims), removable=True))
+    return make_arch(dims, blocks, name="vit_b12")
+
+
+def vit_b12_problem(seed: int = 0, budget_fraction: float = 0.25):
+    from latprune import LatencyModelParams, synth_lut, synth_scores
+
+    arch = vit_b12_architecture()
+    vectors = build_all_vectors(arch, synth_scores(arch, seed))
+    tables = synth_lut(arch, LatencyModelParams(), seed, noise=0.02)
+    dense = constraint_value(dense_assignment(arch), tables, arch)
+    return assemble(arch, vectors, tables, budget_fraction * dense)
+

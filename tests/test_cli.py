@@ -98,6 +98,34 @@ class TestCheck:
         assert code == 3
         assert "lut: FAIL" in out and "rank" in out
 
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    @pytest.mark.parametrize("field, value", [("axes", 5), ("block_id", [1]), ("layer", "1")])
+    def test_mistyped_lut_field_named(self, tmp_path, capsys, command, field, value):
+        inputs = synth(tmp_path)
+        doc = json.loads((inputs / "lut.json").read_text())
+        doc["tables"][0][field] = value
+        (inputs / "lut.json").write_text(json.dumps(doc))
+        arch = DATA / "tiny_mixed.arch.json"
+        if command == "check":
+            argv = ["check", "--arch", str(arch), "--scores", str(inputs / "scores.json"),
+                    "--lut", str(inputs / "lut.json")]
+        else:
+            argv = solve_args(arch, inputs, tmp_path / "run", "0.25")
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        shown = captured.out if command == "check" else captured.err
+        assert f"lut[0].{field}" in shown
+        if command == "check":
+            assert "lut: FAIL" in shown
+
+    def test_bool_option_count_named(self, tmp_path, capsys):
+        doc = json.loads((DATA / "tiny_mixed.arch.json").read_text())
+        doc["dims"][1]["option_count"] = True
+        bad_arch = tmp_path / "bool.arch.json"
+        bad_arch.write_text(json.dumps(doc))
+        assert main(["check", "--arch", str(bad_arch)]) == 3
+        assert "architecture: FAIL dims[1].option_count" in capsys.readouterr().out
+
     def test_duplicate_dim_named(self, tmp_path, capsys):
         inputs = synth(tmp_path)
         doc = json.loads((DATA / "tiny_mixed.arch.json").read_text())
@@ -222,6 +250,19 @@ class TestSolve:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--tolerance", "nan"), ("--time-limit", "nan"), ("--time-limit", "inf"),
+         ("--tolerance", "inf")],
+    )
+    def test_non_finite_solver_flag_exits_3_before_writing(self, tmp_path, capsys, flag, value):
+        inputs = synth(tmp_path)
+        out = tmp_path / "run"
+        code = main(solve_args(DATA / "tiny_mixed.arch.json", inputs, out, "0.25", flag, value))
+        assert code == 3
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_help_exits_0(self, capsys):
         assert main(["solve", "--help"]) == 0
         assert "--budget-ms" in capsys.readouterr().out
@@ -281,6 +322,25 @@ class TestSweep:
         assert code == 3
         err = capsys.readouterr().err
         assert "--budgets" in err and entry in err
+        assert not out.exists()
+
+
+    def test_nan_tolerance_exits_3_before_writing(self, tmp_path, capsys):
+        inputs = synth(tmp_path)
+        out = tmp_path / "sweep"
+        code = main(
+            [
+                "sweep",
+                "--arch", str(DATA / "tiny_mixed.arch.json"),
+                "--scores", str(inputs / "scores.json"),
+                "--lut", str(inputs / "lut.json"),
+                "--budgets", "0.2,0.5",
+                "--tolerance", "nan",
+                "--out", str(out),
+            ]
+        )
+        assert code == 3
+        assert "--tolerance" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -5,6 +5,8 @@
 * ``solve_branch_and_bound`` must match ``solve_exhaustive`` on
   integer-valued instances, where many states tie on importance and the
   ``tie_key`` order decides the answer.
+* each block frontier the solver builds must be exactly the tie-safe Pareto
+  filter of the block's enumerated states.
 
 Both draw chains fed by a permanent block's conv output, the one
 cross-block dependency in the model.
@@ -29,8 +31,18 @@ from latprune import (
 )
 from latprune.importance import RawScores
 from latprune.latency import block_latency
+from latprune.solver import _frontiers
 
-from conftest import conv_dim, dense_assignment, make_arch, tf_dims, trunk_dim
+from conftest import (
+    conv_dim,
+    dense_assignment,
+    make_arch,
+    random_architecture,
+    random_problem,
+    random_tables,
+    tf_dims,
+    trunk_dim,
+)
 
 
 def full_rescan_repair(problem, start):
@@ -221,3 +233,93 @@ def test_branch_and_bound_tie_break_matches_exhaustive(case, percent):
         assert sol.importance == oracle.importance
         assert sol.assignment == oracle.assignment
         assert problem.tie_key(sol.assignment) == problem.tie_key(oracle.assignment)
+
+
+def pareto_reference(model, column, reads, margin):
+    """{state: (latency, importance)} of the states the tie-safe filter keeps,
+    by enumeration: a state goes when another with the same options on the
+    read dimensions is no slower and either more important by over
+    `margin`, or equal in both sums and earlier in ``tie_key`` order."""
+    imp, lat, lat_by_input = model.state_tables()
+    if lat is None:
+        lat = lat_by_input[:, column]
+    removed = np.zeros(imp.size, dtype=int)
+    if model.block.removable:
+        removed[-1] = 1
+    key = removed * imp.size + np.arange(imp.size)  # kept first, then row-major
+    group = np.zeros(imp.size, dtype=int)
+    for p in reads:
+        group = group * 100 + model.option_of_dim(model.dim_ids[p])
+    kept = {}
+    for i in range(imp.size):
+        rivals = (group == group[i]) & (lat <= lat[i])
+        beaten = rivals & (imp > imp[i] + margin)
+        tied = rivals & (lat == lat[i]) & (imp == imp[i]) & (key < key[i])
+        if not (beaten | tied).any():
+            kept[i] = (float(lat[i]), float(imp[i]))
+    return kept
+
+
+def integer_problem(rng, arch):
+    """Integer scores in [-1, 3] and latencies in [0, 3]: many exact ties."""
+    raw = {
+        d.id: RawScores(dim_id=d.id, scores=rng.integers(-1, 4, d.max_elements).astype(float))
+        for d in arch.dims.values()
+    }
+    tables = TableSet()
+    for table in random_tables(arch, rng):
+        tables.add(LatencyTable(block_id=table.block_id, part=table.part, axes=table.axes,
+                                data=np.floor(4 * table.data), layer=table.layer))
+    return assemble(arch, build_all_vectors(arch, raw), tables, 1.0)
+
+
+def middle_read_architecture(rng):
+    """A permanent 3-layer chain whose first two layers feed later chains."""
+    def layer(name, top):
+        return conv_dim(name, int(rng.integers(1, top + 1)), int(rng.integers(1, 3)))
+
+    producer = [layer(f"p_c{i}", 4) for i in (1, 2, 3)]
+    first = [layer(f"a_c{i}", 3) for i in (1, 2)]
+    second = [layer("b_c1", 3)]
+    blocks = [
+        BlockSpec(id=1, kind="cnn_chain", dims=tuple(d.id for d in producer),
+                  removable=False, input_ref="trunk"),
+        BlockSpec(id=2, kind="cnn_chain", dims=tuple(d.id for d in first),
+                  removable=True, input_ref="p_c1"),
+        BlockSpec(id=3, kind="cnn_chain", dims=("b_c1",),
+                  removable=bool(rng.integers(2)), input_ref="p_c2"),
+    ]
+    return make_arch([trunk_dim("trunk"), *producer, *first, *second], blocks)
+
+
+def test_frontiers_equal_pareto_filter_of_enumerated_states():
+    seen = {"chained": 0, "read": 0, "removable": 0, "transformer": 0}
+    margin = 1e-9
+    for seed in range(90):
+        rng = np.random.default_rng(7000 + seed)
+        if seed % 3 == 2:
+            arch = (middle_read_architecture(rng) if seed % 2
+                    else random_architecture(rng, state_cap=5000, chained_cap=5000))
+            problem = integer_problem(rng, arch)
+        else:
+            problem, _ = random_problem(
+                rng, signed_scores=bool(seed % 3), state_cap=5000, chained_cap=5000
+            )
+        for model, front in zip(problem.models, _frontiers(problem, margin)):
+            pts = front.points
+            seen["chained"] += model.input_dim_id is not None
+            seen["read"] += bool(front.reads)
+            seen["removable"] += model.block.removable
+            seen["transformer"] += model.kind == "transformer"
+            for column, (lo, size) in enumerate(zip(front.offsets, front.sizes)):
+                got = {}
+                for i in range(lo, lo + size):
+                    state = (
+                        model.states
+                        if pts.removed[i]
+                        else int(np.ravel_multi_index(tuple(pts.opts[i]), model.shape))
+                    )
+                    got[state] = (float(pts.lat[i]), float(pts.imp[i]))
+                assert got == pareto_reference(model, column, front.reads, margin)
+    assert all(seen.values()), seen
+

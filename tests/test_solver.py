@@ -38,6 +38,7 @@ from conftest import (
     random_scores,
     random_tables,
     trunk_dim,
+    vit_b12_problem,
 )
 
 
@@ -323,6 +324,45 @@ class TestBranchAndBound:
                 assert loose.importance >= exact.importance - 0.5 - 1e-9
                 assert loose.latency <= problem.budget
 
+    def test_vit_b12_data_seed_3_is_proved_optimal(self):
+        # This instance once ran into the 60 s limit (feasible_heuristic).
+        problem = vit_b12_problem(seed=3, budget_fraction=0.25)
+        sol = solve_branch_and_bound(problem, SolverConfig(time_limit=30))
+        assert sol.status == "optimal"
+        assert constraint_value(sol.assignment, problem.tables, problem.arch) == sol.latency
+        assert sol.latency <= problem.budget
+        assert sol.bound == sol.importance
+
+    def test_states_whose_totals_round_equal_tie_on_key(self):
+        # Block 1's two options differ in importance by one ulp (0.3 and
+        # 0.30000000000000004) at equal latency, but both totals round to
+        # 1.3 once block 2 adds 1.0.  The totals tie, so option 1, earlier
+        # in tie_key order, must win although its block subtotal is smaller.
+        dims = [trunk_dim("t"), conv_dim("c1", 2), conv_dim("c2", 1)]
+        blocks = [
+            BlockSpec(id=1, kind="cnn_chain", dims=("c1",), removable=False, input_ref="t"),
+            BlockSpec(id=2, kind="cnn_chain", dims=("c2",), removable=False, input_ref="t"),
+        ]
+        arch = make_arch(dims, blocks)
+        raw = {
+            "t": RawScores(dim_id="t", scores=np.zeros(4)),
+            "c1": RawScores(dim_id="c1", scores=np.array([0.3, 4e-17])),
+            "c2": RawScores(dim_id="c2", scores=np.array([1.0])),
+        }
+        vectors = build_all_vectors(arch, raw)
+        assert vectors["c1"].values[1] > vectors["c1"].values[0]
+        tables = TableSet()
+        tables.add(LatencyTable(block_id=1, part="conv_layer", layer=1, axes=("t", "c1"),
+                                data=np.array([[1.0, 1.0]])))
+        tables.add(LatencyTable(block_id=2, part="conv_layer", layer=1, axes=("t", "c2"),
+                                data=np.array([[1.0]])))
+        problem = assemble(arch, vectors, tables, 5.0)
+        oracle = solve_exhaustive(problem)
+        assert oracle.assignment.omega["c1"] == 1
+        sol = solve_branch_and_bound(problem)
+        assert sol.assignment == oracle.assignment
+        assert sol.importance == oracle.importance == 1.3
+
     def test_argmax_invariant_under_power_of_two_score_scaling(self):
         rng = np.random.default_rng(76)
         checked = 0
@@ -433,6 +473,17 @@ class TestAssemble:
         tables = random_tables(other, np.random.default_rng(3))
         with pytest.raises(ValidationError):
             assemble(arch, vectors, tables, 1.0)
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("time_limit", float("nan")), ("time_limit", 0.0), ("tolerance", float("nan")),
+         ("tolerance", -1.0)],
+    )
+    def test_invalid_field_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            SolverConfig(**{field: value}).validate()
 
 
 class TestSolveDispatcher:
