@@ -51,8 +51,6 @@ from .solver import (
     PruningSolution,
     SolverConfig,
     assemble,
-    block_best_response,
-    dual_bound,
     repair_heuristic,
     solve,
     solve_branch_and_bound,
@@ -79,11 +77,9 @@ __all__ = [
     "TableSet",
     "ValidationError",
     "assemble",
-    "block_best_response",
     "build_all_vectors",
     "build_importance_vector",
     "constraint_value",
-    "dual_bound",
     "estimation_error",
     "extract_structure",
     "joint_constraint_value",

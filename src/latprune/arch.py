@@ -246,6 +246,12 @@ def load_json(document: str, where: str):
                          f"column {exc.colno}: {exc.msg}") from None
 
 
+def dump_json(obj) -> str:
+    """The one JSON writer: indented, sorted keys, a trailing newline, and
+    standard JSON only (a NaN or infinite float raises ValueError)."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def typed(value, kind, where: str, item=None):
     """`value` if it is a `kind` (a type or tuple of types) whose entries, when
     `item` is given, are `item`s; a bool never counts as a number.  Shared by
@@ -350,7 +356,7 @@ def architecture_to_obj(arch: ArchitectureSpec) -> dict:
 
 
 def serialize_architecture(arch: ArchitectureSpec) -> str:
-    return json.dumps(architecture_to_obj(arch), indent=2, sort_keys=True) + "\n"
+    return dump_json(architecture_to_obj(arch))
 
 
 def subnetwork_count(arch: ArchitectureSpec) -> int:

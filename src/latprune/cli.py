@@ -78,7 +78,7 @@ def _write(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    _write(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    _write(path, arch_mod.dump_json(obj))
 
 
 def _write_manifest(out: Path, manifest: RunManifest) -> None:

@@ -11,10 +11,9 @@ independent check of the reported solution.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .arch import MANIFEST_KEY, kept_elements
+from .arch import MANIFEST_KEY, dump_json, kept_elements
 from .errors import ValidationError
 from .importance import RawScores, objective_value, ranked_indices
 from .latency import constraint_value
@@ -183,4 +182,4 @@ def serialize_structure(structure: PrunedStructure, manifest: str | None = None)
     doc = structure_to_obj(structure)
     if manifest is not None:
         doc[MANIFEST_KEY] = manifest
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return dump_json(doc)

@@ -14,13 +14,14 @@ structure extraction is deterministic.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arch import ArchitectureSpec, BlockSpec, DimensionSpec, MANIFEST_KEY, kept_elements, load_json
+from .arch import (
+    ArchitectureSpec, BlockSpec, DimensionSpec, MANIFEST_KEY, dump_json, kept_elements, load_json,
+)
 from .errors import ParseError, ValidationError
 
 
@@ -191,7 +192,7 @@ def serialize_scores(scores: dict[str, RawScores], manifest: str | None = None) 
     }
     if manifest is not None:
         doc[MANIFEST_KEY] = manifest
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return dump_json(doc)
 
 
 def synth_scores(

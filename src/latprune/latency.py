@@ -25,7 +25,6 @@ pruning schedule.
 from __future__ import annotations
 
 import base64
-import json
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -33,7 +32,7 @@ from functools import reduce
 import numpy as np
 
 from .arch import ArchitectureSpec, BlockSpec, MANIFEST_KEY, kept_elements, load_json, typed
-from .arch import TRANSFORMER_PARTS, TRANSFORMER_ROLES
+from .arch import TRANSFORMER_PARTS, TRANSFORMER_ROLES, dump_json
 from .errors import ParseError, SolveError, ValidationError
 from .importance import Assignment
 
@@ -571,4 +570,4 @@ def serialize_lut(
     doc: dict = {"tables": records}
     if manifest is not None:
         doc[MANIFEST_KEY] = manifest
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return dump_json(doc)

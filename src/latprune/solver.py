@@ -15,19 +15,21 @@ depends on that producer's option.
   (qk, v) pairs, then the mlp options; a chain by a Pareto pass along its
   layers; one frontier per input option for a chain reading a conv output;
 * the upper concave hulls of the frontiers give the exact LP relaxation
-  of every suffix of blocks (Sinha & Zoltners, Oper. Res. 1979);
+  of every suffix of blocks (Sinha & Zoltners, Oper. Res. 1979), which for
+  a multiple-choice knapsack equals the best Lagrangian dual bound;
+* the incumbent is seeded by rounding the root LP optimum and repairing
+  the rounded plan greedily;
 * stages merge the frontiers in block-declaration order, dropping partial
-  plans that the LP bound and an incumbent (LP rounding, greedy repair)
-  rule out, or that another plan with the same open producer options
-  dominates.
+  plans that the LP bound and the incumbent rule out, or that another plan
+  with the same open producer options dominates.
+
+Mode ``heuristic_only`` stops after the seeding, which there also repairs
+the dense plan, and reports the incumbent with the root LP bound.
 
 Sums follow the order of ``objective_value`` and ``constraint_value``, so a
 complete plan's importance and latency are theirs bit for bit and ties
-resolve by ``PruningProblem.tie_key``.  ``dual_bound`` prices latency with a
-multiplier and sums per-block best responses, an upper bound for any
-``lam >= 0``; ``solve_heuristic`` bounds a greedy repair with it.
-``solve_exhaustive`` enumerates the full state space and is the ground-truth
-oracle for everything else.
+resolve by ``PruningProblem.tie_key``.  ``solve_exhaustive`` enumerates the
+full state space and is the ground-truth oracle for everything else.
 
 Determinism: identical problem + config give identical solutions and node
 counts.  The solver runs sequentially in the calling thread.
@@ -52,14 +54,12 @@ EXHAUSTIVE_GUARD = 10**6
 CHAINED_GUARD = 10**5
 
 _NEG_INF = float("-inf")
-_RELAX = object()  # sentinel: first-layer input choice not fixed yet
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     mode: str = "branch_and_bound"  # exhaustive | branch_and_bound | heuristic_only
     time_limit: float = 60.0  # seconds
-    lambda_iters: int = 64
     tolerance: float = 0.0  # absolute optimality gap accepted
 
     def validate(self) -> None:
@@ -67,8 +67,6 @@ class SolverConfig:
             raise ValidationError(f"unknown solver mode {self.mode!r}")
         if not self.time_limit > 0:  # NaN fails every comparison
             raise ValidationError(f"time_limit must be positive, got {self.time_limit!r}")
-        if self.lambda_iters < 1:
-            raise ValidationError("lambda_iters must be >= 1")
         if not self.tolerance >= 0:
             raise ValidationError(f"tolerance must be nonnegative, got {self.tolerance!r}")
 
@@ -85,15 +83,9 @@ class PruningSolution:
     message: str = ""
 
 
-@dataclass(frozen=True)
-class BlockResponse:
-    score: float
-    kappa: int
-    choices: dict[str, int]
-
-
 class _BlockModel:
-    """Per-block arrays shared by the response, bound and enumeration code."""
+    """One block's importance vectors and latency tables, read by the
+    frontier code and by the exhaustive enumeration."""
 
     def __init__(
         self,
@@ -123,98 +115,6 @@ class _BlockModel:
             self.mlp = tables.part(block.id, "mlp").data
             self.input_fixed = True
             self.input_dim_id = None
-
-    # -- best responses -----------------------------------------------------
-
-    def _masked(self, pos: int, fixed: dict[str, int]) -> np.ndarray:
-        vec = self.imp[pos]
-        j = fixed.get(self.dim_ids[pos])
-        if j is None:
-            return vec
-        out = np.full_like(vec, _NEG_INF)
-        out[j - 1] = vec[j - 1]
-        return out
-
-    def _interior_cnn(self, lam, fixed, input_choice):
-        table0 = self.conv[0]
-        if input_choice is _RELAX:
-            cost0 = table0.min(axis=0)
-        else:
-            cost0 = table0[input_choice - 1]
-        f = self._masked(0, fixed) - lam * cost0
-        backptr = []
-        for i in range(1, len(self.dims)):
-            scores = f[:, None] - lam * self.conv[i]
-            arg = np.argmax(scores, axis=0)
-            f = self._masked(i, fixed) + scores[arg, np.arange(scores.shape[1])]
-            backptr.append(arg)
-        j = int(np.argmax(f))
-        score = float(f[j])
-        choices = [0] * len(self.dims)
-        choices[-1] = j + 1
-        for i in range(len(self.dims) - 1, 0, -1):
-            j = int(backptr[i - 1][j])
-            choices[i - 1] = j + 1
-        return score, dict(zip(self.dim_ids, choices))
-
-    def _interior_transformer(self, lam, fixed):
-        ie, ih, iq, iv, im = (self._masked(pos, fixed) for pos in range(5))
-        q_scores = iq[None, None, :] - lam * self.qk
-        q_arg = np.argmax(q_scores, axis=2)
-        q_best = np.take_along_axis(q_scores, q_arg[:, :, None], axis=2)[:, :, 0]
-        v_scores = iv[None, None, :] - lam * self.vproj
-        v_arg = np.argmax(v_scores, axis=2)
-        v_best = np.take_along_axis(v_scores, v_arg[:, :, None], axis=2)[:, :, 0]
-        m_scores = im[None, :] - lam * self.mlp
-        m_arg = np.argmax(m_scores, axis=1)
-        m_best = m_scores[np.arange(m_scores.shape[0]), m_arg]
-        total = ie[:, None] + ih[None, :] + q_best + v_best + m_best[:, None]
-        flat = int(np.argmax(total))
-        e, h = divmod(flat, total.shape[1])
-        score = float(total[e, h])
-        choices = {
-            self.dim_ids[0]: e + 1,
-            self.dim_ids[1]: h + 1,
-            self.dim_ids[2]: int(q_arg[e, h]) + 1,
-            self.dim_ids[3]: int(v_arg[e, h]) + 1,
-            self.dim_ids[4]: int(m_arg[e]) + 1,
-        }
-        return score, choices
-
-    def _removed_choices(self, fixed: dict[str, int]) -> dict[str, int]:
-        return {d: fixed.get(d, 1) for d in self.dim_ids}
-
-    def response(
-        self,
-        lam: float,
-        fixed: dict[str, int] | None = None,
-        kappa_fixed: int | None = None,
-        input_choice=_RELAX,
-    ) -> BlockResponse:
-        """Maximize importance - lam * latency over this block's states.
-
-        Removable blocks include the removed state (score 0) unless the bit
-        is pinned; ties at zero keep the block.
-        """
-        fixed = fixed or {}
-        if self.kind == "cnn_chain":
-            if input_choice is _RELAX and self.input_fixed:
-                input_choice = 1
-            elif input_choice is _RELAX and self.input_dim_id in fixed:
-                input_choice = fixed[self.input_dim_id]
-            score, choices = self._interior_cnn(lam, fixed, input_choice)
-        else:
-            score, choices = self._interior_transformer(lam, fixed)
-
-        if not self.block.removable or kappa_fixed == 1:
-            return BlockResponse(score, 1, choices)
-        if kappa_fixed == 0:
-            return BlockResponse(0.0, 0, self._removed_choices(fixed))
-        if score >= 0.0:
-            return BlockResponse(score, 1, choices)
-        return BlockResponse(0.0, 0, self._removed_choices(fixed))
-
-    # -- exhaustive state tables ---------------------------------------------
 
     def state_tables(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
         """(importance, latency | None, latency_by_input | None) per state.
@@ -298,14 +198,6 @@ class PruningProblem:
         self.models = [_BlockModel(arch, b, vectors, tables) for b in arch.blocks]
         self.dim_order = [d for b in arch.blocks for d in b.dims]
 
-        # Scale for the multiplier search window.
-        per_block_max = []
-        for model in self.models:
-            best = sum(float(np.max(v)) for v in model.imp)
-            per_block_max.append(max(0.0, best) if model.block.removable else best)
-        self.importance_scale = max(sum(per_block_max), 0.0)
-        self.min_latency_step = _min_positive_step(tables)
-
     def dense_assignment(self) -> Assignment:
         """Every dimension at its largest option, every block kept."""
         return Assignment(
@@ -322,22 +214,6 @@ class PruningProblem:
         return kappa_part + omega_part
 
 
-def _min_positive_step(tables: TableSet) -> float:
-    best = math.inf
-    for table in tables:
-        for axis in range(table.data.ndim):
-            diffs = np.abs(np.diff(table.data, axis=axis))
-            positive = diffs[diffs > 0]
-            if positive.size:
-                best = min(best, float(positive.min()))
-    if not math.isfinite(best):
-        for table in tables:
-            positive = table.data[table.data > 0]
-            if positive.size:
-                best = min(best if math.isfinite(best) else math.inf, float(positive.min()))
-    return best if math.isfinite(best) and best > 0 else 1.0
-
-
 def assemble(
     arch: ArchitectureSpec,
     vectors: dict[str, ImportanceVector],
@@ -349,92 +225,6 @@ def assemble(
         raise ValidationError(f"budget must be positive, got {budget!r}")
     validate_problem_shapes(arch, tables, vectors)
     return PruningProblem(arch, vectors, tables, float(budget))
-
-
-def block_best_response(
-    arch: ArchitectureSpec,
-    block: BlockSpec,
-    lam: float,
-    vectors: dict[str, ImportanceVector],
-    tables: TableSet,
-    fixed: dict[str, int] | None = None,
-    kappa_fixed: int | None = None,
-    input_choice: int | None = None,
-) -> tuple[float, BlockResponse]:
-    """Best importance - lam * latency over one block's states.
-
-    `input_choice` pins a chain's first-layer input option; leaving it unset
-    uses option 1 for a fixed_external feed and an optimistic per-column
-    minimum for an unpinned foreign feed (bound mode).
-    """
-    if lam < 0:
-        raise ValidationError("multiplier must be nonnegative")
-    model = _BlockModel(arch, block, vectors, tables)
-    resp = model.response(
-        lam,
-        fixed=fixed,
-        kappa_fixed=kappa_fixed,
-        input_choice=_RELAX if input_choice is None else input_choice,
-    )
-    return resp.score, resp
-
-
-def dual_bound(
-    problem: PruningProblem,
-    lam: float,
-    fixed: dict | None = None,
-    threads: int = 1,
-) -> float:
-    """Upper bound on the constrained optimum for any lam >= 0.
-
-    `threads` is ignored: the solver is sequential.  It stays so that
-    existing callers keep working.
-    """
-    if lam < 0:
-        raise ValidationError("multiplier must be nonnegative")
-    omega_fixed = {}
-    kappa_fixed = {}
-    for (kind, key), value in (fixed or {}).items():
-        if kind == "kappa":
-            kappa_fixed[key] = value
-        else:
-            omega_fixed[key] = value
-    total = 0.0
-    for model in problem.models:
-        total += model.response(
-            lam, fixed=omega_fixed, kappa_fixed=kappa_fixed.get(model.block.id)
-        ).score
-    if lam == 0.0:
-        return total
-    return total + lam * problem.budget
-
-
-def _golden_section_min(fn, lo: float, hi: float, iters: int) -> float:
-    """Deterministic golden-section minimizer for a convex function."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(max(0, iters - 2)):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    return c if fc <= fd else d
-
-
-def _fit_multiplier(problem: PruningProblem, iters: int) -> float:
-    """The root multiplier: golden-section minimizer of ``dual_bound`` over
-    [0, lam_max].  0.0 for an infinite budget, where latency costs nothing."""
-    if not math.isfinite(problem.budget):
-        return 0.0
-    lam_max = max(problem.importance_scale / problem.min_latency_step, 1.0)
-    return _golden_section_min(lambda lam: dual_bound(problem, lam), 0.0, lam_max, iters)
 
 
 # ---------------------------------------------------------------------------
@@ -519,17 +309,14 @@ def _state_tie_key(problem, states: tuple[int, ...]):
 
 
 def _enumerate_separable(problem: PruningProblem) -> tuple[int, ...] | None:
-    imp_total = None
-    lat_total = None
+    imp_total = np.zeros(1)
+    lat_total = np.zeros(1)
     sizes = []
     for model in problem.models:
         imp, lat, _ = model.state_tables()
         sizes.append(imp.shape[0])
-        if imp_total is None:
-            imp_total, lat_total = imp, lat
-        else:
-            imp_total = np.add.outer(imp_total, imp).reshape(-1)
-            lat_total = np.add.outer(lat_total, lat).reshape(-1)
+        imp_total = np.add.outer(imp_total, imp).reshape(-1)
+        lat_total = np.add.outer(lat_total, lat).reshape(-1)
 
     feasible = lat_total <= problem.budget
     if not feasible.any():
@@ -1122,13 +909,17 @@ def solve_branch_and_bound(
     """Exact solve by a Pareto dynamic program over per-block frontiers.
 
     The incumbent is seeded by rounding the root LP optimum and by the
-    greedy repair of the dense plan.  Stages then merge the blocks'
+    greedy repair of the rounded plan.  Stages then merge the blocks'
     frontiers in declaration order, pruning partial plans by the suffix LP
     bound and the suffix minimum latency (see ``_pareto_dp``).  Returns a
     proven-optimal solution within ``config.tolerance``, with bound the
     largest pruned bound (at least the importance), or, when the time limit
     ends the merge first, the incumbent with the root LP bound.
     ``node_count`` is the number of partial plans kept, summed over stages.
+
+    In mode ``heuristic_only`` the seeding also offers the greedy repair of
+    the dense plan and no merge runs: the answer is the incumbent with the
+    root LP bound.
     """
     config = config or SolverConfig()
     config.validate()
@@ -1167,11 +958,14 @@ def solve_branch_and_bound(
     rounded = _lp_rounding(problem, frontiers, bound)
     incumbent.offer(rounded)
     incumbent.offer(repair_heuristic(problem, rounded))
-    incumbent.offer(repair_heuristic(problem, problem.dense_assignment()))
-
-    leaf, nodes, pruned, timed_out = _pareto_dp(
-        problem, frontiers, bound, incumbent, config, deadline, margin, room
-    )
+    heuristic = config.mode == "heuristic_only"
+    if heuristic:
+        incumbent.offer(repair_heuristic(problem, problem.dense_assignment()))
+        leaf, nodes, pruned, timed_out = None, 0, _NEG_INF, False
+    else:
+        leaf, nodes, pruned, timed_out = _pareto_dp(
+            problem, frontiers, bound, incumbent, config, deadline, margin, room
+        )
     if leaf is not None:
         plan, importance, latency = leaf
         if (objective_value(plan, problem.vectors, problem.arch) != importance
@@ -1179,48 +973,19 @@ def solve_branch_and_bound(
             raise SolveError("internal error: a plan's sums differ from its recheck")
         incumbent.offer(plan)
     if incumbent.assignment is None:
-        message = (
-            "time limit reached before feasibility could be decided"
-            if timed_out
-            else "no state satisfies the latency budget"
-        )
+        if heuristic:
+            message = "no seed plan fits the budget; feasibility undecided"
+        elif timed_out:
+            message = "time limit reached before feasibility could be decided"
+        else:
+            message = "no state satisfies the latency budget"
         return finish("infeasible", None, nodes, message=message)
-    if timed_out:
+    if heuristic or timed_out:
         root = float(bound(0, np.zeros(1), np.zeros(1), room)[0])
-        return finish("feasible_heuristic", incumbent, nodes, max(incumbent.value, root),
-                      "time limit reached; reporting best incumbent and surviving bound")
+        message = "" if heuristic else (
+            "time limit reached; reporting best incumbent and surviving bound")
+        return finish("feasible_heuristic", incumbent, nodes, max(incumbent.value, root), message)
     return finish("optimal", incumbent, nodes, max(incumbent.value, pruned))
-
-
-def solve_heuristic(problem: PruningProblem, config: SolverConfig) -> PruningSolution:
-    """Greedy repair from the dense assignment, bounded by the root dual."""
-    start = time.perf_counter()
-    lam_star = _fit_multiplier(problem, config.lambda_iters)
-    bound = min(dual_bound(problem, 0.0), dual_bound(problem, lam_star))
-    repaired = repair_heuristic(problem, problem.dense_assignment())
-    wall = time.perf_counter() - start
-    if repaired is None:
-        return PruningSolution(
-            status="infeasible",
-            assignment=None,
-            importance=None,
-            latency=None,
-            bound=None,
-            node_count=0,
-            wall_time=wall,
-            message="greedy repair found no feasible point; feasibility undecided",
-        )
-    importance = objective_value(repaired, problem.vectors, problem.arch)
-    latency = constraint_value(repaired, problem.tables, problem.arch)
-    return PruningSolution(
-        status="feasible_heuristic",
-        assignment=repaired,
-        importance=importance,
-        latency=latency,
-        bound=max(bound, importance),
-        node_count=0,
-        wall_time=wall,
-    )
 
 
 def solve(problem: PruningProblem, config: SolverConfig | None = None) -> PruningSolution:
@@ -1228,6 +993,4 @@ def solve(problem: PruningProblem, config: SolverConfig | None = None) -> Prunin
     config.validate()
     if config.mode == "exhaustive":
         return solve_exhaustive(problem)
-    if config.mode == "heuristic_only":
-        return solve_heuristic(problem, config)
     return solve_branch_and_bound(problem, config)

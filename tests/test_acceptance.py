@@ -105,8 +105,7 @@ def test_feasibility_soundness_ten_thousand_solves():
             for budget in budgets:
                 p = assemble(problem.arch, problem.vectors, problem.tables, float(budget))
                 for mode, solver in (
-                    ("branch_and_bound", lambda q: solve_branch_and_bound(
-                        q, SolverConfig(lambda_iters=12))),
+                    ("branch_and_bound", lambda q: solve_branch_and_bound(q, SolverConfig())),
                     ("exhaustive", solve_exhaustive),
                 ):
                     sol = solver(p)

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from latprune import Assignment, constraint_value, parse_architecture, parse_lut
 from latprune.cli import _write_json, main
 
 DATA = Path(__file__).parent.parent / "demos" / "data"
@@ -183,6 +184,44 @@ class TestSolve:
             }
         assert runs["t1"] == runs["t1b"]
         assert runs["t1"] == runs["t8"]
+
+    def test_heuristic_only_plan_fits_and_reruns_byte_identical(self, tmp_path):
+        inputs = synth(tmp_path)
+        arch = DATA / "tiny_mixed.arch.json"
+        runs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(solve_args(arch, inputs, out, "0.25", "--mode", "heuristic_only")) == 0
+            runs.append({
+                p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "timing.json"
+            })
+        assert runs[0] == runs[1]
+        report = json.loads(runs[0]["report.json"])
+        assert report["status"] == "feasible_heuristic"
+        assert report["bound"] >= report["importance"]
+        assert report["latency_ms"] <= 0.25
+        assignment = Assignment(
+            omega=report["assignment"]["omega"],
+            kappa={int(b): k for b, k in report["assignment"]["kappa"].items()},
+        )
+        parsed = parse_architecture(arch.read_text())
+        tables = parse_lut((inputs / "lut.json").read_text())
+        assert constraint_value(assignment, tables, parsed) == report["latency_ms"]
+
+    def test_architecture_without_blocks_solves_exhaustively(self, tmp_path):
+        arch = tmp_path / "trunk_only.arch.json"
+        arch.write_text(json.dumps({
+            "name": "trunk_only",
+            "dims": [{"id": "stem", "role": "fixed_external", "option_count": 1,
+                      "group_size": 16, "max_elements": 16}],
+            "blocks": [],
+        }))
+        inputs = synth(tmp_path, arch)
+        out = tmp_path / "run"
+        assert main(solve_args(arch, inputs, out, "1.0", "--mode", "exhaustive")) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "optimal"
+        assert report["importance"] == 0.0
 
     def test_outputs_written(self, tmp_path):
         inputs = synth(tmp_path)

@@ -193,6 +193,11 @@ class TestParseScores:
         for d in scores:
             assert np.array_equal(again[d].scores, scores[d].scores)
 
+    def test_non_finite_score_is_not_written(self):
+        # A bare NaN token would be invalid JSON that parse_scores rejects.
+        with pytest.raises(ValueError):
+            serialize_scores({"a": RawScores("a", np.array([float("nan"), 1.0]))})
+
 
 class TestSynthScores:
     def test_deterministic(self):

@@ -12,11 +12,9 @@ from latprune import (
     TableSet,
     ValidationError,
     assemble,
-    block_best_response,
     build_all_vectors,
     build_importance_vector,
     constraint_value,
-    dual_bound,
     objective_value,
     repair_heuristic,
     solve,
@@ -25,7 +23,7 @@ from latprune import (
     subnetwork_count,
 )
 from latprune.importance import RawScores
-from latprune.solver import _fit_multiplier
+from latprune.solver import _frontiers
 
 from conftest import (
     BlockSpec,
@@ -130,6 +128,18 @@ class TestExhaustive:
         with pytest.raises(SolveError, match="guard"):
             solve_exhaustive(problem)
 
+    def test_architecture_without_blocks_is_an_empty_optimal_plan(self):
+        from latprune import ImportanceVector
+
+        arch = make_arch([trunk_dim("t")], [])
+        vectors = {"t": ImportanceVector(dim_id="t", values=np.zeros(1))}
+        problem = assemble(arch, vectors, TableSet(), 1.0)
+        for solver in (solve_exhaustive, solve_branch_and_bound):
+            sol = solver(problem)
+            assert sol.status == "optimal"
+            assert sol.assignment == Assignment(omega={}, kappa={})
+            assert sol.importance == sol.latency == 0.0
+
     def test_tie_break_prefers_kept_blocks_then_low_options(self):
         # Two states tie at importance 0: keep with option 1 vs remove.
         problem, _ = one_dim_problem([0.0, 0.0], [1.0, 2.0], budget=5.0, removable=True)
@@ -138,29 +148,40 @@ class TestExhaustive:
         assert sol.assignment.omega["c1"] == 1
 
 
+def frontier_best_response(problem, k, lam):
+    """Best importance - lam * latency over block k's frontier points, with
+    a chain's first-layer input at option 1, and whether that point keeps
+    the block.  The DP's Lagrangian pre-cut maximizes the same score."""
+    front = _frontiers(problem, 1e-9)[k]
+    pts = front.points.take(slice(0, int(front.sizes[0])))
+    scores = pts.imp - lam * pts.lat
+    best = int(np.argmax(scores))
+    return float(scores[best]), not pts.removed[best]
+
+
 class TestBlockBestResponse:
     def test_lambda_zero_takes_max_importance(self):
         rng = np.random.default_rng(50)
-        arch = random_architecture(rng)
-        vectors = build_all_vectors(arch, random_scores(arch, rng))
-        tables = random_tables(arch, rng)
-        for block in arch.blocks:
-            score, resp = block_best_response(arch, block, 0.0, vectors, tables)
+        problem, _ = random_problem(rng)
+        vectors = problem.vectors
+        for k, block in enumerate(problem.arch.blocks):
+            score, kept = frontier_best_response(problem, k, 0.0)
             want = sum(float(np.max(vectors[d].values)) for d in block.dims)
             assert score == pytest.approx(want, rel=1e-12)
-            assert resp.kappa == 1
+            assert kept
 
     def test_huge_lambda_removes_removable_blocks(self):
         rng = np.random.default_rng(51)
         removable = []
         while not removable:
             arch = random_architecture(rng)
-            removable = [b for b in arch.blocks if b.removable]
+            removable = [k for k, b in enumerate(arch.blocks) if b.removable]
         vectors = build_all_vectors(arch, random_scores(arch, rng))
         tables = random_tables(arch, rng, scale=1.0)
-        for block in removable:
-            score, resp = block_best_response(arch, block, 1e9, vectors, tables)
-            assert resp.kappa == 0
+        problem = assemble(arch, vectors, tables, 1.0)
+        for k in removable:
+            score, kept = frontier_best_response(problem, k, 1e9)
+            assert not kept
             assert score == 0.0
 
     @pytest.mark.parametrize("seed", range(20))
@@ -169,72 +190,51 @@ class TestBlockBestResponse:
         arch = random_architecture(rng, state_cap=3000, chained_cap=3000)
         vectors = build_all_vectors(arch, random_scores(arch, rng, signed=bool(seed % 2)))
         tables = random_tables(arch, rng)
-        for block in arch.blocks:
+        problem = assemble(arch, vectors, tables, 1.0)
+        for k, block in enumerate(arch.blocks):
             for lam in (0.0, 0.3, 1.7, 10.0):
-                foreign = (
-                    block.kind == "cnn_chain"
-                    and arch.dim(block.input_ref).role != "fixed_external"
-                )
-                input_choice = 1 if foreign else None
-                score, _ = block_best_response(
-                    arch, block, lam, vectors, tables, input_choice=input_choice
-                )
-                want = brute_force_block(
-                    arch, block, lam, vectors, tables, input_choice=input_choice
-                )
+                score, _ = frontier_best_response(problem, k, lam)
+                want = brute_force_block(arch, block, lam, vectors, tables, input_choice=1)
                 assert score == pytest.approx(want, rel=1e-9, abs=1e-9)
-
-    def test_negative_lambda_rejected(self):
-        rng = np.random.default_rng(52)
-        arch = random_architecture(rng)
-        vectors = build_all_vectors(arch, random_scores(arch, rng))
-        tables = random_tables(arch, rng)
-        with pytest.raises(ValidationError):
-            block_best_response(arch, arch.blocks[0], -0.1, vectors, tables)
 
 
 class TestDualBound:
+    """``heuristic_only`` reports the root LP bound of the frontier hulls,
+    which for a multiple-choice knapsack is the best Lagrangian dual bound."""
+
     def test_no_relaxation_gap_when_unconstrained_max_fits(self):
         problem, _ = one_dim_problem([1.0, 3.0], [1.0, 2.0], budget=100.0)
-        opt = solve_exhaustive(problem).importance
-        assert dual_bound(problem, 0.0) == pytest.approx(opt, rel=1e-12)
+        sol = solve(problem, SolverConfig(mode="heuristic_only"))
+        assert sol.status == "feasible_heuristic"
+        assert sol.bound == sol.importance == 3.0
 
     @pytest.mark.parametrize("seed", range(25))
     def test_bound_dominates_exhaustive_optimum(self, seed):
         rng = np.random.default_rng(3000 + seed)
         problem, _ = random_problem(rng, state_cap=3000, chained_cap=3000)
-        sol = solve_exhaustive(problem)
-        if sol.status == "infeasible":
+        oracle = solve_exhaustive(problem)
+        sol = solve(problem, SolverConfig(mode="heuristic_only"))
+        if oracle.status == "infeasible":
+            assert sol.status == "infeasible"
             return
-        scale = 1e-9 * (1.0 + abs(sol.importance))
-        for lam in (0.0, 0.1, 1.0, 5.0, 50.0):
-            assert dual_bound(problem, lam) >= sol.importance - scale
+        assert sol.status == "feasible_heuristic"
+        assert constraint_value(sol.assignment, problem.tables, problem.arch) == sol.latency
+        assert objective_value(sol.assignment, problem.vectors, problem.arch) == sol.importance
+        assert sol.latency <= problem.budget
+        assert sol.importance <= oracle.importance
+        assert sol.bound >= oracle.importance - 1e-9 * (1.0 + abs(oracle.importance))
 
-    def test_golden_section_tightens_or_matches_lambda_zero(self):
-        # The solver's bound is the minimum over a grid that always contains
-        # lambda 0, so the searched bound can only tighten the lambda-0 one.
-        rng = np.random.default_rng(60)
-        tightened = 0
-        for _ in range(10):
-            problem, _ = random_problem(rng)
-            lam_star = _fit_multiplier(problem, 48)
-            at_star = dual_bound(problem, lam_star)
-            at_zero = dual_bound(problem, 0.0)
-            searched = min(at_star, at_zero)
-            assert searched <= at_zero
-            if searched < at_zero - 1e-9:
-                tightened += 1
-        assert tightened > 0  # the search is not vacuous on these instances
-
-    def test_midpoint_convexity(self):
-        rng = np.random.default_rng(61)
-        problem, _ = random_problem(rng)
-        lams = np.linspace(0.0, 20.0, 9)
-        for a, b in zip(lams, lams[2:]):
-            mid = 0.5 * (a + b)
-            lhs = dual_bound(problem, mid)
-            rhs = 0.5 * (dual_bound(problem, a) + dual_bound(problem, b))
-            assert lhs <= rhs + 1e-9 * (1.0 + abs(rhs))
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_at_least_the_dense_start_repair(self, seed, signed):
+        rng = np.random.default_rng(3100 + seed)
+        problem, _ = random_problem(rng, signed_scores=signed)
+        repaired = repair_heuristic(problem, dense_assignment(problem.arch))
+        if repaired is None:
+            return
+        sol = solve(problem, SolverConfig(mode="heuristic_only"))
+        assert sol.status == "feasible_heuristic"
+        assert sol.importance >= objective_value(repaired, problem.vectors, problem.arch)
 
 
 class TestBranchAndBound:
@@ -254,7 +254,6 @@ class TestBranchAndBound:
     def test_unbounded_budget_takes_every_max_option(self):
         rng = np.random.default_rng(70)
         problem, _ = random_problem(rng, budget=float("inf"))
-        assert _fit_multiplier(problem, 64) == 0.0
         sol = solve_branch_and_bound(problem)
         assert sol.status == "optimal"
         arch = problem.arch
