@@ -39,7 +39,6 @@ from .latency import (
     TableSet,
     constraint_value,
     estimation_error,
-    joint_constraint_value,
     linear_channel_cost,
     parse_lut,
     replay_trajectory,
@@ -82,7 +81,6 @@ __all__ = [
     "constraint_value",
     "estimation_error",
     "extract_structure",
-    "joint_constraint_value",
     "kept_elements",
     "linear_channel_cost",
     "objective_value",

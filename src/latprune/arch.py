@@ -27,6 +27,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ParseError, ValidationError
 
 ROLES = ("conv_out", "emb", "head", "qk", "v", "mlp", "fixed_external")
@@ -264,6 +266,29 @@ def typed(value, kind, where: str, item=None):
     return value
 
 
+def number(value, where: str) -> float:
+    """`value` as a float if it is a JSON number: not a bool, a string or a
+    container, and not an int beyond float64's range.  NaN and infinity pass;
+    each reader decides whether they are allowed."""
+    typed(value, (int, float), where)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{where}: integer too large for a float64") from None
+
+
+def numbers(value, where: str) -> np.ndarray:
+    """A list of JSON numbers (see `number`) as one float64 array; a bad entry
+    names its field as ``where[i]``."""
+    typed(value, list, where)
+    if set(map(type, value)) <= {int, float}:
+        try:
+            return np.array(value, dtype=np.float64)
+        except OverflowError:
+            pass
+    return np.array([number(v, f"{where}[{i}]") for i, v in enumerate(value)], dtype=np.float64)
+
+
 def require_keys(obj: dict, required: set[str], optional: set[str], where: str) -> None:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object, got {type(obj).__name__}")
@@ -274,6 +299,16 @@ def require_keys(obj: dict, required: set[str], optional: set[str], where: str) 
     unknown = keys - required - optional - {MANIFEST_KEY}
     if unknown:
         raise ParseError(f"{where}: unknown keys {sorted(unknown)}")
+
+
+def records(document: str, where: str, key: str) -> list:
+    """The record list of a JSON document that is either the bare list or an
+    object ``{key: [...]}`` (plus the optional ``_manifest``)."""
+    obj = load_json(document, where)
+    if not isinstance(obj, dict):
+        return typed(obj, list, where)
+    require_keys(obj, {key}, set(), where)
+    return typed(obj[key], list, f"{where}.{key}")
 
 
 def architecture_from_obj(obj: dict) -> ArchitectureSpec:
@@ -305,8 +340,7 @@ def architecture_from_obj(obj: dict) -> ArchitectureSpec:
         require_keys(entry, {"id", "kind", "removable", "dims"}, {"input_ref"}, where)
         typed(entry["id"], int, f"{where}.id")
         typed(entry["dims"], list, f"{where}.dims", str)
-        if entry.get("input_ref") is not None:
-            typed(entry["input_ref"], str, f"{where}.input_ref")
+        typed(entry.get("input_ref"), (str, type(None)), f"{where}.input_ref")
         if not isinstance(entry["removable"], bool):
             raise ParseError(f"{where}: removable must be a boolean")
         blocks.append(

@@ -263,7 +263,8 @@ def cmd_solve(args) -> int:
     _write_structure(out, structure, stamp)
     _write(out / "assignment.csv", _assignment_csv(arch, solution.assignment, stamp))
     if structure.degenerate:
-        print("solve: warning: optimal plan removes every block (degenerate network)")
+        print(f"solve: warning: {solution.status} plan removes every block "
+              f"(degenerate network)")
     print(
         f"solve: {solution.status}, importance {solution.importance}, "
         f"latency {solution.latency} ms (budget {args.budget_ms} ms)"
@@ -318,15 +319,8 @@ def cmd_compare_latency_models(args) -> int:
     )
     arch = arch_mod.parse_architecture(_read_text(args.arch))
     tables = lat_mod.parse_lut(_read_text(args.lut))
-    traj_obj = arch_mod.load_json(_read_text(args.trajectory), "trajectory")
-    if isinstance(traj_obj, dict):
-        extra = set(traj_obj) - {"steps", MANIFEST_KEY}
-        if extra:
-            raise ParseError(f"trajectory: unknown keys {sorted(extra)}")
-        traj_obj = traj_obj.get("steps")
-    if not isinstance(traj_obj, list):
-        raise ParseError("trajectory: expected a list of {dim_id: option} steps")
-    traj = lat_mod.PruneTrajectory(steps=tuple(traj_obj))
+    steps = arch_mod.records(_read_text(args.trajectory), "trajectory", "steps")
+    traj = lat_mod.PruneTrajectory(steps=tuple(steps))
     report = lat_mod.replay_trajectory(traj, tables, arch)
 
     stamp = manifest.hash()
@@ -376,7 +370,7 @@ def cmd_extract(args) -> int:
     assignment = imp_mod.Assignment(
         omega=dict(plan["omega"]), kappa={int(b): k for b, k in plan["kappa"].items()}
     )
-    budget = arch_mod.typed(report["budget_ms"], (int, float), "report: budget_ms")
+    budget = arch_mod.number(report["budget_ms"], "report: budget_ms")
     problem = solver_mod.assemble(arch, vectors, tables, budget)
     assignment.validate_for(arch)
     solution = solver_mod.PruningSolution(

@@ -49,7 +49,8 @@ class PrunedStructure:
 
     @property
     def degenerate(self) -> bool:
-        return self.depth_kept == 0
+        """Every block of a network that has blocks is removed."""
+        return self.depth_kept == 0 < self.depth_total
 
 
 def extract_structure(

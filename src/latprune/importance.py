@@ -14,13 +14,13 @@ structure extraction is deterministic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .arch import (
-    ArchitectureSpec, BlockSpec, DimensionSpec, MANIFEST_KEY, dump_json, kept_elements, load_json,
+    ArchitectureSpec, BlockSpec, DimensionSpec, MANIFEST_KEY, dump_json, kept_elements, numbers,
+    records, require_keys, typed,
 )
 from .errors import ParseError, ValidationError
 
@@ -150,36 +150,22 @@ def objective_value(
 
 def parse_scores(document: str) -> dict[str, RawScores]:
     """Parse a JSON scores document: a list of {dim_id, scores} records."""
-    obj = load_json(document, "scores")
-    if isinstance(obj, dict):
-        extra = set(obj) - {"scores", MANIFEST_KEY}
-        if extra:
-            raise ParseError(f"scores: unknown keys {sorted(extra)}")
-        obj = obj.get("scores")
-    if not isinstance(obj, list):
-        raise ParseError("scores: expected a list of {dim_id, scores} records")
-
     out: dict[str, RawScores] = {}
-    for i, entry in enumerate(obj):
-        if not isinstance(entry, dict) or set(entry) != {"dim_id", "scores"}:
-            raise ParseError(f"scores[{i}]: expected keys {{dim_id, scores}}")
-        dim_id = entry["dim_id"]
-        if not isinstance(dim_id, str):
-            raise ParseError(f"scores[{i}]: dim_id must be a string")
+    for i, entry in enumerate(records(document, "scores", "scores")):
+        where = f"scores[{i}]"
+        require_keys(entry, {"dim_id", "scores"}, set(), where)
+        dim_id = typed(entry["dim_id"], str, f"{where}.dim_id")
         if dim_id in out:
             raise ValidationError(f"scores: duplicate entry for dimension {dim_id!r}")
-        values = entry["scores"]
-        if not isinstance(values, list) or not values:
-            raise ParseError(f"scores[{i}] ({dim_id!r}): scores must be a non-empty list")
-        arr = np.empty(len(values), dtype=np.float64)
-        for k, v in enumerate(values):
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-                raise ValidationError(
-                    f"scores for {dim_id!r}: non-finite or non-numeric value at "
-                    f"element {k}: {v!r}"
-                )
-            arr[k] = float(v)
-        out[dim_id] = RawScores(dim_id=dim_id, scores=arr)
+        values = numbers(entry["scores"], f"{where}.scores")
+        if not values.size:
+            raise ParseError(f"{where} ({dim_id!r}): scores must be a non-empty list")
+        if not np.isfinite(values).all():
+            k = int(np.flatnonzero(~np.isfinite(values))[0])
+            raise ValidationError(
+                f"scores for {dim_id!r}: non-finite value at element {k}: {values[k]}"
+            )
+        out[dim_id] = RawScores(dim_id=dim_id, scores=values)
     return out
 
 

@@ -9,11 +9,9 @@ keep-count options:
   (emb, head, v), rank-2 ``mlp`` over (emb, mlp).
 
 ``constraint_value`` evaluates the decomposed per-part sum for an
-assignment; ``joint_constraint_value`` evaluates the same quantity from full
-per-block tensors by literally expanding the one-hot outer product, and is
-kept as an independent cross-check path.  All latencies are milliseconds and
-share the budget's unit.  Table axes are grouped options, never raw channel
-counts; no interpolation between options is performed.
+assignment.  All latencies are milliseconds and share the budget's unit.
+Table axes are grouped options, never raw channel counts; no interpolation
+between options is performed.
 
 The module also carries the single-row linear cost model used by earlier
 latency-pruning schemes (``linear_channel_cost``), its error bound against
@@ -31,15 +29,13 @@ from functools import reduce
 
 import numpy as np
 
-from .arch import ArchitectureSpec, BlockSpec, MANIFEST_KEY, kept_elements, load_json, typed
-from .arch import TRANSFORMER_PARTS, TRANSFORMER_ROLES, dump_json
-from .errors import ParseError, SolveError, ValidationError
+from .arch import ArchitectureSpec, BlockSpec, MANIFEST_KEY, kept_elements, numbers, records
+from .arch import TRANSFORMER_PARTS, dump_json, require_keys, typed
+from .errors import ParseError, ValidationError
 from .importance import Assignment
 
 PARTS = ("conv_layer", "qk", "vproj", "mlp")
 PART_RANK = {"conv_layer": 2, "qk": 3, "vproj": 3, "mlp": 2}
-
-JOINT_TENSOR_GUARD = 10**7
 
 
 @dataclass(frozen=True)
@@ -163,88 +159,6 @@ def constraint_value(
             continue
         total += block_latency(assignment, tables, arch, block)
     return total
-
-
-def joint_constraint_value(
-    assignment: Assignment,
-    full_tables: dict[int, np.ndarray],
-    arch: ArchitectureSpec,
-) -> float:
-    """Evaluate latency from full per-block tensors via one-hot outer products.
-
-    Test-scale oracle only: the expanded mask has as many entries as the
-    block tensor, so tensors above {guard} entries are rejected.
-    """
-    total = 0.0
-    for block in arch.blocks:
-        if block.id not in full_tables:
-            raise ValidationError(f"block {block.id}: missing full latency tensor")
-        tensor = np.asarray(full_tables[block.id], dtype=np.float64)
-        dims = arch.block_dims(block)
-        expected = tuple(d.option_count for d in dims)
-        if tensor.shape != expected:
-            raise ValidationError(
-                f"block {block.id}: full tensor shape {tensor.shape} does not match "
-                f"option counts {expected}"
-            )
-        if tensor.size > JOINT_TENSOR_GUARD:
-            raise SolveError(
-                f"block {block.id}: full tensor has {tensor.size} entries, "
-                f"above the {JOINT_TENSOR_GUARD} joint-evaluation guard"
-            )
-        onehots = []
-        for d in dims:
-            v = np.zeros(d.option_count)
-            v[assignment.omega[d.id] - 1] = 1.0
-            onehots.append(v)
-        mask = reduce(np.multiply.outer, onehots)
-        total += assignment.kappa_of(block) * float((mask * tensor).sum())
-    return total
-
-
-joint_constraint_value.__doc__ = joint_constraint_value.__doc__.format(
-    guard=JOINT_TENSOR_GUARD
-)
-
-
-def embed_decomposed(
-    arch: ArchitectureSpec, block: BlockSpec, tables: TableSet
-) -> np.ndarray:
-    """Sum-embed a block's decomposed tables into one full tensor.
-
-    Only valid for blocks whose first-layer input is fixed_external (a
-    cnn_chain fed by another block's conv output has no per-block tensor).
-    """
-    dims = arch.block_dims(block)
-    shape = tuple(d.option_count for d in dims)
-    if math.prod(shape) > JOINT_TENSOR_GUARD:
-        raise SolveError(f"block {block.id}: full tensor would exceed the guard")
-    full = np.zeros(shape)
-    if block.kind == "cnn_chain":
-        ref = arch.dim(block.input_ref)
-        if ref.role != "fixed_external":
-            raise ValidationError(
-                f"block {block.id}: cannot embed a chain fed by conv_out {ref.id!r}"
-            )
-        for layer in range(1, len(dims) + 1):
-            table = tables.conv(block.id, layer)
-            data = table.data[0] if layer == 1 else table.data
-            # Broadcast the layer's (in, out) table over the other axes.
-            expand = [None] * len(dims)
-            if layer == 1:
-                expand[0] = slice(None)
-            else:
-                expand[layer - 2] = slice(None)
-                expand[layer - 1] = slice(None)
-            full = full + data[tuple(expand)]
-    else:
-        for part, roles in TRANSFORMER_PARTS.items():
-            table = tables.part(block.id, part)
-            expand = [None] * len(dims)
-            for r in roles:
-                expand[TRANSFORMER_ROLES.index(r)] = slice(None)
-            full = full + table.data[tuple(expand)]
-    return full
 
 
 @dataclass(frozen=True)
@@ -492,52 +406,35 @@ def parse_lut(document: str) -> TableSet:
     (conv_layer records add ``layer``) and a row-major payload in either
     ``data`` (list of numbers) or ``data_b64`` (little-endian float64).
     """
-    obj = load_json(document, "lut")
-    if isinstance(obj, dict):
-        extra = set(obj) - {"tables", MANIFEST_KEY}
-        if extra:
-            raise ParseError(f"lut: unknown keys {sorted(extra)}")
-        obj = obj.get("tables")
-    if not isinstance(obj, list):
-        raise ParseError("lut: expected a list of table records")
-
     tables = TableSet()
-    for i, entry in enumerate(obj):
+    for i, entry in enumerate(records(document, "lut", "tables")):
         where = f"lut[{i}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{where}: expected an object")
-        keys = set(entry) - {"layer"}
-        payload_keys = keys & {"data", "data_b64"}
-        if len(payload_keys) != 1:
+        require_keys(
+            entry, {"block_id", "part", "axes", "shape"}, {"layer", "data", "data_b64"}, where
+        )
+        if ("data" in entry) == ("data_b64" in entry):
             raise ParseError(f"{where}: exactly one of data/data_b64 required")
-        if keys - {"block_id", "part", "axes", "shape"} - payload_keys:
-            raise ParseError(
-                f"{where}: unknown keys "
-                f"{sorted(keys - {'block_id', 'part', 'axes', 'shape'} - payload_keys)}"
-            )
-        shape = typed(entry.get("shape"), list, f"{where}.shape", int)
+        shape = typed(entry["shape"], list, f"{where}.shape", int)
         if not all(s > 0 for s in shape):
             raise ParseError(f"{where}: shape must be a list of positive integers")
-        layer = entry.get("layer")
-        if layer is not None:
-            typed(layer, int, f"{where}.layer")
+        layer = typed(entry.get("layer"), (int, type(None)), f"{where}.layer")
         if "data" in entry:
-            flat = np.asarray(entry["data"], dtype=np.float64)
+            flat = numbers(entry["data"], f"{where}.data")
         else:
             try:
                 raw = base64.b64decode(entry["data_b64"], validate=True)
-            except Exception:
-                raise ParseError(f"{where}: invalid base64 payload") from None
-            flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+                flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+            except (TypeError, ValueError):
+                raise ParseError(f"{where}.data_b64: invalid base64 payload") from None
         if flat.size != math.prod(shape):
             raise ParseError(
                 f"{where}: payload has {flat.size} values, shape {shape} needs "
                 f"{math.prod(shape)}"
             )
         table = LatencyTable(
-            block_id=typed(entry.get("block_id"), int, f"{where}.block_id"),
-            part=entry.get("part"),
-            axes=tuple(typed(entry.get("axes", []), list, f"{where}.axes", str)),
+            block_id=typed(entry["block_id"], int, f"{where}.block_id"),
+            part=entry["part"],
+            axes=tuple(typed(entry["axes"], list, f"{where}.axes", str)),
             data=flat.reshape(shape),
             layer=layer,
         )

@@ -17,14 +17,14 @@ depends on that producer's option.
 * the upper concave hulls of the frontiers give the exact LP relaxation
   of every suffix of blocks (Sinha & Zoltners, Oper. Res. 1979), which for
   a multiple-choice knapsack equals the best Lagrangian dual bound;
-* the incumbent is seeded by rounding the root LP optimum and repairing
-  the rounded plan greedily;
+* the incumbent is seeded by rounding the root LP optimum;
 * stages merge the frontiers in block-declaration order, dropping partial
   plans that the LP bound and the incumbent rule out, or that another plan
   with the same open producer options dominates.
 
-Mode ``heuristic_only`` stops after the seeding, which there also repairs
-the dense plan, and reports the incumbent with the root LP bound.
+Mode ``heuristic_only`` stops after the seeding, which there also offers
+the greedy repairs of the rounded and the dense plan, and reports the
+incumbent with the root LP bound.
 
 Sums follow the order of ``objective_value`` and ``constraint_value``, so a
 complete plan's importance and latency are theirs bit for bit and ties
@@ -908,18 +908,18 @@ def solve_branch_and_bound(
 ) -> PruningSolution:
     """Exact solve by a Pareto dynamic program over per-block frontiers.
 
-    The incumbent is seeded by rounding the root LP optimum and by the
-    greedy repair of the rounded plan.  Stages then merge the blocks'
-    frontiers in declaration order, pruning partial plans by the suffix LP
-    bound and the suffix minimum latency (see ``_pareto_dp``).  Returns a
+    The incumbent is seeded by rounding the root LP optimum.  Stages then
+    merge the blocks' frontiers in declaration order, pruning partial plans
+    by the suffix LP bound and the suffix minimum latency (see
+    ``_pareto_dp``).  Returns a
     proven-optimal solution within ``config.tolerance``, with bound the
     largest pruned bound (at least the importance), or, when the time limit
     ends the merge first, the incumbent with the root LP bound.
     ``node_count`` is the number of partial plans kept, summed over stages.
 
-    In mode ``heuristic_only`` the seeding also offers the greedy repair of
-    the dense plan and no merge runs: the answer is the incumbent with the
-    root LP bound.
+    In mode ``heuristic_only`` the seeding also offers the greedy repairs of
+    the rounded and the dense plan and no merge runs: the answer is the
+    incumbent with the root LP bound.
     """
     config = config or SolverConfig()
     config.validate()
@@ -957,9 +957,9 @@ def solve_branch_and_bound(
     incumbent = _Incumbent(problem)
     rounded = _lp_rounding(problem, frontiers, bound)
     incumbent.offer(rounded)
-    incumbent.offer(repair_heuristic(problem, rounded))
     heuristic = config.mode == "heuristic_only"
     if heuristic:
+        incumbent.offer(repair_heuristic(problem, rounded))
         incumbent.offer(repair_heuristic(problem, problem.dense_assignment()))
         leaf, nodes, pruned, timed_out = None, 0, _NEG_INF, False
     else:

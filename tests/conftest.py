@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import settings
 
 from latprune import (
     ArchitectureSpec,
@@ -18,6 +19,10 @@ from latprune import (
     constraint_value,
 )
 from latprune.solver import PruningProblem, assemble
+
+# `--hypothesis-profile=ci` prints a `@reproduce_failure` blob with each
+# falsifying example, so a failure seen only in CI can be replayed locally.
+settings.register_profile("ci", print_blob=True)
 
 
 def make_arch(dims: list[DimensionSpec], blocks: list[BlockSpec], name="test") -> ArchitectureSpec:

@@ -21,7 +21,6 @@ from latprune import (
     build_all_vectors,
     constraint_value,
     estimation_error,
-    joint_constraint_value,
     linear_channel_cost,
     objective_value,
     replay_trajectory,
@@ -30,7 +29,6 @@ from latprune import (
     synth_lut,
 )
 from latprune.cli import main
-from latprune.latency import embed_decomposed
 from latprune.solver import assemble
 
 from conftest import (
@@ -44,6 +42,7 @@ from conftest import (
     resnet50_like_problem,
     trunk_dim,
 )
+from oracles import embed_decomposed, joint_constraint_value
 
 DATA = Path(__file__).parent.parent / "demos" / "data"
 

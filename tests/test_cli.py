@@ -66,6 +66,12 @@ class TestSynth:
         assert abs(row[0] - row[1]) <= 0.02 * 2 * max(row[0], row[1])
 
 
+def _three_byte_payload(lut: dict) -> None:
+    """Give the first table a base64 payload that is not whole float64s."""
+    del lut["tables"][0]["data"]
+    lut["tables"][0]["data_b64"] = "AAAA"
+
+
 class TestCheck:
     def test_valid_bundle_ok(self, tmp_path, capsys):
         inputs = synth(tmp_path)
@@ -118,6 +124,40 @@ class TestCheck:
         assert f"lut[0].{field}" in shown
         if command == "check":
             assert "lut: FAIL" in shown
+
+    @pytest.mark.parametrize(
+        "document, edit, named",
+        [
+            *(pytest.param("lut", lambda d, v=v: d["tables"][0]["data"].__setitem__(1, v),
+                           "lut[0].data[1]", id=f"lut-entry-{name}")
+              for name, v in (("empty-string", ""), ("object", {}), ("list", [1.0]),
+                              ("numeric-string", "1.5"), ("bool", True), ("huge", 10**400))),
+            pytest.param("lut", lambda d: d["tables"][0].update(data="abc"), "lut[0].data",
+                         id="lut-data-string"),
+            pytest.param("lut", lambda d: d["tables"][0].update(data_b64="AAAA"), "lut[0]",
+                         id="lut-both-payloads"),
+            pytest.param("lut", _three_byte_payload, "lut[0].data_b64", id="lut-short-base64"),
+            pytest.param("scores", lambda d: d["scores"][0]["scores"].__setitem__(2, 10**400),
+                         "scores[0].scores[2]", id="score-huge"),
+            pytest.param("scores", lambda d: d["scores"][0]["scores"].__setitem__(2, "1.5"),
+                         "scores[0].scores[2]", id="score-numeric-string"),
+        ],
+    )
+    def test_non_number_payload_named(self, tmp_path, capsys, document, edit, named):
+        inputs = synth(tmp_path)
+        doc = json.loads((inputs / f"{document}.json").read_text())
+        edit(doc)
+        (inputs / f"{document}.json").write_text(json.dumps(doc))
+        code = main(
+            [
+                "check",
+                "--arch", str(DATA / "tiny_mixed.arch.json"),
+                "--scores", str(inputs / "scores.json"),
+                "--lut", str(inputs / "lut.json"),
+            ]
+        )
+        assert code == 3
+        assert f"{document}: FAIL {named}" in capsys.readouterr().out
 
     def test_bool_option_count_named(self, tmp_path, capsys):
         doc = json.loads((DATA / "tiny_mixed.arch.json").read_text())
@@ -208,7 +248,7 @@ class TestSolve:
         tables = parse_lut((inputs / "lut.json").read_text())
         assert constraint_value(assignment, tables, parsed) == report["latency_ms"]
 
-    def test_architecture_without_blocks_solves_exhaustively(self, tmp_path):
+    def test_architecture_without_blocks_solves_exhaustively(self, tmp_path, capsys):
         arch = tmp_path / "trunk_only.arch.json"
         arch.write_text(json.dumps({
             "name": "trunk_only",
@@ -222,6 +262,32 @@ class TestSolve:
         report = json.loads((out / "report.json").read_text())
         assert report["status"] == "optimal"
         assert report["importance"] == 0.0
+        # No block was removed, so the network is not degenerate.
+        assert json.loads((out / "structure.json").read_text())["degenerate"] is False
+        assert "warning" not in (out / "summary.txt").read_text()
+        assert "warning" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", ["branch_and_bound", "heuristic_only"])
+    def test_plan_removing_every_block_warns_with_its_status(self, tmp_path, capsys, mode):
+        arch = tmp_path / "one_block.arch.json"
+        arch.write_text(json.dumps({
+            "name": "one_block",
+            "dims": [{"id": "stem", "role": "fixed_external", "option_count": 1,
+                      "group_size": 16, "max_elements": 16},
+                     {"id": "c1", "role": "conv_out", "option_count": 2, "group_size": 8,
+                      "max_elements": 16}],
+            "blocks": [{"id": 1, "kind": "cnn_chain", "removable": True, "input_ref": "stem",
+                        "dims": ["c1"]}],
+        }))
+        inputs = synth(tmp_path, arch)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert main(solve_args(arch, inputs, out, "1e-9", "--mode", mode)) == 0
+        status = json.loads((out / "report.json").read_text())["status"]
+        assert status == ("optimal" if mode == "branch_and_bound" else "feasible_heuristic")
+        warning = capsys.readouterr().out.splitlines()[0]
+        assert warning == f"solve: warning: {status} plan removes every block (degenerate network)"
+        assert json.loads((out / "structure.json").read_text())["degenerate"] is True
 
     def test_outputs_written(self, tmp_path):
         inputs = synth(tmp_path)
@@ -528,6 +594,10 @@ BAD_REPORTS = [
         for key in ("budget_ms", "status", "importance", "latency_ms", "assignment")
     ),
     pytest.param(_edit(lambda r: r.update(budget_ms=True)), "budget_ms", id="bool-budget"),
+    pytest.param(
+        _edit(lambda r: r.update(budget_ms=10**400)), "budget_ms: integer too large",
+        id="huge-budget",
+    ),
     pytest.param(_edit(lambda r: r.update(extra=1)), "extra", id="unknown-key"),
     pytest.param(
         _edit(lambda r: r["assignment"]["omega"].update(b1_c1="x")), "b1_c1", id="string-option"

@@ -1,0 +1,154 @@
+"""The I/O contract under generated inputs: whatever a document holds, every
+command ends with exit 0, 2, 3 or 4 and never raises.
+
+Valid documents are built once (the bundled tiny_mixed architecture with
+synthesized scores, LUT and a solved report; a conv-only chain with its LUT
+and a trajectory).  Each example picks a command and one of its input
+documents, walks to a random node of the decoded JSON and mutates it: the
+node is deleted, swapped for a value of another type (string, bool, null,
+list, object, NaN, infinity, a 401-digit integer), wrapped in a list or
+unwrapped from its container.
+"""
+
+import functools
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from latprune import parse_lut, serialize_lut
+from latprune.cli import main
+
+DATA = Path(__file__).parent.parent / "demos" / "data"
+
+HUGE = 10**400
+REPLACEMENTS = [
+    "", "x", "1.5", "AAAA", True, False, None, [], {}, [1.0], [[1.0]], {"a": 1},
+    math.nan, math.inf, -math.inf, HUGE, -HUGE, 0, -1, 1.5,
+]
+
+CHAIN_ARCH = {
+    "name": "chain",
+    "dims": [
+        {"id": "stem", "role": "fixed_external", "option_count": 1, "group_size": 16,
+         "max_elements": 16},
+        {"id": "c1", "role": "conv_out", "option_count": 4, "group_size": 4, "max_elements": 16},
+        {"id": "c2", "role": "conv_out", "option_count": 4, "group_size": 4, "max_elements": 16},
+    ],
+    "blocks": [
+        {"id": 1, "kind": "cnn_chain", "removable": False, "input_ref": "stem",
+         "dims": ["c1", "c2"]},
+    ],
+}
+
+# command -> its input documents by flag.  Every --lut may also be given
+# its base64 variant.
+COMMANDS = {
+    "check": {"--arch": "arch", "--scores": "scores", "--lut": "lut"},
+    "solve": {"--arch": "arch", "--scores": "scores", "--lut": "lut"},
+    "extract": {"--report": "report", "--arch": "arch", "--scores": "scores", "--lut": "lut"},
+    "compare-latency-models": {"--arch": "chain_arch", "--lut": "chain_lut",
+                               "--trajectory": "trajectory"},
+}
+OPTIONS = {"solve": ["--budget-ms", "0.25"]}
+
+
+@functools.cache
+def valid_documents() -> dict:
+    """The valid documents, by name, as decoded JSON."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return _build_documents(Path(tmp))
+
+
+def _build_documents(root: Path) -> dict:
+    arch = DATA / "tiny_mixed.arch.json"
+    assert main(["synth", "--arch", str(arch), "--seed", "0", "--unit-cost", "1e-4",
+                 "--tile", "8", "--out", str(root / "in")]) == 0
+    assert main(["solve", "--arch", str(arch), "--scores", str(root / "in" / "scores.json"),
+                 "--lut", str(root / "in" / "lut.json"), "--budget-ms", "0.25",
+                 "--out", str(root / "run")]) == 0
+    chain_arch = root / "chain.arch.json"
+    chain_arch.write_text(json.dumps(CHAIN_ARCH))
+    assert main(["synth", "--arch", str(chain_arch), "--seed", "0", "--unit-cost", "1e-3",
+                 "--tile", "8", "--out", str(root / "chain")]) == 0
+    lut = (root / "in" / "lut.json").read_text()
+    texts = {
+        "arch": arch.read_text(),
+        "scores": (root / "in" / "scores.json").read_text(),
+        "lut": lut,
+        "lut_b64": serialize_lut(parse_lut(lut), base64_payload=True),
+        "report": (root / "run" / "report.json").read_text(),
+        "chain_arch": chain_arch.read_text(),
+        "chain_lut": (root / "chain" / "lut.json").read_text(),
+        "trajectory": json.dumps({"steps": [{"c1": 3, "c2": 3}, {"c1": 2, "c2": 1}]}),
+    }
+    return {name: json.loads(text) for name, text in texts.items()}
+
+
+def node_paths(node, path=()):
+    """Paths to the nodes of `node`, entering only the first and the last
+    entry of each list, so that structure is not drowned out by payload."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list) and node:
+        children = {0: node[0], len(node) - 1: node[-1]}.items()
+    else:
+        children = ()
+    for key, child in children:
+        yield from node_paths(child, path + (key,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """`doc` with one node deleted, replaced, wrapped or unwrapped."""
+    doc = json.loads(json.dumps(doc))
+    path = draw(st.sampled_from(list(node_paths(doc))))
+    parent = None
+    node = doc
+    for key in path:
+        parent, node = node, node[key]
+    ops = ["replace", "wrap"] + (["delete"] if path else [])
+    ops += ["unwrap"] if isinstance(node, (dict, list)) and node else []
+    op = draw(st.sampled_from(ops))
+    if op == "delete":
+        del parent[path[-1]]
+        return doc
+    if op == "replace":
+        new = draw(st.sampled_from(REPLACEMENTS))
+    elif op == "wrap":
+        new = [node]
+    else:
+        new = node[draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                        else range(len(node))))]
+    if not path:
+        return new
+    parent[path[-1]] = new
+    return doc
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), command=st.sampled_from(sorted(COMMANDS)))
+def test_every_mutation_exits_with_a_contract_code(workdir, data, command):
+    documents = valid_documents()
+    inputs = dict(COMMANDS[command])
+    if inputs.get("--lut") == "lut" and data.draw(st.booleans(), label="base64 lut"):
+        inputs["--lut"] = "lut_b64"
+    target = data.draw(st.sampled_from(sorted(inputs)), label="mutated input")
+    argv = [command, *OPTIONS.get(command, [])]
+    for flag, name in inputs.items():
+        doc = data.draw(mutated(documents[name]), label=name) if flag == target else documents[name]
+        path = workdir / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        argv += [flag, str(path)]
+    if command != "check":
+        argv += ["--out", str(workdir / "out")]
+    assert main(argv) in (0, 2, 3, 4)

@@ -13,14 +13,12 @@ from latprune import (
     build_all_vectors,
     constraint_value,
     estimation_error,
-    joint_constraint_value,
     linear_channel_cost,
     parse_lut,
     replay_trajectory,
     serialize_lut,
     synth_lut,
 )
-from latprune.latency import embed_decomposed
 
 from conftest import (
     BlockSpec,
@@ -31,6 +29,7 @@ from conftest import (
     random_tables,
     trunk_dim,
 )
+from oracles import embed_decomposed, joint_constraint_value
 
 
 def single_conv_arch(options=3, removable=True):
