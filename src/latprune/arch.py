@@ -257,9 +257,14 @@ def dump_json(obj) -> str:
 def typed(value, kind, where: str, item=None):
     """`value` if it is a `kind` (a type or tuple of types) whose entries, when
     `item` is given, are `item`s; a bool never counts as a number.  Shared by
-    the document readers, so a wrong type names its field."""
+    the document readers, so a wrong type names its field.  The message cuts
+    the value's repr to at most 80 characters; a whole table would be
+    hundreds of thousands."""
     if isinstance(value, bool) or not isinstance(value, kind):
-        raise ParseError(f"{where}: unexpected {type(value).__name__} value {value!r}")
+        shown = repr(value)
+        if len(shown) > 80:
+            shown = shown[:76] + " ..."
+        raise ParseError(f"{where}: unexpected {type(value).__name__} value {shown}")
     if item is not None:
         for i, entry in enumerate(value):
             typed(entry, item, f"{where}[{i}]")

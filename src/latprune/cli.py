@@ -291,10 +291,14 @@ def cmd_sweep(args) -> int:
     stamp = manifest.hash()
     rows = [f"# manifest: {stamp}", "budget_ms,status,importance,latency_ms,gap,node_count"]
     total_wall = 0.0
+    # One assembled problem: every budget reuses its frontiers and LP bound.
+    base = solver_mod.assemble(arch, vectors, tables, budgets[0])
+    optimal = []
     for budget in budgets:
-        problem = solver_mod.assemble(arch, vectors, tables, budget)
-        solution = solver_mod.solve(problem, config)
+        solution = solver_mod.solve(base.with_budget(budget), config)
         total_wall += solution.wall_time
+        if solution.status == "optimal":
+            optimal.append((budget, solution.importance))
         if solution.status == "infeasible":
             rows.append(f"{budget!r},infeasible,,,,{solution.node_count}")
         else:
@@ -303,6 +307,16 @@ def cmd_sweep(args) -> int:
                 f"{budget!r},{solution.status},{solution.importance!r},"
                 f"{solution.latency!r},{gap!r},{solution.node_count}"
             )
+    # Optimal importance cannot fall as the budget grows: a plan that fits
+    # one budget fits every larger one.
+    best = (-math.inf, 0.0)
+    for budget, importance in sorted(optimal):
+        if importance < best[0] - config.tolerance:
+            raise SolveError(
+                f"internal error: optimal importance {importance!r} at budget "
+                f"{budget!r} ms is below {best[0]!r} at budget {best[1]!r} ms"
+            )
+        best = max(best, (importance, budget))
     out = Path(args.out)
     _write(out / "sweep.csv", "\n".join(rows) + "\n")
     _write_json(out / "timing.json", {"wall_time_s": total_wall})

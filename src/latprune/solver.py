@@ -22,6 +22,12 @@ depends on that producer's option.
   plans that the LP bound and the incumbent rule out, or that another plan
   with the same open producer options dominates.
 
+The frontiers, their hulls and the bound depend on the architecture,
+vectors and tables but not on the budget, which enters only as the room the
+merge may fill.  They form the problem's core, built on its first solve and
+shared by every problem ``PruningProblem.with_budget`` derives, so a budget
+sweep builds them once per problem family.
+
 Mode ``heuristic_only`` stops after the seeding, which there also offers
 the greedy repairs of the rounded and the dense plan, and reports the
 incumbent with the root LP bound.
@@ -37,10 +43,12 @@ counts.  The solver runs sequentially in the calling thread.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -181,7 +189,8 @@ class _BlockModel:
 class PruningProblem:
     """Immutable bundle of architecture, vectors, tables and budget.
 
-    Built by ``assemble``; read-only afterwards.
+    Built by ``assemble``; read-only afterwards.  ``with_budget`` gives the
+    same problem under another budget.
     """
 
     def __init__(
@@ -197,6 +206,15 @@ class PruningProblem:
         self.budget = budget
         self.models = [_BlockModel(arch, b, vectors, tables) for b in arch.blocks]
         self.dim_order = [d for b in arch.blocks for d in b.dims]
+        self._core = _Core(self.models)
+
+    def with_budget(self, budget: float) -> "PruningProblem":
+        """This problem under `budget`, validated as ``assemble`` does.  It
+        shares the block models and the budget-free core, so a sweep builds
+        the frontiers and the LP bound once."""
+        problem = copy.copy(self)
+        problem.budget = _checked_budget(budget)
+        return problem
 
     def dense_assignment(self) -> Assignment:
         """Every dimension at its largest option, every block kept."""
@@ -221,10 +239,15 @@ def assemble(
     budget: float,
 ) -> PruningProblem:
     """Validate shapes and freeze a problem instance."""
+    budget = _checked_budget(budget)
+    validate_problem_shapes(arch, tables, vectors)
+    return PruningProblem(arch, vectors, tables, budget)
+
+
+def _checked_budget(budget) -> float:
     if not isinstance(budget, (int, float)) or math.isnan(budget) or budget <= 0:
         raise ValidationError(f"budget must be positive, got {budget!r}")
-    validate_problem_shapes(arch, tables, vectors)
-    return PruningProblem(arch, vectors, tables, float(budget))
+    return float(budget)
 
 
 # ---------------------------------------------------------------------------
@@ -654,11 +677,11 @@ class _Frontier:
         self.hull = _hull(self.points.lat, self.points.imp)
 
 
-def _frontiers(problem: PruningProblem, margin: float) -> list[_Frontier]:
-    read = {m.input_dim_id for m in problem.models}
+def _frontiers(models: list[_BlockModel], margin: float) -> list[_Frontier]:
+    read = {m.input_dim_id for m in models}
     return [
         _Frontier(m, [p for p, d in enumerate(m.dim_ids) if d in read], margin)
-        for m in problem.models
+        for m in models
     ]
 
 
@@ -707,6 +730,23 @@ class _Bound:
         else:
             extra = 0.0
         return imp + self.base_imp[k] + extra
+
+
+class _Core:
+    """The budget-free part of a solve, built on first use from the block
+    models alone, so problems that differ only in the budget share one.
+    No solve changes it."""
+
+    def __init__(self, models: list[_BlockModel]) -> None:
+        self.models = models
+
+    @cached_property
+    def parts(self) -> tuple[float, list[_Frontier], _Bound]:
+        """(dominance margin, block frontiers, their suffix LP bound)."""
+        scale = sum(float(np.max(np.abs(v))) for m in self.models for v in m.imp)
+        margin = 1e-9 * (1.0 + scale)
+        frontiers = _frontiers(self.models, margin)
+        return margin, frontiers, _Bound(frontiers)
 
 
 class _Incumbent:
@@ -908,7 +948,9 @@ def solve_branch_and_bound(
 ) -> PruningSolution:
     """Exact solve by a Pareto dynamic program over per-block frontiers.
 
-    The incumbent is seeded by rounding the root LP optimum.  Stages then
+    The margin, frontiers and LP bound come from the problem's core, built
+    on the first solve of the problem family and reused by later budgets.  The
+    incumbent is seeded by rounding the root LP optimum.  Stages then
     merge the blocks' frontiers in declaration order, pruning partial plans
     by the suffix LP bound and the suffix minimum latency (see
     ``_pareto_dp``).  Returns a
@@ -926,10 +968,8 @@ def solve_branch_and_bound(
     start = time.perf_counter()
     deadline = start + config.time_limit
     budget = problem.budget
-    # Rounding can move a sum by far less than either margin.
+    # Rounding can move a sum by far less than this or the core's margin.
     room = budget + 1e-9 * (1.0 + (budget if math.isfinite(budget) else 0.0))
-    scale = sum(float(np.max(np.abs(v))) for m in problem.models for v in m.imp)
-    margin = 1e-9 * (1.0 + scale)
 
     def finish(status, incumbent, nodes, bound_value=None, message=""):
         latency = None
@@ -948,8 +988,7 @@ def solve_branch_and_bound(
             message=message,
         )
 
-    frontiers = _frontiers(problem, margin)
-    bound = _Bound(frontiers)
+    margin, frontiers, bound = problem._core.parts
     if bound.base_lat[0] > room:
         return finish("infeasible", None, 0,
                       message="optimistic minimum latency already exceeds the budget")

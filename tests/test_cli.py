@@ -159,6 +159,27 @@ class TestCheck:
         assert code == 3
         assert f"{document}: FAIL {named}" in capsys.readouterr().out
 
+    def test_huge_mistyped_value_shown_short(self, tmp_path, capsys):
+        # ViT-B-12: twelve removable transformer blocks.
+        shape = {"emb": (12, 64), "head": (12, 1), "qk": (8, 8), "v": (8, 8), "mlp": (48, 64)}
+        dims, blocks = [], []
+        for b in range(1, 13):
+            ids = [f"b{b}_{role}" for role in shape]
+            dims += [{"id": i, "role": role, "option_count": n, "group_size": g,
+                      "max_elements": n * g} for i, (role, (n, g)) in zip(ids, shape.items())]
+            blocks.append({"id": b, "kind": "transformer", "removable": True, "dims": ids})
+        arch = tmp_path / "vit.arch.json"
+        arch.write_text(json.dumps({"name": "vit_b12", "dims": dims, "blocks": blocks}))
+        inputs = synth(tmp_path, arch)
+        doc = json.loads((inputs / "lut.json").read_text())
+        doc["tables"] = {"x": doc["tables"]}
+        (inputs / "lut.json").write_text(json.dumps(doc))
+        assert len(repr(doc["tables"])) > 100_000
+        assert main(solve_args(arch, inputs, tmp_path / "run", "1.0")) == 3
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: lut.tables: unexpected dict value {")
+        assert len(err) < 200
+
     def test_bool_option_count_named(self, tmp_path, capsys):
         doc = json.loads((DATA / "tiny_mixed.arch.json").read_text())
         doc["dims"][1]["option_count"] = True
@@ -446,6 +467,65 @@ class TestSweep:
         )
         assert code == 3
         assert "--tolerance" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("mode", ["branch_and_bound", "heuristic_only"])
+    @pytest.mark.parametrize("chained", [False, True], ids=["tiny_mixed", "chained"])
+    def test_rows_equal_independent_solves(self, tmp_path, mode, chained):
+        arch = DATA / "tiny_mixed.arch.json"
+        if chained:  # block 2's first layer reads permanent block 1's output
+            doc = json.loads(arch.read_text())
+            doc["blocks"][1]["input_ref"] = "b1_c2"
+            arch = tmp_path / "chained.arch.json"
+            arch.write_text(json.dumps(doc))
+        inputs = synth(tmp_path, arch)
+        # Unsorted, with a repeat and an infeasible budget.
+        budgets = ["0.5", "0.15", "1.0", "0.001", "0.25", "0.5", "0.35"]
+        out = tmp_path / "sweep"
+        code = main([
+            "sweep", "--arch", str(arch), "--scores", str(inputs / "scores.json"),
+            "--lut", str(inputs / "lut.json"), "--budgets", ",".join(budgets),
+            "--mode", mode, "--out", str(out),
+        ])
+        assert code == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[2:]
+        want = []
+        for i, budget in enumerate(budgets):
+            run = tmp_path / f"solve{i}"
+            assert main(solve_args(arch, inputs, run, budget, "--mode", mode)) in (0, 2)
+            r = json.loads((run / "report.json").read_text())
+            if r["status"] == "infeasible":
+                want.append(f"{r['budget_ms']!r},infeasible,,,,{r['node_count']}")
+            else:
+                want.append(f"{r['budget_ms']!r},{r['status']},{r['importance']!r},"
+                            f"{r['latency_ms']!r},{r['gap']!r},{r['node_count']}")
+        assert rows == want
+        assert "infeasible" in rows[3] and "infeasible" not in rows[0]
+
+    def test_falling_optimal_importance_exits_3_before_writing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from latprune import cli
+
+        solve = cli.solver_mod.solve
+
+        def faulty(problem, config):
+            solution = solve(problem, config)
+            if problem.budget == 1.0:
+                solution.importance -= 1e6
+            return solution
+
+        monkeypatch.setattr(cli.solver_mod, "solve", faulty)
+        inputs = synth(tmp_path)
+        out = tmp_path / "sweep"
+        code = main([
+            "sweep", "--arch", str(DATA / "tiny_mixed.arch.json"),
+            "--scores", str(inputs / "scores.json"), "--lut", str(inputs / "lut.json"),
+            "--budgets", "1.0,0.5", "--out", str(out),
+        ])
+        assert code == 3
+        assert "internal error: optimal importance" in capsys.readouterr().err
         assert not out.exists()
 
 

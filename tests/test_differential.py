@@ -7,6 +7,8 @@
   ``tie_key`` order decides the answer.
 * each block frontier the solver builds must be exactly the tie-safe Pareto
   filter of the block's enumerated states.
+* a problem derived by ``PruningProblem.with_budget`` shares the budget-free
+  core, and must solve exactly as a freshly assembled one.
 
 Both draw chains fed by a permanent block's conv output, the one
 cross-block dependency in the model.
@@ -15,13 +17,16 @@ cross-block dependency in the model.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from latprune import (
     Assignment,
     BlockSpec,
     LatencyTable,
+    SolverConfig,
     TableSet,
+    ValidationError,
     assemble,
     build_all_vectors,
     constraint_value,
@@ -305,7 +310,7 @@ def test_frontiers_equal_pareto_filter_of_enumerated_states():
             problem, _ = random_problem(
                 rng, signed_scores=bool(seed % 3), state_cap=5000, chained_cap=5000
             )
-        for model, front in zip(problem.models, _frontiers(problem, margin)):
+        for model, front in zip(problem.models, _frontiers(problem.models, margin)):
             pts = front.points
             seen["chained"] += model.input_dim_id is not None
             seen["read"] += bool(front.reads)
@@ -323,3 +328,37 @@ def test_frontiers_equal_pareto_filter_of_enumerated_states():
                 assert got == pareto_reference(model, column, front.reads, margin)
     assert all(seen.values()), seen
 
+
+def _outcome(problem, mode):
+    sol = solve_branch_and_bound(problem, SolverConfig(mode=mode))
+    return sol.status, sol.importance, sol.latency, sol.bound, sol.node_count, sol.assignment
+
+
+@settings(max_examples=120, deadline=None)
+@given(instances(max_layers=2), st.data())
+def test_with_budget_solves_as_a_fresh_assemble(case, data):
+    arch, raw, tables = case
+    vectors = build_all_vectors(arch, raw)
+    dense = constraint_value(dense_assignment(arch), tables, arch)
+    percents = data.draw(st.lists(st.integers(0, 110), min_size=2, max_size=5))
+    budgets = data.draw(st.permutations([max(0.5, dense * p / 100) for p in percents] + [math.inf]))
+    mode = data.draw(st.sampled_from(["branch_and_bound", "heuristic_only"]))
+    base = assemble(arch, vectors, tables, budgets[0])
+    outcomes = []
+    for budget in budgets:
+        problem = base.with_budget(budget)
+        assert problem.budget == budget and problem._core is base._core
+        outcomes.append(_outcome(problem, mode))
+        assert outcomes[-1] == _outcome(assemble(arch, vectors, tables, budget), mode)
+    # No solve changed the shared core: the first budget solves as before.
+    assert _outcome(base.with_budget(budgets[0]), mode) == outcomes[0]
+
+
+@pytest.mark.parametrize("budget", [0, -1.0, math.nan])
+def test_with_budget_rejects_what_assemble_rejects(budget):
+    problem, _ = random_problem(np.random.default_rng(3))
+    with pytest.raises(ValidationError) as fresh:
+        assemble(problem.arch, problem.vectors, problem.tables, budget)
+    with pytest.raises(ValidationError) as derived:
+        problem.with_budget(budget)
+    assert str(derived.value) == str(fresh.value)

@@ -152,7 +152,7 @@ def frontier_best_response(problem, k, lam):
     """Best importance - lam * latency over block k's frontier points, with
     a chain's first-layer input at option 1, and whether that point keeps
     the block.  The DP's Lagrangian pre-cut maximizes the same score."""
-    front = _frontiers(problem, 1e-9)[k]
+    front = _frontiers(problem.models, 1e-9)[k]
     pts = front.points.take(slice(0, int(front.sizes[0])))
     scores = pts.imp - lam * pts.lat
     best = int(np.argmax(scores))
