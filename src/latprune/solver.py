@@ -34,8 +34,9 @@ incumbent with the root LP bound.
 
 Sums follow the order of ``objective_value`` and ``constraint_value``, so a
 complete plan's importance and latency are theirs bit for bit and ties
-resolve by ``PruningProblem.tie_key``.  ``solve_exhaustive`` enumerates the
-full state space and is the ground-truth oracle for everything else.
+resolve by ``PruningProblem.tie_key``.  ``solve_exhaustive``, the
+ground-truth oracle for everything else, sums them over the full state grid
+of any instance under one guard on the state count.
 
 Determinism: identical problem + config give identical solutions and node
 counts.  The solver runs sequentially in the calling thread.
@@ -44,8 +45,8 @@ counts.  The solver runs sequentially in the calling thread.
 from __future__ import annotations
 
 import copy
-import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -59,7 +60,6 @@ from .importance import Assignment, ImportanceVector, objective_value
 from .latency import TableSet, block_latency, constraint_value
 
 EXHAUSTIVE_GUARD = 10**6
-CHAINED_GUARD = 10**5
 
 _NEG_INF = float("-inf")
 
@@ -115,59 +115,39 @@ class _BlockModel:
                 for layer in range(1, len(self.dims) + 1)
             ]
             ref = arch.dim(block.input_ref)
-            self.input_fixed = ref.role == "fixed_external"
-            self.input_dim_id = None if self.input_fixed else ref.id
+            self.input_dim_id = None if ref.role == "fixed_external" else ref.id
         else:
             self.qk = tables.part(block.id, "qk").data
             self.vproj = tables.part(block.id, "vproj").data
             self.mlp = tables.part(block.id, "mlp").data
-            self.input_fixed = True
             self.input_dim_id = None
 
-    def state_tables(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-        """(importance, latency | None, latency_by_input | None) per state.
+    def state_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(importance, latency) per state, in the order of ``objective_value``
+        and ``block_latency``.
 
         States enumerate the option grid in row-major order (first dimension
         most significant), with the removed state appended last for
-        removable blocks.  Chains fed by another block's conv output get a
-        2-D latency table indexed by (state, input option) instead of the
-        flat vector.
+        removable blocks.  Latency is indexed by (state, input option): one
+        column unless the chain reads another block's conv output.
         """
         grids = np.indices(self.shape)
         imp = np.zeros(self.shape)
         for i, vec in enumerate(self.imp):
             imp = imp + vec[grids[i]]
-        imp_flat = imp.reshape(-1)
-
-        lat_flat = None
-        lat_by_input = None
         if self.kind == "transformer":
             lat = self.qk[grids[0], grids[1], grids[2]]
             lat = lat + self.vproj[grids[0], grids[1], grids[3]]
-            lat = lat + self.mlp[grids[0], grids[4]]
-            lat_flat = lat.reshape(-1)
-        elif self.input_fixed:
-            lat = self.conv[0][0][grids[0]]
-            for i in range(1, len(self.dims)):
-                lat = lat + self.conv[i][grids[i - 1], grids[i]]
-            lat_flat = lat.reshape(-1)
+            lat = (lat + self.mlp[grids[0], grids[4]])[..., None]
         else:
-            rows = []
-            for a in range(self.conv[0].shape[0]):
-                lat = self.conv[0][a][grids[0]]
-                for i in range(1, len(self.dims)):
-                    lat = lat + self.conv[i][grids[i - 1], grids[i]]
-                rows.append(lat.reshape(-1))
-            lat_by_input = np.stack(rows, axis=1)  # (states, input options)
-
+            lat = self.conv[0].T[grids[0]]  # (*shape, input options)
+            for i in range(1, len(self.dims)):
+                lat = lat + self.conv[i][grids[i - 1], grids[i]][..., None]
+        imp, lat = imp.reshape(-1), lat.reshape(imp.size, -1)
         if self.block.removable:
-            imp_flat = np.concatenate([imp_flat, [0.0]])
-            if lat_flat is not None:
-                lat_flat = np.concatenate([lat_flat, [0.0]])
-            if lat_by_input is not None:
-                zero = np.zeros((1, lat_by_input.shape[1]))
-                lat_by_input = np.concatenate([lat_by_input, zero], axis=0)
-        return imp_flat, lat_flat, lat_by_input
+            imp = np.concatenate([imp, [0.0]])
+            lat = np.concatenate([lat, np.zeros((1, lat.shape[1]))])
+        return imp, lat
 
     def decode_state(self, state: int) -> tuple[int, dict[str, int]]:
         """State index -> (kappa, per-dimension options)."""
@@ -245,7 +225,9 @@ def assemble(
 
 
 def _checked_budget(budget) -> float:
-    if not isinstance(budget, (int, float)) or math.isnan(budget) or budget <= 0:
+    if isinstance(budget, bool) or not isinstance(budget, numbers.Real):
+        raise ValidationError(f"budget must be a real number, got {budget!r}")
+    if math.isnan(budget) or budget <= 0:
         raise ValidationError(f"budget must be positive, got {budget!r}")
     return float(budget)
 
@@ -259,8 +241,7 @@ def solve_exhaustive(problem: PruningProblem) -> PruningSolution:
     """Enumerate every state and return the max-importance feasible one.
 
     Ties break toward kept blocks first, then ascending option indices.
-    Guarded at {guard} states ({chained} when chains are fed by another
-    block's conv output, which forces elementwise enumeration).
+    Guarded at {guard} states.
     """
     start = time.perf_counter()
     count = subnetwork_count(problem.arch)
@@ -269,20 +250,8 @@ def solve_exhaustive(problem: PruningProblem) -> PruningSolution:
             f"state space has {count} states, above the exhaustive guard "
             f"of {EXHAUSTIVE_GUARD}"
         )
-    chained = any(
-        m.kind == "cnn_chain" and not m.input_fixed for m in problem.models
-    )
-    if chained and count > CHAINED_GUARD:
-        raise SolveError(
-            f"state space has {count} states, above the {CHAINED_GUARD} guard "
-            f"for chained-input enumeration"
-        )
 
-    if chained:
-        best_state = _enumerate_chained(problem)
-    else:
-        best_state = _enumerate_separable(problem)
-
+    best_state = _enumerate(problem)
     if best_state is None:
         return PruningSolution(
             status="infeasible",
@@ -311,9 +280,7 @@ def solve_exhaustive(problem: PruningProblem) -> PruningSolution:
     )
 
 
-solve_exhaustive.__doc__ = solve_exhaustive.__doc__.format(
-    guard=EXHAUSTIVE_GUARD, chained=CHAINED_GUARD
-)
+solve_exhaustive.__doc__ = solve_exhaustive.__doc__.format(guard=EXHAUSTIVE_GUARD)
 
 
 def _assignment_from_states(problem, states: tuple[int, ...]) -> Assignment:
@@ -327,75 +294,35 @@ def _assignment_from_states(problem, states: tuple[int, ...]) -> Assignment:
     return Assignment(omega=omega, kappa=kappa)
 
 
-def _state_tie_key(problem, states: tuple[int, ...]):
-    return problem.tie_key(_assignment_from_states(problem, states))
+def _enumerate(problem: PruningProblem) -> tuple[int, ...] | None:
+    """The state per block of the best feasible plan, or None.
 
-
-def _enumerate_separable(problem: PruningProblem) -> tuple[int, ...] | None:
-    imp_total = np.zeros(1)
-    lat_total = np.zeros(1)
-    sizes = []
-    for model in problem.models:
-        imp, lat, _ = model.state_tables()
-        sizes.append(imp.shape[0])
-        imp_total = np.add.outer(imp_total, imp).reshape(-1)
-        lat_total = np.add.outer(lat_total, lat).reshape(-1)
+    Importance and latency totals cover the full state grid, one axis per
+    block, summed block after block.  A chain reading a conv output takes
+    its latency column from the option its producer's state gives that
+    output.
+    """
+    models = problem.models
+    imp_total = lat_total = np.zeros(())
+    for k, model in enumerate(models):
+        imp, lat = model.state_tables()
+        if model.input_dim_id is None:
+            lat = lat[:, 0]
+        else:
+            producer = problem.arch.owner_block(model.input_dim_id).id - 1
+            options = models[producer].option_of_dim(model.input_dim_id)
+            shape = [1] * (k + 1)
+            shape[producer], shape[k] = options.size, imp.size
+            lat = lat[:, options - 1].T.reshape(shape)
+        imp_total = imp_total[..., None] + imp
+        lat_total = lat_total[..., None] + lat
 
     feasible = lat_total <= problem.budget
     if not feasible.any():
         return None
-    best = np.max(np.where(feasible, imp_total, _NEG_INF))
-    candidates = np.flatnonzero(feasible & (imp_total == best))
-
-    def decode(flat: int) -> tuple[int, ...]:
-        states = []
-        for size in reversed(sizes):
-            flat, s = divmod(flat, size)
-            states.append(s)
-        return tuple(reversed(states))
-
-    return min((decode(int(c)) for c in candidates), key=lambda s: _state_tie_key(problem, s))
-
-
-def _enumerate_chained(problem: PruningProblem) -> tuple[int, ...] | None:
-    models = problem.models
-    data = []
-    for model in models:
-        imp, lat, lat_by_input = model.state_tables()
-        dim_options = None
-        producer_pos = None
-        if model.kind == "cnn_chain" and not model.input_fixed:
-            owner = problem.arch.owner_block(model.input_dim_id)
-            producer_pos = owner.id - 1
-            dim_options = models[producer_pos].option_of_dim(model.input_dim_id)
-        data.append((imp, lat, lat_by_input, producer_pos, dim_options))
-
-    best_imp = _NEG_INF
-    best_states = None
-    best_key = None
-    for states in itertools.product(*(range(d[0].shape[0]) for d in data)):
-        imp = 0.0
-        lat = 0.0
-        for pos, (s, (imp_arr, lat_arr, lat_in, producer, producer_options)) in enumerate(
-            zip(states, data)
-        ):
-            imp += float(imp_arr[s])
-            if lat_arr is not None:
-                lat += float(lat_arr[s])
-            else:
-                in_choice = int(producer_options[states[producer]])
-                lat += float(lat_in[s, in_choice - 1])
-        if lat > problem.budget:
-            continue
-        if imp > best_imp:
-            best_imp, best_states, best_key = imp, states, None
-        elif imp == best_imp and best_states is not None:
-            if best_key is None:
-                best_key = _state_tie_key(problem, best_states)
-            key = _state_tie_key(problem, states)
-            if key < best_key:
-                best_states, best_key = states, key
-    return best_states
+    best = imp_total[feasible].max()
+    candidates = map(tuple, np.argwhere(feasible & (imp_total == best)).tolist())
+    return min(candidates, key=lambda s: problem.tie_key(_assignment_from_states(problem, s)))
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,19 @@ def random_tables(arch: ArchitectureSpec, rng: np.random.Generator, scale: float
     return tables
 
 
+def integer_problem(rng, arch):
+    """Integer scores in [-1, 3] and latencies in [0, 3]: many exact ties."""
+    raw = {
+        d.id: RawScores(dim_id=d.id, scores=rng.integers(-1, 4, d.max_elements).astype(float))
+        for d in arch.dims.values()
+    }
+    tables = TableSet()
+    for table in random_tables(arch, rng):
+        tables.add(LatencyTable(block_id=table.block_id, part=table.part, axes=table.axes,
+                                data=np.floor(4 * table.data), layer=table.layer))
+    return assemble(arch, build_all_vectors(arch, raw), tables, 1.0)
+
+
 def dense_assignment(arch: ArchitectureSpec) -> Assignment:
     return Assignment(
         omega={d: arch.dims[d].option_count for b in arch.blocks for d in b.dims},

@@ -5,6 +5,9 @@
 * ``solve_branch_and_bound`` must match ``solve_exhaustive`` on
   integer-valued instances, where many states tie on importance and the
   ``tie_key`` order decides the answer.
+* each block's state tables, which both solvers read, must give every
+  state the latency of ``block_latency`` and the importance subtotal of
+  ``objective_value``, per option of the conv output a chain reads.
 * each block frontier the solver builds must be exactly the tie-safe Pareto
   filter of the block's enumerated states.
 * a problem derived by ``PruningProblem.with_budget`` shares the budget-free
@@ -41,10 +44,10 @@ from latprune.solver import _frontiers
 from conftest import (
     conv_dim,
     dense_assignment,
+    integer_problem,
     make_arch,
     random_architecture,
     random_problem,
-    random_tables,
     tf_dims,
     trunk_dim,
 )
@@ -240,14 +243,39 @@ def test_branch_and_bound_tie_break_matches_exhaustive(case, percent):
         assert problem.tie_key(sol.assignment) == problem.tie_key(oracle.assignment)
 
 
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_state_tables_match_the_public_evaluators(case):
+    arch, raw, tables = case
+    problem = assemble(arch, build_all_vectors(arch, raw), tables, 1.0)
+    for model in problem.models:
+        imp, lat = model.state_tables()
+        inputs = 1 if model.input_dim_id is None else arch.dims[model.input_dim_id].option_count
+        assert imp.shape == (model.states + model.block.removable,)
+        assert lat.shape == (imp.size, inputs)
+        for state in range(imp.size):
+            kappa, omega = model.decode_state(state)
+            if not kappa:
+                assert imp[state] == 0.0 and (lat[state] == 0.0).all()
+                continue
+            subtotal = 0.0
+            for d in model.dim_ids:
+                subtotal += float(problem.vectors[d].values[omega[d] - 1])
+            assert imp[state] == subtotal
+            for column in range(inputs):
+                plan = Assignment(omega=dict(omega))
+                if model.input_dim_id is not None:
+                    plan.omega[model.input_dim_id] = column + 1
+                assert lat[state, column] == block_latency(plan, tables, arch, model.block)
+
+
 def pareto_reference(model, column, reads, margin):
     """{state: (latency, importance)} of the states the tie-safe filter keeps,
     by enumeration: a state goes when another with the same options on the
     read dimensions is no slower and either more important by over
     `margin`, or equal in both sums and earlier in ``tie_key`` order."""
-    imp, lat, lat_by_input = model.state_tables()
-    if lat is None:
-        lat = lat_by_input[:, column]
+    imp, lat = model.state_tables()
+    lat = lat[:, column]
     removed = np.zeros(imp.size, dtype=int)
     if model.block.removable:
         removed[-1] = 1
@@ -263,19 +291,6 @@ def pareto_reference(model, column, reads, margin):
         if not (beaten | tied).any():
             kept[i] = (float(lat[i]), float(imp[i]))
     return kept
-
-
-def integer_problem(rng, arch):
-    """Integer scores in [-1, 3] and latencies in [0, 3]: many exact ties."""
-    raw = {
-        d.id: RawScores(dim_id=d.id, scores=rng.integers(-1, 4, d.max_elements).astype(float))
-        for d in arch.dims.values()
-    }
-    tables = TableSet()
-    for table in random_tables(arch, rng):
-        tables.add(LatencyTable(block_id=table.block_id, part=table.part, axes=table.axes,
-                                data=np.floor(4 * table.data), layer=table.layer))
-    return assemble(arch, build_all_vectors(arch, raw), tables, 1.0)
 
 
 def middle_read_architecture(rng):
@@ -362,3 +377,20 @@ def test_with_budget_rejects_what_assemble_rejects(budget):
     with pytest.raises(ValidationError) as derived:
         problem.with_budget(budget)
     assert str(derived.value) == str(fresh.value)
+
+
+@pytest.mark.parametrize("budget", [True, False, "5", None])
+def test_budget_that_is_not_a_number_is_named_so(budget):
+    problem, _ = random_problem(np.random.default_rng(3))
+    with pytest.raises(ValidationError, match="budget must be a real number"):
+        assemble(problem.arch, problem.vectors, problem.tables, budget)
+    with pytest.raises(ValidationError, match="budget must be a real number"):
+        problem.with_budget(budget)
+
+
+@pytest.mark.parametrize("budget", [np.int64(5), np.float32(0.5)], ids=["int64", "float32"])
+def test_numpy_scalar_budgets_are_accepted(budget):
+    problem, _ = random_problem(np.random.default_rng(3))
+    for derived in (assemble(problem.arch, problem.vectors, problem.tables, budget),
+                    problem.with_budget(budget)):
+        assert type(derived.budget) is float and derived.budget == float(budget)

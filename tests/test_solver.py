@@ -29,6 +29,7 @@ from conftest import (
     BlockSpec,
     conv_dim,
     dense_assignment,
+    integer_problem,
     make_arch,
     pick_budget,
     random_architecture,
@@ -127,6 +128,28 @@ class TestExhaustive:
         problem = assemble(arch, vectors, tables, 1.0)
         with pytest.raises(SolveError, match="guard"):
             solve_exhaustive(problem)
+
+    def test_chained_instance_above_a_hundred_thousand_states(self):
+        # 36 * 126 * 126 = 571,536 states: a permanent producer whose first
+        # and second layers feed one removable chain each.
+        producer = [conv_dim(f"p{i}", 6) for i in (1, 2)]
+        chains = [[conv_dim(f"{c}{i}", 5) for i in (1, 2, 3)] for c in "ab"]
+        blocks = [BlockSpec(id=1, kind="cnn_chain", dims=("p1", "p2"), removable=False,
+                            input_ref="t")]
+        for b, (layers, ref) in enumerate(zip(chains, ("p1", "p2")), start=2):
+            blocks.append(BlockSpec(id=b, kind="cnn_chain", dims=tuple(d.id for d in layers),
+                                    removable=True, input_ref=ref))
+        arch = make_arch([trunk_dim("t"), *producer, *chains[0], *chains[1]], blocks)
+        assert subnetwork_count(arch) == 571_536
+        problem = integer_problem(np.random.default_rng(11), arch)
+        dense = constraint_value(dense_assignment(arch), problem.tables, arch)
+        problem = problem.with_budget(dense / 2)
+        oracle = solve_exhaustive(problem)
+        sol = solve_branch_and_bound(problem)
+        assert oracle.status == sol.status == "optimal"
+        assert sol.importance == oracle.importance
+        assert sol.assignment == oracle.assignment
+        assert problem.tie_key(sol.assignment) == problem.tie_key(oracle.assignment)
 
     def test_architecture_without_blocks_is_an_empty_optimal_plan(self):
         from latprune import ImportanceVector
