@@ -31,7 +31,7 @@ params = lp.LatencyModelParams(unit_cost=1e-3, overhead=0.01, tile=8, spatial=1.
 tables = lp.synth_lut(arch, params, seed=0, noise=0.0)
 
 print("layer-2 latency table (rows: input option, cols: output option):")
-print(np.array_str(tables.conv(1, 2).data, precision=4), "\n")
+print(np.array_str(tables.get(1, "conv_layer", 2).data, precision=4), "\n")
 
 # Prune both layers at every step: each step invalidates the next layer's
 # remembered input width.
@@ -54,7 +54,7 @@ for dim_id, eps, bound in worst.layer_errors:
 # The misestimated step remembers input option 4 for layer 2 while the true
 # width has dropped to option 2; channel-by-channel costs diverge even where
 # the final option's marginal happens to agree.
-table2 = tables.conv(1, 2)
+table2 = tables.get(1, "conv_layer", 2)
 print("\nlayer-2 marginal cost per output option (stale row 4 vs true row 2):")
 for j in range(1, 5):
     eps, bound = lp.estimation_error(table2, 4, 2, j)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -126,22 +127,37 @@ class ArchitectureSpec:
                 return block
         return None
 
-    def conv_axes(self, block: BlockSpec) -> list[tuple[DimensionSpec, DimensionSpec]]:
-        """(input, output) dimension pair for each layer of a cnn_chain."""
-        if block.kind != "cnn_chain":
-            raise ValidationError(f"block {block.id}: not a cnn_chain")
-        pairs = []
-        prev = self.dim(block.input_ref)
-        for dim_id in block.dims:
-            out = self.dim(dim_id)
-            pairs.append((prev, out))
-            prev = out
-        return pairs
+    def parts(
+        self, block: BlockSpec
+    ) -> tuple[tuple[str, int | None, tuple[DimensionSpec, ...]], ...]:
+        """The latency tables of `block` as (part, layer, axis dimensions)
+        triples, in the order ``constraint_value`` sums them.
 
-    def transformer_dims(self, block: BlockSpec) -> dict[str, DimensionSpec]:
-        if block.kind != "transformer":
-            raise ValidationError(f"block {block.id}: not a transformer")
-        return {role: self.dim(d) for role, d in zip(TRANSFORMER_ROLES, block.dims)}
+        A chain has one ``conv_layer`` per layer (1-based ``layer``) over its
+        (input, output) widths, the first input being ``input_ref``; a
+        transformer has the ``TRANSFORMER_PARTS`` (``layer`` None).  Each
+        table's axes follow the block's dimension order, a chain's input
+        first, so a table's last axis is the block dimension it reads last.
+        """
+        return self._parts[block.id]
+
+    @cached_property
+    def _parts(self) -> dict[int, tuple]:
+        parts = {}
+        for block in self.blocks:
+            if block.kind == "transformer":
+                by_role = dict(zip(TRANSFORMER_ROLES, self.block_dims(block)))
+                parts[block.id] = tuple(
+                    (part, None, tuple(by_role[r] for r in roles))
+                    for part, roles in TRANSFORMER_PARTS.items()
+                )
+            else:
+                axes = [self.dim(block.input_ref), *self.block_dims(block)]
+                parts[block.id] = tuple(
+                    ("conv_layer", layer, (axes[layer - 1], axes[layer]))
+                    for layer in range(1, len(axes))
+                )
+        return parts
 
     def validate(self) -> None:
         if not isinstance(self.name, str) or not self.name:
@@ -417,9 +433,11 @@ def subnetwork_count(arch: ArchitectureSpec) -> int:
 def validate_problem_shapes(arch: ArchitectureSpec, tables, vectors) -> None:
     """Check that importance vectors and latency tables match `arch`.
 
-    `tables` must expose ``conv(block_id, layer)`` and ``part(block_id, part)``
-    lookups returning objects with ``axes`` and ``data`` (or None when
-    absent); `vectors` maps dimension id to an object with ``values``.
+    `tables` must expose ``get(block_id, part, layer)``, returning an object
+    with ``axes`` and ``data`` (or None when absent), and iterate over its
+    tables, each with ``block_id``, ``part``, ``layer`` and ``label()``; a
+    table that no part of `arch` names is rejected.  `vectors` maps
+    dimension id to an object with ``values``.
     """
     for dim in arch.dims.values():
         vec = vectors.get(dim.id)
@@ -431,24 +449,20 @@ def validate_problem_shapes(arch: ArchitectureSpec, tables, vectors) -> None:
                 f"{dim.option_count}, found {len(vec.values)}"
             )
 
+    named = set()
     for block in arch.blocks:
-        if block.kind == "cnn_chain":
-            for layer, (din, dout) in enumerate(arch.conv_axes(block), start=1):
-                table = tables.conv(block.id, layer)
-                if table is None:
-                    raise ValidationError(
-                        f"block {block.id}: missing conv_layer table for layer {layer}"
-                    )
-                _check_axes(block.id, f"conv_layer {layer}", table, (din, dout))
-        else:
-            tdims = arch.transformer_dims(block)
-            for part, roles in TRANSFORMER_PARTS.items():
-                table = tables.part(block.id, part)
-                if table is None:
-                    raise ValidationError(
-                        f"block {block.id}: missing {part} table"
-                    )
-                _check_axes(block.id, part, table, tuple(tdims[r] for r in roles))
+        for part, layer, dims in arch.parts(block):
+            label = part if layer is None else f"{part} {layer}"
+            table = tables.get(block.id, part, layer)
+            if table is None:
+                raise ValidationError(f"block {block.id}: missing {label} table")
+            _check_axes(block.id, label, table, dims)
+            named.add((block.id, part, layer))
+    for table in tables:
+        if (table.block_id, table.part, table.layer) not in named:
+            raise ValidationError(
+                f"{table.label()}: no part of architecture {arch.name!r} reads this table"
+            )
 
 
 def _check_axes(block_id: int, label: str, table, expected_dims) -> None:

@@ -1,12 +1,11 @@
 """Latency lookup tables, constraint evaluation, synthesis, and the
 single-row linear cost model.
 
-A table set holds one dense nonnegative tensor per block part, indexed by
-keep-count options:
-
-* cnn_chain: one rank-2 table per layer over (input dim, output dim);
-* transformer: rank-3 ``qk`` over (emb, head, qk), rank-3 ``vproj`` over
-  (emb, head, v), rank-2 ``mlp`` over (emb, mlp).
+A table set holds one dense nonnegative tensor per part that
+``ArchitectureSpec.parts`` names, over the dimensions it lists and indexed
+by keep-count options: one ``conv_layer`` per chain layer over (input,
+output) width; per transformer ``qk`` over (emb, head, qk), ``vproj`` over
+(emb, head, v) and ``mlp`` over (emb, mlp).
 
 ``constraint_value`` evaluates the decomposed per-part sum for an
 assignment.  All latencies are milliseconds and share the budget's unit.
@@ -34,8 +33,8 @@ from .arch import TRANSFORMER_PARTS, dump_json, require_keys, typed
 from .errors import ParseError, ValidationError
 from .importance import Assignment
 
-PARTS = ("conv_layer", "qk", "vproj", "mlp")
-PART_RANK = {"conv_layer": 2, "qk": 3, "vproj": 3, "mlp": 2}
+PARTS = ("conv_layer", *TRANSFORMER_PARTS)
+PART_RANK = {"conv_layer": 2, **{part: len(roles) for part, roles in TRANSFORMER_PARTS.items()}}
 
 
 @dataclass(frozen=True)
@@ -90,11 +89,8 @@ class TableSet:
             raise ValidationError(f"duplicate table for {table.label()}")
         self._tables[key] = table
 
-    def conv(self, block_id: int, layer: int) -> LatencyTable | None:
-        return self._tables.get((block_id, "conv_layer", layer))
-
-    def part(self, block_id: int, part: str) -> LatencyTable | None:
-        return self._tables.get((block_id, part, None))
+    def get(self, block_id: int, part: str, layer: int | None = None) -> LatencyTable | None:
+        return self._tables.get((block_id, part, layer))
 
     def __iter__(self):
         return iter(sorted(self._tables.values(), key=lambda t: (t.block_id, t.part, t.layer or 0)))
@@ -107,34 +103,25 @@ def block_latency(
     assignment: Assignment, tables: TableSet, arch: ArchitectureSpec, block: BlockSpec
 ) -> float:
     """Latency of one block for an assignment, ignoring its keep/remove bit."""
-    if block.kind == "cnn_chain":
-        ref = arch.dim(block.input_ref)
-        in_choice = 1 if ref.role == "fixed_external" else assignment.omega[ref.id]
-        subtotal = 0.0
-        for layer, dim_id in enumerate(block.dims, start=1):
-            table = tables.conv(block.id, layer)
-            if table is None:
-                raise ValidationError(
-                    f"block {block.id}: missing conv_layer table for layer {layer}"
-                )
-            out_choice = assignment.omega[dim_id]
-            _check_choice(table, 0, in_choice)
-            _check_choice(table, 1, out_choice)
-            subtotal += float(table.data[in_choice - 1, out_choice - 1])
-            in_choice = out_choice
-        return subtotal
-
-    tdims = arch.transformer_dims(block)
-    choice = {role: assignment.omega[d.id] for role, d in tdims.items()}
+    omega = assignment.omega
     subtotal = 0.0
-    for part, roles in TRANSFORMER_PARTS.items():
-        table = tables.part(block.id, part)
+    for part, layer, dims in arch.parts(block):
+        table = tables.get(block.id, part, layer)
         if table is None:
-            raise ValidationError(f"block {block.id}: missing {part} table")
-        idx = tuple(choice[r] - 1 for r in roles)
-        for axis, r in enumerate(roles):
-            _check_choice(table, axis, choice[r])
-        subtotal += float(table.data[idx])
+            label = part if layer is None else f"{part} {layer}"
+            raise ValidationError(f"block {block.id}: missing {label} table")
+        idx = []
+        for dim in dims:
+            choice = 1 if dim.role == "fixed_external" else omega[dim.id]
+            if choice < 1:
+                _check_choice(table, len(idx), choice)
+            idx.append(choice - 1)
+        try:
+            subtotal += table.data.item(*idx)
+        except IndexError:  # a choice beyond its axis
+            for axis, i in enumerate(idx):
+                _check_choice(table, axis, i + 1)
+            raise
     return subtotal
 
 
@@ -212,38 +199,22 @@ def synth_lut(
         return data
 
     for block in arch.blocks:
-        if block.kind == "cnn_chain":
-            for layer, (din, dout) in enumerate(arch.conv_axes(block), start=1):
-                eff_in = _effective(kept_counts(din), params.tile)
-                eff_out = _effective(kept_counts(dout), params.tile)
-                data = params.overhead + params.unit_cost * params.spatial * (
-                    eff_in[:, None] * eff_out[None, :]
+        for part, layer, dims in arch.parts(block):
+            grids = np.meshgrid(
+                *(_effective(kept_counts(d), params.tile) for d in dims), indexing="ij"
+            )
+            data = params.overhead + params.unit_cost * params.spatial * reduce(
+                np.multiply, grids
+            )
+            tables.add(
+                LatencyTable(
+                    block_id=block.id,
+                    part=part,
+                    layer=layer,
+                    axes=tuple(d.id for d in dims),
+                    data=finish(data),
                 )
-                tables.add(
-                    LatencyTable(
-                        block_id=block.id,
-                        part="conv_layer",
-                        layer=layer,
-                        axes=(din.id, dout.id),
-                        data=finish(data),
-                    )
-                )
-        else:
-            tdims = arch.transformer_dims(block)
-            eff = {r: _effective(kept_counts(d), params.tile) for r, d in tdims.items()}
-            for part, roles in TRANSFORMER_PARTS.items():
-                grids = np.meshgrid(*(eff[r] for r in roles), indexing="ij")
-                data = params.overhead + params.unit_cost * params.spatial * reduce(
-                    np.multiply, grids
-                )
-                tables.add(
-                    LatencyTable(
-                        block_id=block.id,
-                        part=part,
-                        axes=tuple(tdims[r].id for r in roles),
-                        data=finish(data),
-                    )
-                )
+            )
     return tables
 
 
@@ -374,9 +345,8 @@ def replay_trajectory(
         linear_ms = 0.0
         layer_errors = []
         for block in arch.blocks:
-            ref = arch.dim(block.input_ref)
-            for layer, (din, dout) in enumerate(arch.conv_axes(block), start=1):
-                table = tables.conv(block.id, layer)
+            for part, layer, (din, dout) in arch.parts(block):
+                table = tables.get(block.id, part, layer)
                 if din.role == "fixed_external":
                     in_prev = in_now = 1
                 else:

@@ -11,9 +11,13 @@ depends on that producer's option.
 ``solve_branch_and_bound`` solves it exactly by a Pareto dynamic program:
 
 * each block's states are thinned to a (latency, importance) frontier
-  without enumerating the block -- a transformer per (emb, head) over the
-  (qk, v) pairs, then the mlp options; a chain by a Pareto pass along its
-  layers; one frontier per input option for a chain reading a conv output;
+  without enumerating the block, by one pass for both block kinds: it adds
+  the block's dimensions in order, each latency table at its last axis, and
+  filters after each, keeping points apart only per option of the
+  dimensions a later table or a later chain reads (a transformer per
+  (emb, head) over qk, then per emb, then over all; a chain per option of
+  its current layer); a chain reading a conv output gets one frontier per
+  input option;
 * the upper concave hulls of the frontiers give the exact LP relaxation
   of every suffix of blocks (Sinha & Zoltners, Oper. Res. 1979), which for
   a multiple-choice knapsack equals the best Lagrangian dual bound;
@@ -93,7 +97,14 @@ class PruningSolution:
 
 class _BlockModel:
     """One block's importance vectors and latency tables, read by the
-    frontier code and by the exhaustive enumeration."""
+    frontier pass and by the exhaustive enumeration.
+
+    ``parts`` holds the tables of ``ArchitectureSpec.parts`` in their order,
+    each as (data, positions): the block position of each table axis, -1
+    for a chain's input.  ``inputs`` counts that input's options (1 when it
+    is a fixed trunk width or there is none), and ``input_dim_id`` names it
+    when it is another block's conv output.
+    """
 
     def __init__(
         self,
@@ -108,19 +119,14 @@ class _BlockModel:
         self.shape = tuple(d.option_count for d in self.dims)
         self.states = math.prod(self.shape)
         self.imp = [np.asarray(vectors[d.id].values, dtype=np.float64) for d in self.dims]
-        self.kind = block.kind
-        if block.kind == "cnn_chain":
-            self.conv = [
-                tables.conv(block.id, layer).data
-                for layer in range(1, len(self.dims) + 1)
-            ]
-            ref = arch.dim(block.input_ref)
-            self.input_dim_id = None if ref.role == "fixed_external" else ref.id
-        else:
-            self.qk = tables.part(block.id, "qk").data
-            self.vproj = tables.part(block.id, "vproj").data
-            self.mlp = tables.part(block.id, "mlp").data
-            self.input_dim_id = None
+        self.parts = []
+        outer = []
+        for part, layer, dims in arch.parts(block):
+            pos = tuple(self.dim_ids.index(d.id) if d.id in self.dim_ids else -1 for d in dims)
+            self.parts.append((tables.get(block.id, part, layer).data, pos))
+            outer += [d for d in dims if d.id not in self.dim_ids]
+        self.inputs = outer[0].option_count if outer else 1
+        self.input_dim_id = outer[0].id if outer and outer[0].role != "fixed_external" else None
 
     def state_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(importance, latency) per state, in the order of ``objective_value``
@@ -131,18 +137,13 @@ class _BlockModel:
         removable blocks.  Latency is indexed by (state, input option): one
         column unless the chain reads another block's conv output.
         """
-        grids = np.indices(self.shape)
+        grids = np.indices((*self.shape, self.inputs))  # the input option last
         imp = np.zeros(self.shape)
         for i, vec in enumerate(self.imp):
-            imp = imp + vec[grids[i]]
-        if self.kind == "transformer":
-            lat = self.qk[grids[0], grids[1], grids[2]]
-            lat = lat + self.vproj[grids[0], grids[1], grids[3]]
-            lat = (lat + self.mlp[grids[0], grids[4]])[..., None]
-        else:
-            lat = self.conv[0].T[grids[0]]  # (*shape, input options)
-            for i in range(1, len(self.dims)):
-                lat = lat + self.conv[i][grids[i - 1], grids[i]][..., None]
+            imp = imp + vec[grids[i, ..., 0]]
+        lat = 0.0
+        for data, pos in self.parts:
+            lat = lat + data[tuple(grids[p] for p in pos)]
         imp, lat = imp.reshape(-1), lat.reshape(imp.size, -1)
         if self.block.removable:
             imp = np.concatenate([imp, [0.0]])
@@ -321,8 +322,12 @@ def _enumerate(problem: PruningProblem) -> tuple[int, ...] | None:
     if not feasible.any():
         return None
     best = imp_total[feasible].max()
-    candidates = map(tuple, np.argwhere(feasible & (imp_total == best)).tolist())
-    return min(candidates, key=lambda s: problem.tie_key(_assignment_from_states(problem, s)))
+    states = np.argwhere(feasible & (imp_total == best))
+    # The columns of ``PruningProblem.tie_key``: removed flags, then options.
+    keys = [states[:, k] == m.states for k, m in enumerate(models) if m.block.removable]
+    keys += [m.option_of_dim(d)[states[:, k]] for k, m in enumerate(models) for d in m.dim_ids]
+    first = np.lexsort(keys[::-1])[0] if keys else 0
+    return tuple(states[first].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +356,7 @@ def repair_heuristic(problem: PruningProblem, start: Assignment) -> Assignment |
     tables = problem.tables
     readers = {d: [] for d in problem.dim_order}
     for block in blocks:
-        if block.kind == "cnn_chain" and block.input_ref in readers:
+        if block.input_ref in readers:
             readers[block.input_ref].append(block)
 
     # A move on block i changes the latency of i and of the chains reading
@@ -365,7 +370,7 @@ def repair_heuristic(problem: PruningProblem, start: Assignment) -> Assignment |
         for b in group[i]:
             orders.add(b.id - 1)
             orders.update(len(blocks) + dim_pos[d] for d in b.dims)
-        if block.kind == "cnn_chain" and block.input_ref in dim_pos:
+        if block.input_ref in dim_pos:
             orders.add(len(blocks) + dim_pos[block.input_ref])
         stale.append(sorted(orders))
 
@@ -456,9 +461,6 @@ class _Points(NamedTuple):
     rank: np.ndarray
     opts: np.ndarray
 
-    def take(self, idx) -> "_Points":
-        return _Points(*(a[idx] for a in self))
-
 
 def _dense(code: np.ndarray) -> np.ndarray:
     """0-based ranks of integer codes, equal codes sharing a rank."""
@@ -509,50 +511,43 @@ def _pareto(lat, imp, keys, margin: float, group=None) -> np.ndarray:
     return order[(best <= v + margin) & np.concatenate(([True], ~same))]
 
 
-def _transformer_points(model: _BlockModel, margin: float) -> _Points:
-    """Kept transformer states: per (emb, head) the (qk, v) pairs are
-    filtered first, then every mlp option is added to the survivors."""
-    ie, ih, iq, iv, im = model.imp
-    n_q, n_v, n_m = model.shape[2:]
-    imp = (((0.0 + ie)[:, None, None, None] + ih[None, :, None, None])
-           + iq[None, None, :, None]) + iv[None, None, None, :]
-    # Part order qk, vproj, mlp, as in arch.TRANSFORMER_PARTS.
-    lat = (0.0 + model.qk)[:, :, :, None] + model.vproj[:, :, None, :]
-    flat = np.arange(imp.size)
-    qv = _pareto(lat.reshape(-1), imp.reshape(-1), (flat,), margin, flat // (n_q * n_v))
-    emb = qv // (imp.size // model.shape[0])
-    lat = (lat.reshape(-1)[qv][:, None] + model.mlp[emb]).reshape(-1)
-    imp = (imp.reshape(-1)[qv][:, None] + im[None, :]).reshape(-1)
-    state = (qv[:, None] * n_m + np.arange(n_m)).reshape(-1)
-    keep = _pareto(lat, imp, (state,), margin)
-    state = state[keep]
-    return _Points(
-        lat[keep], imp[keep], np.zeros(state.size, dtype=np.int64), state,
-        np.stack(np.unravel_index(state, model.shape), axis=1),
-    )
+def _points(model: _BlockModel, row: int, reads: list[int], margin: float) -> _Points:
+    """Kept states of a block whose input takes option `row` (0 unless a
+    chain reads another block's conv output), its removed state included.
 
-
-def _chain_points(model: _BlockModel, row: int, reads: list[int], margin: float) -> _Points:
-    """Kept states of a chain whose first layer reads input option `row`:
-    a Pareto pass along the layers that keeps points apart per current
-    option, on which the next layer's latency depends, and per option of
-    the layers in `reads`, which later chains read."""
-    lat = 0.0 + model.conv[0][row]
-    imp = 0.0 + model.imp[0]
-    rank = np.arange(model.shape[0])
-    opts = rank[:, None]
-    for i in range(1, len(model.shape)):
-        n = model.shape[i]
-        lat = (lat[:, None] + model.conv[i][opts[:, -1]]).reshape(-1)
+    Dimensions join in block order, each table at its last axis, so sums
+    follow ``constraint_value``; the removed state joins with the last.
+    After each dimension a Pareto filter keeps points apart per option of
+    the axes that a later table reads or a later chain reads (the positions
+    in `reads`).  A stage where no axis is free of both has one point per
+    group (a block whose every dimension is read is permanent, so no removed
+    state joins one) and skips the filter.
+    """
+    last = len(model.shape) - 1
+    lat, imp = np.zeros(1), np.zeros(1)
+    rank = np.zeros(1, dtype=np.int64)
+    opts = np.zeros((1, 0), dtype=np.int64)
+    for i, n in enumerate(model.shape):
+        step = np.broadcast_to(lat[:, None], (lat.size, n))
+        for data, pos in model.parts:
+            if pos[-1] == i:
+                rows = [opts[:, p] if p >= 0 else np.full(lat.size, row) for p in pos[:-1]]
+                step = step + data[tuple(rows)]
+        lat = step.reshape(-1)
         imp = (imp[:, None] + model.imp[i][None, :]).reshape(-1)
-        rank = (rank[:, None] * n + np.arange(n)).reshape(-1)
+        rank = (_dense(rank)[:, None] * n + np.arange(n)).reshape(-1)
         opts = np.concatenate(
             [np.repeat(opts, n, axis=0), np.tile(np.arange(n), len(opts))[:, None]], axis=1
         )
-        apart = [p for p in reads if p < i] + [i]
-        keep = _pareto(lat, imp, (rank,), margin, _group_ids(opts[:, apart]))
-        lat, imp, rank, opts = lat[keep], imp[keep], _dense(rank[keep]), opts[keep]
-    return _Points(lat, imp, np.zeros(lat.size, dtype=np.int64), rank, opts)
+        if i == last and model.block.removable:  # no latency or importance, options 0
+            lat, imp, rank = np.append(lat, 0.0), np.append(imp, 0.0), np.append(rank, -1)
+            opts = np.concatenate([opts, np.zeros((1, i + 1), dtype=np.int64)])
+        read = set(reads).union(*(pos for _, pos in model.parts if pos[-1] > i))
+        apart = [p for p in range(i + 1) if p in read]
+        if len(apart) <= i:
+            keep = _pareto(lat, imp, (rank < 0, rank), margin, _group_ids(opts[:, apart]))
+            lat, imp, rank, opts = lat[keep], imp[keep], rank[keep], opts[keep]
+    return _Points(lat, imp, (rank < 0).astype(np.int64), rank, opts)
 
 
 def _hull(lat: np.ndarray, imp: np.ndarray) -> np.ndarray:
@@ -574,29 +569,15 @@ def _hull(lat: np.ndarray, imp: np.ndarray) -> np.ndarray:
 
 
 class _Frontier:
-    """One block's Pareto points: one set per option of the conv output its
-    chain reads (a single set otherwise), concatenated; and the upper hull
-    of their union.  Points of a block whose dimensions later chains read
-    (the positions in `reads`) are kept apart per option of those."""
+    """One block's Pareto points: one set from ``_points`` per option of the
+    block's input (a single set unless a chain reads another block's conv
+    output), concatenated; and the upper hull of their union.  Points of a
+    block whose dimensions later chains read (the positions in `reads`) are
+    kept apart per option of those."""
 
     def __init__(self, model: _BlockModel, reads: list[int], margin: float) -> None:
         self.reads = reads
-        if model.kind == "transformer":
-            sets = [_transformer_points(model, margin)]
-        else:
-            sets = [
-                _chain_points(model, row, reads, margin)
-                for row in range(model.conv[0].shape[0])
-            ]
-        if model.block.removable:
-            gone = _Points(np.zeros(1), np.zeros(1), np.ones(1, dtype=np.int64),
-                           np.full(1, -1), np.zeros((1, len(model.shape)), dtype=np.int64))
-            sets = [_Points(*map(np.concatenate, zip(s, gone))) for s in sets]
-        sets = [
-            s.take(_pareto(s.lat, s.imp, (s.removed, s.rank), margin,
-                           _group_ids(s.opts[:, reads])))
-            for s in sets
-        ]
+        sets = [_points(model, row, reads, margin) for row in range(model.inputs)]
         self.points = _Points(*map(np.concatenate, zip(*sets)))
         self.sizes = np.array([s.lat.size for s in sets])
         self.offsets = np.cumsum(self.sizes) - self.sizes

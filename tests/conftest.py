@@ -151,35 +151,16 @@ def random_tables(arch: ArchitectureSpec, rng: np.random.Generator, scale: float
     """Random nonnegative tables (not necessarily monotone)."""
     tables = TableSet()
     for block in arch.blocks:
-        if block.kind == "cnn_chain":
-            for layer, (din, dout) in enumerate(arch.conv_axes(block), start=1):
-                data = scale * rng.random((din.option_count, dout.option_count))
-                tables.add(
-                    LatencyTable(
-                        block_id=block.id,
-                        part="conv_layer",
-                        layer=layer,
-                        axes=(din.id, dout.id),
-                        data=data,
-                    )
+        for part, layer, dims in arch.parts(block):
+            tables.add(
+                LatencyTable(
+                    block_id=block.id,
+                    part=part,
+                    layer=layer,
+                    axes=tuple(d.id for d in dims),
+                    data=scale * rng.random(tuple(d.option_count for d in dims)),
                 )
-        else:
-            tdims = arch.transformer_dims(block)
-            part_axes = (
-                ("qk", ("emb", "head", "qk")),
-                ("vproj", ("emb", "head", "v")),
-                ("mlp", ("emb", "mlp")),
             )
-            for part, roles in part_axes:
-                shape = tuple(tdims[r].option_count for r in roles)
-                tables.add(
-                    LatencyTable(
-                        block_id=block.id,
-                        part=part,
-                        axes=tuple(tdims[r].id for r in roles),
-                        data=scale * rng.random(shape),
-                    )
-                )
     return tables
 
 

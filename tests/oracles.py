@@ -74,7 +74,7 @@ def embed_decomposed(
                 f"block {block.id}: cannot embed a chain fed by conv_out {ref.id!r}"
             )
         for layer in range(1, len(dims) + 1):
-            table = tables.conv(block.id, layer)
+            table = tables.get(block.id, "conv_layer", layer)
             data = table.data[0] if layer == 1 else table.data
             # Broadcast the layer's (in, out) table over the other axes.
             expand = [None] * len(dims)
@@ -86,7 +86,7 @@ def embed_decomposed(
             full = full + data[tuple(expand)]
     else:
         for part, roles in TRANSFORMER_PARTS.items():
-            table = tables.part(block.id, part)
+            table = tables.get(block.id, part)
             expand = [None] * len(dims)
             for r in roles:
                 expand[TRANSFORMER_ROLES.index(r)] = slice(None)

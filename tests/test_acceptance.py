@@ -179,8 +179,8 @@ def test_linear_model_error_properties():
         assert any(step.gap > 0 for step in report)
         for step, cfg in zip(report, traj.steps):
             asg = Assignment(omega=dict(cfg))
-            exact = float(tables.conv(1, 1).data[0, cfg["c1"] - 1]) + float(
-                tables.conv(1, 2).data[cfg["c1"] - 1, cfg["c2"] - 1]
+            exact = float(tables.get(1, "conv_layer", 1).data[0, cfg["c1"] - 1]) + float(
+                tables.get(1, "conv_layer", 2).data[cfg["c1"] - 1, cfg["c2"] - 1]
             )
             assert step.true_ms == pytest.approx(exact, rel=1e-12)
             assert step.true_ms == constraint_value(asg, tables, arch)

@@ -159,6 +159,41 @@ class TestCheck:
         assert code == 3
         assert f"{document}: FAIL {named}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    @pytest.mark.parametrize(
+        "stray, named",
+        [
+            (dict(block_id=9), "block 9 conv_layer 1"),
+            (dict(layer=3), "block 1 conv_layer 3"),
+            (dict(part="mlp", layer=None), "block 1 mlp"),
+        ],
+        ids=["unknown-block", "layer-beyond-chain", "mlp-on-chain"],
+    )
+    def test_stray_lut_table_named(self, tmp_path, capsys, command, stray, named):
+        # A copy of block 1's first conv_layer table that no part of the
+        # architecture reads.
+        inputs = synth(tmp_path)
+        doc = json.loads((inputs / "lut.json").read_text())
+        first = doc["tables"][0]
+        assert (first["block_id"], first["part"], first["layer"]) == (1, "conv_layer", 1)
+        table = dict(first, **stray)
+        if table["layer"] is None:
+            del table["layer"]
+        doc["tables"].append(table)
+        (inputs / "lut.json").write_text(json.dumps(doc))
+        arch = DATA / "tiny_mixed.arch.json"
+        if command == "check":
+            argv = ["check", "--arch", str(arch), "--scores", str(inputs / "scores.json"),
+                    "--lut", str(inputs / "lut.json")]
+        else:
+            argv = solve_args(arch, inputs, tmp_path / "run", "0.25")
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        if command == "check":
+            assert f"problem shapes: FAIL {named}: " in captured.out
+        else:
+            assert f"error: {named}: " in captured.err
+
     def test_huge_mistyped_value_shown_short(self, tmp_path, capsys):
         # ViT-B-12: twelve removable transformer blocks.
         shape = {"emb": (12, 64), "head": (12, 1), "qk": (8, 8), "v": (8, 8), "mlp": (48, 64)}

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latprune import (
     Assignment,
@@ -171,27 +171,12 @@ def instances(draw, max_options=3, tf_options=2, max_layers=3, top=3):
     }
     tables = TableSet()
     for block in arch.blocks:
-        if block.kind == "cnn_chain":
-            for layer, (din, dout) in enumerate(arch.conv_axes(block), start=1):
-                shape = (din.option_count, dout.option_count)
-                tables.add(LatencyTable(
-                    block_id=block.id, part="conv_layer", layer=layer,
-                    axes=(din.id, dout.id),
-                    data=integers(math.prod(shape), 0, top).reshape(shape),
-                ))
-        else:
-            tdims = arch.transformer_dims(block)
-            for part, roles in (
-                ("qk", ("emb", "head", "qk")),
-                ("vproj", ("emb", "head", "v")),
-                ("mlp", ("emb", "mlp")),
-            ):
-                shape = tuple(tdims[r].option_count for r in roles)
-                tables.add(LatencyTable(
-                    block_id=block.id, part=part,
-                    axes=tuple(tdims[r].id for r in roles),
-                    data=integers(math.prod(shape), 0, top).reshape(shape),
-                ))
+        for part, layer, dims in arch.parts(block):
+            shape = tuple(d.option_count for d in dims)
+            tables.add(LatencyTable(
+                block_id=block.id, part=part, layer=layer, axes=tuple(d.id for d in dims),
+                data=integers(math.prod(shape), 0, top).reshape(shape),
+            ))
     return arch, raw, tables
 
 
@@ -227,8 +212,25 @@ def test_incremental_repair_matches_full_rescan(case):
         assert got.kappa == expected.kappa
 
 
+def all_tied_chain():
+    """(arch, raw scores, tables) of one 5-layer chain with 10 options per
+    layer and all scores zero: its 10^5 states tie on importance."""
+    layers = [conv_dim(f"c{i}", 10) for i in range(1, 6)]
+    arch = make_arch([trunk_dim("trunk"), *layers], [BlockSpec(
+        id=1, kind="cnn_chain", dims=tuple(d.id for d in layers), removable=False,
+        input_ref="trunk")])
+    raw = {d.id: RawScores(dim_id=d.id, scores=np.zeros(d.max_elements)) for d in arch.dims.values()}
+    rng = np.random.default_rng(0)
+    tables = TableSet()
+    for part, layer, dims in arch.parts(arch.blocks[0]):
+        tables.add(LatencyTable(block_id=1, part=part, layer=layer, axes=tuple(d.id for d in dims),
+                                data=rng.integers(1, 4, tuple(d.option_count for d in dims)) * 1.0))
+    return arch, raw, tables
+
+
 @settings(max_examples=150, deadline=None)
 @given(instances(max_layers=2), st.integers(0, 100))
+@example(all_tied_chain(), 300)  # every state fits: the tie key alone decides
 def test_branch_and_bound_tie_break_matches_exhaustive(case, percent):
     arch, raw, tables = case
     dense = constraint_value(dense_assignment(arch), tables, arch)
@@ -313,11 +315,12 @@ def middle_read_architecture(rng):
 
 
 def test_frontiers_equal_pareto_filter_of_enumerated_states():
-    seen = {"chained": 0, "read": 0, "removable": 0, "transformer": 0}
+    seen = {"chained": 0, "read": 0, "removable": 0, "transformer": 0, "tied heads": 0}
     margin = 1e-9
     for seed in range(90):
         rng = np.random.default_rng(7000 + seed)
-        if seed % 3 == 2:
+        tied = seed % 3 == 2
+        if tied:
             arch = (middle_read_architecture(rng) if seed % 2
                     else random_architecture(rng, state_cap=5000, chained_cap=5000))
             problem = integer_problem(rng, arch)
@@ -330,7 +333,9 @@ def test_frontiers_equal_pareto_filter_of_enumerated_states():
             seen["chained"] += model.input_dim_id is not None
             seen["read"] += bool(front.reads)
             seen["removable"] += model.block.removable
-            seen["transformer"] += model.kind == "transformer"
+            seen["transformer"] += model.block.kind == "transformer"
+            # Integer sums tie exactly, so the tie-break decides which heads survive.
+            seen["tied heads"] += tied and model.block.kind == "transformer" and model.shape[1] >= 2
             for column, (lo, size) in enumerate(zip(front.offsets, front.sizes)):
                 got = {}
                 for i in range(lo, lo + size):

@@ -177,7 +177,7 @@ class TestSynthLut:
         arch = two_layer_arch(opt1=2, opt2=2)
         params = LatencyModelParams(unit_cost=1.0, overhead=1e-9, tile=1, spatial=1.0)
         tables = synth_lut(arch, params, seed=0, noise=0.0)
-        second = tables.conv(1, 2)
+        second = tables.get(1, "conv_layer", 2)
         assert np.allclose(second.data, [[1.0, 2.0], [2.0, 4.0]], atol=1e-6)
 
     def test_tile_plateau(self):
@@ -186,7 +186,7 @@ class TestSynthLut:
         arch = make_arch(dims, blocks)
         params = LatencyModelParams(unit_cost=1.0, overhead=0.01, tile=32, spatial=1.0)
         tables = synth_lut(arch, params, seed=0, noise=0.0)
-        row = tables.conv(1, 1).data[0]
+        row = tables.get(1, "conv_layer", 1).data[0]
         # Kept counts 33 and 64 both round up to 64 effective channels.
         assert row[0] == row[1]
 
@@ -215,9 +215,9 @@ class TestSynthLut:
             arch = random_architecture(rng)
         tables = synth_lut(arch, LatencyModelParams(), seed=1)
         block = next(b for b in arch.blocks if b.kind == "transformer")
-        assert tables.part(block.id, "qk").data.ndim == 3
-        assert tables.part(block.id, "vproj").data.ndim == 3
-        assert tables.part(block.id, "mlp").data.ndim == 2
+        assert tables.get(block.id, "qk").data.ndim == 3
+        assert tables.get(block.id, "vproj").data.ndim == 3
+        assert tables.get(block.id, "mlp").data.ndim == 2
 
 
 class TestLinearModel:

@@ -176,8 +176,8 @@ def frontier_best_response(problem, k, lam):
     a chain's first-layer input at option 1, and whether that point keeps
     the block.  The DP's Lagrangian pre-cut maximizes the same score."""
     front = _frontiers(problem.models, 1e-9)[k]
-    pts = front.points.take(slice(0, int(front.sizes[0])))
-    scores = pts.imp - lam * pts.lat
+    pts, n = front.points, int(front.sizes[0])
+    scores = pts.imp[:n] - lam * pts.lat[:n]
     best = int(np.argmax(scores))
     return float(scores[best]), not pts.removed[best]
 
