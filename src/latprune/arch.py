@@ -27,6 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -266,8 +267,66 @@ def load_json(document: str, where: str):
 
 def dump_json(obj) -> str:
     """The one JSON writer: indented, sorted keys, a trailing newline, and
-    standard JSON only (a NaN or infinite float raises ValueError)."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    standard JSON only (a NaN or infinite float raises ValueError).
+
+    The text is exactly ``json.dumps(obj, indent=2, sort_keys=True,
+    allow_nan=False) + "\\n"``, written in one pass without the standard
+    library's pure-Python indenting encoder.  A value of any other type
+    (``np.int64``, a set, ...) and a dict key that is not a ``str`` raise
+    TypeError."""
+    out: list[str] = []
+    _encode(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(value, indent: str, out: list[str]) -> None:
+    """Append the JSON text of `value` to `out`; `indent` is the newline and
+    indentation of the line `value` starts on."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        out.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        separator = "," + inner
+        if set(map(type, value)) == {int}:  # kept-element lists: one join
+            out += ("[", inner, separator.join(map(int.__repr__, value)), indent, "]")
+            return
+        out.append("[" + inner)
+        for item in value:
+            _encode(item, inner, out)
+            out.append(separator)
+        out[-1] = indent + "]"  # in place of the last item's separator
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        separator = "," + inner
+        out.append("{" + inner)
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out += (encode_basestring_ascii(key), ": ")
+            _encode(item, inner, out)
+            out.append(separator)
+        out[-1] = indent + "}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def typed(value, kind, where: str, item=None):
@@ -433,11 +492,8 @@ def subnetwork_count(arch: ArchitectureSpec) -> int:
 def validate_problem_shapes(arch: ArchitectureSpec, tables, vectors) -> None:
     """Check that importance vectors and latency tables match `arch`.
 
-    `tables` must expose ``get(block_id, part, layer)``, returning an object
-    with ``axes`` and ``data`` (or None when absent), and iterate over its
-    tables, each with ``block_id``, ``part``, ``layer`` and ``label()``; a
-    table that no part of `arch` names is rejected.  `vectors` maps
-    dimension id to an object with ``values``.
+    `vectors` maps dimension id to an object with ``values``; `tables` is
+    checked by ``validate_tables``.
     """
     for dim in arch.dims.values():
         vec = vectors.get(dim.id)
@@ -448,7 +504,18 @@ def validate_problem_shapes(arch: ArchitectureSpec, tables, vectors) -> None:
                 f"importance vector for {dim.id!r}: expected length "
                 f"{dim.option_count}, found {len(vec.values)}"
             )
+    validate_tables(arch, tables)
 
+
+def validate_tables(arch: ArchitectureSpec, tables) -> None:
+    """Check that the latency tables match `arch`: every part of every block
+    has its table, with the part's axes and option counts.
+
+    `tables` must expose ``get(block_id, part, layer)``, returning an object
+    with ``axes`` and ``data`` (or None when absent), and iterate over its
+    tables, each with ``block_id``, ``part``, ``layer`` and ``label()``; a
+    table that no part of `arch` names is rejected.
+    """
     named = set()
     for block in arch.blocks:
         for part, layer, dims in arch.parts(block):

@@ -56,20 +56,32 @@ class RunManifest:
         return hashlib.sha256(payload).hexdigest()
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text()
+def _decode(data: bytes, name: str, path: str) -> str:
+    """A document's bytes as UTF-8 text; other bytes are a ParseError naming
+    the document."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{name}: {path} is not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
 
 
-def _sha256(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _read_text(name: str, path: str) -> str:
+    return _decode(Path(path).read_bytes(), name, path)
 
 
-def _manifest(command: str, inputs: dict[str, str], params: dict) -> RunManifest:
-    hashed = {
-        name: {"path": str(path), "sha256": _sha256(path)}
-        for name, path in inputs.items()
-    }
-    return RunManifest(command=command, inputs=hashed, params=params)
+def _manifest(
+    command: str, inputs: dict[str, str], params: dict
+) -> tuple[RunManifest, dict[str, str]]:
+    """The run's manifest and its input documents as text.  Each file is
+    read once, so the hash covers exactly the bytes that are parsed."""
+    hashed, texts = {}, {}
+    for name, path in inputs.items():
+        data = Path(path).read_bytes()
+        hashed[name] = {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
+        texts[name] = _decode(data, name, path)
+    return RunManifest(command=command, inputs=hashed, params=params), texts
 
 
 def _write(path: Path, text: str) -> None:
@@ -105,10 +117,12 @@ def _budget(text: str | float, flag: str) -> float:
     return value
 
 
-def _load_problem(args) -> tuple:
-    arch = arch_mod.parse_architecture(_read_text(args.arch))
-    raw_scores = imp_mod.parse_scores(_read_text(args.scores))
-    tables = lat_mod.parse_lut(_read_text(args.lut))
+def _load_problem(texts: dict[str, str]) -> tuple:
+    # Each text is dropped once parsed, so the documents are not all held
+    # through the solve.
+    arch = arch_mod.parse_architecture(texts.pop("arch"))
+    raw_scores = imp_mod.parse_scores(texts.pop("scores"))
+    tables = lat_mod.parse_lut(texts.pop("lut"))
     vectors = imp_mod.build_all_vectors(arch, raw_scores)
     return arch, raw_scores, vectors, tables
 
@@ -174,7 +188,7 @@ def cmd_synth(args) -> int:
         tile=args.tile,
         spatial=args.spatial,
     )
-    manifest = _manifest(
+    manifest, texts = _manifest(
         "synth",
         {"arch": args.arch},
         {
@@ -187,7 +201,7 @@ def cmd_synth(args) -> int:
             "noise": args.noise,
         },
     )
-    arch = arch_mod.parse_architecture(_read_text(args.arch))
+    arch = arch_mod.parse_architecture(texts["arch"])
     scores = imp_mod.synth_scores(arch, args.seed, args.distribution)
     tables = lat_mod.synth_lut(arch, params, args.seed, noise=args.noise)
     out = Path(args.out)
@@ -210,13 +224,17 @@ def cmd_check(args) -> int:
         checks.append((name, "OK"))
         return value
 
-    arch = record("architecture", lambda: arch_mod.parse_architecture(_read_text(args.arch)))
+    arch = record(
+        "architecture", lambda: arch_mod.parse_architecture(_read_text("arch", args.arch))
+    )
     raw_scores = None
     tables = None
     if args.scores:
-        raw_scores = record("scores", lambda: imp_mod.parse_scores(_read_text(args.scores)))
+        raw_scores = record(
+            "scores", lambda: imp_mod.parse_scores(_read_text("scores", args.scores))
+        )
     if args.lut:
-        tables = record("lut", lambda: lat_mod.parse_lut(_read_text(args.lut)))
+        tables = record("lut", lambda: lat_mod.parse_lut(_read_text("lut", args.lut)))
     vectors = None
     if arch is not None and raw_scores is not None:
         vectors = record("importance vectors", lambda: imp_mod.build_all_vectors(arch, raw_scores))
@@ -236,7 +254,7 @@ def cmd_check(args) -> int:
 def cmd_solve(args) -> int:
     _budget(args.budget_ms, "--budget-ms")
     config = _solver_config(args)
-    manifest = _manifest(
+    manifest, texts = _manifest(
         "solve",
         {"arch": args.arch, "scores": args.scores, "lut": args.lut},
         {
@@ -246,7 +264,7 @@ def cmd_solve(args) -> int:
             "tolerance": args.tolerance,
         },
     )
-    arch, raw_scores, vectors, tables = _load_problem(args)
+    arch, raw_scores, vectors, tables = _load_problem(texts)
     problem = solver_mod.assemble(arch, vectors, tables, args.budget_ms)
     solution = solver_mod.solve(problem, config)
 
@@ -276,7 +294,7 @@ def cmd_sweep(args) -> int:
     budgets = [_budget(b.strip(), "--budgets") for b in args.budgets.split(",") if b.strip()]
     if not budgets:
         raise ValidationError("sweep: --budgets needs at least one value")
-    manifest = _manifest(
+    manifest, texts = _manifest(
         "sweep",
         {"arch": args.arch, "scores": args.scores, "lut": args.lut},
         {
@@ -287,7 +305,7 @@ def cmd_sweep(args) -> int:
         },
     )
     config = _solver_config(args)
-    arch, raw_scores, vectors, tables = _load_problem(args)
+    arch, raw_scores, vectors, tables = _load_problem(texts)
     stamp = manifest.hash()
     rows = [f"# manifest: {stamp}", "budget_ms,status,importance,latency_ms,gap,node_count"]
     total_wall = 0.0
@@ -326,14 +344,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare_latency_models(args) -> int:
-    manifest = _manifest(
+    manifest, texts = _manifest(
         "compare-latency-models",
         {"arch": args.arch, "lut": args.lut, "trajectory": args.trajectory},
         {},
     )
-    arch = arch_mod.parse_architecture(_read_text(args.arch))
-    tables = lat_mod.parse_lut(_read_text(args.lut))
-    steps = arch_mod.records(_read_text(args.trajectory), "trajectory", "steps")
+    arch = arch_mod.parse_architecture(texts["arch"])
+    tables = lat_mod.parse_lut(texts["lut"])
+    steps = arch_mod.records(texts["trajectory"], "trajectory", "steps")
     traj = lat_mod.PruneTrajectory(steps=tuple(steps))
     report = lat_mod.replay_trajectory(traj, tables, arch)
 
@@ -353,7 +371,7 @@ def cmd_compare_latency_models(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    manifest = _manifest(
+    manifest, texts = _manifest(
         "extract",
         {
             "report": args.report,
@@ -363,8 +381,8 @@ def cmd_extract(args) -> int:
         },
         {},
     )
-    arch, raw_scores, vectors, tables = _load_problem(args)
-    report = arch_mod.load_json(_read_text(args.report), "report")
+    arch, raw_scores, vectors, tables = _load_problem(texts)
+    report = arch_mod.load_json(texts["report"], "report")
     arch_mod.require_keys(
         report,
         {"status", "budget_ms", "importance", "latency_ms", "assignment"},

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arch import MANIFEST_KEY, dump_json, kept_elements
 from .errors import ValidationError
 from .importance import RawScores, objective_value, ranked_indices
@@ -87,7 +89,7 @@ def extract_structure(
                 )
             option = assignment.omega[dim.id]
             count = kept_elements(dim, option)
-            chosen = sorted(int(i) + 1 for i in ranked_indices(raw.scores)[:count])
+            chosen = (np.sort(ranked_indices(raw.scores)[:count]) + 1).tolist()
             dims.append(
                 DimOutcome(
                     dim_id=dim.id,

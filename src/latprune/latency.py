@@ -29,7 +29,7 @@ from functools import reduce
 import numpy as np
 
 from .arch import ArchitectureSpec, BlockSpec, MANIFEST_KEY, kept_elements, numbers, records
-from .arch import TRANSFORMER_PARTS, dump_json, require_keys, typed
+from .arch import TRANSFORMER_PARTS, dump_json, require_keys, typed, validate_tables
 from .errors import ParseError, ValidationError
 from .importance import Assignment
 
@@ -337,6 +337,7 @@ def replay_trajectory(
     no layer's input changed in the step.
     """
     traj.validate_for(arch)
+    validate_tables(arch, tables)
     report = []
     prev_cfg = _dense_config(arch)
     for t, step in enumerate(traj.steps):

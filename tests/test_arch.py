@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from latprune import (
     subnetwork_count,
     validate_problem_shapes,
 )
-from latprune.arch import DimensionSpec, architecture_from_obj
+from latprune.arch import DimensionSpec, architecture_from_obj, dump_json
 
 from conftest import (
     BlockSpec,
@@ -287,3 +288,63 @@ class TestValidateShapes:
         del vectors[some_dim]
         with pytest.raises(ValidationError, match=some_dim):
             validate_problem_shapes(arch, tables, vectors)
+
+
+TEXT = st.text(st.characters(exclude_categories=()))  # surrogates and control characters too
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+)
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-(2**130), 2**130), FLOATS, TEXT)
+INTS = st.integers(-(2**70), 2**70)
+VALUES = st.recursive(
+    SCALARS | st.lists(INTS) | st.lists(INTS | st.booleans()),
+    lambda children: st.one_of(
+        st.lists(children), st.lists(children).map(tuple), st.dictionaries(TEXT, children)
+    ),
+    max_leaves=25,
+)
+NON_FINITE = st.sampled_from(
+    [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")]
+)
+
+
+def reference_json(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+class TestDumpJson:
+    @given(VALUES)
+    def test_bytes_equal_the_standard_encoder(self, value):
+        assert dump_json(value) == reference_json(value)
+
+    @given(
+        st.recursive(
+            NON_FINITE,
+            lambda bad: st.one_of(
+                st.tuples(bad),
+                st.builds(lambda b, v: [v, b], bad, VALUES),
+                st.builds(lambda b, k, v: {k: b, "": v}, bad, TEXT.filter(bool), VALUES),
+            ),
+            max_leaves=4,
+        )
+    )
+    def test_non_finite_float_at_any_depth_raises_value_error(self, value):
+        with pytest.raises(ValueError):
+            dump_json(value)
+
+    @pytest.mark.parametrize(
+        "value", [np.int64(3), [1, np.int64(3)], {"a": {1, 2}}, np.bool_(True), b"x"],
+        ids=["np-int64", "np-int64-in-list", "set", "np-bool", "bytes"],
+    )
+    def test_unsupported_type_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            dump_json(value)
+
+    @pytest.mark.parametrize("key", [1, 1.5, None, True, ("a",)])
+    def test_non_string_key_rejected(self, key):
+        # The standard encoder would write 1, 1.5, None and True as strings;
+        # the package never writes such keys, so the writer refuses them.
+        with pytest.raises(TypeError, match="keys must be str"):
+            dump_json({"ok": [{key: 0}]})

@@ -259,9 +259,10 @@ class TestSolve:
         assert report["importance"] == oracle["importance"]
         assert report["assignment"] == oracle["assignment"]
 
-        golden = GOLDEN / "tiny_mixed_report.json"
-        assert golden.exists(), f"golden file {golden} is missing"
-        assert (out / "report.json").read_bytes() == golden.read_bytes()
+        for name in ("report", "structure"):
+            golden = GOLDEN / f"tiny_mixed_{name}.json"
+            assert golden.exists(), f"golden file {golden} is missing"
+            assert (out / f"{name}.json").read_bytes() == golden.read_bytes()
 
     def test_reruns_and_thread_counts_are_byte_identical(self, tmp_path):
         inputs = synth(tmp_path)
@@ -675,6 +676,37 @@ class TestCompareLatencyModels:
         assert code == 3
         err = capsys.readouterr().err
         assert "trajectory" in err and named in err
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda tables: tables[1].update(axes=["c2", "c1"]),
+             "block 1: conv_layer 2 table axes"),
+            # A copy of the conv_layer 2 table as a block-7 mlp table.
+            (lambda tables: tables.append(
+                {k: v for k, v in tables[1].items() if k != "layer"} | {"block_id": 7, "part": "mlp"}
+            ), "block 7 mlp: no part"),
+        ],
+        ids=["swapped-axes", "stray-table"],
+    )
+    def test_lut_not_matching_the_architecture_exits_3(self, tmp_path, capsys, edit, named):
+        arch = self._cnn_arch(tmp_path)
+        lut = self._synth_for(tmp_path, arch) / "lut.json"
+        doc = json.loads(lut.read_text())
+        assert [(t["block_id"], t["layer"]) for t in doc["tables"]] == [(1, 1), (1, 2)]
+        edit(doc["tables"])
+        lut.write_text(json.dumps(doc))
+        traj = self._write_traj(tmp_path, [{"c1": 3, "c2": 3}, {"c1": 2, "c2": 1}])
+        code = main(
+            [
+                "compare-latency-models",
+                "--arch", str(arch), "--lut", str(lut),
+                "--trajectory", str(traj), "--out", str(tmp_path / "cmp"),
+            ]
+        )
+        assert code == 3
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
 
     def test_transformer_arch_rejected(self, tmp_path):
         inputs = synth(tmp_path)

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from latprune import (
     Assignment,
@@ -16,6 +17,7 @@ from latprune import (
     summarize,
 )
 from latprune.extract import serialize_structure
+from latprune.importance import ranked_indices
 from latprune.solver import PruningSolution, assemble
 
 from conftest import (
@@ -103,6 +105,31 @@ class TestExtract:
         )
         with pytest.raises(ValidationError, match="c1"):
             extract_structure(solution, problem, raw)
+
+    @given(
+        scores=st.lists(st.sampled_from([0.0, -1.0, 0.5, 2.0]), min_size=1, max_size=60),
+        data=st.data(),
+    )
+    def test_kept_elements_equal_the_sorted_ranked_prefix(self, scores, data):
+        # Many tied scores: the kept set must follow the ranking's index tie-break.
+        n = len(scores)
+        arch = make_arch(
+            [trunk_dim("t"), conv_dim("c1", n)],
+            [BlockSpec(id=1, kind="cnn_chain", dims=("c1",), removable=False, input_ref="t")],
+        )
+        raw = {"t": RawScores("t", np.zeros(4)), "c1": RawScores("c1", np.array(scores))}
+        tables = TableSet()
+        tables.add(LatencyTable(block_id=1, part="conv_layer", layer=1, axes=("t", "c1"),
+                                data=np.ones((1, n))))
+        problem = assemble(arch, build_all_vectors(arch, raw), tables, 10.0)
+        count = data.draw(st.integers(1, n), label="option")
+        solution = PruningSolution(
+            status="optimal", assignment=Assignment(omega={"c1": count}, kappa={}),
+            importance=0.0, latency=1.0, bound=0.0, node_count=1, wall_time=0.0,
+        )
+        kept = extract_structure(solution, problem, raw).blocks[0].dims[0].kept_elements
+        assert kept == tuple(sorted(int(i) + 1 for i in ranked_indices(np.array(scores))[:count]))
+        assert all(type(i) is int for i in kept)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_totals_reproduce_solver_values_exactly(self, seed):

@@ -7,7 +7,10 @@ and a trajectory).  Each example picks a command and one of its input
 documents, walks to a random node of the decoded JSON and mutates it: the
 node is deleted, swapped for a value of another type (string, bool, null,
 list, object, NaN, infinity, a 401-digit integer), wrapped in a list or
-unwrapped from its container.
+unwrapped from its container.  The encoded bytes of the mutated document
+may then be broken too: a UTF-8 byte-order mark in front, or bytes that are
+not UTF-8 (a UTF-16 mark, a stray continuation byte, an encoded surrogate, a
+cut multi-byte sequence) inserted anywhere.
 """
 
 import functools
@@ -43,6 +46,9 @@ CHAIN_ARCH = {
          "dims": ["c1", "c2"]},
     ],
 }
+
+BOM = b"\xef\xbb\xbf"
+NOT_UTF8 = [b"\xff\xfe", b"\x80", b"\xed\xa0\x80", b"\xe2\x82"]
 
 # command -> its input documents by flag.  Every --lut may also be given
 # its base64 variant.
@@ -130,6 +136,20 @@ def mutated(draw, doc):
     return doc
 
 
+@st.composite
+def encoded(draw, text: str) -> bytes:
+    """`text` as UTF-8, unchanged, behind a byte-order mark, or with bytes
+    that are not UTF-8 inserted."""
+    data = text.encode()
+    op = draw(st.sampled_from(["keep", "bom", "insert"]))
+    if op == "bom":
+        return BOM + data
+    if op == "insert":
+        at = draw(st.integers(0, len(data)))
+        return data[:at] + draw(st.sampled_from(NOT_UTF8)) + data[at:]
+    return data
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -145,10 +165,34 @@ def test_every_mutation_exits_with_a_contract_code(workdir, data, command):
     target = data.draw(st.sampled_from(sorted(inputs)), label="mutated input")
     argv = [command, *OPTIONS.get(command, [])]
     for flag, name in inputs.items():
-        doc = data.draw(mutated(documents[name]), label=name) if flag == target else documents[name]
         path = workdir / f"{name}.json"
-        path.write_text(json.dumps(doc))
+        if flag == target:
+            doc = data.draw(mutated(documents[name]), label=name)
+            path.write_bytes(data.draw(encoded(json.dumps(doc)), label="bytes"))
+        else:
+            path.write_text(json.dumps(documents[name]))
         argv += [flag, str(path)]
     if command != "check":
         argv += ["--out", str(workdir / "out")]
     assert main(argv) in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize(
+    "command, flag", [(c, f) for c in sorted(COMMANDS) for f in COMMANDS[c]]
+)
+def test_document_that_is_not_utf8_exits_3_naming_it(workdir, capsys, command, flag):
+    documents = valid_documents()
+    argv = [command, *OPTIONS.get(command, [])]
+    for other, name in COMMANDS[command].items():
+        path = workdir / f"{name}.json"
+        data = json.dumps(documents[name]).encode()
+        if other == flag:
+            data, broken = b"\xff\xfe" + data, path
+        path.write_bytes(data)
+        argv += [other, str(path)]
+    if command != "check":
+        argv += ["--out", str(workdir / "out")]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    message = f"{flag[2:]}: {broken} is not UTF-8 text"
+    assert message in (captured.out if command == "check" else captured.err)
