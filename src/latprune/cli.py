@@ -12,25 +12,39 @@ Exit codes: 0 success, 2 infeasible, 3 validation or usage error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import importlib
 import json
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import arch as arch_mod
-from . import extract as extract_mod
 from . import importance as imp_mod
 from . import latency as lat_mod
-from . import solver as solver_mod
 from .arch import MANIFEST_KEY
 from .errors import LatPruneError, ParseError, SolveError, ValidationError
+
+if TYPE_CHECKING:
+    from .solver import SolverConfig
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_VALIDATION = 3
 EXIT_IO = 4
+
+# The solver and extract modules are imported by the commands that run them,
+# so `check`, `synth` and `compare-latency-models` never load them.
+_LAZY = {"solver_mod": "solver", "extract_mod": "extract"}
+
+
+def __getattr__(name: str):
+    """`solver_mod` and `extract_mod`, so callers can reach (and wrap) the
+    library calls the commands make through them."""
+    if name in _LAZY:
+        return importlib.import_module(f".{_LAZY[name]}", __package__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -48,6 +62,8 @@ class RunManifest:
         # Content-addressed: input paths are recorded for humans but do not
         # enter the hash, so identical content reproduces identical outputs
         # from any directory.
+        import hashlib
+
         hashed_inputs = {name: entry["sha256"] for name, entry in self.inputs.items()}
         payload = json.dumps(
             {"command": self.command, "inputs": hashed_inputs, "params": self.params},
@@ -76,6 +92,8 @@ def _manifest(
 ) -> tuple[RunManifest, dict[str, str]]:
     """The run's manifest and its input documents as text.  Each file is
     read once, so the hash covers exactly the bytes that are parsed."""
+    import hashlib
+
     hashed, texts = {}, {}
     for name, path in inputs.items():
         data = Path(path).read_bytes()
@@ -99,6 +117,8 @@ def _write_manifest(out: Path, manifest: RunManifest) -> None:
 
 def _write_structure(out: Path, structure, stamp: str) -> None:
     """structure.json, summary.csv and summary.txt of an extracted plan."""
+    from . import extract as extract_mod
+
     text, csv = extract_mod.summarize(structure)
     _write(out / "structure.json", extract_mod.serialize_structure(structure, manifest=stamp))
     _write(out / "summary.csv", f"# manifest: {stamp}\n" + csv)
@@ -163,7 +183,9 @@ def _assignment_csv(arch, assignment, manifest_hash: str) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _solver_config(args) -> solver_mod.SolverConfig:
+def _solver_config(args) -> SolverConfig:
+    from . import solver as solver_mod
+
     if args.threads < 1:
         raise ValidationError(f"--threads must be >= 1, got {args.threads}")
     for flag, value in (("--time-limit", args.time_limit), ("--tolerance", args.tolerance)):
@@ -182,6 +204,8 @@ def _solver_config(args) -> solver_mod.SolverConfig:
 
 
 def cmd_synth(args) -> int:
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be a non-negative integer, got {args.seed}")
     params = lat_mod.LatencyModelParams(
         unit_cost=args.unit_cost,
         overhead=args.overhead,
@@ -252,6 +276,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from . import extract as extract_mod
+    from . import solver as solver_mod
+
     _budget(args.budget_ms, "--budget-ms")
     config = _solver_config(args)
     manifest, texts = _manifest(
@@ -291,6 +318,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import solver as solver_mod
+
     budgets = [_budget(b.strip(), "--budgets") for b in args.budgets.split(",") if b.strip()]
     if not budgets:
         raise ValidationError("sweep: --budgets needs at least one value")
@@ -371,6 +400,9 @@ def cmd_compare_latency_models(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    from . import extract as extract_mod
+    from . import solver as solver_mod
+
     manifest, texts = _manifest(
         "extract",
         {

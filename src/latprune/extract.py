@@ -12,6 +12,7 @@ independent check of the reported solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -19,7 +20,9 @@ from .arch import MANIFEST_KEY, dump_json, kept_elements
 from .errors import ValidationError
 from .importance import RawScores, objective_value, ranked_indices
 from .latency import constraint_value
-from .solver import PruningProblem, PruningSolution
+
+if TYPE_CHECKING:  # annotations only: importing extract does not load the solver
+    from .solver import PruningProblem, PruningSolution
 
 
 @dataclass(frozen=True)

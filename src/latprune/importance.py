@@ -181,13 +181,21 @@ def serialize_scores(scores: dict[str, RawScores], manifest: str | None = None) 
     return dump_json(doc)
 
 
+def synth_rng(seed: int) -> np.random.Generator:
+    """The generator the synthesizers draw from; `seed` must be a
+    non-negative integer."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def synth_scores(
     arch: ArchitectureSpec, seed: int, distribution: str = "uniform01"
 ) -> dict[str, RawScores]:
     """Draw deterministic nonnegative saliency scores for every dimension."""
     if distribution not in ("uniform01", "exponential"):
         raise ValidationError(f"unknown score distribution {distribution!r}")
-    rng = np.random.default_rng(seed)
+    rng = synth_rng(seed)
     out = {}
     for dim in arch.dims.values():
         if distribution == "uniform01":

@@ -31,7 +31,7 @@ import numpy as np
 from .arch import ArchitectureSpec, BlockSpec, MANIFEST_KEY, kept_elements, numbers, records
 from .arch import TRANSFORMER_PARTS, dump_json, require_keys, typed, validate_tables
 from .errors import ParseError, ValidationError
-from .importance import Assignment
+from .importance import Assignment, synth_rng
 
 PARTS = ("conv_layer", *TRANSFORMER_PARTS)
 PART_RANK = {"conv_layer": 2, **{part: len(roles) for part, roles in TRANSFORMER_PARTS.items()}}
@@ -158,8 +158,12 @@ class LatencyModelParams:
     spatial: float = 1.0  # H*W*k^2-style multiplier applied per table
 
     def validate(self) -> None:
-        if self.unit_cost <= 0 or self.overhead <= 0 or self.spatial <= 0:
-            raise ValidationError("latency model parameters must be positive")
+        for name in ("unit_cost", "overhead", "spatial"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError(
+                    f"latency model parameter {name} must be finite and positive, got {value!r}"
+                )
         if not isinstance(self.tile, int) or self.tile < 1:
             raise ValidationError("tile must be a positive integer")
 
@@ -185,7 +189,7 @@ def synth_lut(
     params.validate()
     if not 0 <= noise < 1:
         raise ValidationError(f"noise fraction must be in [0, 1), got {noise}")
-    rng = np.random.default_rng(seed)
+    rng = synth_rng(seed)
     tables = TableSet()
 
     def kept_counts(dim) -> np.ndarray:

@@ -53,6 +53,20 @@ class TestSynth:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--seed", "-1", "--seed"),
+        ("--spatial", "nan", "spatial"),
+        ("--unit-cost", "inf", "unit_cost"),
+        ("--overhead", "-inf", "overhead"),
+    ])
+    def test_bad_parameter_exits_3_naming_it(self, tmp_path, capsys, flag, value, named):
+        out = tmp_path / "o"
+        code = main(["synth", "--arch", str(DATA / "tiny_mixed.arch.json"),
+                     f"{flag}={value}", "--out", str(out)])
+        assert code == 3
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tile_plateau_visible_in_emitted_lut(self, tmp_path):
         out = synth(tmp_path)
         doc = json.loads((out / "lut.json").read_text())

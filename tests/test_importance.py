@@ -228,3 +228,15 @@ class TestSynthScores:
         arch = random_architecture(rng)
         with pytest.raises(ValidationError):
             synth_scores(arch, 0, "lognormal")
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3), 1.5, True, "0", None])
+    def test_seed_not_a_non_negative_integer_rejected(self, seed):
+        arch = random_architecture(np.random.default_rng(2))
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            synth_scores(arch, seed)
+
+    def test_numpy_integer_seed_draws_as_int(self):
+        arch = random_architecture(np.random.default_rng(2))
+        a, b = synth_scores(arch, np.int64(7)), synth_scores(arch, 7)
+        for d in a:
+            assert np.array_equal(a[d].scores, b[d].scores)

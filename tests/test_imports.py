@@ -1,0 +1,102 @@
+"""What importing the package and running a command load.
+
+A command loads only the modules it runs (see the package and CLI module
+docstrings), and the lazily resolved public names are the objects their home
+modules define.
+"""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import latprune
+from latprune.cli import main
+
+DATA = Path(__file__).parent.parent / "demos" / "data"
+ARCH = str(DATA / "tiny_mixed.arch.json")
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The latprune modules and hashlib loaded by a fresh interpreter after
+    running `code`."""
+    script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(latprune.__file__).parents[1]), env.get("PYTHONPATH")) if p
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    modules = json.loads(run.stdout.splitlines()[-1])
+    return {m for m in modules if m.startswith("latprune") or m == "hashlib"}
+
+
+def test_import_loads_no_submodule():
+    assert loaded_modules("import latprune") == {"latprune"}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("inputs")
+    assert main(["synth", "--arch", ARCH, "--seed", "0", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("command, extra, unloaded", [
+    ("synth", ["--seed", "1"], {"latprune.solver", "latprune.extract"}),
+    ("check", [], {"latprune.solver", "latprune.extract", "hashlib"}),
+    ("sweep", ["--budgets", "0.2,0.3"], {"latprune.extract"}),
+])
+def test_command_loads_only_what_it_runs(inputs, tmp_path, command, extra, unloaded):
+    args = ["--arch", ARCH]
+    if command != "synth":
+        args += ["--scores", str(inputs / "scores.json"), "--lut", str(inputs / "lut.json")]
+    if command != "check":
+        args += ["--out", str(tmp_path / "out")]
+    code = (
+        "from latprune.cli import main\n"
+        f"assert main({[command, *args, *extra]!r}) == 0\n"
+    )
+    loaded = loaded_modules(code)
+    assert "latprune.latency" in loaded
+    assert not loaded & unloaded
+
+
+@pytest.fixture
+def fresh():
+    """A new copy of the package module whose names are not resolved yet."""
+    spec = importlib.util.find_spec("latprune")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestLazyExports:
+    def test_each_name_is_its_home_modules_object(self, fresh):
+        for name in fresh.__all__:
+            value = getattr(fresh, name)
+            assert value is getattr(sys.modules[value.__module__], name), name
+            assert fresh.__dict__[name] is value  # cached after the first access
+
+    def test_star_import_binds_every_name(self):
+        namespace: dict = {}
+        exec("from latprune import *", namespace)
+        assert set(latprune.__all__) <= set(namespace)
+
+    def test_dir_lists_every_name_before_access(self, fresh):
+        assert set(fresh.__all__) <= set(dir(fresh))
+
+    def test_modules_resolve_as_attributes(self, fresh):
+        assert fresh.solver is sys.modules["latprune.solver"]
+        assert fresh.errors.ValidationError is latprune.ValidationError
+
+    def test_unknown_name_raises_attribute_error_naming_it(self, fresh):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            fresh.no_such_name
+        assert not hasattr(latprune, "no_such_name")

@@ -199,6 +199,19 @@ class TestSynthLut:
         for ta, tb in zip(a, b):
             assert np.array_equal(ta.data, tb.data)
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3), 1.5, True, "0", None])
+    def test_seed_not_a_non_negative_integer_rejected(self, seed):
+        arch = two_layer_arch(opt1=2, opt2=2)
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            synth_lut(arch, LatencyModelParams(), seed)
+
+    @pytest.mark.parametrize("field", ["unit_cost", "overhead", "spatial"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+    def test_model_parameter_not_finite_positive_named(self, field, value):
+        params = LatencyModelParams(**{field: value})
+        with pytest.raises(ValidationError, match=f"parameter {field} must be finite and positive"):
+            synth_lut(two_layer_arch(opt1=2, opt2=2), params, seed=0)
+
     def test_monotone_along_every_axis_without_noise(self):
         rng = np.random.default_rng(21)
         for _ in range(5):
