@@ -36,8 +36,8 @@ _EXPORTS = {
         "replay_trajectory", "serialize_lut", "synth_lut",
     ),
     "solver": (
-        "PruningProblem", "PruningSolution", "SolverConfig", "assemble",
-        "repair_heuristic", "solve", "solve_branch_and_bound", "solve_exhaustive",
+        "PruningProblem", "PruningSolution", "SolverConfig", "assemble", "solve",
+        "solve_branch_and_bound", "solve_exhaustive",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

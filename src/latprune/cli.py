@@ -323,6 +323,7 @@ def cmd_sweep(args) -> int:
     budgets = [_budget(b.strip(), "--budgets") for b in args.budgets.split(",") if b.strip()]
     if not budgets:
         raise ValidationError("sweep: --budgets needs at least one value")
+    config = _solver_config(args)
     manifest, texts = _manifest(
         "sweep",
         {"arch": args.arch, "scores": args.scores, "lut": args.lut},
@@ -333,7 +334,6 @@ def cmd_sweep(args) -> int:
             "tolerance": args.tolerance,
         },
     )
-    config = _solver_config(args)
     arch, raw_scores, vectors, tables = _load_problem(texts)
     stamp = manifest.hash()
     rows = [f"# manifest: {stamp}", "budget_ms,status,importance,latency_ms,gap,node_count"]

@@ -59,9 +59,6 @@ class Assignment:
         except KeyError:
             raise ValidationError(f"assignment missing kappa for block {block.id}") from None
 
-    def copy(self) -> "Assignment":
-        return Assignment(omega=dict(self.omega), kappa=dict(self.kappa))
-
     def validate_for(self, arch: ArchitectureSpec) -> None:
         for block in arch.blocks:
             k = self.kappa_of(block)

@@ -164,8 +164,11 @@ class LatencyModelParams:
                 raise ValidationError(
                     f"latency model parameter {name} must be finite and positive, got {value!r}"
                 )
-        if not isinstance(self.tile, int) or self.tile < 1:
-            raise ValidationError("tile must be a positive integer")
+        tile = self.tile
+        if isinstance(tile, bool) or not isinstance(tile, (int, np.integer)) or tile < 1:
+            raise ValidationError(
+                f"latency model parameter tile must be a positive integer, got {tile!r}"
+            )
 
 
 def _effective(kept: np.ndarray, tile: int) -> np.ndarray:

@@ -21,20 +21,21 @@ depends on that producer's option.
 * the upper concave hulls of the frontiers give the exact LP relaxation
   of every suffix of blocks (Sinha & Zoltners, Oper. Res. 1979), which for
   a multiple-choice knapsack equals the best Lagrangian dual bound;
-* the incumbent is seeded by rounding the root LP optimum;
+* the incumbent is seeded by rounding the root LP optimum, reserving at
+  each block the least latency the later blocks still need at the input
+  widths the plan has fixed, so the seed fits whenever any plan does;
 * stages merge the frontiers in block-declaration order, dropping partial
   plans that the LP bound and the incumbent rule out, or that another plan
   with the same open producer options dominates.
 
-The frontiers, their hulls and the bound depend on the architecture,
-vectors and tables but not on the budget, which enters only as the room the
-merge may fill.  They form the problem's core, built on its first solve and
-shared by every problem ``PruningProblem.with_budget`` derives, so a budget
-sweep builds them once per problem family.
+The frontiers, their hulls, the bound and the rounding's reserve depend on
+the architecture, vectors and tables but not on the budget, which enters
+only as the room the merge may fill.  They form the problem's core, built
+on its first solve and shared by every problem ``PruningProblem.with_budget``
+derives, so a budget sweep builds them once per problem family.
 
-Mode ``heuristic_only`` stops after the seeding, which there also offers
-the greedy repairs of the rounded and the dense plan, and reports the
-incumbent with the root LP bound.
+Mode ``heuristic_only`` stops after the seeding and reports the rounded
+plan with the root LP bound.
 
 Sums follow the order of ``objective_value`` and ``constraint_value``, so a
 complete plan's importance and latency are theirs bit for bit and ties
@@ -61,7 +62,7 @@ import numpy as np
 from .arch import ArchitectureSpec, BlockSpec, subnetwork_count, validate_problem_shapes
 from .errors import SolveError, ValidationError
 from .importance import Assignment, ImportanceVector, objective_value
-from .latency import TableSet, block_latency, constraint_value
+from .latency import TableSet, constraint_value
 
 EXHAUSTIVE_GUARD = 10**6
 
@@ -197,13 +198,6 @@ class PruningProblem:
         problem.budget = _checked_budget(budget)
         return problem
 
-    def dense_assignment(self) -> Assignment:
-        """Every dimension at its largest option, every block kept."""
-        return Assignment(
-            omega={d: self.arch.dims[d].option_count for d in self.dim_order},
-            kappa={b.id: 1 for b in self.arch.blocks if b.removable},
-        )
-
     def tie_key(self, assignment: Assignment):
         """Kept blocks sort first, then option indices ascending."""
         kappa_part = tuple(
@@ -328,114 +322,6 @@ def _enumerate(problem: PruningProblem) -> tuple[int, ...] | None:
     keys += [m.option_of_dim(d)[states[:, k]] for k, m in enumerate(models) for d in m.dim_ids]
     first = np.lexsort(keys[::-1])[0] if keys else 0
     return tuple(states[first].tolist())
-
-
-# ---------------------------------------------------------------------------
-# Feasibility repair
-# ---------------------------------------------------------------------------
-
-
-def repair_heuristic(problem: PruningProblem, start: Assignment) -> Assignment | None:
-    """Greedy descent from `start` to a feasible assignment, or None.
-
-    While over budget, applies the single move (option decrement or block
-    removal) with the smallest importance-loss per latency-saved ratio,
-    considering only moves that strictly save latency; ties break toward the
-    smaller loss, then the earlier move in canonical order.  Latency never
-    increases step over step.
-    """
-    arch = problem.arch
-    asg = start.copy()
-    for block in arch.blocks:
-        if asg.kappa_of(block) == 0:
-            for d in block.dims:
-                asg.omega[d] = 1
-    asg.validate_for(arch)
-
-    blocks = arch.blocks
-    tables = problem.tables
-    readers = {d: [] for d in problem.dim_order}
-    for block in blocks:
-        if block.input_ref in readers:
-            readers[block.input_ref].append(block)
-
-    # A move on block i changes the latency of i and of the chains reading
-    # its dimensions (`group[i]`).  It re-prices their removal and decrement
-    # moves, plus the decrement of the dimension that i's chain reads.
-    group = [[b] + [r for d in b.dims for r in readers[d]] for b in blocks]
-    dim_pos = {d: i for i, d in enumerate(problem.dim_order)}
-    stale = []
-    for i, block in enumerate(blocks):
-        orders = set()
-        for b in group[i]:
-            orders.add(b.id - 1)
-            orders.update(len(blocks) + dim_pos[d] for d in b.dims)
-        if block.input_ref in dim_pos:
-            orders.add(len(blocks) + dim_pos[block.input_ref])
-        stale.append(sorted(orders))
-
-    lat = [block_latency(asg, tables, arch, b) for b in blocks]
-
-    def kept_latency(affected: list[BlockSpec]) -> float:
-        total = 0.0
-        for b in affected:
-            if asg.kappa_of(b) == 1:
-                total += lat[b.id - 1]
-        return total
-
-    def price(order: int):
-        """(loss/saved, loss, order, kind, key) of one move, or None."""
-        if order < len(blocks):
-            block = blocks[order]
-            if block.removable and asg.kappa[block.id] == 1:
-                saved = lat[order]
-                if saved > 0:
-                    lost = sum(
-                        float(problem.vectors[d].values[asg.omega[d] - 1])
-                        for d in block.dims
-                    )
-                    return (lost / saved, lost, order, "kappa", block.id)
-            return None
-        d = problem.dim_order[order - len(blocks)]
-        block = arch.owner_block(d)
-        j = asg.omega[d]
-        if asg.kappa_of(block) == 1 and j > 1:
-            affected = [block] + readers[d]
-            before = kept_latency(affected)
-            asg.omega[d] = j - 1
-            after = 0.0
-            for b in affected:
-                if asg.kappa_of(b) == 1:
-                    after += block_latency(asg, tables, arch, b)
-            asg.omega[d] = j
-            saved = before - after
-            if saved > 0:
-                vec = problem.vectors[d].values
-                lost = float(vec[j - 1]) - float(vec[j - 2])
-                return (lost / saved, lost, order, "omega", d)
-        return None
-
-    moves = [price(order) for order in range(len(blocks) + len(problem.dim_order))]
-    latency = kept_latency(blocks)
-    while latency > problem.budget:
-        best = min((m for m in moves if m is not None), default=None)
-        if best is None:
-            return None
-        _, _, _, kind, key = best
-        if kind == "kappa":
-            changed = key - 1
-            asg.kappa[key] = 0
-            for d in blocks[changed].dims:
-                asg.omega[d] = 1
-        else:
-            changed = arch.owner_block(key).id - 1
-            asg.omega[key] -= 1
-        for b in group[changed]:
-            lat[b.id - 1] = block_latency(asg, tables, arch, b)
-        for order in stale[changed]:
-            moves[order] = price(order)
-        latency = kept_latency(blocks)
-    return asg
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +526,38 @@ class _Bound:
         return imp + self.base_imp[k] + extra
 
 
+class _Reserve:
+    """The least latency each block, with the chains reading it, needs.
+
+    A chain reading a conv output hangs below its (permanent) producer, so
+    the blocks form a forest.  Backward over the blocks, ``total[k]`` is
+    each frontier point's latency plus, per chain reading block k, that
+    chain's ``need`` at the option the point gives the dimension it reads;
+    ``need[k][s]`` is the smallest ``total[k]`` among the points for input
+    option s.  ``readers[k]`` lists (reader, read position) pairs, and
+    ``known[k]`` is block k's need before any block is placed: its one
+    value when its input is a trunk width, else 0.
+    """
+
+    def __init__(self, models: list[_BlockModel], frontiers: list[_Frontier]) -> None:
+        self.readers = [
+            [(r, m.dim_ids.index(c.input_dim_id)) for r, c in enumerate(models)
+             if c.input_dim_id in m.dim_ids]
+            for m in models
+        ]
+        self.total, self.need = {}, {}
+        for k in range(len(models) - 1, -1, -1):
+            pts = frontiers[k].points
+            total = pts.lat
+            for r, pos in self.readers[k]:
+                total = total + self.need[r][pts.opts[:, pos]]
+            self.total[k] = total
+            self.need[k] = np.minimum.reduceat(total, frontiers[k].offsets)
+        self.known = [
+            float(self.need[k][0]) if m.input_dim_id is None else 0.0 for k, m in enumerate(models)
+        ]
+
+
 class _Core:
     """The budget-free part of a solve, built on first use from the block
     models alone, so problems that differ only in the budget share one.
@@ -649,12 +567,13 @@ class _Core:
         self.models = models
 
     @cached_property
-    def parts(self) -> tuple[float, list[_Frontier], _Bound]:
-        """(dominance margin, block frontiers, their suffix LP bound)."""
+    def parts(self) -> tuple[float, list[_Frontier], _Bound, _Reserve]:
+        """(dominance margin, block frontiers, their suffix LP bound, the
+        latency reserve of the LP rounding)."""
         scale = sum(float(np.max(np.abs(v))) for m in self.models for v in m.imp)
         margin = 1e-9 * (1.0 + scale)
         frontiers = _frontiers(self.models, margin)
-        return margin, frontiers, _Bound(frontiers)
+        return margin, frontiers, _Bound(frontiers), _Reserve(self.models, frontiers)
 
 
 class _Incumbent:
@@ -692,13 +611,19 @@ def _plan(problem: PruningProblem, frontiers: list[_Frontier], points: list[int]
     return Assignment(omega={d: omega[d] for d in problem.dim_order}, kappa=kappa)
 
 
-def _lp_rounding(problem: PruningProblem, frontiers: list[_Frontier], bound: _Bound) -> Assignment:
-    """Round the root LP optimum to a plan.
+def _lp_rounding(
+    problem: PruningProblem, frontiers: list[_Frontier], bound: _Bound, reserve: _Reserve
+) -> Assignment | None:
+    """Round the root LP optimum to a plan that fits whenever any plan
+    does, or None when none does.
 
     Hull segments are taken steepest first while they fit; once one does
     not, its block takes no more.  Then each block in turn gets its most
-    important point within its LP latency plus the slack left; a chain
-    reading a conv output picks among the points for its producer's option.
+    important allowed point within its LP latency plus the slack left, or
+    else its most important allowed point.  A point is allowed when its
+    ``total``, the latency already placed and the ``need`` of every later
+    block whose input option is known fit the budget.  A chain reading a
+    conv output picks among the points for its producer's option.
     """
     hulls = [(f.points.lat[f.hull].tolist(), f.points.imp[f.hull].tolist()) for f in frontiers]
     segments = sorted(
@@ -719,24 +644,23 @@ def _lp_rounding(problem: PruningProblem, frontiers: list[_Frontier], bound: _Bo
         else:
             stopped.add(k)
 
-    chosen = []
+    chosen, used, inputs, waiting = [], 0.0, [0] * len(frontiers), list(reserve.known)
     for k, f in enumerate(frontiers):
-        model = problem.models[k]
-        s = 0
-        if model.input_dim_id is not None:
-            producer = problem.arch.owner_block(model.input_dim_id).id - 1
-            pos = problem.models[producer].dim_ids.index(model.input_dim_id)
-            s = int(frontiers[producer].points.opts[chosen[producer], pos])
-        lo = int(f.offsets[s])
-        lat = f.points.lat[lo:lo + f.sizes[s]]
+        lo = int(f.offsets[inputs[k]])
+        hi = lo + int(f.sizes[inputs[k]])
+        allowed = used + reserve.total[k][lo:hi] + sum(waiting[k + 1:]) <= problem.budget
+        if not allowed.any():
+            return None
         limit = hulls[k][0][step[k]] + left
-        fits = lat <= limit
-        if fits.any():
-            i = lo + int(np.argmax(np.where(fits, f.points.imp[lo:lo + lat.size], _NEG_INF)))
-        else:
-            i = lo + int(np.argmin(lat))
+        fits = allowed & (f.points.lat[lo:hi] <= limit)
+        pool = fits if fits.any() else allowed
+        i = lo + int(np.argmax(np.where(pool, f.points.imp[lo:hi], _NEG_INF)))
         left = limit - float(f.points.lat[i])
+        used += float(f.points.lat[i])
         chosen.append(i)
+        for r, pos in reserve.readers[k]:  # their input options are now known
+            inputs[r] = int(f.points.opts[i, pos])
+            waiting[r] = float(reserve.need[r][inputs[r]])
     return _plan(problem, frontiers, chosen)
 
 
@@ -856,9 +780,10 @@ def solve_branch_and_bound(
 ) -> PruningSolution:
     """Exact solve by a Pareto dynamic program over per-block frontiers.
 
-    The margin, frontiers and LP bound come from the problem's core, built
-    on the first solve of the problem family and reused by later budgets.  The
-    incumbent is seeded by rounding the root LP optimum.  Stages then
+    The margin, frontiers, LP bound and rounding reserve come from the
+    problem's core, built on the first solve of the problem family and
+    reused by later budgets.  The incumbent is seeded by rounding the root
+    LP optimum, which fits whenever any plan does.  Stages then
     merge the blocks' frontiers in declaration order, pruning partial plans
     by the suffix LP bound and the suffix minimum latency (see
     ``_pareto_dp``).  Returns a
@@ -867,9 +792,8 @@ def solve_branch_and_bound(
     ends the merge first, the incumbent with the root LP bound.
     ``node_count`` is the number of partial plans kept, summed over stages.
 
-    In mode ``heuristic_only`` the seeding also offers the greedy repairs of
-    the rounded and the dense plan and no merge runs: the answer is the
-    incumbent with the root LP bound.
+    In mode ``heuristic_only`` no merge runs: the answer is the rounded plan
+    with the root LP bound.
     """
     config = config or SolverConfig()
     config.validate()
@@ -896,18 +820,15 @@ def solve_branch_and_bound(
             message=message,
         )
 
-    margin, frontiers, bound = problem._core.parts
+    margin, frontiers, bound, reserve = problem._core.parts
     if bound.base_lat[0] > room:
         return finish("infeasible", None, 0,
                       message="optimistic minimum latency already exceeds the budget")
 
     incumbent = _Incumbent(problem)
-    rounded = _lp_rounding(problem, frontiers, bound)
-    incumbent.offer(rounded)
+    incumbent.offer(_lp_rounding(problem, frontiers, bound, reserve))
     heuristic = config.mode == "heuristic_only"
     if heuristic:
-        incumbent.offer(repair_heuristic(problem, rounded))
-        incumbent.offer(repair_heuristic(problem, problem.dense_assignment()))
         leaf, nodes, pruned, timed_out = None, 0, _NEG_INF, False
     else:
         leaf, nodes, pruned, timed_out = _pareto_dp(
@@ -920,9 +841,7 @@ def solve_branch_and_bound(
             raise SolveError("internal error: a plan's sums differ from its recheck")
         incumbent.offer(plan)
     if incumbent.assignment is None:
-        if heuristic:
-            message = "no seed plan fits the budget; feasibility undecided"
-        elif timed_out:
+        if timed_out:
             message = "time limit reached before feasibility could be decided"
         else:
             message = "no state satisfies the latency budget"

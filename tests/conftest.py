@@ -18,6 +18,7 @@ from latprune import (
     build_all_vectors,
     constraint_value,
 )
+from latprune.latency import block_latency
 from latprune.solver import PruningProblem, assemble
 
 # `--hypothesis-profile=ci` prints a `@reproduce_failure` blob with each
@@ -189,6 +190,53 @@ def minimal_assignment(arch: ArchitectureSpec) -> Assignment:
         omega={d: 1 for b in arch.blocks for d in b.dims},
         kappa={b.id: 1 for b in arch.blocks if b.removable},
     )
+
+
+def dense_start_repair(problem: PruningProblem) -> Assignment | None:
+    """Greedy repair from the dense plan: while over budget, take the step
+    (drop a removable block, or one option off a dimension) that loses the
+    least importance per millisecond saved, pricing every step again after
+    each one.  None when no step saves latency and the plan is still over."""
+    arch = problem.arch
+    asg = dense_assignment(arch)
+    readers = {d: [] for d in problem.dim_order}
+    for block in arch.blocks:
+        if block.kind == "cnn_chain" and block.input_ref in readers:
+            readers[block.input_ref].append(block)
+
+    def kept_latency(blocks):
+        return sum(block_latency(asg, problem.tables, arch, b) for b in blocks if asg.kappa_of(b) == 1)
+
+    while constraint_value(asg, problem.tables, arch) > problem.budget:
+        best = None
+        for order, block in enumerate(arch.blocks):
+            if block.removable and asg.kappa[block.id] == 1:
+                saved = block_latency(asg, problem.tables, arch, block)
+                lost = sum(float(problem.vectors[d].values[asg.omega[d] - 1]) for d in block.dims)
+                if saved > 0 and (best is None or (lost / saved, lost, order) < best[:3]):
+                    best = (lost / saved, lost, order, "kappa", block.id)
+        for order, d in enumerate(problem.dim_order, start=len(arch.blocks)):
+            block, j = arch.owner_block(d), asg.omega[d]
+            if asg.kappa_of(block) == 1 and j > 1:
+                affected = [block] + readers[d]
+                before = kept_latency(affected)
+                asg.omega[d] = j - 1
+                saved = before - kept_latency(affected)
+                asg.omega[d] = j
+                vec = problem.vectors[d].values
+                lost = float(vec[j - 1]) - float(vec[j - 2])
+                if saved > 0 and (best is None or (lost / saved, lost, order) < best[:3]):
+                    best = (lost / saved, lost, order, "omega", d)
+        if best is None:
+            return None
+        _, _, _, kind, key = best
+        if kind == "kappa":
+            asg.kappa[key] = 0
+            for d in arch.blocks[key - 1].dims:
+                asg.omega[d] = 1
+        else:
+            asg.omega[key] -= 1
+    return asg
 
 
 def pick_budget(arch, tables, rng: np.random.Generator) -> float:

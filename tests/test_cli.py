@@ -520,6 +520,19 @@ class TestSweep:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("flag, value", [("--threads", "0"), ("--time-limit", "nan")])
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_bad_solver_option_is_named_before_inputs_are_read(
+        self, tmp_path, capsys, command, flag, value
+    ):
+        missing = tmp_path / "missing.json"
+        budget = ["--budget-ms", "1.0"] if command == "solve" else ["--budgets", "0.5,1.0"]
+        code = main([command, "--arch", str(missing), "--scores", str(missing),
+                     "--lut", str(missing), *budget, flag, value, "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("mode", ["branch_and_bound", "heuristic_only"])
     @pytest.mark.parametrize("chained", [False, True], ids=["tiny_mixed", "chained"])
     def test_rows_equal_independent_solves(self, tmp_path, mode, chained):

@@ -1,7 +1,5 @@
 """Differential tests of the solver against independent references.
 
-* ``repair_heuristic`` re-prices only the moves a step changed; it must
-  return exactly what the full-rescan loop below returns.
 * ``solve_branch_and_bound`` must match ``solve_exhaustive`` on
   integer-valued instances, where many states tie on importance and the
   ``tie_key`` order decides the answer.
@@ -10,11 +8,14 @@
   ``objective_value``, per option of the conv output a chain reads.
 * each block frontier the solver builds must be exactly the tie-safe Pareto
   filter of the block's enumerated states.
+* the LP rounding that seeds the incumbent must fit the budget whenever
+  the exhaustive oracle finds a plan, and ``heuristic_only`` must then
+  return it as ``feasible_heuristic``.
 * a problem derived by ``PruningProblem.with_budget`` shares the budget-free
   core, and must solve exactly as a freshly assembled one.
 
-Both draw chains fed by a permanent block's conv output, the one
-cross-block dependency in the model.
+The drawn instances include chains fed by a permanent block's conv output,
+nested or not, the one cross-block dependency in the model.
 """
 
 import math
@@ -33,13 +34,12 @@ from latprune import (
     assemble,
     build_all_vectors,
     constraint_value,
-    repair_heuristic,
     solve_branch_and_bound,
     solve_exhaustive,
 )
 from latprune.importance import RawScores
 from latprune.latency import block_latency
-from latprune.solver import _frontiers
+from latprune.solver import _frontiers, _lp_rounding
 
 from conftest import (
     conv_dim,
@@ -53,80 +53,14 @@ from conftest import (
 )
 
 
-def full_rescan_repair(problem, start):
-    """Reference greedy repair: prices every move again after each step."""
-    arch = problem.arch
-    asg = start.copy()
-    for block in arch.blocks:
-        if asg.kappa_of(block) == 0:
-            for d in block.dims:
-                asg.omega[d] = 1
-    asg.validate_for(arch)
-
-    readers = {d: [] for d in problem.dim_order}
-    for block in arch.blocks:
-        if block.kind == "cnn_chain" and block.input_ref in readers:
-            readers[block.input_ref].append(block)
-
-    def blocks_latency(a, blocks):
-        total = 0.0
-        for b in blocks:
-            if a.kappa_of(b) == 1:
-                total += block_latency(a, problem.tables, arch, b)
-        return total
-
-    latency = constraint_value(asg, problem.tables, arch)
-    while latency > problem.budget:
-        best = None
-        order = 0
-        for block in arch.blocks:
-            if block.removable and asg.kappa[block.id] == 1:
-                saved = block_latency(asg, problem.tables, arch, block)
-                if saved > 0:
-                    lost = sum(
-                        float(problem.vectors[d].values[asg.omega[d] - 1])
-                        for d in block.dims
-                    )
-                    move = (lost / saved, lost, order, "kappa", block.id)
-                    if best is None or move[:3] < best[:3]:
-                        best = move
-            order += 1
-        for d in problem.dim_order:
-            block = arch.owner_block(d)
-            j = asg.omega[d]
-            if asg.kappa_of(block) == 1 and j > 1:
-                affected = [block] + readers[d]
-                before = blocks_latency(asg, affected)
-                asg.omega[d] = j - 1
-                saved = before - blocks_latency(asg, affected)
-                asg.omega[d] = j
-                if saved > 0:
-                    vec = problem.vectors[d].values
-                    lost = float(vec[j - 1]) - float(vec[j - 2])
-                    move = (lost / saved, lost, order, "omega", d)
-                    if best is None or move[:3] < best[:3]:
-                        best = move
-            order += 1
-        if best is None:
-            return None
-        _, _, _, kind, key = best
-        if kind == "kappa":
-            asg.kappa[key] = 0
-            for d in arch.blocks[key - 1].dims:
-                asg.omega[d] = 1
-        else:
-            asg.omega[key] -= 1
-        latency = constraint_value(asg, problem.tables, arch)
-    return asg
-
-
 @st.composite
 def instances(draw, max_options=3, tf_options=2, max_layers=3, top=3):
     """(arch, raw scores, tables) with integer scores in [-1, top] and
     latencies in [0, top].
 
     When `chained` is drawn, block 1 is a permanent chain and every later
-    block is a chain reading one of its conv outputs."""
+    block is a chain reading a conv output of an earlier permanent chain, so
+    chains may nest (block 3 reading block 2 reading block 1)."""
     chained = draw(st.booleans())
     n_blocks = draw(st.integers(2 if chained else 1, 3))
     dims = [trunk_dim("trunk")]
@@ -148,8 +82,8 @@ def instances(draw, max_options=3, tf_options=2, max_layers=3, top=3):
                 for i in range(1, n_layers + 1)
             ]
             input_ref = draw(st.sampled_from(producers)) if chained and not first else "trunk"
-            if first:
-                producers = [d.id for d in block_dims]
+            if chained and not removable:
+                producers += [d.id for d in block_dims]
         dims.extend(block_dims)
         blocks.append(
             BlockSpec(
@@ -178,38 +112,6 @@ def instances(draw, max_options=3, tf_options=2, max_layers=3, top=3):
                 data=integers(math.prod(shape), 0, top).reshape(shape),
             ))
     return arch, raw, tables
-
-
-@st.composite
-def repair_cases(draw):
-    arch, raw, tables = draw(instances(max_options=5, top=draw(st.sampled_from([3, 50]))))
-    dense = constraint_value(dense_assignment(arch), tables, arch)
-    budget = draw(st.integers(1, int(dense) + 1)) - draw(st.sampled_from([0.0, 0.5]))
-    start = Assignment(
-        omega={
-            d: draw(st.integers(1, arch.dims[d].option_count))
-            for b in arch.blocks for d in b.dims
-        },
-        kappa={b.id: draw(st.integers(0, 1)) for b in arch.blocks if b.removable},
-    )
-    if draw(st.booleans()):
-        start = dense_assignment(arch)
-    problem = assemble(arch, build_all_vectors(arch, raw), tables, budget)
-    return problem, start
-
-
-@settings(max_examples=300, deadline=None)
-@given(repair_cases())
-def test_incremental_repair_matches_full_rescan(case):
-    problem, start = case
-    expected = full_rescan_repair(problem, start)
-    got = repair_heuristic(problem, start)
-    if expected is None:
-        assert got is None
-    else:
-        assert got is not None
-        assert got.omega == expected.omega
-        assert got.kappa == expected.kappa
 
 
 def all_tied_chain():
@@ -243,6 +145,44 @@ def test_branch_and_bound_tie_break_matches_exhaustive(case, percent):
         assert sol.importance == oracle.importance
         assert sol.assignment == oracle.assignment
         assert problem.tie_key(sol.assignment) == problem.tie_key(oracle.assignment)
+
+
+def nested_chain():
+    """(arch, raw scores, tables) of three permanent one-layer chains, b3
+    reading b2 reading b1, where the richer b1 option leaves b2 only a
+    choice between 9 ms of its own and 5 ms more in b3.  Under a 3 ms budget
+    only b1's lean option fits, which a rounding that prices each chain's
+    input at its cheapest option does not see."""
+    layers = [conv_dim("b1_c1", 2), conv_dim("b2_c1", 2), conv_dim("b3_c1", 1)]
+    arch = make_arch([trunk_dim("trunk"), *layers], [
+        BlockSpec(id=b, kind="cnn_chain", dims=(d.id,), removable=False, input_ref=ref)
+        for b, d, ref in zip((1, 2, 3), layers, ("trunk", "b1_c1", "b2_c1"))
+    ])
+    raw = {d.id: RawScores(dim_id=d.id, scores=np.ones(d.max_elements)) for d in arch.dims.values()}
+    latency = {1: [[1.0, 1.0]], 2: [[1.0, 1.0], [9.0, 1.0]], 3: [[0.0], [5.0]]}
+    tables = TableSet()
+    for block in arch.blocks:
+        (part, layer, dims), = arch.parts(block)
+        tables.add(LatencyTable(block_id=block.id, part=part, layer=layer,
+                                axes=tuple(d.id for d in dims), data=np.array(latency[block.id])))
+    return arch, raw, tables
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances(max_options=4), st.integers(0, 100))
+@example(nested_chain(), 43)  # a 3 ms budget of the 7 ms dense plan
+def test_lp_rounding_fits_whenever_a_plan_does(case, percent):
+    arch, raw, tables = case
+    dense = constraint_value(dense_assignment(arch), tables, arch)
+    budget = max(1.0, float(round(dense * percent / 100)))
+    problem = assemble(arch, build_all_vectors(arch, raw), tables, budget)
+    if solve_exhaustive(problem).status != "optimal":
+        return
+    rounded = _lp_rounding(problem, *problem._core.parts[1:])
+    assert rounded is not None
+    assert constraint_value(rounded, tables, arch) <= budget
+    heuristic = solve_branch_and_bound(problem, SolverConfig(mode="heuristic_only"))
+    assert heuristic.status == "feasible_heuristic"
 
 
 @settings(max_examples=150, deadline=None)

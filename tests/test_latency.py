@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -211,6 +213,23 @@ class TestSynthLut:
         params = LatencyModelParams(**{field: value})
         with pytest.raises(ValidationError, match=f"parameter {field} must be finite and positive"):
             synth_lut(two_layer_arch(opt1=2, opt2=2), params, seed=0)
+
+    @pytest.mark.parametrize(
+        "tile", [0, -8, np.int64(0), 8.0, True, False, "8", None],
+        ids=["0", "-8", "int64-0", "float-8", "True", "False", "str-8", "None"],
+    )
+    def test_tile_not_a_positive_integer_named(self, tile):
+        with pytest.raises(ValidationError, match=r"parameter tile must be a positive integer, got "
+                           + re.escape(repr(tile))):
+            LatencyModelParams(tile=tile).validate()
+
+    @pytest.mark.parametrize("tile", [np.int64(8), np.int32(1)])
+    def test_numpy_integer_tile_prices_as_its_int(self, tile):
+        arch = two_layer_arch(opt1=2, opt2=2)
+        got = synth_lut(arch, LatencyModelParams(tile=tile), seed=0)
+        want = synth_lut(arch, LatencyModelParams(tile=int(tile)), seed=0)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.data, b.data)
 
     def test_monotone_along_every_axis_without_noise(self):
         rng = np.random.default_rng(21)
