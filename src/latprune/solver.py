@@ -16,8 +16,9 @@ depends on that producer's option.
   filters after each, keeping points apart only per option of the
   dimensions a later table or a later chain reads (a transformer per
   (emb, head) over qk, then per emb, then over all; a chain per option of
-  its current layer); a chain reading a conv output gets one frontier per
-  input option;
+  its current layer); a chain reading a conv output covers every option of
+  that input in the same pass, the input option being one more grouping
+  column, so its frontier holds one run of points per input option;
 * the upper concave hulls of the frontiers give the exact LP relaxation
   of every suffix of blocks (Sinha & Zoltners, Oper. Res. 1979), which for
   a multiple-choice knapsack equals the best Lagrangian dual bound;
@@ -337,8 +338,9 @@ class _Points(NamedTuple):
     ``lat`` and ``imp`` are the block's latency and importance subtotals,
     summed in the order ``constraint_value`` and ``objective_value`` use.
     ``removed`` is 1 for the removed state, ``rank`` orders kept states by
-    their option tuples (-1 for the removed state) and ``opts`` holds the
-    0-based option of each of the block's dimensions (0 when removed).
+    their option tuples (-1 for the removed state), ``opts`` holds the
+    0-based option of each of the block's dimensions (0 when removed) and
+    ``inp`` the 0-based option of the block's input.
     """
 
     lat: np.ndarray
@@ -346,6 +348,7 @@ class _Points(NamedTuple):
     removed: np.ndarray
     rank: np.ndarray
     opts: np.ndarray
+    inp: np.ndarray
 
 
 def _dense(code: np.ndarray) -> np.ndarray:
@@ -397,27 +400,35 @@ def _pareto(lat, imp, keys, margin: float, group=None) -> np.ndarray:
     return order[(best <= v + margin) & np.concatenate(([True], ~same))]
 
 
-def _points(model: _BlockModel, row: int, reads: list[int], margin: float) -> _Points:
-    """Kept states of a block whose input takes option `row` (0 unless a
-    chain reads another block's conv output), its removed state included.
+def _points(model: _BlockModel, reads: list[int], margin: float) -> _Points:
+    """Kept states of a block for every option of its input (one unless a
+    chain reads another block's conv output), a removed state per input
+    option included, in one pass.
 
+    The input option is a point attribute, read by a chain's input axis.
     Dimensions join in block order, each table at its last axis, so sums
-    follow ``constraint_value``; the removed state joins with the last.
-    After each dimension a Pareto filter keeps points apart per option of
-    the axes that a later table reads or a later chain reads (the positions
-    in `reads`).  A stage where no axis is free of both has one point per
-    group (a block whose every dimension is read is permanent, so no removed
-    state joins one) and skips the filter.
+    follow ``constraint_value``; the removed states join with the last.
+    After each dimension a Pareto filter keeps points apart per input option
+    and per option of the axes that a later table reads or a later chain
+    reads (the positions in `reads`).  A stage where no axis is free of both
+    has one point per group (a block whose every dimension is read is
+    permanent, so no removed state joins one) and skips the filter.  The
+    filter sorts by group, input option first, so the points come out
+    ascending by input option.
     """
     last = len(model.shape) - 1
-    lat, imp = np.zeros(1), np.zeros(1)
-    rank = np.zeros(1, dtype=np.int64)
-    opts = np.zeros((1, 0), dtype=np.int64)
+    lat, imp = np.zeros(model.inputs), np.zeros(model.inputs)
+    rank = np.zeros(model.inputs, dtype=np.int64)
+    # Column p + lead holds the option of dimension p.  With several input
+    # options, column 0 holds the input option and joins every group; with
+    # one, there is no such column and the input axis reads option 0.
+    lead = int(model.inputs > 1)
+    opts = np.arange(model.inputs)[:, None][:, :lead]
     for i, n in enumerate(model.shape):
         step = np.broadcast_to(lat[:, None], (lat.size, n))
         for data, pos in model.parts:
             if pos[-1] == i:
-                rows = [opts[:, p] if p >= 0 else np.full(lat.size, row) for p in pos[:-1]]
+                rows = [opts[:, p + lead] if p + lead >= 0 else 0 for p in pos[:-1]]
                 step = step + data[tuple(rows)]
         lat = step.reshape(-1)
         imp = (imp[:, None] + model.imp[i][None, :]).reshape(-1)
@@ -426,14 +437,20 @@ def _points(model: _BlockModel, row: int, reads: list[int], margin: float) -> _P
             [np.repeat(opts, n, axis=0), np.tile(np.arange(n), len(opts))[:, None]], axis=1
         )
         if i == last and model.block.removable:  # no latency or importance, options 0
-            lat, imp, rank = np.append(lat, 0.0), np.append(imp, 0.0), np.append(rank, -1)
-            opts = np.concatenate([opts, np.zeros((1, i + 1), dtype=np.int64)])
+            m = model.inputs
+            lat, imp = np.append(lat, np.zeros(m)), np.append(imp, np.zeros(m))
+            rank = np.append(rank, np.full(m, -1))
+            removed = np.zeros((m, opts.shape[1]), dtype=np.int64)
+            removed[:, :lead] = np.arange(m)[:, None]
+            opts = np.concatenate([opts, removed])
         read = set(reads).union(*(pos for _, pos in model.parts if pos[-1] > i))
         apart = [p for p in range(i + 1) if p in read]
         if len(apart) <= i:
-            keep = _pareto(lat, imp, (rank < 0, rank), margin, _group_ids(opts[:, apart]))
+            cols = [0] * lead + [p + lead for p in apart]
+            keep = _pareto(lat, imp, (rank < 0, rank), margin, _group_ids(opts[:, cols]))
             lat, imp, rank, opts = lat[keep], imp[keep], rank[keep], opts[keep]
-    return _Points(lat, imp, (rank < 0).astype(np.int64), rank, opts)
+    inp = opts[:, 0] if lead else np.zeros(lat.size, dtype=np.int64)
+    return _Points(lat, imp, (rank < 0).astype(np.int64), rank, opts[:, lead:], inp)
 
 
 def _hull(lat: np.ndarray, imp: np.ndarray) -> np.ndarray:
@@ -455,17 +472,16 @@ def _hull(lat: np.ndarray, imp: np.ndarray) -> np.ndarray:
 
 
 class _Frontier:
-    """One block's Pareto points: one set from ``_points`` per option of the
-    block's input (a single set unless a chain reads another block's conv
-    output), concatenated; and the upper hull of their union.  Points of a
-    block whose dimensions later chains read (the positions in `reads`) are
-    kept apart per option of those."""
+    """One block's Pareto points from one ``_points`` pass, ascending by
+    input option (a single option unless a chain reads another block's conv
+    output), ``sizes`` and ``offsets`` locating each option's points; and the
+    upper hull of them all.  Points of a block whose dimensions later chains
+    read (the positions in `reads`) are kept apart per option of those."""
 
     def __init__(self, model: _BlockModel, reads: list[int], margin: float) -> None:
         self.reads = reads
-        sets = [_points(model, row, reads, margin) for row in range(model.inputs)]
-        self.points = _Points(*map(np.concatenate, zip(*sets)))
-        self.sizes = np.array([s.lat.size for s in sets])
+        self.points = _points(model, reads, margin)
+        self.sizes = np.bincount(self.points.inp, minlength=model.inputs)
         self.offsets = np.cumsum(self.sizes) - self.sizes
         self.rank_span = int(self.points.rank.max()) + 2
         self.hull = _hull(self.points.lat, self.points.imp)
@@ -517,6 +533,9 @@ class _Bound:
         extra = room - lat - self.base_lat[k]
         if slope.size:
             cum_lat, cum_imp = self.cum_lat[k], self.cum_imp[k]
+            # Past the last segment the bound is cum_imp[-1]; the cap keeps a
+            # huge finite room from overflowing the product below.
+            extra = np.minimum(extra, cum_lat[-1])
             i = np.searchsorted(cum_lat, extra, side="right") - 1
             j = np.clip(i, 0, slope.size - 1)
             part = cum_imp[j] + slope[j] * (extra - cum_lat[j])
@@ -708,7 +727,7 @@ def _pareto_dp(problem, frontiers, bound, incumbent, config, deadline, margin, r
         need = floor + config.tolerance - 2 * margin - head
         perm = np.zeros(pts.lat.size, dtype=np.int64)
         counts = np.zeros(lat.size, dtype=np.int64)
-        for s in np.unique(sets).tolist():
+        for s in np.flatnonzero(np.bincount(sets)).tolist():  # numpy 2 np.unique imports numpy.ma
             lo, hi = f.offsets[s], f.offsets[s] + f.sizes[s]
             perm[lo:hi] = lo + np.argsort(-scores[k][lo:hi], kind="stable")
             ranked = -scores[k][perm[lo:hi]]

@@ -4,7 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latprune import Assignment, constraint_value, parse_architecture, parse_lut
+from latprune import (
+    Assignment, assemble, build_all_vectors, constraint_value, parse_architecture, parse_lut,
+    parse_scores, solve,
+)
 from latprune.cli import _write_json, main
 
 DATA = Path(__file__).parent.parent / "demos" / "data"
@@ -19,11 +22,15 @@ SYNTH_FLAGS = [
     "--noise", "0.02",
 ]
 
+# The default latency model: there the LP bound's flattest segment is steep
+# enough that its product with a huge finite room overflowed.
+HUGE_BUDGET_FLAGS = ["--seed", "0"]
 
-def synth(tmp_path: Path, arch: Path | None = None) -> Path:
+
+def synth(tmp_path: Path, arch: Path | None = None, flags: list[str] = SYNTH_FLAGS) -> Path:
     out = tmp_path / "inputs"
     arch = arch or DATA / "tiny_mixed.arch.json"
-    code = main(["synth", "--arch", str(arch), *SYNTH_FLAGS, "--out", str(out)])
+    code = main(["synth", "--arch", str(arch), *flags, "--out", str(out)])
     assert code == 0
     return out
 
@@ -38,6 +45,14 @@ def solve_args(arch: Path, inputs: Path, out: Path, budget: str, *extra: str) ->
         "--out", str(out),
         *extra,
     ]
+
+
+def unbounded_solution(inputs: Path):
+    """The tiny_mixed solution under an infinite budget, solved in process."""
+    arch = parse_architecture((DATA / "tiny_mixed.arch.json").read_text())
+    vectors = build_all_vectors(arch, parse_scores((inputs / "scores.json").read_text()))
+    tables = parse_lut((inputs / "lut.json").read_text())
+    return solve(assemble(arch, vectors, tables, float("inf")))
 
 
 class TestSynth:
@@ -439,6 +454,20 @@ class TestSolve:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("budget", ["1e306", "1e308", "1.7e308"])
+    @pytest.mark.parametrize("mode", ["branch_and_bound", "heuristic_only"])
+    def test_huge_finite_budget_exits_0_silently(self, tmp_path, capsys, mode, budget):
+        inputs = synth(tmp_path, flags=HUGE_BUDGET_FLAGS)
+        out = tmp_path / "run"
+        code = main(solve_args(DATA / "tiny_mixed.arch.json", inputs, out, budget,
+                               "--mode", mode))
+        assert (code, capsys.readouterr().err) == (0, "")
+        report = json.loads((out / "report.json").read_text())
+        want = unbounded_solution(inputs).assignment
+        assert report["budget_ms"] == float(budget)
+        assert report["assignment"] == {
+            "omega": want.omega, "kappa": {str(b): k for b, k in want.kappa.items()}}
+
     def test_help_exits_0(self, capsys):
         assert main(["solve", "--help"]) == 0
         assert "--budget-ms" in capsys.readouterr().out
@@ -477,6 +506,21 @@ class TestSweep:
         importances = [float(line.split(",")[2]) for line in lines[2:]]
         assert importances == sorted(importances)
 
+    def test_huge_finite_budgets_take_the_unbounded_plan(self, tmp_path, capsys):
+        inputs = synth(tmp_path, flags=HUGE_BUDGET_FLAGS)
+        out = tmp_path / "sweep"
+        code = main([
+            "sweep", "--arch", str(DATA / "tiny_mixed.arch.json"),
+            "--scores", str(inputs / "scores.json"), "--lut", str(inputs / "lut.json"),
+            "--budgets", "1e306,1e308,1.7e308", "--out", str(out),
+        ])
+        assert (code, capsys.readouterr().err) == (0, "")
+        want = unbounded_solution(inputs)
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[2:]]
+        assert [r[:4] for r in rows] == [
+            [b, "optimal", repr(want.importance), repr(want.latency)]
+            for b in ("1e+306", "1e+308", "1.7e+308")
+        ]
 
     @pytest.mark.parametrize(
         "budgets, entry",

@@ -11,16 +11,21 @@ unwrapped from its container.  The encoded bytes of the mutated document
 may then be broken too: a UTF-8 byte-order mark in front, or bytes that are
 not UTF-8 (a UTF-16 mark, a stray continuation byte, an encoded surrogate, a
 cut multi-byte sequence) inserted anywhere.
+
+The budget is fuzzed too: any positive finite float, subnormals and values
+near the largest float included, given to ``solve`` in every mode and to a
+two-budget ``sweep`` on valid tiny_mixed documents.
 """
 
 import functools
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latprune import parse_lut, serialize_lut
 from latprune.cli import main
@@ -196,3 +201,32 @@ def test_document_that_is_not_utf8_exits_3_naming_it(workdir, capsys, command, f
     captured = capsys.readouterr()
     message = f"{flag[2:]}: {broken} is not UTF-8 text"
     assert message in (captured.out if command == "check" else captured.err)
+
+
+@functools.cache
+def default_inputs() -> dict[str, str]:
+    """tiny_mixed scores and LUT from the default latency model, by flag.
+    Its LP bound overflowed at huge finite budgets."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        assert main(["synth", "--arch", str(DATA / "tiny_mixed.arch.json"), "--seed", "0",
+                     "--out", str(out)]) == 0
+        return {"--scores": (out / "scores.json").read_text(),
+                "--lut": (out / "lut.json").read_text()}
+
+
+BUDGETS = st.floats(min_value=0.0, max_value=sys.float_info.max, exclude_min=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(budget=BUDGETS, other=BUDGETS)
+@example(budget=1e308, other=0.25)
+@example(budget=sys.float_info.max, other=5e-324)
+def test_any_positive_finite_budget_exits_0_or_2(workdir, budget, other):
+    argv = ["--arch", str(DATA / "tiny_mixed.arch.json"), "--out", str(workdir / "out")]
+    for flag, text in default_inputs().items():
+        (workdir / flag[2:]).write_text(text)
+        argv += [flag, str(workdir / flag[2:])]
+    for mode in ("exhaustive", "branch_and_bound", "heuristic_only"):
+        assert main(["solve", *argv, "--budget-ms", repr(budget), "--mode", mode]) in (0, 2)
+    assert main(["sweep", *argv, "--budgets", f"{budget!r},{other!r}"]) in (0, 2)

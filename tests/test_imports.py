@@ -1,7 +1,8 @@
 """What importing the package and running a command load.
 
 A command loads only the modules it runs (see the package and CLI module
-docstrings), and the lazily resolved public names are the objects their home
+docstrings), none loads ``numpy.ma`` unless a bare ``import numpy`` does
+(numpy 1.x), and the lazily resolved public names are the objects their home
 modules define.
 """
 
@@ -22,8 +23,8 @@ ARCH = str(DATA / "tiny_mixed.arch.json")
 
 
 def loaded_modules(code: str) -> set[str]:
-    """The latprune modules and hashlib loaded by a fresh interpreter after
-    running `code`."""
+    """The latprune modules, hashlib and numpy.ma loaded by a fresh
+    interpreter after running `code`."""
     script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -34,7 +35,7 @@ def loaded_modules(code: str) -> set[str]:
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
     modules = json.loads(run.stdout.splitlines()[-1])
-    return {m for m in modules if m.startswith("latprune") or m == "hashlib"}
+    return {m for m in modules if m.startswith("latprune") or m in ("hashlib", "numpy.ma")}
 
 
 def test_import_loads_no_submodule():
@@ -66,6 +67,28 @@ def test_command_loads_only_what_it_runs(inputs, tmp_path, command, extra, unloa
     loaded = loaded_modules(code)
     assert "latprune.latency" in loaded
     assert not loaded & unloaded
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("solve", ["--budget-ms", "0.25"]),
+    ("solve", ["--budget-ms", "0.25", "--mode", "heuristic_only"]),
+    ("sweep", ["--budgets", "0.2,0.3"]),
+    ("extract", []),
+], ids=["solve", "solve-heuristic_only", "sweep", "extract"])
+def test_command_loads_numpy_ma_only_if_numpy_does(inputs, tmp_path, command, extra):
+    docs = ["--arch", ARCH, "--scores", str(inputs / "scores.json"),
+            "--lut", str(inputs / "lut.json")]
+    args = [*docs, "--out", str(tmp_path / "out")]
+    if command == "extract":
+        run = tmp_path / "run"
+        assert main(["solve", *docs, "--budget-ms", "0.25", "--out", str(run)]) == 0
+        args += ["--report", str(run / "report.json")]
+    code = (
+        "from latprune.cli import main\n"
+        f"assert main({[command, *args, *extra]!r}) == 0\n"
+    )
+    bare = "numpy.ma" in loaded_modules("import numpy")
+    assert ("numpy.ma" in loaded_modules(code)) == bare
 
 
 @pytest.fixture

@@ -1,11 +1,13 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from latprune import (
     Assignment,
+    LatencyModelParams,
     LatencyTable,
     SolveError,
     SolverConfig,
@@ -16,10 +18,13 @@ from latprune import (
     build_importance_vector,
     constraint_value,
     objective_value,
+    parse_architecture,
     solve,
     solve_branch_and_bound,
     solve_exhaustive,
     subnetwork_count,
+    synth_lut,
+    synth_scores,
 )
 from latprune.importance import RawScores
 from latprune.solver import _frontiers
@@ -39,6 +44,8 @@ from conftest import (
     trunk_dim,
     vit_b12_problem,
 )
+
+DATA = Path(__file__).parent.parent / "demos" / "data"
 
 
 def one_dim_problem(importances, latencies, budget, removable=False):
@@ -291,6 +298,21 @@ class TestBranchAndBound:
             assert sol.assignment.kappa_of(block) == 1
             for d in block.dims:
                 assert sol.assignment.omega[d] == arch.dims[d].option_count
+
+    @pytest.mark.parametrize("budget", [1e306, 1e308, 1.7e308])
+    @pytest.mark.parametrize("mode", ["branch_and_bound", "heuristic_only"])
+    def test_huge_finite_budget_gives_the_unbounded_answer(self, mode, budget):
+        # A room past every hull segment must not overflow the LP bound's
+        # arithmetic (the suite turns a RuntimeWarning into a failure).
+        arch = parse_architecture((DATA / "tiny_mixed.arch.json").read_text())
+        vectors = build_all_vectors(arch, synth_scores(arch, 0))
+        problem = assemble(arch, vectors, synth_lut(arch, LatencyModelParams(), 0), math.inf)
+        config = SolverConfig(mode=mode)
+        want, got = solve(problem, config), solve(problem.with_budget(budget), config)
+        assert got.status == want.status != "infeasible"
+        assert got.assignment == want.assignment
+        assert (got.importance, got.latency, got.bound) == (
+            want.importance, want.latency, want.bound)
 
     def test_deterministic_repeat_runs(self):
         rng = np.random.default_rng(71)
