@@ -22,12 +22,13 @@ depends on that producer's option.
 * the upper concave hulls of the frontiers give the exact LP relaxation
   of every suffix of blocks (Sinha & Zoltners, Oper. Res. 1979), which for
   a multiple-choice knapsack equals the best Lagrangian dual bound;
-* the incumbent is seeded by rounding the root LP optimum, reserving at
-  each block the least latency the later blocks still need at the input
-  widths the plan has fixed, so the seed fits whenever any plan does;
+* a seed plan comes from rounding the root LP optimum, reserving at each
+  block the least latency the later blocks still need at the input widths
+  the plan has fixed, so the seed fits whenever any plan does, up to the
+  order of float additions;
 * stages merge the frontiers in block-declaration order, dropping partial
-  plans that the LP bound and the incumbent rule out, or that another plan
-  with the same open producer options dominates.
+  plans that the LP bound and the seed's importance rule out, or that
+  another plan with the same open producer options dominates.
 
 The frontiers, their hulls, the bound and the rounding's reserve depend on
 the architecture, vectors and tables but not on the budget, which enters
@@ -35,14 +36,19 @@ only as the room the merge may fill.  They form the problem's core, built
 on its first solve and shared by every problem ``PruningProblem.with_budget``
 derives, so a budget sweep builds them once per problem family.
 
-Mode ``heuristic_only`` stops after the seeding and reports the rounded
-plan with the root LP bound.
+Mode ``heuristic_only`` reports the seed with the root LP bound; only when
+the rounding finds no plan does the merge run, to decide feasibility.
 
 Sums follow the order of ``objective_value`` and ``constraint_value``, so a
 complete plan's importance and latency are theirs bit for bit and ties
 resolve by ``PruningProblem.tie_key``.  ``solve_exhaustive``, the
 ground-truth oracle for everything else, sums them over the full state grid
 of any instance under one guard on the state count.
+
+Every solver and mode has one answer path: a plan stays in the search's own
+form (frontier points, or grid columns in the oracle) with its importance
+and latency sums until ``_solution`` reports it, after one recheck that the
+sums equal the public evaluators' bit for bit and fit the budget.
 
 Determinism: identical problem + config give identical solutions and node
 counts.  The solver runs sequentially in the calling thread.
@@ -56,7 +62,6 @@ import numbers
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -152,13 +157,6 @@ class _BlockModel:
             lat = np.concatenate([lat, np.zeros((1, lat.shape[1]))])
         return imp, lat
 
-    def decode_state(self, state: int) -> tuple[int, dict[str, int]]:
-        """State index -> (kappa, per-dimension options)."""
-        if self.block.removable and state == self.states:
-            return 0, {d: 1 for d in self.dim_ids}
-        idx = np.unravel_index(state, self.shape)
-        return 1, {d: int(j) + 1 for d, j in zip(self.dim_ids, idx)}
-
     def option_of_dim(self, dim_id: str) -> np.ndarray:
         """Per-state option index for one of this block's dimensions."""
         pos = self.dim_ids.index(dim_id)
@@ -228,6 +226,21 @@ def _checked_budget(budget) -> float:
     return float(budget)
 
 
+def _solution(problem, start, status, nodes, plan=None, bound=None, message="") -> PruningSolution:
+    """The solution reporting `plan`, (importance, latency, assignment) or
+    None, after its one recheck: the sums must be the evaluators' bit for
+    bit and fit the budget."""
+    importance = latency = assignment = None
+    if plan is not None:
+        importance, latency, assignment = plan
+        if (objective_value(assignment, problem.vectors, problem.arch) != importance
+                or constraint_value(assignment, problem.tables, problem.arch) != latency
+                or latency > problem.budget):
+            raise SolveError("internal error: a plan fails its recheck")
+    wall = time.perf_counter() - start
+    return PruningSolution(status, assignment, importance, latency, bound, nodes, wall, message)
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive oracle
 # ---------------------------------------------------------------------------
@@ -246,52 +259,18 @@ def solve_exhaustive(problem: PruningProblem) -> PruningSolution:
             f"state space has {count} states, above the exhaustive guard "
             f"of {EXHAUSTIVE_GUARD}"
         )
-
-    best_state = _enumerate(problem)
-    if best_state is None:
-        return PruningSolution(
-            status="infeasible",
-            assignment=None,
-            importance=None,
-            latency=None,
-            bound=None,
-            node_count=count,
-            wall_time=time.perf_counter() - start,
-            message="no state satisfies the latency budget",
-        )
-
-    assignment = _assignment_from_states(problem, best_state)
-    importance = objective_value(assignment, problem.vectors, problem.arch)
-    latency = constraint_value(assignment, problem.tables, problem.arch)
-    if latency > problem.budget:
-        raise SolveError("internal error: enumerated optimum fails the recheck")
-    return PruningSolution(
-        status="optimal",
-        assignment=assignment,
-        importance=importance,
-        latency=latency,
-        bound=importance,
-        node_count=count,
-        wall_time=time.perf_counter() - start,
-    )
+    plan = _enumerate(problem)
+    if plan is None:
+        return _solution(problem, start, "infeasible", count,
+                         message="no state satisfies the latency budget")
+    return _solution(problem, start, "optimal", count, plan, bound=plan[0])
 
 
 solve_exhaustive.__doc__ = solve_exhaustive.__doc__.format(guard=EXHAUSTIVE_GUARD)
 
 
-def _assignment_from_states(problem, states: tuple[int, ...]) -> Assignment:
-    omega = {}
-    kappa = {}
-    for model, state in zip(problem.models, states):
-        k, choices = model.decode_state(state)
-        omega.update(choices)
-        if model.block.removable:
-            kappa[model.block.id] = k
-    return Assignment(omega=omega, kappa=kappa)
-
-
-def _enumerate(problem: PruningProblem) -> tuple[int, ...] | None:
-    """The state per block of the best feasible plan, or None.
+def _enumerate(problem: PruningProblem) -> tuple[float, float, Assignment] | None:
+    """(importance, latency, assignment) of the best feasible plan, or None.
 
     Importance and latency totals cover the full state grid, one axis per
     block, summed block after block.  A chain reading a conv output takes
@@ -319,10 +298,15 @@ def _enumerate(problem: PruningProblem) -> tuple[int, ...] | None:
     best = imp_total[feasible].max()
     states = np.argwhere(feasible & (imp_total == best))
     # The columns of ``PruningProblem.tie_key``: removed flags, then options.
-    keys = [states[:, k] == m.states for k, m in enumerate(models) if m.block.removable]
-    keys += [m.option_of_dim(d)[states[:, k]] for k, m in enumerate(models) for d in m.dim_ids]
+    removed = {m.block.id: states[:, k] == m.states
+               for k, m in enumerate(models) if m.block.removable}
+    options = {d: m.option_of_dim(d)[states[:, k]] for k, m in enumerate(models) for d in m.dim_ids}
+    keys = [*removed.values(), *options.values()]
     first = np.lexsort(keys[::-1])[0] if keys else 0
-    return tuple(states[first].tolist())
+    omega = {d: int(o[first]) for d, o in options.items()}
+    kappa = {b: 1 - int(r[first]) for b, r in removed.items()}
+    state = tuple(states[first])
+    return float(imp_total[state]), float(lat_total[state]), Assignment(omega, kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -330,25 +314,6 @@ def _enumerate(problem: PruningProblem) -> tuple[int, ...] | None:
 # ---------------------------------------------------------------------------
 
 _CHUNK = 32768  # candidate plans expanded at a time
-
-
-class _Points(NamedTuple):
-    """Block states as parallel arrays.
-
-    ``lat`` and ``imp`` are the block's latency and importance subtotals,
-    summed in the order ``constraint_value`` and ``objective_value`` use.
-    ``removed`` is 1 for the removed state, ``rank`` orders kept states by
-    their option tuples (-1 for the removed state), ``opts`` holds the
-    0-based option of each of the block's dimensions (0 when removed) and
-    ``inp`` the 0-based option of the block's input.
-    """
-
-    lat: np.ndarray
-    imp: np.ndarray
-    removed: np.ndarray
-    rank: np.ndarray
-    opts: np.ndarray
-    inp: np.ndarray
 
 
 def _dense(code: np.ndarray) -> np.ndarray:
@@ -400,10 +365,11 @@ def _pareto(lat, imp, keys, margin: float, group=None) -> np.ndarray:
     return order[(best <= v + margin) & np.concatenate(([True], ~same))]
 
 
-def _points(model: _BlockModel, reads: list[int], margin: float) -> _Points:
-    """Kept states of a block for every option of its input (one unless a
-    chain reads another block's conv output), a removed state per input
-    option included, in one pass.
+def _points(model: _BlockModel, reads: list[int], margin: float) -> tuple:
+    """The ``_Frontier`` arrays (lat, imp, rank, opts, inp) of a block's
+    kept states for every option of its input (one unless a chain reads
+    another block's conv output), a removed state per input option
+    included, in one pass.
 
     The input option is a point attribute, read by a chain's input axis.
     Dimensions join in block order, each table at its last axis, so sums
@@ -450,7 +416,7 @@ def _points(model: _BlockModel, reads: list[int], margin: float) -> _Points:
             keep = _pareto(lat, imp, (rank < 0, rank), margin, _group_ids(opts[:, cols]))
             lat, imp, rank, opts = lat[keep], imp[keep], rank[keep], opts[keep]
     inp = opts[:, 0] if lead else np.zeros(lat.size, dtype=np.int64)
-    return _Points(lat, imp, (rank < 0).astype(np.int64), rank, opts[:, lead:], inp)
+    return lat, imp, rank, opts[:, lead:], inp
 
 
 def _hull(lat: np.ndarray, imp: np.ndarray) -> np.ndarray:
@@ -472,19 +438,29 @@ def _hull(lat: np.ndarray, imp: np.ndarray) -> np.ndarray:
 
 
 class _Frontier:
-    """One block's Pareto points from one ``_points`` pass, ascending by
-    input option (a single option unless a chain reads another block's conv
-    output), ``sizes`` and ``offsets`` locating each option's points; and the
-    upper hull of them all.  Points of a block whose dimensions later chains
-    read (the positions in `reads`) are kept apart per option of those."""
+    """One block's Pareto points from one ``_points`` pass, as parallel
+    arrays ascending by input option (a single option unless a chain reads
+    another block's conv output), ``sizes`` and ``offsets`` locating each
+    option's points; and the upper hull of them all.  Points of a block
+    whose dimensions later chains read (the positions in `reads`) are kept
+    apart per option of those.
+
+    ``lat`` and ``imp`` are the block's latency and importance subtotals,
+    summed in the order ``constraint_value`` and ``objective_value`` use.
+    ``removed`` is 1 for the removed state, ``rank`` orders kept states by
+    their option tuples (-1 for the removed state), ``opts`` holds the
+    0-based option of each of the block's dimensions (0 when removed) and
+    ``inp`` the 0-based option of the block's input.
+    """
 
     def __init__(self, model: _BlockModel, reads: list[int], margin: float) -> None:
         self.reads = reads
-        self.points = _points(model, reads, margin)
-        self.sizes = np.bincount(self.points.inp, minlength=model.inputs)
+        self.lat, self.imp, self.rank, self.opts, self.inp = _points(model, reads, margin)
+        self.removed = (self.rank < 0).astype(np.int64)
+        self.sizes = np.bincount(self.inp, minlength=model.inputs)
         self.offsets = np.cumsum(self.sizes) - self.sizes
-        self.rank_span = int(self.points.rank.max()) + 2
-        self.hull = _hull(self.points.lat, self.points.imp)
+        self.rank_span = int(self.rank.max()) + 2
+        self.hull = _hull(self.lat, self.imp)
 
 
 def _frontiers(models: list[_BlockModel], margin: float) -> list[_Frontier]:
@@ -516,7 +492,7 @@ class _Bound:
         d_lat, d_imp = np.zeros(0), np.zeros(0)
         for k in range(n - 1, -1, -1):
             f = frontiers[k]
-            x, y = f.points.lat[f.hull], f.points.imp[f.hull]
+            x, y = f.lat[f.hull], f.imp[f.hull]
             self.base_lat[k] = self.base_lat[k + 1] + float(x[0])
             self.base_imp[k] = self.base_imp[k + 1] + float(y[0])
             d_lat = np.concatenate([d_lat, np.diff(x)])
@@ -566,12 +542,12 @@ class _Reserve:
         ]
         self.total, self.need = {}, {}
         for k in range(len(models) - 1, -1, -1):
-            pts = frontiers[k].points
-            total = pts.lat
+            f = frontiers[k]
+            total = f.lat
             for r, pos in self.readers[k]:
-                total = total + self.need[r][pts.opts[:, pos]]
+                total = total + self.need[r][f.opts[:, pos]]
             self.total[k] = total
-            self.need[k] = np.minimum.reduceat(total, frontiers[k].offsets)
+            self.need[k] = np.minimum.reduceat(total, f.offsets)
         self.known = [
             float(self.need[k][0]) if m.input_dim_id is None else 0.0 for k, m in enumerate(models)
         ]
@@ -595,46 +571,22 @@ class _Core:
         return margin, frontiers, _Bound(frontiers), _Reserve(self.models, frontiers)
 
 
-class _Incumbent:
-    """The best plan offered so far, by importance and then ``tie_key``."""
-
-    def __init__(self, problem: PruningProblem) -> None:
-        self.problem = problem
-        self.assignment: Assignment | None = None
-        self.value = _NEG_INF
-        self.key = None
-
-    def offer(self, assignment: Assignment | None) -> None:
-        if assignment is None:
-            return
-        problem = self.problem
-        if constraint_value(assignment, problem.tables, problem.arch) > problem.budget:
-            return
-        value = objective_value(assignment, problem.vectors, problem.arch)
-        if value > self.value:
-            self.assignment, self.value = assignment, value
-            self.key = problem.tie_key(assignment)
-        elif value == self.value and self.assignment is not None:
-            key = problem.tie_key(assignment)
-            if key < self.key:
-                self.assignment, self.key = assignment, key
-
-
 def _plan(problem: PruningProblem, frontiers: list[_Frontier], points: list[int]) -> Assignment:
     """The assignment of one frontier point per block."""
     omega, kappa = {}, {}
     for model, f, i in zip(problem.models, frontiers, points):
-        omega.update(zip(model.dim_ids, (f.points.opts[i] + 1).tolist()))
+        omega.update(zip(model.dim_ids, (f.opts[i] + 1).tolist()))
         if model.block.removable:
-            kappa[model.block.id] = 1 - int(f.points.removed[i])
+            kappa[model.block.id] = 1 - int(f.removed[i])
     return Assignment(omega={d: omega[d] for d in problem.dim_order}, kappa=kappa)
 
 
 def _lp_rounding(
     problem: PruningProblem, frontiers: list[_Frontier], bound: _Bound, reserve: _Reserve
-) -> Assignment | None:
-    """Round the root LP optimum to a plan that fits whenever any plan
-    does, or None when none does.
+) -> list[int] | None:
+    """Round the root LP optimum to a plan, one frontier point per block,
+    that fits whenever any plan does, up to the order of float additions;
+    None when it finds none.
 
     Hull segments are taken steepest first while they fit; once one does
     not, its block takes no more.  Then each block in turn gets its most
@@ -643,8 +595,13 @@ def _lp_rounding(
     ``total``, the latency already placed and the ``need`` of every later
     block whose input option is known fit the budget.  A chain reading a
     conv output picks among the points for its producer's option.
+
+    The fit test adds the later needs up apart, not in block order as
+    ``constraint_value`` does, so a plan at the budget to the last bit can
+    fail it.  At the last block it is the block-order sum, so a returned
+    plan always fits.
     """
-    hulls = [(f.points.lat[f.hull].tolist(), f.points.imp[f.hull].tolist()) for f in frontiers]
+    hulls = [(f.lat[f.hull].tolist(), f.imp[f.hull].tolist()) for f in frontiers]
     segments = sorted(
         (-(y[t + 1] - y[t]) / (x[t + 1] - x[t]), k, t)
         for k, (x, y) in enumerate(hulls)
@@ -671,28 +628,28 @@ def _lp_rounding(
         if not allowed.any():
             return None
         limit = hulls[k][0][step[k]] + left
-        fits = allowed & (f.points.lat[lo:hi] <= limit)
+        fits = allowed & (f.lat[lo:hi] <= limit)
         pool = fits if fits.any() else allowed
-        i = lo + int(np.argmax(np.where(pool, f.points.imp[lo:hi], _NEG_INF)))
-        left = limit - float(f.points.lat[i])
-        used += float(f.points.lat[i])
+        i = lo + int(np.argmax(np.where(pool, f.imp[lo:hi], _NEG_INF)))
+        left = limit - float(f.lat[i])
+        used += float(f.lat[i])
         chosen.append(i)
         for r, pos in reserve.readers[k]:  # their input options are now known
-            inputs[r] = int(f.points.opts[i, pos])
+            inputs[r] = int(f.opts[i, pos])
             waiting[r] = float(reserve.need[r][inputs[r]])
-    return _plan(problem, frontiers, chosen)
+    return chosen
 
 
-def _pareto_dp(problem, frontiers, bound, incumbent, config, deadline, margin, room):
+def _pareto_dp(problem, frontiers, bound, floor, config, deadline, margin, room):
     """Merge the frontiers block by block, in declaration order.
 
     Returns (leaf, node count, largest pruned bound, timed out), where
-    leaf is the best complete plan found with its importance and latency
-    sums, or None.  A stage joins the kept partial plans with a
+    leaf is the best complete plan found as (importance, latency, frontier
+    point per block), or None.  A stage joins the kept partial plans with a
     block's points, drops candidates that cannot fit (latency plus the
-    suffix minimum above `room`) or cannot beat the incumbent by more than
-    the tolerance (value plus the suffix LP bound), and keeps the rest
-    that no plan of the same open producer options dominates.
+    suffix minimum above `room`) or cannot beat the importance `floor` by
+    more than the tolerance (value plus the suffix LP bound), and keeps the
+    rest that no plan of the same open producer options dominates.
     """
     budget = problem.budget
     last_reader = {m.input_dim_id: k for k, m in enumerate(problem.models)}
@@ -703,7 +660,6 @@ def _pareto_dp(problem, frontiers, bound, incumbent, config, deadline, margin, r
     back = []
     nodes = 0
     pruned = _NEG_INF
-    floor = incumbent.value
     last = len(frontiers) - 1
 
     # Lagrangian pre-cut at the root LP multiplier lam: for any completion,
@@ -713,19 +669,18 @@ def _pareto_dp(problem, frontiers, bound, incumbent, config, deadline, margin, r
     # imp - lam * lat.  The exact LP bound then judges those.
     i = int(np.searchsorted(bound.cum_lat[0], room - bound.base_lat[0], side="right")) - 1
     lam = float(bound.slope[0][i]) if i < bound.slope[0].size else 0.0
-    scores = [f.points.imp - lam * f.points.lat for f in frontiers]
+    scores = [f.imp - lam * f.lat for f in frontiers]
     phi = np.concatenate((np.cumsum([float(s.max()) for s in scores][::-1])[::-1], [0.0]))
 
     for k, f in enumerate(frontiers):
         model = problem.models[k]
-        pts = f.points
         if model.input_dim_id is None:
             sets = np.zeros(lat.size, dtype=np.int64)
         else:
             sets = opts[:, open_dims.index(model.input_dim_id)]
         head = imp + phi[k + 1] + (lam * (room - lat) if lam > 0 else 0.0)
         need = floor + config.tolerance - 2 * margin - head
-        perm = np.zeros(pts.lat.size, dtype=np.int64)
+        perm = np.zeros(f.lat.size, dtype=np.int64)
         counts = np.zeros(lat.size, dtype=np.int64)
         for s in np.flatnonzero(np.bincount(sets)).tolist():  # numpy 2 np.unique imports numpy.ma
             lo, hi = f.offsets[s], f.offsets[s] + f.sizes[s]
@@ -747,8 +702,8 @@ def _pareto_dp(problem, frontiers, bound, incumbent, config, deadline, margin, r
             par = np.repeat(np.arange(lo, hi), counts[lo:hi])
             pos = np.arange(par.size) - np.repeat(ends[lo:hi] - counts[lo:hi] - base, counts[lo:hi])
             pt = perm[f.offsets[sets[par]] + pos]
-            c_lat = lat[par] + pts.lat[pt]
-            c_imp = imp[par] + pts.imp[pt]
+            c_lat = lat[par] + f.lat[pt]
+            c_imp = imp[par] + f.imp[pt]
             if k == last:
                 fits = c_lat <= budget
                 value = c_imp
@@ -764,8 +719,8 @@ def _pareto_dp(problem, frontiers, bound, incumbent, config, deadline, margin, r
             kept.append((par[good], pt[good], c_lat[good], c_imp[good]))
             lo = hi
         par, pt, c_lat, c_imp = map(np.concatenate, zip(*kept))
-        kappa_code = kappa_rank[par] * 2 + pts.removed[pt]
-        omega_code = omega_rank[par] * f.rank_span + pts.rank[pt] + 1
+        kappa_code = kappa_rank[par] * 2 + f.removed[pt]
+        omega_code = omega_rank[par] * f.rank_span + f.rank[pt] + 1
         if k == last:
             nodes += par.size
             if not par.size:
@@ -776,10 +731,9 @@ def _pareto_dp(problem, frontiers, bound, incumbent, config, deadline, margin, r
             for prev_par, prev_pt in reversed(back):
                 chosen.append(int(prev_pt[i]))
                 i = int(prev_par[i])
-            leaf = _plan(problem, frontiers, chosen[::-1])
-            return (leaf, float(c_imp[best]), float(c_lat[best])), nodes, pruned, False
+            return (float(c_imp[best]), float(c_lat[best]), chosen[::-1]), nodes, pruned, False
 
-        cols = np.concatenate([opts[par], pts.opts[pt][:, f.reads]], axis=1)
+        cols = np.concatenate([opts[par], f.opts[pt][:, f.reads]], axis=1)
         open_dims = open_dims + [model.dim_ids[p] for p in f.reads]
         still = [c for c, d in enumerate(open_dims) if last_reader[d] > k]
         open_dims = [open_dims[c] for c in still]
@@ -801,18 +755,19 @@ def solve_branch_and_bound(
 
     The margin, frontiers, LP bound and rounding reserve come from the
     problem's core, built on the first solve of the problem family and
-    reused by later budgets.  The incumbent is seeded by rounding the root
-    LP optimum, which fits whenever any plan does.  Stages then
-    merge the blocks' frontiers in declaration order, pruning partial plans
-    by the suffix LP bound and the suffix minimum latency (see
-    ``_pareto_dp``).  Returns a
-    proven-optimal solution within ``config.tolerance``, with bound the
-    largest pruned bound (at least the importance), or, when the time limit
-    ends the merge first, the incumbent with the root LP bound.
-    ``node_count`` is the number of partial plans kept, summed over stages.
+    reused by later budgets.  The seed, the rounded root LP optimum, sets
+    the merge's importance floor; stages then merge the blocks' frontiers
+    in declaration order, pruning partial plans by the suffix LP bound and
+    the suffix minimum latency (see ``_pareto_dp``).  The answer, the
+    better of the seed and the merge's leaf by importance and then
+    ``tie_key``, goes through ``_solution`` and its one recheck.  It is
+    proven optimal within ``config.tolerance``, with bound the largest
+    pruned bound (at least the importance), or, when the time limit ends
+    the merge first, feasible with the root LP bound.  ``node_count`` is
+    the number of partial plans kept, summed over stages.
 
-    In mode ``heuristic_only`` no merge runs: the answer is the rounded plan
-    with the root LP bound.
+    In mode ``heuristic_only`` the answer is the seed with the root LP
+    bound; the merge runs only when the rounding finds no plan.
     """
     config = config or SolverConfig()
     config.validate()
@@ -822,60 +777,44 @@ def solve_branch_and_bound(
     # Rounding can move a sum by far less than this or the core's margin.
     room = budget + 1e-9 * (1.0 + (budget if math.isfinite(budget) else 0.0))
 
-    def finish(status, incumbent, nodes, bound_value=None, message=""):
-        latency = None
-        if incumbent is not None:
-            latency = constraint_value(incumbent.assignment, problem.tables, problem.arch)
-            if latency > budget:
-                raise SolveError("internal error: incumbent fails the latency recheck")
-        return PruningSolution(
-            status=status,
-            assignment=incumbent and incumbent.assignment,
-            importance=incumbent and incumbent.value,
-            latency=latency,
-            bound=bound_value,
-            node_count=nodes,
-            wall_time=time.perf_counter() - start,
-            message=message,
-        )
-
     margin, frontiers, bound, reserve = problem._core.parts
     if bound.base_lat[0] > room:
-        return finish("infeasible", None, 0,
-                      message="optimistic minimum latency already exceeds the budget")
+        return _solution(problem, start, "infeasible", 0,
+                         message="optimistic minimum latency already exceeds the budget")
 
-    incumbent = _Incumbent(problem)
-    incumbent.offer(_lp_rounding(problem, frontiers, bound, reserve))
+    plans = []  # (importance, latency, frontier point per block)
+    seed = _lp_rounding(problem, frontiers, bound, reserve)
+    if seed is not None:
+        imp = lat = 0.0
+        for f, i in zip(frontiers, seed):
+            imp, lat = imp + float(f.imp[i]), lat + float(f.lat[i])
+        plans.append((imp, lat, seed))
     heuristic = config.mode == "heuristic_only"
-    if heuristic:
-        leaf, nodes, pruned, timed_out = None, 0, _NEG_INF, False
-    else:
-        leaf, nodes, pruned, timed_out = _pareto_dp(
-            problem, frontiers, bound, incumbent, config, deadline, margin, room
-        )
-    if leaf is not None:
-        plan, importance, latency = leaf
-        if (objective_value(plan, problem.vectors, problem.arch) != importance
-                or constraint_value(plan, problem.tables, problem.arch) != latency):
-            raise SolveError("internal error: a plan's sums differ from its recheck")
-        incumbent.offer(plan)
-    if incumbent.assignment is None:
-        if timed_out:
-            message = "time limit reached before feasibility could be decided"
-        else:
-            message = "no state satisfies the latency budget"
-        return finish("infeasible", None, nodes, message=message)
+    nodes, pruned, timed_out = 0, _NEG_INF, False
+    if not (heuristic and plans):
+        floor = plans[0][0] if plans else _NEG_INF
+        leaf, nodes, pruned, timed_out = _pareto_dp(problem, frontiers, bound, floor, config,
+                                                    deadline, margin, room)
+        if leaf is not None:
+            plans.append(leaf)
+    if not plans:
+        message = ("time limit reached before feasibility could be decided" if timed_out
+                   else "no state satisfies the latency budget")
+        return _solution(problem, start, "infeasible", nodes, message=message)
+    plan = min(((imp, lat, _plan(problem, frontiers, pts)) for imp, lat, pts in plans),
+               key=lambda p: (-p[0], problem.tie_key(p[2])))
     if heuristic or timed_out:
         root = float(bound(0, np.zeros(1), np.zeros(1), room)[0])
         message = "" if heuristic else (
             "time limit reached; reporting best incumbent and surviving bound")
-        return finish("feasible_heuristic", incumbent, nodes, max(incumbent.value, root), message)
-    return finish("optimal", incumbent, nodes, max(incumbent.value, pruned))
+        return _solution(problem, start, "feasible_heuristic", nodes, plan,
+                         max(plan[0], root), message)
+    return _solution(problem, start, "optimal", nodes, plan, max(plan[0], pruned))
 
 
 def solve(problem: PruningProblem, config: SolverConfig | None = None) -> PruningSolution:
     config = config or SolverConfig()
+    if config.mode != "exhaustive":
+        return solve_branch_and_bound(problem, config)  # validates the config
     config.validate()
-    if config.mode == "exhaustive":
-        return solve_exhaustive(problem)
-    return solve_branch_and_bound(problem, config)
+    return solve_exhaustive(problem)

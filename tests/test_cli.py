@@ -334,6 +334,36 @@ class TestSolve:
         tables = parse_lut((inputs / "lut.json").read_text())
         assert constraint_value(assignment, tables, parsed) == report["latency_ms"]
 
+    def test_heuristic_only_decides_a_plan_the_rounding_misses(self, tmp_path, capsys):
+        # Three permanent one-option chains.  At this budget, the one plan's
+        # latency summed in block order, the rounding's fit test (which sums
+        # the later blocks apart) rejects the plan, so the merge decides.
+        arch = tmp_path / "three_chains.arch.json"
+        dims = [{"id": "t", "role": "fixed_external", "option_count": 1, "group_size": 4,
+                 "max_elements": 4}]
+        dims += [{"id": f"c{i}", "role": "conv_out", "option_count": 1, "group_size": 1,
+                  "max_elements": 1} for i in (1, 2, 3)]
+        blocks = [{"id": i, "kind": "cnn_chain", "removable": False, "input_ref": "t",
+                   "dims": [f"c{i}"]} for i in (1, 2, 3)]
+        arch.write_text(json.dumps({"name": "three_chains", "dims": dims, "blocks": blocks}))
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        scores = [{"dim_id": "t", "scores": [0.0] * 4}]
+        scores += [{"dim_id": f"c{i}", "scores": [1.0]} for i in (1, 2, 3)]
+        (inputs / "scores.json").write_text(json.dumps({"scores": scores}))
+        tables = [{"block_id": i, "part": "conv_layer", "layer": 1, "axes": ["t", f"c{i}"],
+                   "shape": [1, 1], "data": [ms]} for i, ms in ((1, 0.15), (2, 1 / 3), (3, 0.3))]
+        (inputs / "lut.json").write_text(json.dumps({"tables": tables}))
+        budget = "0.7833333333333332"
+        for mode, status in (("branch_and_bound", "optimal"), ("exhaustive", "optimal"),
+                             ("heuristic_only", "feasible_heuristic")):
+            out = tmp_path / mode
+            assert main(solve_args(arch, inputs, out, budget, "--mode", mode)) == 0, mode
+            report = json.loads((out / "report.json").read_text())
+            assert report["status"] == status
+            assert report["latency_ms"] == float(budget)
+            assert report["importance"] == 3.0
+
     def test_architecture_without_blocks_solves_exhaustively(self, tmp_path, capsys):
         arch = tmp_path / "trunk_only.arch.json"
         arch.write_text(json.dumps({

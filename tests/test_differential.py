@@ -8,9 +8,12 @@
   ``objective_value``, per option of the conv output a chain reads.
 * each block frontier the solver builds must be exactly the tie-safe Pareto
   filter of the block's enumerated states.
-* the LP rounding that seeds the incumbent must fit the budget whenever
-  the exhaustive oracle finds a plan, and ``heuristic_only`` must then
-  return it as ``feasible_heuristic``.
+* the LP rounding that seeds the merge must fit the budget whenever the
+  exhaustive oracle finds a plan, and ``heuristic_only`` must then return
+  a ``feasible_heuristic`` plan.  That holds up to the order of float
+  additions: the integer-valued draws here sum exactly, and where the
+  rounding misses a plan at the budget's last bit, ``heuristic_only``
+  falls back to the merge (``tests/test_solver.py``).
 * a problem derived by ``PruningProblem.with_budget`` shares the budget-free
   core, and must solve exactly as a freshly assembled one.
 
@@ -39,7 +42,7 @@ from latprune import (
 )
 from latprune.importance import RawScores
 from latprune.latency import block_latency
-from latprune.solver import _frontiers, _lp_rounding
+from latprune.solver import _frontiers, _lp_rounding, _plan
 
 from conftest import (
     conv_dim,
@@ -180,7 +183,7 @@ def test_lp_rounding_fits_whenever_a_plan_does(case, percent):
         return
     rounded = _lp_rounding(problem, *problem._core.parts[1:])
     assert rounded is not None
-    assert constraint_value(rounded, tables, arch) <= budget
+    assert constraint_value(_plan(problem, problem._core.parts[1], rounded), tables, arch) <= budget
     heuristic = solve_branch_and_bound(problem, SolverConfig(mode="heuristic_only"))
     assert heuristic.status == "feasible_heuristic"
 
@@ -196,7 +199,8 @@ def test_state_tables_match_the_public_evaluators(case):
         assert imp.shape == (model.states + model.block.removable,)
         assert lat.shape == (imp.size, inputs)
         for state in range(imp.size):
-            kappa, omega = model.decode_state(state)
+            kappa = not (model.block.removable and state == model.states)
+            omega = {d: int(model.option_of_dim(d)[state]) for d in model.dim_ids}
             if not kappa:
                 assert imp[state] == 0.0 and (lat[state] == 0.0).all()
                 continue
@@ -269,7 +273,7 @@ def test_frontiers_equal_pareto_filter_of_enumerated_states():
                 rng, signed_scores=bool(seed % 3), state_cap=5000, chained_cap=5000
             )
         for model, front in zip(problem.models, _frontiers(problem.models, margin)):
-            pts = front.points
+            pts = front
             seen["chained"] += model.input_dim_id is not None
             seen["read"] += bool(front.reads)
             seen["removable"] += model.block.removable

@@ -70,6 +70,29 @@ def one_dim_problem(importances, latencies, budget, removable=False):
     return assemble(arch, vectors, tables, budget), None
 
 
+# Three permanent one-layer chains with one option each: the one plan's
+# latency, summed in block order as ``constraint_value`` sums it, is
+# 0.7833333333333332, while 0.15 + (1/3 + 0.3) is 0.7833333333333333.
+THREE_CHAIN_LATENCIES = (0.15, 1 / 3, 0.3)
+THREE_CHAIN_BUDGET = 0.7833333333333332
+
+
+def three_chain_problem(budget=THREE_CHAIN_BUDGET):
+    dims = [trunk_dim("t")] + [conv_dim(f"c{i}", 1) for i in (1, 2, 3)]
+    blocks = [
+        BlockSpec(id=i, kind="cnn_chain", dims=(f"c{i}",), removable=False, input_ref="t")
+        for i in (1, 2, 3)
+    ]
+    arch = make_arch(dims, blocks)
+    raw = {"t": RawScores(dim_id="t", scores=np.zeros(4))}
+    raw.update({f"c{i}": RawScores(dim_id=f"c{i}", scores=np.ones(1)) for i in (1, 2, 3)})
+    tables = TableSet()
+    for i, ms in enumerate(THREE_CHAIN_LATENCIES, start=1):
+        tables.add(LatencyTable(block_id=i, part="conv_layer", layer=1, axes=("t", f"c{i}"),
+                                data=np.array([[ms]])))
+    return assemble(arch, build_all_vectors(arch, raw), tables, budget)
+
+
 def brute_force_block(arch, block, lam, vectors, tables, input_choice=None):
     """Independent per-block best response by full enumeration."""
     dims = arch.block_dims(block)
@@ -183,7 +206,7 @@ def frontier_best_response(problem, k, lam):
     a chain's first-layer input at option 1, and whether that point keeps
     the block.  The DP's Lagrangian pre-cut maximizes the same score."""
     front = _frontiers(problem.models, 1e-9)[k]
-    pts, n = front.points, int(front.sizes[0])
+    pts, n = front, int(front.sizes[0])
     scores = pts.imp[:n] - lam * pts.lat[:n]
     best = int(np.argmax(scores))
     return float(scores[best]), not pts.removed[best]
@@ -437,6 +460,44 @@ class TestBranchAndBound:
             checked += 1
 
 
+    def test_heuristic_only_merges_when_the_rounding_finds_no_plan(self):
+        # The rounding's fit test sums the later blocks' needs apart, so at
+        # this budget it rejects the one plan, which fits.
+        problem = three_chain_problem()
+        assert constraint_value(dense_assignment(problem.arch), problem.tables,
+                                problem.arch) == THREE_CHAIN_BUDGET
+        assert solve_exhaustive(problem).status == "optimal"
+        sol = solve_branch_and_bound(problem, SolverConfig(mode="heuristic_only"))
+        assert sol.status == "feasible_heuristic"
+        assert sol.assignment == solve_branch_and_bound(problem).assignment
+        assert sol.latency == THREE_CHAIN_BUDGET
+        assert sol.importance == 3.0
+        assert sol.bound >= sol.importance
+
+
+class TestOneRecheck:
+    """Every solver and mode reports its plan through one recheck: a plan
+    whose sums are not the public evaluators' raises ``SolveError``."""
+
+    @pytest.mark.parametrize("mode", ["branch_and_bound", "heuristic_only"])
+    def test_frontier_sums_off_the_evaluators_raise(self, mode):
+        problem = three_chain_problem(budget=1.0)
+        assert solve_branch_and_bound(problem, SolverConfig(mode=mode)).importance == 3.0
+        problem = three_chain_problem(budget=1.0)
+        problem._core.parts[1][0].imp += 1e-6
+        with pytest.raises(SolveError, match="recheck"):
+            solve_branch_and_bound(problem, SolverConfig(mode=mode))
+
+    def test_state_sums_off_the_evaluators_raise(self):
+        problem = three_chain_problem(budget=1.0)
+        assert solve_exhaustive(problem).importance == 3.0
+        # Shifted copies: the model's vectors may share memory with the
+        # problem's importance vectors.
+        problem.models[0].imp = [v + 1e-6 for v in problem.models[0].imp]
+        with pytest.raises(SolveError, match="recheck"):
+            solve_exhaustive(problem)
+
+
 class TestAssemble:
     def test_subnetwork_count_of_tiny_instance(self):
         dims = [trunk_dim("t"), conv_dim("c1", 2), conv_dim("c2", 3)]
@@ -494,6 +555,14 @@ class TestSolveDispatcher:
             assert bb.importance == ex.importance
             assert he.importance <= ex.importance + 1e-12
             assert he.latency <= problem.budget
+
+    def test_every_mode_validates_its_config(self):
+        problem, _ = one_dim_problem([1.0], [1.0], budget=2.0)
+        for mode in ("exhaustive", "branch_and_bound", "heuristic_only"):
+            with pytest.raises(ValidationError, match="time_limit"):
+                solve(problem, SolverConfig(mode=mode, time_limit=0.0))
+        with pytest.raises(ValidationError, match="mode"):
+            solve(problem, SolverConfig(mode="greedy"))
 
     def test_solutions_are_recheckable(self):
         rng = np.random.default_rng(91)
