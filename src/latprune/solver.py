@@ -22,10 +22,10 @@ depends on that producer's option.
 * the upper concave hulls of the frontiers give the exact LP relaxation
   of every suffix of blocks (Sinha & Zoltners, Oper. Res. 1979), which for
   a multiple-choice knapsack equals the best Lagrangian dual bound;
-* a seed plan comes from rounding the root LP optimum, reserving at each
-  block the least latency the later blocks still need at the input widths
-  the plan has fixed, so the seed fits whenever any plan does, up to the
-  order of float additions;
+* a seed plan comes from rounding the root LP optimum, read in the bound's
+  own segment order, reserving at each block the least latency the later
+  blocks still need at the input widths the plan has fixed, so the seed
+  fits whenever any plan does, up to the order of float additions;
 * stages merge the frontiers in block-declaration order, dropping partial
   plans that the LP bound and the seed's importance rule out, or that
   another plan with the same open producer options dominates.
@@ -59,6 +59,7 @@ from __future__ import annotations
 import copy
 import math
 import numbers
+import sys
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -476,10 +477,14 @@ class _Bound:
 
     A block enters with its hull's first vertex and its hull segments; a
     chain reading a conv output uses the hull of all its input options'
-    points.  For the suffix from block k on, the segments of its blocks are
-    merged steepest first into cumulative latency and importance arrays, so
-    the LP optimum at a latency allowance is the base plus the segments that
-    fit, the last one in part (Sinha & Zoltners, Oper. Res. 1979).
+    points.  For the suffix from block k on, the segments of its blocks, in
+    block order, are stably sorted steepest first (equal slopes keep block
+    order) into cumulative latency and importance arrays, so the LP optimum
+    at a latency allowance is the base plus the segments that fit, the last
+    one in part (Sinha & Zoltners, Oper. Res. 1979).  A slope-0 end segment
+    holds it at the full sum past the last, so a finite allowance reads one
+    formula.  ``root`` lists the root's segments in that order, as
+    (latencies, blocks), for the LP rounding.
     """
 
     def __init__(self, frontiers: list[_Frontier]) -> None:
@@ -488,37 +493,30 @@ class _Bound:
         self.base_imp = [0.0] * (n + 1)
         self.cum_lat = [np.zeros(1)] * (n + 1)
         self.cum_imp = [np.zeros(1)] * (n + 1)
-        self.slope = [np.zeros(0)] * (n + 1)
+        self.slope = [np.zeros(1)] * (n + 1)
         d_lat, d_imp = np.zeros(0), np.zeros(0)
+        blocks = order = np.zeros(0, dtype=np.int64)
         for k in range(n - 1, -1, -1):
             f = frontiers[k]
             x, y = f.lat[f.hull], f.imp[f.hull]
             self.base_lat[k] = self.base_lat[k + 1] + float(x[0])
             self.base_imp[k] = self.base_imp[k + 1] + float(y[0])
-            d_lat = np.concatenate([d_lat, np.diff(x)])
-            d_imp = np.concatenate([d_imp, np.diff(y)])
+            d_lat = np.concatenate([np.diff(x), d_lat])
+            d_imp = np.concatenate([np.diff(y), d_imp])
+            blocks = np.concatenate([np.full(x.size - 1, k), blocks])
             order = np.argsort(-(d_imp / d_lat), kind="stable")
             self.cum_lat[k] = np.concatenate(([0.0], np.cumsum(d_lat[order])))
             self.cum_imp[k] = np.concatenate(([0.0], np.cumsum(d_imp[order])))
-            self.slope[k] = (d_imp / d_lat)[order]
+            self.slope[k] = np.append((d_imp / d_lat)[order], 0.0)
+        self.root = (d_lat[order].tolist(), blocks[order].tolist())
 
     def __call__(self, k: int, imp: np.ndarray, lat: np.ndarray, room: float) -> np.ndarray:
         """Upper bound on every completion by blocks k.. of partial plans
-        with importance `imp` and latency `lat`, within latency `room`."""
-        slope = self.slope[k]
+        with importance `imp` and latency `lat`, within finite latency `room`."""
+        cum_lat, cum_imp, slope = self.cum_lat[k], self.cum_imp[k], self.slope[k]
         extra = room - lat - self.base_lat[k]
-        if slope.size:
-            cum_lat, cum_imp = self.cum_lat[k], self.cum_imp[k]
-            # Past the last segment the bound is cum_imp[-1]; the cap keeps a
-            # huge finite room from overflowing the product below.
-            extra = np.minimum(extra, cum_lat[-1])
-            i = np.searchsorted(cum_lat, extra, side="right") - 1
-            j = np.clip(i, 0, slope.size - 1)
-            part = cum_imp[j] + slope[j] * (extra - cum_lat[j])
-            extra = np.where(i >= slope.size, cum_imp[-1], part)
-        else:
-            extra = 0.0
-        return imp + self.base_imp[k] + extra
+        j = np.maximum(np.searchsorted(cum_lat, extra, side="right") - 1, 0)
+        return imp + self.base_imp[k] + (cum_imp[j] + slope[j] * (extra - cum_lat[j]))
 
 
 class _Reserve:
@@ -583,13 +581,15 @@ def _plan(problem: PruningProblem, frontiers: list[_Frontier], points: list[int]
 
 def _lp_rounding(
     problem: PruningProblem, frontiers: list[_Frontier], bound: _Bound, reserve: _Reserve
-) -> list[int] | None:
-    """Round the root LP optimum to a plan, one frontier point per block,
-    that fits whenever any plan does, up to the order of float additions;
-    None when it finds none.
+) -> tuple[float, float, list[int]] | None:
+    """Round the root LP optimum to a plan that fits whenever any plan
+    does, up to the order of float additions, as (importance, latency,
+    frontier point per block) with the sums in block order, the form of
+    ``_pareto_dp``'s leaf; None when it finds none.
 
-    Hull segments are taken steepest first while they fit; once one does
-    not, its block takes no more.  Then each block in turn gets its most
+    The root's hull segments are taken in ``_Bound.root`` order (steepest
+    first, equal slopes by block) while they fit; once one does not, its
+    block takes no more.  Then each block in turn gets its most
     important allowed point within its LP latency plus the slack left, or
     else its most important allowed point.  A point is allowed when its
     ``total``, the latency already placed and the ``need`` of every later
@@ -601,43 +601,38 @@ def _lp_rounding(
     fail it.  At the last block it is the block-order sum, so a returned
     plan always fits.
     """
-    hulls = [(f.lat[f.hull].tolist(), f.imp[f.hull].tolist()) for f in frontiers]
-    segments = sorted(
-        (-(y[t + 1] - y[t]) / (x[t + 1] - x[t]), k, t)
-        for k, (x, y) in enumerate(hulls)
-        for t in range(len(x) - 1)
-    )
     step = [0] * len(frontiers)
     left = problem.budget - bound.base_lat[0]
     stopped = set()
-    for _, k, t in segments:
+    for d_lat, k in zip(*bound.root):
         if k in stopped:
             continue
-        x = hulls[k][0]
-        if x[t + 1] - x[t] <= left:
-            left -= x[t + 1] - x[t]
-            step[k] = t + 1
+        if d_lat <= left:
+            left -= d_lat
+            step[k] += 1
         else:
             stopped.add(k)
 
-    chosen, used, inputs, waiting = [], 0.0, [0] * len(frontiers), list(reserve.known)
+    chosen, imp, used = [], 0.0, 0.0
+    inputs, waiting = [0] * len(frontiers), list(reserve.known)
     for k, f in enumerate(frontiers):
         lo = int(f.offsets[inputs[k]])
         hi = lo + int(f.sizes[inputs[k]])
         allowed = used + reserve.total[k][lo:hi] + sum(waiting[k + 1:]) <= problem.budget
         if not allowed.any():
             return None
-        limit = hulls[k][0][step[k]] + left
+        limit = float(f.lat[f.hull[step[k]]]) + left
         fits = allowed & (f.lat[lo:hi] <= limit)
         pool = fits if fits.any() else allowed
         i = lo + int(np.argmax(np.where(pool, f.imp[lo:hi], _NEG_INF)))
         left = limit - float(f.lat[i])
+        imp += float(f.imp[i])
         used += float(f.lat[i])
         chosen.append(i)
         for r, pos in reserve.readers[k]:  # their input options are now known
             inputs[r] = int(f.opts[i, pos])
             waiting[r] = float(reserve.need[r][inputs[r]])
-    return chosen
+    return imp, used, chosen
 
 
 def _pareto_dp(problem, frontiers, bound, floor, config, deadline, margin, room):
@@ -647,9 +642,10 @@ def _pareto_dp(problem, frontiers, bound, floor, config, deadline, margin, room)
     leaf is the best complete plan found as (importance, latency, frontier
     point per block), or None.  A stage joins the kept partial plans with a
     block's points, drops candidates that cannot fit (latency plus the
-    suffix minimum above `room`) or cannot beat the importance `floor` by
-    more than the tolerance (value plus the suffix LP bound), and keeps the
-    rest that no plan of the same open producer options dominates.
+    suffix minimum above `room`, or above the budget at the last stage) or
+    cannot beat the importance `floor` by more than the tolerance (value
+    plus the suffix LP bound), and keeps the rest that no plan of the same
+    open producer options dominates.
     """
     budget = problem.budget
     last_reader = {m.input_dim_id: k for k, m in enumerate(problem.models)}
@@ -668,7 +664,7 @@ def _pareto_dp(problem, frontiers, bound, floor, config, deadline, margin, room)
     # separable, so each parent expands only the points of highest
     # imp - lam * lat.  The exact LP bound then judges those.
     i = int(np.searchsorted(bound.cum_lat[0], room - bound.base_lat[0], side="right")) - 1
-    lam = float(bound.slope[0][i]) if i < bound.slope[0].size else 0.0
+    lam = float(bound.slope[0][i])
     scores = [f.imp - lam * f.lat for f in frontiers]
     phi = np.concatenate((np.cumsum([float(s.max()) for s in scores][::-1])[::-1], [0.0]))
 
@@ -678,7 +674,7 @@ def _pareto_dp(problem, frontiers, bound, floor, config, deadline, margin, room)
             sets = np.zeros(lat.size, dtype=np.int64)
         else:
             sets = opts[:, open_dims.index(model.input_dim_id)]
-        head = imp + phi[k + 1] + (lam * (room - lat) if lam > 0 else 0.0)
+        head = imp + phi[k + 1] + lam * (room - lat)
         need = floor + config.tolerance - 2 * margin - head
         perm = np.zeros(f.lat.size, dtype=np.int64)
         counts = np.zeros(lat.size, dtype=np.int64)
@@ -692,6 +688,7 @@ def _pareto_dp(problem, frontiers, bound, floor, config, deadline, margin, room)
             if rest.any():
                 pruned = max(pruned, float((head[rest] - ranked[counts[rest]]).max()))
         ends = np.cumsum(counts)
+        limit = min(budget, room) if k == last else room
         kept = []
         lo = 0
         while lo < lat.size:
@@ -704,12 +701,8 @@ def _pareto_dp(problem, frontiers, bound, floor, config, deadline, margin, room)
             pt = perm[f.offsets[sets[par]] + pos]
             c_lat = lat[par] + f.lat[pt]
             c_imp = imp[par] + f.imp[pt]
-            if k == last:
-                fits = c_lat <= budget
-                value = c_imp
-            else:
-                fits = c_lat + bound.base_lat[k + 1] <= room
-                value = bound(k + 1, c_imp, c_lat, room)
+            fits = c_lat + bound.base_lat[k + 1] <= limit
+            value = bound(k + 1, c_imp, c_lat, limit)
             good = fits & (value > floor + config.tolerance - margin)
             cut = fits & ~good
             if cut.any():
@@ -755,16 +748,17 @@ def solve_branch_and_bound(
 
     The margin, frontiers, LP bound and rounding reserve come from the
     problem's core, built on the first solve of the problem family and
-    reused by later budgets.  The seed, the rounded root LP optimum, sets
-    the merge's importance floor; stages then merge the blocks' frontiers
-    in declaration order, pruning partial plans by the suffix LP bound and
-    the suffix minimum latency (see ``_pareto_dp``).  The answer, the
-    better of the seed and the merge's leaf by importance and then
-    ``tie_key``, goes through ``_solution`` and its one recheck.  It is
-    proven optimal within ``config.tolerance``, with bound the largest
-    pruned bound (at least the importance), or, when the time limit ends
-    the merge first, feasible with the root LP bound.  ``node_count`` is
-    the number of partial plans kept, summed over stages.
+    reused by later budgets.  The seed, the rounded root LP optimum in the
+    form of the merge's leaf, sets the merge's importance floor; stages
+    then merge the blocks' frontiers in declaration order, pruning partial
+    plans by the suffix LP bound and the suffix minimum latency within a
+    finite room (see ``_pareto_dp``).  The answer, the better of the seed
+    and the merge's leaf by importance and then ``tie_key``, goes through
+    ``_solution`` and its one recheck.  It is proven optimal within
+    ``config.tolerance``, with bound the largest pruned bound (at least the
+    importance), or, when the time limit ends the merge first, feasible
+    with the root LP bound.  ``node_count`` is the number of partial plans
+    kept, summed over stages.
 
     In mode ``heuristic_only`` the answer is the seed with the root LP
     bound; the merge runs only when the rounding finds no plan.
@@ -775,20 +769,16 @@ def solve_branch_and_bound(
     deadline = start + config.time_limit
     budget = problem.budget
     # Rounding can move a sum by far less than this or the core's margin.
-    room = budget + 1e-9 * (1.0 + (budget if math.isfinite(budget) else 0.0))
+    # The cap keeps the LP bound's arithmetic finite under any budget.
+    room = min(budget + 1e-9 * (1.0 + budget), sys.float_info.max)
 
     margin, frontiers, bound, reserve = problem._core.parts
     if bound.base_lat[0] > room:
         return _solution(problem, start, "infeasible", 0,
                          message="optimistic minimum latency already exceeds the budget")
 
-    plans = []  # (importance, latency, frontier point per block)
     seed = _lp_rounding(problem, frontiers, bound, reserve)
-    if seed is not None:
-        imp = lat = 0.0
-        for f, i in zip(frontiers, seed):
-            imp, lat = imp + float(f.imp[i]), lat + float(f.lat[i])
-        plans.append((imp, lat, seed))
+    plans = [] if seed is None else [seed]  # (importance, latency, frontier point per block)
     heuristic = config.mode == "heuristic_only"
     nodes, pruned, timed_out = 0, _NEG_INF, False
     if not (heuristic and plans):

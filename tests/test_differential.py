@@ -16,12 +16,17 @@
   falls back to the merge (``tests/test_solver.py``).
 * a problem derived by ``PruningProblem.with_budget`` shares the budget-free
   core, and must solve exactly as a freshly assembled one.
+* on integer-valued instances of 6 to 12 blocks, far above the exhaustive
+  guard, ``solve_branch_and_bound`` must find the importance and
+  ``tie_key`` of an exact Pareto merge of the blocks' enumerated states,
+  with stages in one chunk and split into many.
 
 The drawn instances include chains fed by a permanent block's conv output,
 nested or not, the one cross-block dependency in the model.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,6 +45,7 @@ from latprune import (
     solve_branch_and_bound,
     solve_exhaustive,
 )
+from latprune import solver
 from latprune.importance import RawScores
 from latprune.latency import block_latency
 from latprune.solver import _frontiers, _lp_rounding, _plan
@@ -49,6 +55,7 @@ from conftest import (
     dense_assignment,
     integer_problem,
     make_arch,
+    minimal_assignment,
     random_architecture,
     random_problem,
     tf_dims,
@@ -57,15 +64,16 @@ from conftest import (
 
 
 @st.composite
-def instances(draw, max_options=3, tf_options=2, max_layers=3, top=3):
+def instances(draw, max_options=3, tf_options=2, max_layers=3, top=3, min_blocks=1, max_blocks=3):
     """(arch, raw scores, tables) with integer scores in [-1, top] and
-    latencies in [0, top].
+    latencies in [0, top], of `min_blocks` to `max_blocks` blocks (at least
+    two when chained).
 
     When `chained` is drawn, block 1 is a permanent chain and every later
     block is a chain reading a conv output of an earlier permanent chain, so
     chains may nest (block 3 reading block 2 reading block 1)."""
     chained = draw(st.booleans())
-    n_blocks = draw(st.integers(2 if chained else 1, 3))
+    n_blocks = draw(st.integers(max(min_blocks, 2 if chained else 1), max_blocks))
     dims = [trunk_dim("trunk")]
     blocks = []
     producers = []
@@ -150,6 +158,78 @@ def test_branch_and_bound_tie_break_matches_exhaustive(case, percent):
         assert problem.tie_key(sol.assignment) == problem.tie_key(oracle.assignment)
 
 
+def pareto_merge_optimum(problem):
+    """(importance, tie key) of the best plan, or None when none fits, by an
+    exact merge of every block's enumerated states in block order.
+
+    Plans are kept apart per option of the producer dimensions a later
+    chain reads, and a plan over the budget goes.  A plan goes also when
+    another of its group is no slower and strictly more important, or equal
+    on both sums with a smaller (kappa, omega) prefix, which orders the
+    plans it leads to as ``tie_key`` does.  Integer-valued instances keep
+    every sum exact; there is no hull, bound, pre-cut, margin or chunking.
+    """
+    models = problem.models
+    lat, imp = np.zeros(1), np.zeros(1)
+    kappa, omega, opened = (np.zeros((1, 0), dtype=int) for _ in range(3))
+    open_dims = []
+    for k, model in enumerate(models):
+        s_imp, s_lat = model.state_tables()
+        s_opts = np.stack([model.option_of_dim(d) for d in model.dim_ids], axis=1)
+        s_removed = (np.arange(s_imp.size) == model.states)[:, None].astype(int)
+        par, s = np.divmod(np.arange(lat.size * s_imp.size), s_imp.size)
+        column = 0
+        if model.input_dim_id is not None:
+            column = opened[par, open_dims.index(model.input_dim_id)] - 1
+        lat, imp = lat[par] + s_lat[s, column], imp[par] + s_imp[s]
+        kappa = np.hstack([kappa[par], s_removed[s, :int(model.block.removable)]])
+        omega = np.hstack([omega[par], s_opts[s]])
+        read = {m.input_dim_id for m in models[k + 1:]}
+        dims = open_dims + model.dim_ids
+        cols = [c for c, d in enumerate(dims) if d in read]
+        open_dims = [dims[c] for c in cols]
+        opened = np.hstack([opened[par], s_opts[s]])[:, cols]
+        group = opened @ 10 ** np.arange(len(cols))  # options are below 10
+        keys = np.hstack([kappa, omega])
+        order = np.lexsort((*keys.T[::-1], -imp, lat, group))
+        order = order[lat[order] <= problem.budget]
+        kept = []
+        for run in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
+            l, v = lat[run], imp[run]
+            beaten = np.maximum.accumulate(v)[:-1] > v[1:]
+            tied = (l[1:] == l[:-1]) & (v[1:] == v[:-1])  # the earlier has the smaller key
+            keep = np.ones(run.size, dtype=bool)
+            keep[1:] = ~(beaten | tied)
+            kept.append(run[keep])
+        kept = np.concatenate(kept)
+        lat, imp, kappa, omega, opened = (a[kept] for a in (lat, imp, kappa, omega, opened))
+    if not lat.size:
+        return None
+    keys = np.hstack([kappa, omega])
+    best = np.lexsort((*keys.T[::-1], -imp))[0]
+    return float(imp[best]), tuple(int(x) for x in keys[best])
+
+
+@pytest.mark.parametrize("chunk", [solver._CHUNK, 7])  # 7 splits nearly every stage
+@settings(max_examples=60, deadline=None)
+@given(instances(min_blocks=6, max_blocks=12), st.integers(0, 100))
+def test_branch_and_bound_matches_an_exact_pareto_merge(chunk, case, percent):
+    arch, raw, tables = case
+    # From the plan of every first option to the dense plan: some plan fits.
+    low = constraint_value(minimal_assignment(arch), tables, arch)
+    dense = constraint_value(dense_assignment(arch), tables, arch)
+    budget = max(1.0, low + round((dense - low) * percent / 100))
+    problem = assemble(arch, build_all_vectors(arch, raw), tables, budget)
+    want = pareto_merge_optimum(problem)
+    with mock.patch.object(solver, "_CHUNK", chunk):
+        sol = solve_branch_and_bound(problem)
+    if want is None:
+        assert sol.status == "infeasible"
+    else:
+        assert sol.status == "optimal"
+        assert (sol.importance, problem.tie_key(sol.assignment)) == want
+
+
 def nested_chain():
     """(arch, raw scores, tables) of three permanent one-layer chains, b3
     reading b2 reading b1, where the richer b1 option leaves b2 only a
@@ -183,7 +263,7 @@ def test_lp_rounding_fits_whenever_a_plan_does(case, percent):
         return
     rounded = _lp_rounding(problem, *problem._core.parts[1:])
     assert rounded is not None
-    assert constraint_value(_plan(problem, problem._core.parts[1], rounded), tables, arch) <= budget
+    assert constraint_value(_plan(problem, problem._core.parts[1], rounded[2]), tables, arch) <= budget
     heuristic = solve_branch_and_bound(problem, SolverConfig(mode="heuristic_only"))
     assert heuristic.status == "feasible_heuristic"
 

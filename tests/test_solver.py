@@ -474,6 +474,34 @@ class TestBranchAndBound:
         assert sol.importance == 3.0
         assert sol.bound >= sol.importance
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "branch_and_bound", "heuristic_only"])
+    def test_plan_one_ulp_over_the_budget_is_never_returned(self, mode):
+        # The merge's room lies a hair above the budget; a complete plan
+        # must still fit the budget itself.
+        problem = three_chain_problem(budget=math.nextafter(THREE_CHAIN_BUDGET, 0.0))
+        assert solve(problem, SolverConfig(mode=mode)).status == "infeasible"
+
+    def test_rounding_breaks_slope_ties_toward_earlier_blocks(self):
+        # Both chains' one hull segment has slope 1 and the budget takes
+        # one: the rounding gives it to the earlier block, while the merge
+        # keeps the plan first in tie_key order.
+        dims = [trunk_dim("t"), conv_dim("c1", 2), conv_dim("c2", 2)]
+        blocks = [
+            BlockSpec(id=i, kind="cnn_chain", dims=(f"c{i}",), removable=False, input_ref="t")
+            for i in (1, 2)
+        ]
+        arch = make_arch(dims, blocks)
+        raw = {"t": RawScores(dim_id="t", scores=np.zeros(4))}
+        raw.update({f"c{i}": RawScores(dim_id=f"c{i}", scores=np.ones(2)) for i in (1, 2)})
+        tables = TableSet()
+        for i in (1, 2):
+            tables.add(LatencyTable(block_id=i, part="conv_layer", layer=1, axes=("t", f"c{i}"),
+                                    data=np.array([[1.0, 2.0]])))
+        problem = assemble(arch, build_all_vectors(arch, raw), tables, 3.0)
+        heuristic = solve_branch_and_bound(problem, SolverConfig(mode="heuristic_only"))
+        assert heuristic.assignment.omega == {"c1": 2, "c2": 1}
+        assert solve_branch_and_bound(problem).assignment.omega == {"c1": 1, "c2": 2}
+
 
 class TestOneRecheck:
     """Every solver and mode reports its plan through one recheck: a plan
