@@ -3,8 +3,10 @@
 Solving the same instance across a ladder of budgets yields the Pareto data
 the accuracy-vs-speed plots are made of.  Optimal importance can only grow
 with the budget, and whole blocks drop out as it tightens.  The problem is
-assembled once; ``with_budget`` derives each budget's problem, and all of
-them share the block frontiers and LP bound built by the first solve.
+assembled once, and ``solve_budgets`` solves every budget in one call: the
+budgets share the block frontiers and LP bound, and their merges run side by
+side in one pass under one deadline (the time limit times the number of
+budgets).  Each answer equals a separate ``solve`` of that budget.
 
 Run:  python3 demos/03_budget_sweep.py
 """
@@ -31,10 +33,9 @@ dense_ms = lp.constraint_value(dense, tables, arch)
 
 print(f"{'budget ms':>10} {'status':>12} {'importance':>12} {'latency ms':>11} {'blocks kept':>12}")
 base = lp.assemble(arch, vectors, tables, dense_ms)
+budgets = [float(fraction * dense_ms) for fraction in np.linspace(0.04, 1.0, 12)]
 previous = None
-for fraction in np.linspace(0.04, 1.0, 12):
-    budget = float(fraction * dense_ms)
-    solution = lp.solve_branch_and_bound(base.with_budget(budget))
+for budget, solution in zip(budgets, lp.solve_budgets(base, budgets)):
     if solution.status == "infeasible":
         print(f"{budget:>10.4f} {'infeasible':>12}")
         continue

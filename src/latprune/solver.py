@@ -35,6 +35,10 @@ the architecture, vectors and tables but not on the budget, which enters
 only as the room the merge may fill.  They form the problem's core, built
 on its first solve and shared by every problem ``PruningProblem.with_budget``
 derives, so a budget sweep builds them once per problem family.
+``solve_budgets`` goes one step further: it merges a list of budgets in one
+pass, side by side, each partial plan carrying its budget, so a sweep pays
+each stage's fixed cost once.  ``solve`` and ``solve_branch_and_bound`` are
+its batch of one, so every solve runs the same merge.
 
 Mode ``heuristic_only`` reports the seed with the root LP bound; only when
 the rounding finds no plan does the merge run, to decide feasibility.
@@ -315,6 +319,7 @@ def _enumerate(problem: PruningProblem) -> tuple[float, float, Assignment] | Non
 # ---------------------------------------------------------------------------
 
 _CHUNK = 32768  # candidate plans expanded at a time
+_CODE_CAP = 2**62  # integer codes stay below this, so no product of them overflows
 
 
 def _dense(code: np.ndarray) -> np.ndarray:
@@ -323,12 +328,18 @@ def _dense(code: np.ndarray) -> np.ndarray:
 
 
 def _group_ids(columns: np.ndarray) -> np.ndarray | None:
-    """Ids of the distinct rows of an (n, c) integer array; None when c is 0."""
-    if columns.shape[1] == 0:
-        return None
-    ids = np.zeros(columns.shape[0], dtype=np.int64)
+    """Ids of the distinct rows of an (n, c) integer array, in the rows'
+    lexicographic order; None when c is 0.  Ids are made dense only when
+    the next column could take them past ``_CODE_CAP``."""
+    ids = None
     for col in columns.T:
-        ids = _dense(ids * (int(col.max(initial=0)) + 1) + col)
+        span = int(col.max(initial=0)) + 1
+        if ids is None:
+            ids = col
+            continue
+        if int(ids.max(initial=0)) >= _CODE_CAP // span:
+            ids = _dense(ids)
+        ids = ids * span + col
     return ids
 
 
@@ -635,116 +646,201 @@ def _lp_rounding(
     return imp, used, chosen
 
 
-def _pareto_dp(problem, frontiers, bound, floor, config, deadline, margin, room):
-    """Merge the frontiers block by block, in declaration order.
+def _runs(bud: np.ndarray) -> np.ndarray:
+    """Where each run of equal budget indices starts in nondecreasing `bud`."""
+    return np.flatnonzero(np.concatenate(([True], bud[1:] != bud[:-1])))
 
-    Returns (leaf, node count, largest pruned bound, timed out), where
-    leaf is the best complete plan found as (importance, latency, frontier
-    point per block), or None.  A stage joins the kept partial plans with a
-    block's points, drops candidates that cannot fit (latency plus the
-    suffix minimum above `room`, or above the budget at the last stage) or
-    cannot beat the importance `floor` by more than the tolerance (value
-    plus the suffix LP bound), and keeps the rest that no plan of the same
-    open producer options dominates.
+
+def _raise_max(out: np.ndarray, values: np.ndarray, bud) -> None:
+    """Raise ``out[b]`` to the largest of `values` that belong to budget b,
+    where `bud` is the budget index of every value (nondecreasing), or one
+    index for them all."""
+    if not isinstance(bud, int):
+        if bud[0] != bud[-1]:
+            starts = _runs(bud)
+            b = bud[starts]
+            out[b] = np.maximum(out[b], np.maximum.reduceat(values, starts))
+            return
+        bud = int(bud[0])
+    out[bud] = max(out[bud], values.max())
+
+
+def _pareto_apart(bud, lat, imp, keys, margin: float, cols: np.ndarray) -> np.ndarray:
+    """``_pareto`` run apart on each budget's candidates, grouped by the
+    rows of `cols`, as indices into them all; `bud` is each candidate's
+    budget index (nondecreasing), or None when they share one."""
+    if bud is None or not bud.size or bud[0] == bud[-1]:
+        return _pareto(lat, imp, keys, margin, _group_ids(cols))
+    ends = [*_runs(bud)[1:].tolist(), bud.size]
+    return np.concatenate([
+        lo + _pareto(lat[lo:hi], imp[lo:hi], [key[lo:hi] for key in keys], margin,
+                     _group_ids(cols[lo:hi]))
+        for lo, hi in zip([0, *ends], ends)])
+
+
+def _spread(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per-budget values repeated over each budget's `sizes` partial plans;
+    a single budget's value broadcasts as it is."""
+    return values if values.size == 1 else np.repeat(values, sizes)
+
+
+def _pareto_dp(models, frontiers, bound, floor, tolerance, deadline, margin, room, limit):
+    """Merge the frontiers block by block, in declaration order, for several
+    budgets side by side.
+
+    `floor`, `room` and `limit` hold one value per budget: the importance
+    floor, the latency room of a partial plan, and the last stage's limit,
+    the budget capped at the room.  Returns (leaves, nodes, pruned, open),
+    per budget: the best complete plan found as (importance, latency,
+    frontier point per block) or None, the node count, the largest pruned
+    bound, and whether the deadline passed while it had partial plans left.
+
+    A stage joins the kept partial plans with a block's points, drops
+    candidates that cannot fit (latency plus the suffix minimum above the
+    room, or above the limit at the last stage) or cannot beat their
+    budget's floor by more than the tolerance (value plus the suffix LP
+    bound), and keeps the rest that no plan of the same budget and open
+    producer options dominates.  Partial plans stay budget-major, so each
+    budget's values are read per contiguous segment.  Candidates are made
+    and filtered in chunks, and a stage of several chunks filters their
+    survivors once more.  A chunk may span budgets except at the last
+    stage, where each chunk raises its budget's floor for the next, so
+    every budget's chunks there start and end as they would alone.
     """
-    budget = problem.budget
-    last_reader = {m.input_dim_id: k for k, m in enumerate(problem.models)}
-    lat, imp = np.zeros(1), np.zeros(1)
-    kappa_rank = np.zeros(1, dtype=np.int64)
-    omega_rank = np.zeros(1, dtype=np.int64)
-    opts, open_dims = np.zeros((1, 0), dtype=np.int64), []
+    n = floor.size
+    floor = floor.copy()
+    last_reader = {m.input_dim_id: k for k, m in enumerate(models)}
+    lat, imp = np.zeros(n), np.zeros(n)
+    sizes = np.ones(n, dtype=np.int64)  # partial plans per budget
+    kappa_rank = omega_rank = np.zeros(n, dtype=np.int64)
+    opts, open_dims = np.zeros((n, 0), dtype=np.int64), []
     back = []
-    nodes = 0
-    pruned = _NEG_INF
+    nodes = np.zeros(n, dtype=np.int64)
+    pruned = np.full(n, _NEG_INF)
+    leaves = [None] * n
     last = len(frontiers) - 1
 
-    # Lagrangian pre-cut at the root LP multiplier lam: for any completion,
-    # importance <= imp + lam * (room - lat) + phi[k + 1] with
+    # Lagrangian pre-cut at each budget's root LP multiplier lam: for any
+    # completion, importance <= imp + lam * (room - lat) + phi[k + 1] with
     # phi[k] = sum over blocks b >= k of max(imp - lam * lat), which is
     # separable, so each parent expands only the points of highest
     # imp - lam * lat.  The exact LP bound then judges those.
-    i = int(np.searchsorted(bound.cum_lat[0], room - bound.base_lat[0], side="right")) - 1
-    lam = float(bound.slope[0][i])
-    scores = [f.imp - lam * f.lat for f in frontiers]
-    phi = np.concatenate((np.cumsum([float(s.max()) for s in scores][::-1])[::-1], [0.0]))
+    i = np.searchsorted(bound.cum_lat[0], room - bound.base_lat[0], side="right") - 1
+    lam = bound.slope[0][i]
+    scores = [f.imp - lam[:, None] * f.lat for f in frontiers]  # budget by point
+    top = np.array([s.max(axis=1) for s in scores]).reshape(-1, n)
+    phi = np.concatenate((np.cumsum(top[::-1], axis=0)[::-1], np.zeros((1, n))))
 
     for k, f in enumerate(frontiers):
-        model = problem.models[k]
+        model = models[k]
+        bud = np.repeat(np.arange(n), sizes)
         if model.input_dim_id is None:
             sets = np.zeros(lat.size, dtype=np.int64)
         else:
             sets = opts[:, open_dims.index(model.input_dim_id)]
-        head = imp + phi[k + 1] + lam * (room - lat)
-        need = floor + config.tolerance - 2 * margin - head
-        perm = np.zeros(f.lat.size, dtype=np.int64)
+        if k < last:
+            dims = open_dims + [model.dim_ids[p] for p in f.reads]
+            still = [c for c, d in enumerate(dims) if last_reader[d] > k]
+            open_dims = [dims[c] for c in still]
+        head = imp + _spread(phi[k + 1], sizes) + _spread(lam, sizes) * (_spread(room, sizes) - lat)
+        need = _spread(floor + tolerance - 2 * margin, sizes) - head
+        perm = np.zeros(scores[k].shape, dtype=np.int64)
         counts = np.zeros(lat.size, dtype=np.int64)
-        for s in np.flatnonzero(np.bincount(sets)).tolist():  # numpy 2 np.unique imports numpy.ma
-            lo, hi = f.offsets[s], f.offsets[s] + f.sizes[s]
-            perm[lo:hi] = lo + np.argsort(-scores[k][lo:hi], kind="stable")
-            ranked = -scores[k][perm[lo:hi]]
-            mine = sets == s
-            counts[mine] = np.searchsorted(ranked, -need[mine], side="left")
-            rest = mine & (counts < f.sizes[s])
-            if rest.any():
-                pruned = max(pruned, float((head[rest] - ranked[counts[rest]]).max()))
+        offsets = f.offsets.tolist()
+        seg = [0, *np.cumsum(sizes).tolist()]  # budget b's parents: seg[b]:seg[b + 1]
+        for b in np.flatnonzero(sizes).tolist():  # a pass per budget and input option
+            part = sets[seg[b]:seg[b + 1]]
+            for s in np.flatnonzero(np.bincount(part)).tolist():  # numpy 2 np.unique imports numpy.ma
+                lo, hi = offsets[s], offsets[s] + int(f.sizes[s])
+                neg = -scores[k][b, lo:hi]
+                order = np.argsort(neg, kind="stable")
+                perm[b, lo:hi] = lo + order
+                mine = seg[b] + np.flatnonzero(part == s)
+                counts[mine] = np.searchsorted(neg[order], -need[mine], side="left")
+        start = bud * f.lat.size + f.offsets[sets]  # each parent's points in perm
+        perm = perm.reshape(-1)
+        rest = np.flatnonzero(counts < f.sizes[sets])
+        if rest.size:  # the best point a parent leaves out bounds all it leaves out
+            first = perm[start[rest] + counts[rest]]
+            _raise_max(pruned, head[rest] + scores[k][bud[rest], first], bud[rest])
         ends = np.cumsum(counts)
-        limit = min(budget, room) if k == last else room
+        shift = start - (ends - counts)  # a candidate's perm index less its own
+        limits = limit if k == last else room
+        if int(kappa_rank.max(initial=0)) >= _CODE_CAP // 2:
+            kappa_rank = _dense(kappa_rank)
+        if int(omega_rank.max(initial=0)) >= _CODE_CAP // f.rank_span:
+            omega_rank = _dense(omega_rank)
         kept = []
         lo = 0
         while lo < lat.size:
             if time.perf_counter() > deadline:
-                return None, nodes, pruned, True
+                return [None] * n, nodes, pruned, sizes > 0
             base = ends[lo] - counts[lo]
             hi = max(lo + 1, int(np.searchsorted(ends, base + _CHUNK, side="right")))
+            b = int(bud[lo])
+            if k == last:  # this budget's candidates only
+                hi = min(hi, seg[b + 1])
             par = np.repeat(np.arange(lo, hi), counts[lo:hi])
-            pos = np.arange(par.size) - np.repeat(ends[lo:hi] - counts[lo:hi] - base, counts[lo:hi])
-            pt = perm[f.offsets[sets[par]] + pos]
+            pt = perm[np.repeat(shift[lo:hi], counts[lo:hi]) + np.arange(base, base + par.size)]
             c_lat = lat[par] + f.lat[pt]
             c_imp = imp[par] + f.imp[pt]
-            fits = c_lat + bound.base_lat[k + 1] <= limit
-            value = bound(k + 1, c_imp, c_lat, limit)
-            good = fits & (value > floor + config.tolerance - margin)
+            cb = None if bud[hi - 1] == b else bud[par]  # each candidate's budget, if several
+            at = b if cb is None else cb
+            fits = c_lat + bound.base_lat[k + 1] <= limits[at]
+            value = bound(k + 1, c_imp, c_lat, limits[at])
+            good = fits & (value > floor[at] + tolerance - margin)
             cut = fits & ~good
             if cut.any():
-                pruned = max(pruned, float(value[cut].max()))
+                _raise_max(pruned, value[cut], b if cb is None else cb[cut])
             if k == last and good.any():
-                floor = max(floor, float(c_imp[good].max()))
-            kept.append((par[good], pt[good], c_lat[good], c_imp[good]))
+                floor[b] = max(floor[b], c_imp[good].max())
+            par, pt, c_lat, c_imp = par[good], pt[good], c_lat[good], c_imp[good]
+            chunk = [par, pt, c_lat, c_imp, kappa_rank[par] * 2 + f.removed[pt],
+                     omega_rank[par] * f.rank_span + f.rank[pt] + 1]
+            if k < last:  # filtered now, so a large stage never holds all its candidates
+                chunk.append(np.concatenate([opts[par], f.opts[pt][:, f.reads]], axis=1)[:, still])
+                keep = _pareto_apart(None if cb is None else cb[good], c_lat, c_imp, chunk[4:6],
+                                     margin, chunk[6])
+                chunk = [a[keep] for a in chunk]
+            kept.append(chunk)
             lo = hi
-        par, pt, c_lat, c_imp = map(np.concatenate, zip(*kept))
-        kappa_code = kappa_rank[par] * 2 + f.removed[pt]
-        omega_code = omega_rank[par] * f.rank_span + f.rank[pt] + 1
+        par, pt, c_lat, c_imp, kappa_code, omega_code, *cols = (
+            kept[0] if len(kept) == 1 else map(np.concatenate, zip(*kept)))
+        cand = bud[par]
         if k == last:
-            nodes += par.size
-            if not par.size:
-                return None, nodes, pruned, False
-            best = int(np.lexsort((omega_code, kappa_code, -c_imp))[0])
-            chosen = [int(pt[best])]
-            i = int(par[best])
+            found = np.bincount(cand, minlength=n)
+            nodes += found
+            order = np.lexsort((omega_code, kappa_code, -c_imp, cand))
+            best = order[(np.cumsum(found) - found)[found > 0]]
+            chosen = [pt[best]]
+            i = par[best]
             for prev_par, prev_pt in reversed(back):
-                chosen.append(int(prev_pt[i]))
-                i = int(prev_par[i])
-            return (float(c_imp[best]), float(c_lat[best]), chosen[::-1]), nodes, pruned, False
-
-        cols = np.concatenate([opts[par], f.opts[pt][:, f.reads]], axis=1)
-        open_dims = open_dims + [model.dim_ids[p] for p in f.reads]
-        still = [c for c, d in enumerate(open_dims) if last_reader[d] > k]
-        open_dims = [open_dims[c] for c in still]
-        cols = cols[:, still]
-        keep = _pareto(c_lat, c_imp, (kappa_code, omega_code), margin, _group_ids(cols))
-        lat, imp, opts = c_lat[keep], c_imp[keep], cols[keep]
-        kappa_rank, omega_rank = _dense(kappa_code[keep]), _dense(omega_code[keep])
-        back.append((par[keep], pt[keep]))
-        nodes += keep.size
-        if not keep.size:
+                chosen.append(prev_pt[i])
+                i = prev_par[i]
+            points = np.stack(chosen[::-1], axis=1).tolist()
+            for j, b in enumerate(cand[best].tolist()):
+                leaves[b] = (float(c_imp[best[j]]), float(c_lat[best[j]]), points[j])
             break
-    return None, nodes, pruned, False
+        cols = cols[0]
+        if len(kept) > 1:  # once more over the chunks' survivors
+            keep = _pareto_apart(cand, c_lat, c_imp, (kappa_code, omega_code), margin, cols)
+            par, pt, c_lat, c_imp, kappa_code, omega_code, cols, cand = (
+                a[keep] for a in (par, pt, c_lat, c_imp, kappa_code, omega_code, cols, cand))
+        lat, imp, opts = c_lat, c_imp, cols
+        kappa_rank, omega_rank = kappa_code, omega_code
+        back.append((par, pt))
+        sizes = np.bincount(cand, minlength=n)
+        nodes += sizes
+        if not lat.size:
+            break
+    return leaves, nodes, pruned, np.zeros(n, dtype=bool)
 
 
 def solve_branch_and_bound(
     problem: PruningProblem, config: SolverConfig | None = None
 ) -> PruningSolution:
-    """Exact solve by a Pareto dynamic program over per-block frontiers.
+    """Exact solve by a Pareto dynamic program over per-block frontiers:
+    the batch of one budget, ``problem.budget`` (see ``solve_budgets``).
 
     The margin, frontiers, LP bound and rounding reserve come from the
     problem's core, built on the first solve of the problem family and
@@ -765,46 +861,93 @@ def solve_branch_and_bound(
     """
     config = config or SolverConfig()
     config.validate()
+    return _solve_batch([problem], config)[0]
+
+
+def solve_budgets(
+    problem: PruningProblem, budgets, config: SolverConfig | None = None
+) -> list[PruningSolution]:
+    """Solve `problem` under each of `budgets`, one solution per budget in
+    their order, each equal to ``solve(problem.with_budget(b), config)``
+    apart from its wall time.
+
+    The branch-and-bound modes seed every budget by the LP rounding and
+    then merge all the budgets that need a merge in one pass, side by side,
+    so the merge's per-stage fixed cost is paid once for the whole list.
+    That pass checks one deadline, ``len(budgets) * config.time_limit``
+    seconds after the call starts; a budget whose merge is still open then
+    reports as a timed-out solve does.  Each solution's ``wall_time`` runs
+    from the call's start to its report.  Mode ``exhaustive`` solves the
+    budgets one after another.
+    """
+    config = config or SolverConfig()
+    config.validate()
+    problems = [problem.with_budget(b) for b in budgets]
+    if config.mode == "exhaustive":
+        return [solve_exhaustive(p) for p in problems]
+    return _solve_batch(problems, config)
+
+
+def _room(budget: float) -> float:
+    """The latency room a merge may fill under `budget`.  Rounding can move
+    a sum by far less than the slack or the core's margin, and the cap
+    keeps the LP bound's arithmetic finite under any budget."""
+    return min(budget + 1e-9 * (1.0 + budget), sys.float_info.max)
+
+
+def _solve_batch(problems: list[PruningProblem], config: SolverConfig) -> list[PruningSolution]:
+    """``solve_branch_and_bound`` for problems that differ only in budget."""
+    if not problems:
+        return []
     start = time.perf_counter()
-    deadline = start + config.time_limit
-    budget = problem.budget
-    # Rounding can move a sum by far less than this or the core's margin.
-    # The cap keeps the LP bound's arithmetic finite under any budget.
-    room = min(budget + 1e-9 * (1.0 + budget), sys.float_info.max)
-
-    margin, frontiers, bound, reserve = problem._core.parts
-    if bound.base_lat[0] > room:
-        return _solution(problem, start, "infeasible", 0,
-                         message="optimistic minimum latency already exceeds the budget")
-
-    seed = _lp_rounding(problem, frontiers, bound, reserve)
-    plans = [] if seed is None else [seed]  # (importance, latency, frontier point per block)
+    deadline = start + len(problems) * config.time_limit
     heuristic = config.mode == "heuristic_only"
-    nodes, pruned, timed_out = 0, _NEG_INF, False
-    if not (heuristic and plans):
-        floor = plans[0][0] if plans else _NEG_INF
-        leaf, nodes, pruned, timed_out = _pareto_dp(problem, frontiers, bound, floor, config,
-                                                    deadline, margin, room)
+    margin, frontiers, bound, reserve = problems[0]._core.parts
+    rooms = [_room(p.budget) for p in problems]
+    seeds = [None if bound.base_lat[0] > room else _lp_rounding(p, frontiers, bound, reserve)
+             for p, room in zip(problems, rooms)]
+    merged = [j for j, (room, seed) in enumerate(zip(rooms, seeds))
+              if bound.base_lat[0] <= room and not (heuristic and seed)]
+    merge = {}  # budget index -> (leaf, node count, largest pruned bound, timed out)
+    if merged:
+        floor = np.array([_NEG_INF if seeds[j] is None else seeds[j][0] for j in merged])
+        room = np.array([rooms[j] for j in merged])
+        limit = np.array([min(problems[j].budget, rooms[j]) for j in merged])
+        results = _pareto_dp(problems[0].models, frontiers, bound, floor, config.tolerance,
+                             deadline, margin, room, limit)
+        merge = {j: (leaf, int(nodes), float(pruned), bool(timed_out))
+                 for j, leaf, nodes, pruned, timed_out in zip(merged, *results)}
+
+    solutions = []
+    for j, problem in enumerate(problems):
+        if bound.base_lat[0] > rooms[j]:
+            solutions.append(_solution(
+                problem, start, "infeasible", 0,
+                message="optimistic minimum latency already exceeds the budget"))
+            continue
+        plans = [] if seeds[j] is None else [seeds[j]]  # (importance, latency, point per block)
+        leaf, nodes, pruned, timed_out = merge.get(j, (None, 0, _NEG_INF, False))
         if leaf is not None:
             plans.append(leaf)
-    if not plans:
-        message = ("time limit reached before feasibility could be decided" if timed_out
-                   else "no state satisfies the latency budget")
-        return _solution(problem, start, "infeasible", nodes, message=message)
-    plan = min(((imp, lat, _plan(problem, frontiers, pts)) for imp, lat, pts in plans),
-               key=lambda p: (-p[0], problem.tie_key(p[2])))
-    if heuristic or timed_out:
-        root = float(bound(0, np.zeros(1), np.zeros(1), room)[0])
-        message = "" if heuristic else (
-            "time limit reached; reporting best incumbent and surviving bound")
-        return _solution(problem, start, "feasible_heuristic", nodes, plan,
-                         max(plan[0], root), message)
-    return _solution(problem, start, "optimal", nodes, plan, max(plan[0], pruned))
+        if not plans:
+            message = ("time limit reached before feasibility could be decided" if timed_out
+                       else "no state satisfies the latency budget")
+            solutions.append(_solution(problem, start, "infeasible", nodes, message=message))
+            continue
+        plan = min(((imp, lat, _plan(problem, frontiers, pts)) for imp, lat, pts in plans),
+                   key=lambda p: (-p[0], problem.tie_key(p[2])))
+        if heuristic or timed_out:
+            root = float(bound(0, np.zeros(1), np.zeros(1), rooms[j])[0])
+            message = "" if heuristic else (
+                "time limit reached; reporting best incumbent and surviving bound")
+            solutions.append(_solution(problem, start, "feasible_heuristic", nodes, plan,
+                                       max(plan[0], root), message))
+        else:
+            solutions.append(_solution(problem, start, "optimal", nodes, plan,
+                                       max(plan[0], pruned)))
+    return solutions
 
 
 def solve(problem: PruningProblem, config: SolverConfig | None = None) -> PruningSolution:
-    config = config or SolverConfig()
-    if config.mode != "exhaustive":
-        return solve_branch_and_bound(problem, config)  # validates the config
-    config.validate()
-    return solve_exhaustive(problem)
+    """Solve `problem` in ``config.mode``: the batch of one budget."""
+    return solve_budgets(problem, [problem.budget], config)[0]

@@ -640,20 +640,40 @@ class TestSweep:
         assert rows == want
         assert "infeasible" in rows[3] and "infeasible" not in rows[0]
 
+    def test_timing_is_the_batch_solve_time(self, tmp_path, monkeypatch):
+        from latprune import cli
+
+        solve_budgets = cli.solver_mod.solve_budgets
+
+        def timed(problem, budgets, config):
+            solutions = solve_budgets(problem, budgets, config)
+            for solution, wall in zip(solutions, (0.5, 2.0, 1.0)):
+                solution.wall_time = wall  # seconds from the batch's start
+            return solutions
+
+        monkeypatch.setattr(cli.solver_mod, "solve_budgets", timed)
+        inputs = synth(tmp_path)
+        out = tmp_path / "sweep"
+        assert main([
+            "sweep", "--arch", str(DATA / "tiny_mixed.arch.json"),
+            "--scores", str(inputs / "scores.json"), "--lut", str(inputs / "lut.json"),
+            "--budgets", "0.1,0.12,1.0", "--out", str(out),
+        ]) == 0
+        assert json.loads((out / "timing.json").read_text()) == {"wall_time_s": 2.0}
+
     def test_falling_optimal_importance_exits_3_before_writing(
         self, tmp_path, capsys, monkeypatch
     ):
         from latprune import cli
 
-        solve = cli.solver_mod.solve
+        solve_budgets = cli.solver_mod.solve_budgets
 
-        def faulty(problem, config):
-            solution = solve(problem, config)
-            if problem.budget == 1.0:
-                solution.importance -= 1e6
-            return solution
+        def faulty(problem, budgets, config):
+            solutions = solve_budgets(problem, budgets, config)
+            solutions[budgets.index(1.0)].importance -= 1e6
+            return solutions
 
-        monkeypatch.setattr(cli.solver_mod, "solve", faulty)
+        monkeypatch.setattr(cli.solver_mod, "solve_budgets", faulty)
         inputs = synth(tmp_path)
         out = tmp_path / "sweep"
         code = main([

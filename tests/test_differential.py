@@ -19,7 +19,14 @@
 * on integer-valued instances of 6 to 12 blocks, far above the exhaustive
   guard, ``solve_branch_and_bound`` must find the importance and
   ``tie_key`` of an exact Pareto merge of the blocks' enumerated states,
-  with stages in one chunk and split into many.
+  with stages in one chunk and split into many; so must a merge seeded
+  just below that optimum, alone and in a batch whose budgets carry other
+  floors.
+* ``solve_budgets`` must equal a separate ``solve`` per budget, field for
+  field and in every mode, on lists with a repeated, an infeasible and a
+  huge budget, with chunks that span budgets; and an unseeded batched
+  merge, whose floors rise chunk by chunk at the last stage, must equal
+  each budget's merge alone, node counts included.
 
 The drawn instances include chains fed by a permanent block's conv output,
 nested or not, the one cross-block dependency in the model.
@@ -42,13 +49,15 @@ from latprune import (
     assemble,
     build_all_vectors,
     constraint_value,
+    solve,
     solve_branch_and_bound,
+    solve_budgets,
     solve_exhaustive,
 )
 from latprune import solver
 from latprune.importance import RawScores
 from latprune.latency import block_latency
-from latprune.solver import _frontiers, _lp_rounding, _plan
+from latprune.solver import _frontiers, _lp_rounding, _pareto_dp, _plan, _room
 
 from conftest import (
     conv_dim,
@@ -223,11 +232,39 @@ def test_branch_and_bound_matches_an_exact_pareto_merge(chunk, case, percent):
     want = pareto_merge_optimum(problem)
     with mock.patch.object(solver, "_CHUNK", chunk):
         sol = solve_branch_and_bound(problem)
+        if want is not None:
+            # Seeded just below the optimum, the merge must still find it,
+            # alone and in a batch whose budgets carry other floors.
+            optimum = want[0]
+            below = math.nextafter(optimum, -math.inf)
+            floors = [below, -math.inf, optimum + 1, optimum - 1]
+            found = [m[:2] for m in merge(problem, [problem.budget] * 4, floors)]
+            assert found == [want, want, (None, None), want]
+            assert merge(problem, [problem.budget], [below])[0][:2] == want
     if want is None:
         assert sol.status == "infeasible"
     else:
         assert sol.status == "optimal"
         assert (sol.importance, problem.tie_key(sol.assignment)) == want
+
+
+def merge(problem, budgets, floors):
+    """Per budget, (importance, tie key, node count, largest pruned bound)
+    of one batched merge of `budgets` at importance `floors`; importance and
+    tie key are None where the merge finds no leaf."""
+    margin, frontiers, bound, _ = problem._core.parts
+    room = np.array([_room(b) for b in budgets])
+    limit = np.minimum(budgets, room)
+    leaves, nodes, pruned, timed_out = _pareto_dp(
+        problem.models, frontiers, bound, np.array(floors, dtype=float), 0.0, math.inf, margin,
+        room, limit)
+    assert not timed_out.any()
+    out = []
+    for leaf, count, best_cut in zip(leaves, nodes.tolist(), pruned.tolist()):
+        found = (None, None) if leaf is None else (
+            leaf[0], problem.tie_key(_plan(problem, frontiers, leaf[2])))
+        out.append((*found, count, best_cut))
+    return out
 
 
 def nested_chain():
@@ -253,14 +290,15 @@ def nested_chain():
 
 @settings(max_examples=300, deadline=None)
 @given(instances(max_options=4), st.integers(0, 100))
-@example(nested_chain(), 43)  # a 3 ms budget of the 7 ms dense plan
+@example(nested_chain(), 20)  # a 3 ms budget: 2 ms for every first option, 7 ms dense
 def test_lp_rounding_fits_whenever_a_plan_does(case, percent):
     arch, raw, tables = case
+    # From the plan of every first option to the dense plan: some plan fits.
+    low = constraint_value(minimal_assignment(arch), tables, arch)
     dense = constraint_value(dense_assignment(arch), tables, arch)
-    budget = max(1.0, float(round(dense * percent / 100)))
+    budget = max(1.0, low + round((dense - low) * percent / 100))
     problem = assemble(arch, build_all_vectors(arch, raw), tables, budget)
-    if solve_exhaustive(problem).status != "optimal":
-        return
+    assert solve_exhaustive(problem).status == "optimal"
     rounded = _lp_rounding(problem, *problem._core.parts[1:])
     assert rounded is not None
     assert constraint_value(_plan(problem, problem._core.parts[1], rounded[2]), tables, arch) <= budget
@@ -396,6 +434,34 @@ def test_with_budget_solves_as_a_fresh_assemble(case, data):
         assert outcomes[-1] == _outcome(assemble(arch, vectors, tables, budget), mode)
     # No solve changed the shared core: the first budget solves as before.
     assert _outcome(base.with_budget(budgets[0]), mode) == outcomes[0]
+
+
+def _fields(sol):
+    return (sol.status, sol.importance, sol.latency, sol.bound, sol.node_count, sol.message,
+            sol.assignment)
+
+
+@pytest.mark.parametrize("chunk", [solver._CHUNK, 7])  # 7 spans budgets and splits the last stage
+@settings(max_examples=80, deadline=None)
+@given(instances(max_layers=2), st.lists(st.integers(0, 110), min_size=1, max_size=6), st.data())
+def test_solve_budgets_equals_separate_solves(chunk, case, percents, data):
+    arch, raw, tables = case
+    dense = constraint_value(dense_assignment(arch), tables, arch)
+    budgets = [max(0.5, float(round(dense * p / 100))) for p in percents]
+    # A repeat, a budget under every plan that takes time, and a huge one.
+    budgets += [budgets[0], 0.5, data.draw(st.sampled_from([1e300, 1.7e308]))]
+    budgets = data.draw(st.permutations(budgets))
+    problem = assemble(arch, build_all_vectors(arch, raw), tables, budgets[0])
+    with mock.patch.object(solver, "_CHUNK", chunk):
+        for mode in ("branch_and_bound", "heuristic_only", "exhaustive"):
+            config = SolverConfig(mode=mode)
+            batch = solve_budgets(problem, budgets, config)
+            assert len(batch) == len(budgets)
+            for budget, got in zip(budgets, batch):
+                assert _fields(got) == _fields(solve(problem.with_budget(budget), config))
+        # Unseeded, every budget's floor rises many times in its last stage.
+        floors = [-math.inf] * len(budgets)
+        assert merge(problem, budgets, floors) == [merge(problem, [b], [-math.inf])[0] for b in budgets]
 
 
 @pytest.mark.parametrize("budget", [0, -1.0, math.nan])

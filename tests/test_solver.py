@@ -21,11 +21,13 @@ from latprune import (
     parse_architecture,
     solve,
     solve_branch_and_bound,
+    solve_budgets,
     solve_exhaustive,
     subnetwork_count,
     synth_lut,
     synth_scores,
 )
+from latprune import solver
 from latprune.importance import RawScores
 from latprune.solver import _frontiers
 
@@ -41,6 +43,7 @@ from conftest import (
     random_problem,
     random_scores,
     random_tables,
+    resnet50_like_problem,
     trunk_dim,
     vit_b12_problem,
 )
@@ -603,3 +606,49 @@ class TestSolveDispatcher:
                 assert lat == sol.latency
                 assert imp == sol.importance
                 assert lat <= problem.budget
+
+
+def _fields(sol):
+    return (sol.status, sol.importance, sol.latency, sol.bound, sol.node_count, sol.message,
+            sol.assignment)
+
+
+class TestSolveBudgets:
+    def test_sixteen_budgets_at_a_vanishing_time_limit(self):
+        # The one deadline passes before the merge's first chunk, so every
+        # budget reports as a timed-out solve of its own does.
+        problem, _ = resnet50_like_problem()
+        dense = constraint_value(dense_assignment(problem.arch), problem.tables, problem.arch)
+        budgets = [float(f * dense) for f in np.linspace(0.01, 1.2, 16)]
+        config = SolverConfig(time_limit=1e-9)
+        batch = solve_budgets(problem, budgets, config)
+        assert len(batch) == 16
+        for budget, got in zip(budgets, batch):
+            assert _fields(got) == _fields(solve(problem.with_budget(budget), config))
+            assert got.status in ("feasible_heuristic", "infeasible")
+            if got.status == "feasible_heuristic":
+                assert got.message.startswith("time limit reached")
+                assert got.latency <= budget and got.bound >= got.importance
+        assert {s.status for s in batch} == {"feasible_heuristic", "infeasible"}
+
+    def test_the_batch_has_one_deadline_for_all_its_budgets(self, monkeypatch):
+        problem, _ = resnet50_like_problem()
+        merge, seen = solver._pareto_dp, []
+
+        def spy(models, frontiers, bound, floor, tolerance, deadline, *rest):
+            seen.append((floor.size, deadline - solver.time.perf_counter()))
+            return merge(models, frontiers, bound, floor, tolerance, deadline, *rest)
+
+        monkeypatch.setattr(solver, "_pareto_dp", spy)
+        budgets = [problem.budget * f for f in (0.5, 1.0, 1.5)]
+        solve_budgets(problem, budgets, SolverConfig(time_limit=100.0))
+        ((merged, left),) = seen
+        assert merged == 3 and 299.0 < left <= 300.0
+
+    def test_budgets_are_validated_and_an_empty_list_is_solved(self):
+        problem, _ = one_dim_problem([1.0], [1.0], budget=2.0)
+        with pytest.raises(ValidationError, match="budget must be positive"):
+            solve_budgets(problem, [2.0, -1.0])
+        with pytest.raises(ValidationError, match="time_limit"):
+            solve_budgets(problem, [2.0], SolverConfig(time_limit=0.0))
+        assert solve_budgets(problem, []) == []
