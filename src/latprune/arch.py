@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
+from .record import Record
 
 ROLES = ("conv_out", "emb", "head", "qk", "v", "mlp", "fixed_external")
 TRANSFORMER_ROLES = ("emb", "head", "qk", "v", "mlp")
@@ -47,8 +47,7 @@ BLOCK_KINDS = ("cnn_chain", "transformer")
 MANIFEST_KEY = "_manifest"
 
 
-@dataclass(frozen=True)
-class DimensionSpec:
+class DimensionSpec(Record, frozen=True):
     """One prunable (or fixed) size in the network."""
 
     id: str
@@ -96,8 +95,7 @@ def kept_elements(dim: DimensionSpec, option_index: int) -> int:
     return min(option_index * dim.group_size, dim.max_elements)
 
 
-@dataclass(frozen=True)
-class BlockSpec:
+class BlockSpec(Record, frozen=True):
     """A residually skipped group of layers; the unit of whole removal."""
 
     id: int
@@ -107,8 +105,7 @@ class BlockSpec:
     input_ref: str | None = None
 
 
-@dataclass(frozen=True)
-class ArchitectureSpec:
+class ArchitectureSpec(Record, frozen=True):
     name: str
     blocks: tuple[BlockSpec, ...]
     dims: dict[str, DimensionSpec]

@@ -16,7 +16,6 @@ import importlib
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -25,6 +24,7 @@ from . import importance as imp_mod
 from . import latency as lat_mod
 from .arch import MANIFEST_KEY
 from .errors import LatPruneError, ParseError, SolveError, ValidationError
+from .record import Record
 
 if TYPE_CHECKING:
     from .solver import SolverConfig
@@ -47,8 +47,7 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(Record, frozen=True):
     """Input hashes and parameters of one command invocation."""
 
     command: str
@@ -104,7 +103,9 @@ def _manifest(
 
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    with open(path, "w") as f:  # in slices: no encoded copy of a whole large document
+        for i in range(0, len(text), 1 << 16):
+            f.write(text[i:i + (1 << 16)])
 
 
 def _write_json(path: Path, obj: dict) -> None:

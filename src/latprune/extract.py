@@ -11,22 +11,21 @@ independent check of the reported solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .arch import MANIFEST_KEY, dump_json, kept_elements
 from .errors import ValidationError
-from .importance import RawScores, objective_value, ranked_indices
+from .importance import RawScores, objective_value
 from .latency import constraint_value
+from .record import Record
 
 if TYPE_CHECKING:  # annotations only: importing extract does not load the solver
     from .solver import PruningProblem, PruningSolution
 
 
-@dataclass(frozen=True)
-class DimOutcome:
+class DimOutcome(Record, frozen=True):
     dim_id: str
     role: str
     option: int
@@ -35,16 +34,14 @@ class DimOutcome:
     kept_elements: tuple[int, ...]  # 1-based original indices, ascending
 
 
-@dataclass(frozen=True)
-class BlockOutcome:
+class BlockOutcome(Record, frozen=True):
     block_id: int
     kind: str
     kept: bool
     dims: tuple[DimOutcome, ...]  # empty for removed blocks
 
 
-@dataclass(frozen=True)
-class PrunedStructure:
+class PrunedStructure(Record, frozen=True):
     name: str
     blocks: tuple[BlockOutcome, ...]
     importance: float
@@ -92,7 +89,7 @@ def extract_structure(
                 )
             option = assignment.omega[dim.id]
             count = kept_elements(dim, option)
-            chosen = (np.sort(ranked_indices(raw.scores)[:count]) + 1).tolist()
+            chosen = (np.sort(raw.ranked[:count]) + 1).tolist()
             dims.append(
                 DimOutcome(
                     dim_id=dim.id,

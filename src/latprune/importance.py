@@ -14,7 +14,7 @@ structure extraction is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,10 +23,10 @@ from .arch import (
     records, require_keys, typed,
 )
 from .errors import ParseError, ValidationError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class RawScores:
+class RawScores(Record, frozen=True):
     dim_id: str
     scores: np.ndarray  # float64, one entry per element
 
@@ -37,19 +37,26 @@ class RawScores:
             and np.array_equal(self.scores, other.scores)
         )
 
+    @cached_property
+    def ranked(self) -> np.ndarray:
+        """``ranked_indices`` of the scores, as int32: the importance vector
+        and the kept-element lists both read this one sort."""
+        return ranked_indices(self.scores).astype(np.int32)
 
-@dataclass(frozen=True)
-class ImportanceVector:
+
+class ImportanceVector(Record, frozen=True):
     dim_id: str
     values: np.ndarray  # float64, one entry per keep-count option
 
 
-@dataclass
-class Assignment:
+class Assignment(Record):
     """Chosen option per dimension plus keep/remove bit per removable block."""
 
-    omega: dict[str, int] = field(default_factory=dict)
-    kappa: dict[int, int] = field(default_factory=dict)
+    omega: dict[str, int]
+    kappa: dict[int, int]
+
+    def __init__(self, omega: dict[str, int] | None = None, kappa: dict[int, int] | None = None):
+        super().__init__({} if omega is None else omega, {} if kappa is None else kappa)
 
     def kappa_of(self, block: BlockSpec) -> int:
         if not block.removable:
@@ -96,7 +103,7 @@ def build_importance_vector(raw: RawScores, dim: DimensionSpec) -> ImportanceVec
             f"scores for {dim.id!r}: expected {dim.max_elements} values, "
             f"found {scores.shape[0] if scores.ndim == 1 else scores.shape}"
         )
-    ordered = scores[ranked_indices(scores)]
+    ordered = scores[raw.ranked]
     prefix = np.cumsum(ordered)
     kept = [kept_elements(dim, j) for j in range(1, dim.option_count + 1)]
     return ImportanceVector(dim_id=dim.id, values=prefix[np.array(kept) - 1].copy())

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import base64
 import math
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -32,13 +31,13 @@ from .arch import ArchitectureSpec, BlockSpec, MANIFEST_KEY, kept_elements, numb
 from .arch import TRANSFORMER_PARTS, dump_json, require_keys, typed, validate_tables
 from .errors import ParseError, ValidationError
 from .importance import Assignment, synth_rng
+from .record import Record
 
 PARTS = ("conv_layer", *TRANSFORMER_PARTS)
 PART_RANK = {"conv_layer": 2, **{part: len(roles) for part, roles in TRANSFORMER_PARTS.items()}}
 
 
-@dataclass(frozen=True)
-class LatencyTable:
+class LatencyTable(Record, frozen=True):
     block_id: int
     part: str
     axes: tuple[str, ...]
@@ -148,8 +147,7 @@ def constraint_value(
     return total
 
 
-@dataclass(frozen=True)
-class LatencyModelParams:
+class LatencyModelParams(Record, frozen=True):
     """Synthetic cost-model knobs standing in for on-hardware measurement."""
 
     unit_cost: float = 1e-6  # ms per multiply-accumulate equivalent
@@ -269,8 +267,7 @@ def estimation_error(
     return epsilon, bound
 
 
-@dataclass(frozen=True)
-class PruneTrajectory:
+class PruneTrajectory(Record, frozen=True):
     """Per-step keep-count configurations of an iterative pruning schedule.
 
     Each step maps every conv dimension id to its option index after that
@@ -316,8 +313,7 @@ class PruneTrajectory:
             prev = dict(step)
 
 
-@dataclass(frozen=True)
-class ReplayStep:
+class ReplayStep(Record, frozen=True):
     step: int
     true_ms: float
     linear_ms: float

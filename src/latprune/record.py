@@ -1,0 +1,53 @@
+"""The base of the record classes: plain classes, so that defining one
+compiles no code (``dataclasses`` generates and compiles each class's
+methods, a cost every process paid at start-up)."""
+
+_MISSING = object()
+
+
+class Record:
+    """A record's fields are its class annotations, in order; a class-level
+    value is a field's default.  It takes them by position or keyword, its
+    ``repr`` lists them, and ``==`` compares the exact type and the fields
+    only, not the ``__dict__``, where a ``cached_property`` keeps its value.
+    ``class R(Record, frozen=True)`` refuses assignment and deletion and
+    hashes by its fields; other records are mutable and unhashable."""
+
+    def __init_subclass__(cls, frozen: bool = False, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _refuse
+            if cls.__dict__.get("__hash__") is None:  # unset, or None beside its own __eq__
+                cls.__hash__ = lambda self: hash(self._values())
+
+    def __init__(self, *args, **kwargs) -> None:
+        # object.__setattr__ in field order: a frozen record refuses setattr,
+        # and all instances of a class share one attribute layout.
+        cls = type(self)
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__}() takes {len(cls._fields)} arguments, got {len(args)}")
+        for name, value in zip(cls._fields, args):
+            object.__setattr__(self, name, value)
+        for name in cls._fields[len(args):]:
+            value = kwargs.pop(name, cls._defaults.get(name, _MISSING))
+            if value is _MISSING:
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+            object.__setattr__(self, name, value)
+        if kwargs:
+            raise TypeError(f"{cls.__name__}() got an extra argument {next(iter(kwargs))!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+
+def _refuse(self, name, *value) -> None:
+    raise AttributeError(f"cannot set or delete {name!r} of a frozen {type(self).__name__}")

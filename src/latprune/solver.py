@@ -65,7 +65,6 @@ import math
 import numbers
 import sys
 import time
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -74,14 +73,14 @@ from .arch import ArchitectureSpec, BlockSpec, subnetwork_count, validate_proble
 from .errors import SolveError, ValidationError
 from .importance import Assignment, ImportanceVector, objective_value
 from .latency import TableSet, constraint_value
+from .record import Record
 
 EXHAUSTIVE_GUARD = 10**6
 
 _NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(Record, frozen=True):
     mode: str = "branch_and_bound"  # exhaustive | branch_and_bound | heuristic_only
     time_limit: float = 60.0  # seconds
     tolerance: float = 0.0  # absolute optimality gap accepted
@@ -95,8 +94,7 @@ class SolverConfig:
             raise ValidationError(f"tolerance must be nonnegative, got {self.tolerance!r}")
 
 
-@dataclass
-class PruningSolution:
+class PruningSolution(Record):
     status: str  # optimal | feasible_heuristic | infeasible
     assignment: Assignment | None
     importance: float | None
@@ -369,10 +367,11 @@ def _pareto(lat, imp, keys, margin: float, group=None) -> np.ndarray:
     v = imp[order]
     if g[0] == g[-1]:
         best = np.maximum.accumulate(v)
-    else:  # a running maximum per group, on integer ranks of the values
-        values, rank = np.unique(v, return_inverse=True)
-        shift = np.concatenate(([0], np.cumsum(g[1:] != g[:-1]))) * values.size
-        best = values[np.maximum.accumulate(rank.reshape(-1) + shift) - shift]
+    else:  # a running maximum per group: numpy orders complex numbers by real part first
+        key = np.empty(v.size, dtype=np.complex128)
+        key.real = np.concatenate(([0], np.cumsum(g[1:] != g[:-1])))  # group ordinal, exact
+        key.imag = v
+        best = np.maximum.accumulate(key, out=key).imag
     same = tied & (v[1:] == v[:-1])
     return order[(best <= v + margin) & np.concatenate(([True], ~same))]
 
@@ -383,52 +382,57 @@ def _points(model: _BlockModel, reads: list[int], margin: float) -> tuple:
     another block's conv output), a removed state per input option
     included, in one pass.
 
-    The input option is a point attribute, read by a chain's input axis.
-    Dimensions join in block order, each table at its last axis, so sums
-    follow ``constraint_value``; the removed states join with the last.
-    After each dimension a Pareto filter keeps points apart per input option
-    and per option of the axes that a later table reads or a later chain
-    reads (the positions in `reads`).  A stage where no axis is free of both
-    has one point per group (a block whose every dimension is read is
-    permanent, so no removed state joins one) and skips the filter.  The
-    filter sorts by group, input option first, so the points come out
-    ascending by input option.
+    A point carries one mixed-radix code of its options, the input option
+    most significant (the other digits 0 for a removed state), and table
+    rows, a chain's input axis and groups read its digits.  Dimensions join
+    in block order, each table at its last axis, so sums follow
+    ``constraint_value``; the removed states join with the last.  After each
+    dimension a Pareto filter keeps points apart per input option and per
+    option of the axes that a later table reads or a later chain reads (the
+    positions in `reads`).  A stage where no axis is free of both has one
+    point per group (a block whose every dimension is read is permanent, so
+    no removed state joins one) and skips the filter.  The filter sorts by
+    group, input option first, so the points come out ascending by input
+    option.
     """
-    last = len(model.shape) - 1
-    lat, imp = np.zeros(model.inputs), np.zeros(model.inputs)
-    rank = np.zeros(model.inputs, dtype=np.int64)
-    # Column p + lead holds the option of dimension p.  With several input
-    # options, column 0 holds the input option and joins every group; with
-    # one, there is no such column and the input axis reads option 0.
-    lead = int(model.inputs > 1)
-    opts = np.arange(model.inputs)[:, None][:, :lead]
-    for i, n in enumerate(model.shape):
+    shape, m = model.shape, model.inputs
+    last = len(shape) - 1
+    # Python ints (slow, exact) for a block whose codes could pass int64.
+    kind = object if m * (model.states + 1) >= _CODE_CAP else np.int64
+    lat, imp, code = np.zeros(m), np.zeros(m), np.arange(m, dtype=kind)
+
+    def digit(p: int, joined: int) -> np.ndarray:  # of dimension p (-1: the input)
+        below = code // math.prod(shape[p + 1:joined])  # codes over `joined` dimensions
+        return (below if p < 0 else below % shape[p]).astype(np.int64, copy=False)
+
+    for i, n in enumerate(shape):
         step = np.broadcast_to(lat[:, None], (lat.size, n))
         for data, pos in model.parts:
             if pos[-1] == i:
-                rows = [opts[:, p + lead] if p + lead >= 0 else 0 for p in pos[:-1]]
-                step = step + data[tuple(rows)]
+                step = step + data[tuple(digit(p, i) for p in pos[:-1])]
         lat = step.reshape(-1)
         imp = (imp[:, None] + model.imp[i][None, :]).reshape(-1)
-        rank = (_dense(rank)[:, None] * n + np.arange(n)).reshape(-1)
-        opts = np.concatenate(
-            [np.repeat(opts, n, axis=0), np.tile(np.arange(n), len(opts))[:, None]], axis=1
-        )
+        if i == last:  # option tuples ranked over this stage's parents, as the merge's tie codes
+            rank = (_dense(code % math.prod(shape[:i]))[:, None] * n + np.arange(n)).reshape(-1)
+        code = (code[:, None] * n + np.arange(n)).reshape(-1)
         if i == last and model.block.removable:  # no latency or importance, options 0
-            m = model.inputs
             lat, imp = np.append(lat, np.zeros(m)), np.append(imp, np.zeros(m))
             rank = np.append(rank, np.full(m, -1))
-            removed = np.zeros((m, opts.shape[1]), dtype=np.int64)
-            removed[:, :lead] = np.arange(m)[:, None]
-            opts = np.concatenate([opts, removed])
+            code = np.append(code, np.arange(m, dtype=kind) * model.states)
         read = set(reads).union(*(pos for _, pos in model.parts if pos[-1] > i))
         apart = [p for p in range(i + 1) if p in read]
         if len(apart) <= i:
-            cols = [0] * lead + [p + lead for p in apart]
-            keep = _pareto(lat, imp, (rank < 0, rank), margin, _group_ids(opts[:, cols]))
-            lat, imp, rank, opts = lat[keep], imp[keep], rank[keep], opts[keep]
-    inp = opts[:, 0] if lead else np.zeros(lat.size, dtype=np.int64)
-    return lat, imp, rank, opts[:, lead:], inp
+            group = None
+            for p in [-1] * (m > 1) + apart:
+                column = digit(p, i + 1)
+                group = column if group is None else group * shape[p] + column
+            keys = (rank < 0, rank) if i == last else (code,)
+            keep = _pareto(lat, imp, keys, margin, group)
+            lat, imp, code = lat[keep], imp[keep], code[keep]
+            if i == last:
+                rank = rank[keep]
+    opts = np.stack([digit(p, last + 1) for p in range(last + 1)], axis=1)
+    return lat, imp, rank, opts, digit(-1, last + 1)
 
 
 def _hull(lat: np.ndarray, imp: np.ndarray) -> np.ndarray:
@@ -524,10 +528,16 @@ class _Bound:
     def __call__(self, k: int, imp: np.ndarray, lat: np.ndarray, room: float) -> np.ndarray:
         """Upper bound on every completion by blocks k.. of partial plans
         with importance `imp` and latency `lat`, within finite latency `room`."""
-        cum_lat, cum_imp, slope = self.cum_lat[k], self.cum_imp[k], self.slope[k]
-        extra = room - lat - self.base_lat[k]
-        j = np.maximum(np.searchsorted(cum_lat, extra, side="right") - 1, 0)
-        return imp + self.base_imp[k] + (cum_imp[j] + slope[j] * (extra - cum_lat[j]))
+        extra = room - lat
+        extra -= self.base_lat[k]
+        j = np.searchsorted(self.cum_lat[k], extra, side="right")
+        np.maximum(j - 1, 0, out=j)
+        # imp + base + (cum_imp[j] + slope[j] * (extra - cum_lat[j])) in place; + and * commute
+        extra -= self.cum_lat[k][j]
+        extra *= self.slope[k][j]
+        extra += self.cum_imp[k][j]
+        extra += imp + self.base_imp[k]
+        return extra
 
 
 class _Reserve:
@@ -646,36 +656,18 @@ def _lp_rounding(
     return imp, used, chosen
 
 
-def _runs(bud: np.ndarray) -> np.ndarray:
-    """Where each run of equal budget indices starts in nondecreasing `bud`."""
-    return np.flatnonzero(np.concatenate(([True], bud[1:] != bud[:-1])))
-
-
 def _raise_max(out: np.ndarray, values: np.ndarray, bud) -> None:
     """Raise ``out[b]`` to the largest of `values` that belong to budget b,
     where `bud` is the budget index of every value (nondecreasing), or one
     index for them all."""
     if not isinstance(bud, int):
         if bud[0] != bud[-1]:
-            starts = _runs(bud)
+            starts = np.flatnonzero(np.concatenate(([True], bud[1:] != bud[:-1])))
             b = bud[starts]
             out[b] = np.maximum(out[b], np.maximum.reduceat(values, starts))
             return
         bud = int(bud[0])
     out[bud] = max(out[bud], values.max())
-
-
-def _pareto_apart(bud, lat, imp, keys, margin: float, cols: np.ndarray) -> np.ndarray:
-    """``_pareto`` run apart on each budget's candidates, grouped by the
-    rows of `cols`, as indices into them all; `bud` is each candidate's
-    budget index (nondecreasing), or None when they share one."""
-    if bud is None or not bud.size or bud[0] == bud[-1]:
-        return _pareto(lat, imp, keys, margin, _group_ids(cols))
-    ends = [*_runs(bud)[1:].tolist(), bud.size]
-    return np.concatenate([
-        lo + _pareto(lat[lo:hi], imp[lo:hi], [key[lo:hi] for key in keys], margin,
-                     _group_ids(cols[lo:hi]))
-        for lo, hi in zip([0, *ends], ends)])
 
 
 def _spread(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -792,15 +784,17 @@ def _pareto_dp(models, frontiers, bound, floor, tolerance, deadline, margin, roo
             cut = fits & ~good
             if cut.any():
                 _raise_max(pruned, value[cut], b if cb is None else cb[cut])
+            del value, fits, cut  # candidate-sized, not held through the filter below
             if k == last and good.any():
                 floor[b] = max(floor[b], c_imp[good].max())
             par, pt, c_lat, c_imp = par[good], pt[good], c_lat[good], c_imp[good]
             chunk = [par, pt, c_lat, c_imp, kappa_rank[par] * 2 + f.removed[pt],
                      omega_rank[par] * f.rank_span + f.rank[pt] + 1]
             if k < last:  # filtered now, so a large stage never holds all its candidates
-                chunk.append(np.concatenate([opts[par], f.opts[pt][:, f.reads]], axis=1)[:, still])
-                keep = _pareto_apart(None if cb is None else cb[good], c_lat, c_imp, chunk[4:6],
-                                     margin, chunk[6])
+                chunk.append(np.concatenate([opts[par], f.opts[:, f.reads][pt]], axis=1)[:, still])
+                # Apart per budget: the budget index leads the group columns.
+                cols = chunk[6] if cb is None else np.column_stack((cb[good], chunk[6]))
+                keep = _pareto(c_lat, c_imp, chunk[4:6], margin, _group_ids(cols))
                 chunk = [a[keep] for a in chunk]
             kept.append(chunk)
             lo = hi
@@ -823,7 +817,8 @@ def _pareto_dp(models, frontiers, bound, floor, tolerance, deadline, margin, roo
             break
         cols = cols[0]
         if len(kept) > 1:  # once more over the chunks' survivors
-            keep = _pareto_apart(cand, c_lat, c_imp, (kappa_code, omega_code), margin, cols)
+            keep = _pareto(c_lat, c_imp, (kappa_code, omega_code), margin,
+                           _group_ids(np.column_stack((cand, cols))))
             par, pt, c_lat, c_imp, kappa_code, omega_code, cols, cand = (
                 a[keep] for a in (par, pt, c_lat, c_imp, kappa_code, omega_code, cols, cand))
         lat, imp, opts = c_lat, c_imp, cols

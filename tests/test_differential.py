@@ -7,7 +7,8 @@
   state the latency of ``block_latency`` and the importance subtotal of
   ``objective_value``, per option of the conv output a chain reads.
 * each block frontier the solver builds must be exactly the tie-safe Pareto
-  filter of the block's enumerated states.
+  filter of the block's enumerated states, and one grouped Pareto filter
+  must keep what a filter per group keeps.
 * the LP rounding that seeds the merge must fit the budget whenever the
   exhaustive oracle finds a plan, and ``heuristic_only`` must then return
   a ``feasible_heuristic`` plan.  That holds up to the order of float
@@ -376,6 +377,35 @@ def middle_read_architecture(rng):
     return make_arch([trunk_dim("trunk"), *producer, *first, *second], blocks)
 
 
+# Group ids as the frontier pass and the merge make them: up to _CODE_CAP,
+# past float64's exact integers, where neighbours round to one float.
+GROUP_IDS = [0, 1, 7, 2**53, 2**53 + 1, 2**53 + 2, solver._CODE_CAP - 2, solver._CODE_CAP - 1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_grouped_pareto_equals_each_group_alone(data):
+    """One grouped ``_pareto`` call keeps exactly what a call per group
+    keeps, groups ascending, on tied latencies and importances, negative
+    importances and group ids above 2**53."""
+    n = data.draw(st.integers(1, 40))
+
+    def column(values):
+        return np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+
+    group = column(st.sampled_from(GROUP_IDS)).astype(np.int64)
+    lat = column(st.integers(0, 4)).astype(float)
+    imp = column(st.sampled_from([-2.5, -1.0, 0.0, 0.5, 1.0, 3.0]))
+    keys = (column(st.booleans()), np.array(data.draw(st.permutations(range(n)))))
+    margin = data.draw(st.sampled_from([0.0, 1e-9, 0.75]))
+    got = solver._pareto(lat, imp, keys, margin, group)
+    want = []
+    for g in sorted(set(group.tolist())):
+        ids = np.flatnonzero(group == g)
+        want += ids[solver._pareto(lat[ids], imp[ids], [k[ids] for k in keys], margin)].tolist()
+    assert got.tolist() == want
+
+
 def test_frontiers_equal_pareto_filter_of_enumerated_states():
     seen = {"chained": 0, "read": 0, "removable": 0, "transformer": 0, "tied heads": 0}
     margin = 1e-9
@@ -409,6 +439,21 @@ def test_frontiers_equal_pareto_filter_of_enumerated_states():
                     got[state] = (float(pts.lat[i]), float(pts.imp[i]))
                 assert got == pareto_reference(model, column, front.reads, margin)
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_frontiers_on_python_int_codes_equal_the_int64_ones(seed):
+    """A block whose state codes could pass int64 codes them as Python ints;
+    with the cap at 2 every block does, and the frontiers must not change."""
+    problem, _ = random_problem(np.random.default_rng(8000 + seed), signed_scores=bool(seed % 2),
+                                state_cap=5000, chained_cap=5000)
+    want = _frontiers(problem.models, 1e-9)
+    with mock.patch.object(solver, "_CODE_CAP", 2):
+        got = _frontiers(problem.models, 1e-9)
+    for a, b in zip(want, got):
+        for name in ("lat", "imp", "rank", "opts", "inp", "hull"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
 def _outcome(problem, mode):

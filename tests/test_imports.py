@@ -2,8 +2,9 @@
 
 A command loads only the modules it runs (see the package and CLI module
 docstrings), none loads ``numpy.ma`` unless a bare ``import numpy`` does
-(numpy 1.x), and the lazily resolved public names are the objects their home
-modules define.
+(numpy 1.x), none loads ``dataclasses`` (the record classes are plain
+classes, see ``latprune.record``), and the lazily resolved public names are
+the objects their home modules define.
 """
 
 import importlib.util
@@ -23,8 +24,8 @@ ARCH = str(DATA / "tiny_mixed.arch.json")
 
 
 def loaded_modules(code: str) -> set[str]:
-    """The latprune modules, hashlib and numpy.ma loaded by a fresh
-    interpreter after running `code`."""
+    """The latprune modules, hashlib, numpy.ma and dataclasses loaded by a
+    fresh interpreter after running `code`."""
     script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -35,7 +36,8 @@ def loaded_modules(code: str) -> set[str]:
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
     modules = json.loads(run.stdout.splitlines()[-1])
-    return {m for m in modules if m.startswith("latprune") or m in ("hashlib", "numpy.ma")}
+    return {m for m in modules
+            if m.startswith("latprune") or m in ("hashlib", "numpy.ma", "dataclasses")}
 
 
 def test_import_loads_no_submodule():
@@ -89,6 +91,54 @@ def test_command_loads_numpy_ma_only_if_numpy_does(inputs, tmp_path, command, ex
     )
     bare = "numpy.ma" in loaded_modules("import numpy")
     assert ("numpy.ma" in loaded_modules(code)) == bare
+
+
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory) -> Path:
+    """A one-chain architecture, its synthesized tables and a trajectory
+    over it, for ``compare-latency-models``."""
+    out = tmp_path_factory.mktemp("chain")
+    arch = {
+        "name": "chain",
+        "dims": [
+            {"id": "stem", "role": "fixed_external", "option_count": 1, "group_size": 8,
+             "max_elements": 8},
+            {"id": "c1", "role": "conv_out", "option_count": 2, "group_size": 4, "max_elements": 8},
+        ],
+        "blocks": [{"id": 1, "kind": "cnn_chain", "removable": False, "input_ref": "stem",
+                    "dims": ["c1"]}],
+    }
+    (out / "arch.json").write_text(json.dumps(arch))
+    assert main(["synth", "--arch", str(out / "arch.json"), "--out", str(out)]) == 0
+    (out / "trajectory.json").write_text(json.dumps({"steps": [{"c1": 1}]}))
+    return out
+
+
+@pytest.mark.parametrize("command", [
+    "synth", "check", "solve", "sweep", "extract", "compare-latency-models"])
+def test_no_command_loads_dataclasses(inputs, chain, tmp_path, command):
+    docs = ["--arch", ARCH, "--scores", str(inputs / "scores.json"),
+            "--lut", str(inputs / "lut.json")]
+    out = ["--out", str(tmp_path / "out")]
+    args = {
+        "synth": ["--arch", ARCH, *out],
+        "check": docs,
+        "solve": [*docs, "--budget-ms", "0.25", *out],
+        "sweep": [*docs, "--budgets", "0.2,0.3", *out],
+        "extract": [*docs, "--report", str(tmp_path / "run" / "report.json"), *out],
+        "compare-latency-models": [
+            "--arch", str(chain / "arch.json"), "--lut", str(chain / "lut.json"),
+            "--trajectory", str(chain / "trajectory.json"), *out],
+    }[command]
+    if command == "extract":
+        assert main(["solve", *docs, "--budget-ms", "0.25", "--out", str(tmp_path / "run")]) == 0
+    code = (
+        "from latprune.cli import main\n"
+        f"assert main({[command, *args]!r}) == 0\n"
+    )
+    loaded = loaded_modules(code)
+    assert "latprune.record" in loaded
+    assert "dataclasses" not in loaded
 
 
 @pytest.fixture

@@ -1,0 +1,162 @@
+"""The record classes: construction, defaults, equality, repr, hashing and
+frozen-ness, for every ``latprune.record.Record`` subclass."""
+
+import numpy as np
+import pytest
+
+from latprune.arch import ArchitectureSpec, BlockSpec, DimensionSpec
+from latprune.cli import RunManifest
+from latprune.extract import BlockOutcome, DimOutcome, PrunedStructure
+from latprune.importance import Assignment, ImportanceVector, RawScores
+from latprune.latency import LatencyModelParams, LatencyTable, PruneTrajectory, ReplayStep
+from latprune.record import Record
+from latprune.solver import PruningSolution, SolverConfig
+
+from conftest import conv_dim, make_arch, trunk_dim
+
+# One value per field, in field order.
+RECORDS = {
+    DimensionSpec: dict(id="d", role="conv_out", option_count=2, group_size=4, max_elements=8),
+    BlockSpec: dict(id=1, kind="cnn_chain", dims=("d",), removable=True, input_ref="t"),
+    ArchitectureSpec: dict(name="net", blocks=(), dims={}),
+    RawScores: dict(dim_id="d", scores=np.arange(3.0)),
+    ImportanceVector: dict(dim_id="d", values=np.arange(2.0)),
+    Assignment: dict(omega={"d": 1}, kappa={1: 0}),
+    LatencyTable: dict(block_id=1, part="mlp", axes=("e", "m"), data=np.ones((2, 2)), layer=None),
+    LatencyModelParams: dict(unit_cost=1e-3, overhead=0.5, tile=8, spatial=2.0),
+    PruneTrajectory: dict(steps=({"c": 1},)),
+    ReplayStep: dict(step=0, true_ms=1.0, linear_ms=1.5, gap=0.5,
+                     layer_errors=(("c", 0.1, 0.2),)),
+    SolverConfig: dict(mode="exhaustive", time_limit=5.0, tolerance=0.25),
+    PruningSolution: dict(status="optimal", assignment=None, importance=1.0, latency=2.0,
+                          bound=1.0, node_count=3, wall_time=0.1, message="done"),
+    RunManifest: dict(command="check", inputs={}, params={"seed": 0}),
+    DimOutcome: dict(dim_id="d", role="conv_out", option=1, kept_count=2, max_elements=8,
+                     kept_elements=(3, 5)),
+    BlockOutcome: dict(block_id=1, kind="cnn_chain", kept=True, dims=()),
+    PrunedStructure: dict(name="net", blocks=(), importance=1.0, latency=2.0, depth_kept=0,
+                          depth_total=0),
+}
+MUTABLE = {Assignment, PruningSolution}
+DEFAULTS = {
+    BlockSpec: {"input_ref": None},
+    Assignment: {"omega": {}, "kappa": {}},
+    LatencyTable: {"layer": None},
+    LatencyModelParams: {"unit_cost": 1e-6, "overhead": 0.01, "tile": 32, "spatial": 1.0},
+    SolverConfig: {"mode": "branch_and_bound", "time_limit": 60.0, "tolerance": 0.0},
+    PruningSolution: {"message": ""},
+}
+CLASSES = pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+
+
+def test_every_record_class_is_covered():
+    assert set(Record.__subclasses__()) == set(RECORDS)
+
+
+@CLASSES
+def test_keyword_and_positional_construction(cls):
+    fields = RECORDS[cls]
+    by_name, by_position = cls(**fields), cls(*fields.values())
+    for record in (by_name, by_position):
+        assert [getattr(record, name) for name in fields] == list(fields.values())
+    assert by_name == by_position
+    half = len(fields) // 2
+    mixed = cls(*list(fields.values())[:half], **dict(list(fields.items())[half:]))
+    assert mixed == by_name
+
+
+@CLASSES
+def test_defaults(cls):
+    defaults = DEFAULTS.get(cls, {})
+    required = {name: value for name, value in RECORDS[cls].items() if name not in defaults}
+    record = cls(**required)
+    for name, value in defaults.items():
+        assert getattr(record, name) == value
+        if isinstance(value, dict):  # a fresh dict per record
+            assert getattr(record, name) is not getattr(cls(**required), name)
+
+
+def test_two_assignments_share_no_dict():
+    first, second = Assignment(), Assignment()
+    first.omega["d"] = 1
+    first.kappa[1] = 0
+    assert second.omega == {} and second.kappa == {}
+
+
+@CLASSES
+def test_bad_arguments_raise_type_error(cls):
+    fields = RECORDS[cls]
+    name = next(iter(fields))
+    with pytest.raises(TypeError):
+        cls(*fields.values(), "extra")
+    with pytest.raises(TypeError):
+        cls(**fields, no_such_field=1)
+    with pytest.raises(TypeError):
+        cls(fields[name], **fields)
+    if name not in DEFAULTS.get(cls, {}):
+        with pytest.raises(TypeError, match=name):
+            cls(**{k: v for k, v in fields.items() if k != name})
+
+
+@CLASSES
+def test_equality_reads_the_exact_type_and_the_fields(cls):
+    fields = RECORDS[cls]
+    record = cls(**fields)
+    assert record == cls(**fields)
+    twin = type("Twin", (Record,), {"__annotations__": dict(cls.__annotations__)})
+    assert record != twin(**fields)
+    assert twin(**fields) != record
+    name = next(iter(fields))
+    assert record != cls(**{**fields, name: "other"})
+
+
+@CLASSES
+def test_repr_lists_the_fields(cls):
+    fields = RECORDS[cls]
+    shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+    assert repr(cls(**fields)) == f"{cls.__qualname__}({shown})"
+
+
+@CLASSES
+def test_frozen_records_refuse_assignment_and_hash_by_fields(cls):
+    fields = RECORDS[cls]
+    record = cls(**fields)
+    name = next(iter(fields))
+    if cls in MUTABLE:
+        setattr(record, name, "changed")
+        assert getattr(record, name) == "changed"
+        with pytest.raises(TypeError):
+            hash(record)
+        return
+    for change in (lambda: setattr(record, name, "changed"), lambda: delattr(record, name),
+                   lambda: setattr(record, "new_attribute", 1)):
+        with pytest.raises(AttributeError):
+            change()
+    assert getattr(record, name) == fields[name]
+    try:
+        key = hash(tuple(fields.values()))
+    except TypeError:  # an array or dict field: unhashable, as the tuple is
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == key == hash(cls(**fields))
+
+
+def test_architecture_equality_ignores_its_cached_parts():
+    def arch():
+        block = BlockSpec(id=1, kind="cnn_chain", dims=("c1",), removable=True, input_ref="t")
+        return make_arch([trunk_dim("t"), conv_dim("c1", 2)], [block])
+
+    cached, fresh = arch(), arch()
+    parts = cached.parts(cached.blocks[0])
+    assert "_parts" in vars(cached) and "_parts" not in vars(fresh)
+    assert cached == fresh and fresh == cached
+    assert cached.parts(cached.blocks[0]) is parts  # computed once
+
+
+def test_raw_scores_rank_once_and_compare_by_value():
+    scores = RawScores(dim_id="d", scores=np.array([0.5, 2.0, 0.5, -1.0]))
+    assert scores.ranked.tolist() == [1, 0, 2, 3]
+    assert scores.ranked is scores.ranked
+    assert scores == RawScores(dim_id="d", scores=np.array([0.5, 2.0, 0.5, -1.0]))
+    assert scores != RawScores(dim_id="d", scores=np.array([0.5, 2.0, 0.5, 1.0]))

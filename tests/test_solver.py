@@ -378,6 +378,23 @@ class TestBranchAndBound:
         assert sol.status == "infeasible"
         assert sol.assignment is None
 
+    def test_block_past_int64_state_codes_is_solved(self):
+        # 16 layers of 16 options: 2**64 states, so the frontier pass codes
+        # them as Python ints.
+        dims = [trunk_dim("t")] + [conv_dim(f"c{i}", 16) for i in range(1, 17)]
+        blocks = [BlockSpec(id=1, kind="cnn_chain", dims=tuple(d.id for d in dims[1:]),
+                            removable=False, input_ref="t")]
+        arch = make_arch(dims, blocks)
+        rng = np.random.default_rng(0)
+        tables = random_tables(arch, rng)
+        dense = constraint_value(dense_assignment(arch), tables, arch)
+        problem = assemble(arch, build_all_vectors(arch, random_scores(arch, rng)), tables,
+                           dense / 2)
+        sol = solve_branch_and_bound(problem)
+        assert sol.status == "optimal" and sol.latency <= problem.budget
+        assert sol.importance >= solve_branch_and_bound(
+            problem, SolverConfig(mode="heuristic_only")).importance
+
     def test_time_limit_degrades_to_feasible_heuristic(self):
         rng = np.random.default_rng(75)
         problem, _ = random_problem(rng, budget=None)
