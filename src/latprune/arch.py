@@ -271,10 +271,16 @@ def dump_json(obj) -> str:
     library's pure-Python indenting encoder.  A value of any other type
     (``np.int64``, a set, ...) and a dict key that is not a ``str`` raise
     TypeError."""
+    return "".join(json_pieces(obj))
+
+
+def json_pieces(obj) -> list[str]:
+    """The strings `dump_json` joins, in order, for a writer that streams
+    them to a file rather than hold them and the joined text together."""
     out: list[str] = []
     _encode(obj, "\n", out)
     out.append("\n")
-    return "".join(out)
+    return out
 
 
 def _encode(value, indent: str, out: list[str]) -> None:

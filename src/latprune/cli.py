@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 infeasible, 3 validation or usage error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
 import math
@@ -101,15 +102,21 @@ def _manifest(
     return RunManifest(command=command, inputs=hashed, params=params), texts
 
 
-def _write(path: Path, text: str) -> None:
+def _write_pieces(path: Path, pieces) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:  # in slices: no encoded copy of a whole large document
-        for i in range(0, len(text), 1 << 16):
-            f.write(text[i:i + (1 << 16)])
+    with open(path, "w") as f:
+        f.writelines(pieces)
+
+
+def _write(path: Path, text: str) -> None:
+    # In slices: no encoded copy of a whole large document.
+    _write_pieces(path, (text[i:i + (1 << 16)] for i in range(0, len(text), 1 << 16)))
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    _write(path, arch_mod.dump_json(obj))
+    # Encoded before the file is opened, so a value JSON cannot hold writes
+    # nothing; the pieces are written as they are, never joined.
+    _write_pieces(path, arch_mod.json_pieces(obj))
 
 
 def _write_manifest(out: Path, manifest: RunManifest) -> None:
@@ -230,8 +237,8 @@ def cmd_synth(args) -> int:
     scores = imp_mod.synth_scores(arch, args.seed, args.distribution)
     tables = lat_mod.synth_lut(arch, params, args.seed, noise=args.noise)
     out = Path(args.out)
-    _write(out / "scores.json", imp_mod.serialize_scores(scores, manifest=manifest.hash()))
-    _write(out / "lut.json", lat_mod.serialize_lut(tables, manifest=manifest.hash()))
+    _write_json(out / "scores.json", imp_mod.scores_to_obj(scores, manifest=manifest.hash()))
+    _write_json(out / "lut.json", lat_mod.lut_to_obj(tables, manifest=manifest.hash()))
     _write_manifest(out, manifest)
     print(f"synth: wrote scores.json and lut.json under {out}")
     return EXIT_OK
@@ -553,5 +560,19 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
 
 
+def run() -> None:
+    """The process entry point (``latprune`` and ``python -m latprune.cli``):
+    `main` on the command line, then exit with its code.
+
+    The heap is frozen first, so the interpreter's teardown skips collecting
+    the objects still alive (numpy's and the package's module-level cycles),
+    most of a process's exit time.  `atexit` handlers still run, standard
+    output is still flushed and the OS reclaims the memory.  `main` never
+    freezes, so a caller that stays alive after it leaks nothing."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -174,6 +174,10 @@ def parse_scores(document: str) -> dict[str, RawScores]:
 
 
 def serialize_scores(scores: dict[str, RawScores], manifest: str | None = None) -> str:
+    return dump_json(scores_to_obj(scores, manifest))
+
+
+def scores_to_obj(scores: dict[str, RawScores], manifest: str | None = None) -> dict:
     doc: dict = {
         "scores": [
             {"dim_id": s.dim_id, "scores": [float(v) for v in s.scores]}
@@ -182,7 +186,7 @@ def serialize_scores(scores: dict[str, RawScores], manifest: str | None = None) 
     }
     if manifest is not None:
         doc[MANIFEST_KEY] = manifest
-    return dump_json(doc)
+    return doc
 
 
 def synth_rng(seed: int) -> np.random.Generator:

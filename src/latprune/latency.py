@@ -422,6 +422,12 @@ def parse_lut(document: str) -> TableSet:
 def serialize_lut(
     tables: TableSet, base64_payload: bool = False, manifest: str | None = None
 ) -> str:
+    return dump_json(lut_to_obj(tables, base64_payload, manifest))
+
+
+def lut_to_obj(
+    tables: TableSet, base64_payload: bool = False, manifest: str | None = None
+) -> dict:
     records = []
     for table in tables:
         record: dict = {
@@ -441,4 +447,4 @@ def serialize_lut(
     doc: dict = {"tables": records}
     if manifest is not None:
         doc[MANIFEST_KEY] = manifest
-    return dump_json(doc)
+    return doc

@@ -1,13 +1,20 @@
+import gc
 import json
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from latprune import (
-    Assignment, assemble, build_all_vectors, constraint_value, parse_architecture, parse_lut,
-    parse_scores, solve,
+    Assignment, LatencyModelParams, assemble, build_all_vectors, constraint_value,
+    parse_architecture, parse_lut, parse_scores, serialize_lut, serialize_scores, solve,
+    synth_lut, synth_scores,
 )
+from latprune import cli
 from latprune.cli import _write_json, main
 
 DATA = Path(__file__).parent.parent / "demos" / "data"
@@ -81,6 +88,18 @@ class TestSynth:
         assert code == 3
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    def test_documents_are_the_library_serializers_text(self, tmp_path):
+        # synth streams the encoder's pieces; the bytes must be the ones
+        # serialize_scores and serialize_lut return.
+        out = synth(tmp_path)
+        stamp = json.loads((out / "manifest.json").read_text())["hash"]
+        arch = parse_architecture((DATA / "tiny_mixed.arch.json").read_text())
+        params = LatencyModelParams(unit_cost=1e-4, overhead=0.01, tile=8, spatial=1.0)
+        scores = serialize_scores(synth_scores(arch, 0, "uniform01"), manifest=stamp)
+        lut = serialize_lut(synth_lut(arch, params, 0, noise=0.02), manifest=stamp)
+        assert (out / "scores.json").read_text() == scores
+        assert (out / "lut.json").read_text() == lut
 
     def test_tile_plateau_visible_in_emitted_lut(self, tmp_path):
         out = synth(tmp_path)
@@ -933,3 +952,117 @@ class TestExtractCommand:
         assert code == 3
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# The process entry point and what every command leaves behind
+# ---------------------------------------------------------------------------
+
+COMMANDS = ["synth", "check", "solve", "sweep", "extract", "compare-latency-models"]
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory) -> Path:
+    """tiny_mixed's synthesized documents, a solve report over them for
+    ``extract``, and a one-chain architecture with tables and a trajectory
+    for ``compare-latency-models``."""
+    root = tmp_path_factory.mktemp("documents")
+    synth(root)
+    inputs = root / "inputs"
+    assert main(solve_args(DATA / "tiny_mixed.arch.json", inputs, root / "run", "0.25")) == 0
+    chain = root / "chain"
+    doc = {
+        "name": "chain",
+        "dims": [
+            {"id": "stem", "role": "fixed_external", "option_count": 1, "group_size": 8,
+             "max_elements": 8},
+            {"id": "c1", "role": "conv_out", "option_count": 2, "group_size": 4,
+             "max_elements": 8},
+        ],
+        "blocks": [{"id": 1, "kind": "cnn_chain", "removable": False, "input_ref": "stem",
+                    "dims": ["c1"]}],
+    }
+    chain.mkdir()
+    (chain / "arch.json").write_text(json.dumps(doc))
+    assert main(["synth", "--arch", str(chain / "arch.json"), "--out", str(chain)]) == 0
+    (chain / "trajectory.json").write_text(json.dumps({"steps": [{"c1": 1}]}))
+    return root
+
+
+def command_args(command: str, root: Path, out: Path) -> list[str]:
+    """A successful run of `command` over the `documents` fixture."""
+    arch = str(DATA / "tiny_mixed.arch.json")
+    docs = ["--arch", arch, "--scores", str(root / "inputs" / "scores.json"),
+            "--lut", str(root / "inputs" / "lut.json")]
+    chain = root / "chain"
+    return {
+        "synth": ["synth", "--arch", arch, "--seed", "1", "--out", str(out)],
+        "check": ["check", *docs],
+        "solve": ["solve", *docs, "--budget-ms", "0.25", "--out", str(out)],
+        "sweep": ["sweep", *docs, "--budgets", "0.2,0.3", "--out", str(out)],
+        "extract": ["extract", "--report", str(root / "run" / "report.json"), *docs,
+                    "--out", str(out)],
+        "compare-latency-models": [
+            "compare-latency-models", "--arch", str(chain / "arch.json"),
+            "--lut", str(chain / "lut.json"), "--trajectory", str(chain / "trajectory.json"),
+            "--out", str(out)],
+    }[command]
+
+
+class TestProcessEntry:
+    """`run` freezes the heap before the process exits, so teardown skips its
+    collection; `main` never freezes, so in-process callers leak nothing."""
+
+    @pytest.fixture
+    def unfreeze(self):
+        yield
+        gc.unfreeze()
+
+    @pytest.mark.parametrize("code", [0, 2, 3, 4])
+    def test_run_exits_with_mains_code_after_freezing(self, monkeypatch, unfreeze, code):
+        monkeypatch.setattr(cli, "main", lambda argv=None: code)
+        before = gc.get_freeze_count()
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == code
+        assert gc.get_freeze_count() > before
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_main_never_freezes(self, documents, tmp_path, command):
+        before = gc.get_freeze_count()
+        assert main(command_args(command, documents, tmp_path / "out")) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_module_entry_writes_what_main_writes(self, documents, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")) if p
+        )
+
+        def entry(args: list[str]) -> int:
+            return subprocess.run([sys.executable, "-m", "latprune.cli", *args], env=env,
+                                  capture_output=True, timeout=60).returncode
+
+        args = command_args("solve", documents, tmp_path / "process")
+        assert entry(args) == 0
+        assert main(command_args("solve", documents, tmp_path / "in_process")) == 0
+        names = sorted(p.name for p in (tmp_path / "in_process").iterdir())
+        assert sorted(p.name for p in (tmp_path / "process").iterdir()) == names
+        for name in names:
+            if name != "timing.json":  # wall-clock, the one unstamped output
+                want = (tmp_path / "in_process" / name).read_bytes()
+                assert (tmp_path / "process" / name).read_bytes() == want, name
+        infeasible = [a if a != "0.25" else "0.0001" for a in args]
+        assert entry(infeasible) == 2
+        assert entry([*args, "--no-such-flag"]) == 3
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_closes_every_file_it_opens(documents, tmp_path, command):
+    # The process entry freezes the heap, so a file left open in a cycle would
+    # never be flushed at exit: each command must close what it opens.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(command_args(command, documents, tmp_path / "out")) == 0
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
