@@ -49,7 +49,7 @@ for budget in (0.6 * dense_ms, 0.12 * dense_ms):
           f"importance {solution.importance:.3f}, latency {solution.latency:.4f} ms, "
           f"{solution.node_count} nodes")
 
-    structure = lp.extract_structure(solution, problem, scores)
+    structure = lp.extract_structure(solution.assignment, arch, vectors, tables, scores)
     text, _ = lp.summarize(structure)
     print("  " + text.replace("\n", "\n  ").rstrip() + "\n")
 

@@ -75,7 +75,7 @@ for keep in (0.5, 0.3, 0.15, 0.08):
           f"{str(removed):>15} {sol.latency:>11.3f}")
 
 # --- width profile of the tightest plan ---------------------------------------
-structure = lp.extract_structure(sol, problem, scores)
+structure = lp.extract_structure(sol.assignment, arch, vectors, tables, scores)
 print("\nwidth profile at keep ratio 0.08 (mid-conv widths per block):")
 for block in structure.blocks:
     if not block.kept:

@@ -27,6 +27,7 @@ import json
 import math
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
+from numbers import Real
 
 import numpy as np
 
@@ -358,6 +359,16 @@ def number(value, where: str) -> float:
         return float(value)
     except OverflowError:
         raise ParseError(f"{where}: integer too large for a float64") from None
+
+
+def checked_budget(budget) -> float:
+    """`budget` as a float if it is a positive real number (infinity
+    included); shared by ``solver.assemble`` and ``latprune extract``."""
+    if isinstance(budget, bool) or not isinstance(budget, Real):
+        raise ValidationError(f"budget must be a real number, got {budget!r}")
+    if math.isnan(budget) or budget <= 0:
+        raise ValidationError(f"budget must be positive, got {budget!r}")
+    return float(budget)
 
 
 def numbers(value, where: str) -> np.ndarray:

@@ -312,7 +312,9 @@ def cmd_solve(args) -> int:
         print(f"solve: infeasible ({solution.message})")
         return EXIT_INFEASIBLE
 
-    structure = extract_mod.extract_structure(solution, problem, raw_scores)
+    structure = extract_mod.extract_structure(
+        solution.assignment, arch, vectors, tables, raw_scores
+    )
     _write_structure(out, structure, stamp)
     _write(out / "assignment.csv", _assignment_csv(arch, solution.assignment, stamp))
     if structure.degenerate:
@@ -408,8 +410,9 @@ def cmd_compare_latency_models(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    # The plan is rechecked against the tables, not solved: the solver is
+    # never loaded.
     from . import extract as extract_mod
-    from . import solver as solver_mod
 
     manifest, texts = _manifest(
         "extract",
@@ -442,19 +445,13 @@ def cmd_extract(args) -> int:
     assignment = imp_mod.Assignment(
         omega=dict(plan["omega"]), kappa={int(b): k for b, k in plan["kappa"].items()}
     )
-    budget = arch_mod.number(report["budget_ms"], "report: budget_ms")
-    problem = solver_mod.assemble(arch, vectors, tables, budget)
+    # The checks and their order are those of assembling the solved problem.
+    arch_mod.checked_budget(arch_mod.number(report["budget_ms"], "report: budget_ms"))
+    arch_mod.validate_problem_shapes(arch, tables, vectors)
     assignment.validate_for(arch)
-    solution = solver_mod.PruningSolution(
-        status=report["status"],
-        assignment=assignment,
-        importance=report["importance"],
-        latency=report["latency_ms"],
-        bound=report.get("bound"),
-        node_count=report.get("node_count", 0),
-        wall_time=0.0,
-    )
-    structure = extract_mod.extract_structure(solution, problem, raw_scores)
+    if report["status"] == "infeasible":
+        raise ValidationError("cannot extract a structure from an infeasible solve")
+    structure = extract_mod.extract_structure(assignment, arch, vectors, tables, raw_scores)
     out = Path(args.out)
     _write_structure(out, structure, manifest.hash())
     _write_manifest(out, manifest)
@@ -486,14 +483,7 @@ def _add_solver_args(parser: argparse.ArgumentParser, time_help: str = "seconds"
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="latprune",
-        description="Budgeted multi-granularity pruning planner",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate synthetic scores and latency tables")
+def _synth_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--arch", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--distribution", default="uniform01", choices=["uniform01", "exponential"])
@@ -503,51 +493,80 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spatial", type=float, default=1.0)
     p.add_argument("--noise", type=float, default=0.02)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_synth)
 
-    p = sub.add_parser("check", help="validate inputs without solving")
+
+def _check_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--arch", required=True)
     p.add_argument("--scores")
     p.add_argument("--lut")
-    p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("solve", help="solve one budget and extract the plan")
+
+def _solve_args(p: argparse.ArgumentParser) -> None:
     _add_problem_args(p)
     p.add_argument("--budget-ms", type=float, required=True)
     _add_solver_args(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_solve)
 
-    p = sub.add_parser("sweep", help="solve a list of budgets for Pareto data")
+
+def _sweep_args(p: argparse.ArgumentParser) -> None:
     _add_problem_args(p)
     p.add_argument("--budgets", required=True, help="comma-separated budgets in ms")
     _add_solver_args(p, "seconds per budget: the budgets are merged in one pass under "
                         "one deadline, this times their count, from the pass's start")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_sweep)
 
-    p = sub.add_parser(
-        "compare-latency-models",
-        help="replay a pruning trajectory under both latency models",
-    )
+
+def _compare_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--arch", required=True)
     p.add_argument("--lut", required=True)
     p.add_argument("--trajectory", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_compare_latency_models)
 
-    p = sub.add_parser("extract", help="re-extract a structure from a saved report")
+
+def _extract_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--report", required=True)
     _add_problem_args(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_extract)
 
+
+# Subcommand -> (help, function adding its arguments, the command).
+_COMMANDS = {
+    "synth": ("generate synthetic scores and latency tables", _synth_args, cmd_synth),
+    "check": ("validate inputs without solving", _check_args, cmd_check),
+    "solve": ("solve one budget and extract the plan", _solve_args, cmd_solve),
+    "sweep": ("solve a list of budgets for Pareto data", _sweep_args, cmd_sweep),
+    "compare-latency-models": (
+        "replay a pruning trajectory under both latency models",
+        _compare_args,
+        cmd_compare_latency_models,
+    ),
+    "extract": ("re-extract a structure from a saved report", _extract_args, cmd_extract),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Every subcommand is registered, so the
+    top-level help and the error for an unknown command list them all, but
+    only `command`'s arguments are added, or every command's when it is
+    None: a process parses one command's arguments and builds no others."""
+    parser = argparse.ArgumentParser(
+        prog="latprune",
+        description="Budgeted multi-granularity pruning planner",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, add_args, fn) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if command is None or command == name:
+            add_args(p)
+            p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
         return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     try:

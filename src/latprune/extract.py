@@ -11,18 +11,13 @@ independent check of the reported solution.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
-from .arch import MANIFEST_KEY, dump_json, kept_elements
+from .arch import ArchitectureSpec, MANIFEST_KEY, dump_json, kept_elements
 from .errors import ValidationError
-from .importance import RawScores, objective_value
-from .latency import constraint_value
+from .importance import Assignment, ImportanceVector, RawScores, objective_value
+from .latency import TableSet, constraint_value
 from .record import Record
-
-if TYPE_CHECKING:  # annotations only: importing extract does not load the solver
-    from .solver import PruningProblem, PruningSolution
 
 
 class DimOutcome(Record, frozen=True):
@@ -56,15 +51,18 @@ class PrunedStructure(Record, frozen=True):
 
 
 def extract_structure(
-    solution: PruningSolution,
-    problem: PruningProblem,
+    assignment: Assignment | None,
+    arch: ArchitectureSpec,
+    vectors: dict[str, ImportanceVector],
+    tables: TableSet,
     raw_scores: dict[str, RawScores],
 ) -> PrunedStructure:
-    """Materialize the kept-element lists for a non-infeasible solution."""
-    if solution.status == "infeasible" or solution.assignment is None:
+    """Materialize the kept-element lists of a plan: a solution's
+    assignment, None for an infeasible solve.  `vectors` and `tables` are
+    the ones the plan was solved against, shape-checked as ``assemble``
+    checks them."""
+    if assignment is None:
         raise ValidationError("cannot extract a structure from an infeasible solve")
-    assignment = solution.assignment
-    arch = problem.arch
 
     blocks = []
     kept_blocks = 0
@@ -104,8 +102,8 @@ def extract_structure(
             BlockOutcome(block_id=block.id, kind=block.kind, kept=True, dims=tuple(dims))
         )
 
-    importance = objective_value(assignment, problem.vectors, arch)
-    latency = constraint_value(assignment, problem.tables, arch)
+    importance = objective_value(assignment, vectors, arch)
+    latency = constraint_value(assignment, tables, arch)
     return PrunedStructure(
         name=arch.name,
         blocks=tuple(blocks),

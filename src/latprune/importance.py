@@ -91,8 +91,17 @@ class Assignment(Record):
 
 
 def ranked_indices(scores: np.ndarray) -> np.ndarray:
-    """Element indices sorted by descending score, ties by original index."""
-    return np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    """Element indices sorted by descending score, ties by original index.
+
+    numpy's default sort is faster than its stable one and gives the same
+    order whenever the sorted values strictly increase; only ties (0.0 and
+    -0.0 among them) or NaN take the stable sort."""
+    negated = -np.asarray(scores, dtype=np.float64)
+    order = np.argsort(negated)
+    ranked = negated[order]
+    if (ranked[1:] > ranked[:-1]).all():
+        return order
+    return np.argsort(negated, kind="stable")
 
 
 def build_importance_vector(raw: RawScores, dim: DimensionSpec) -> ImportanceVector:

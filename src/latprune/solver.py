@@ -62,14 +62,15 @@ from __future__ import annotations
 
 import copy
 import math
-import numbers
 import sys
 import time
 from functools import cached_property
 
 import numpy as np
 
-from .arch import ArchitectureSpec, BlockSpec, subnetwork_count, validate_problem_shapes
+from .arch import (
+    ArchitectureSpec, BlockSpec, checked_budget, subnetwork_count, validate_problem_shapes,
+)
 from .errors import SolveError, ValidationError
 from .importance import Assignment, ImportanceVector, objective_value
 from .latency import TableSet, constraint_value
@@ -197,7 +198,7 @@ class PruningProblem:
         shares the block models and the budget-free core, so a sweep builds
         the frontiers and the LP bound once."""
         problem = copy.copy(self)
-        problem.budget = _checked_budget(budget)
+        problem.budget = checked_budget(budget)
         return problem
 
     def tie_key(self, assignment: Assignment):
@@ -216,17 +217,9 @@ def assemble(
     budget: float,
 ) -> PruningProblem:
     """Validate shapes and freeze a problem instance."""
-    budget = _checked_budget(budget)
+    budget = checked_budget(budget)
     validate_problem_shapes(arch, tables, vectors)
     return PruningProblem(arch, vectors, tables, budget)
-
-
-def _checked_budget(budget) -> float:
-    if isinstance(budget, bool) or not isinstance(budget, numbers.Real):
-        raise ValidationError(f"budget must be a real number, got {budget!r}")
-    if math.isnan(budget) or budget <= 0:
-        raise ValidationError(f"budget must be positive, got {budget!r}")
-    return float(budget)
 
 
 def _solution(problem, start, status, nodes, plan=None, bound=None, message="") -> PruningSolution:

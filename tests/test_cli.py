@@ -903,6 +903,14 @@ BAD_REPORTS = [
         "zz_unknown",
         id="unknown-dim",
     ),
+    *(
+        pytest.param(_edit(lambda r, b=b: r.update(budget_ms=b)), "budget must be positive",
+                     id=f"budget-{b}")
+        for b in (0, -1.5, float("nan"))  # json.dumps writes NaN, which the reader accepts
+    ),
+    pytest.param(
+        _edit(lambda r: r.update(status="infeasible")), "infeasible", id="infeasible-status"
+    ),
 ]
 
 
@@ -1055,6 +1063,44 @@ class TestProcessEntry:
         infeasible = [a if a != "0.25" else "0.0001" for a in args]
         assert entry(infeasible) == 2
         assert entry([*args, "--no-such-flag"]) == 3
+
+
+class TestParser:
+    """`main` builds only its command's arguments; the parser it builds
+    reads that command exactly as the parser of every command does."""
+
+    @staticmethod
+    def help_text(parser, argv: list[str], capsys) -> str:
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_one_command_parser_reads_as_the_full_one(self, documents, tmp_path, command, capsys):
+        argv = command_args(command, documents, tmp_path / "out")
+        one, full = cli.build_parser(command), cli.build_parser()
+        assert one.parse_args(argv) == full.parse_args(argv)
+        help_one = self.help_text(one, [command, "--help"], capsys)
+        assert help_one == self.help_text(full, [command, "--help"], capsys)
+        assert "--arch" in help_one
+        assert one.format_help() == full.format_help()
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert out == cli.build_parser().format_help()
+        listed = [line.split()[0] for line in out.splitlines()
+                  if line.startswith("    ") and line.split()[0] in COMMANDS]
+        assert listed == ["synth", "check", "solve", "sweep", "compare-latency-models",
+                          "extract"]
+
+    def test_misspelled_command_exits_3_listing_every_choice(self, capsys):
+        assert main(["solv"]) == 3
+        err = capsys.readouterr().err
+        assert "invalid choice: 'solv'" in err
+        choices = err.split("choose from", 1)[1]
+        assert all(c in choices for c in COMMANDS)
 
 
 @pytest.mark.parametrize("command", COMMANDS)

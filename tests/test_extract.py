@@ -18,7 +18,6 @@ from latprune import (
 )
 from latprune.extract import serialize_structure
 from latprune.importance import ranked_indices
-from latprune.solver import PruningSolution, assemble
 
 from conftest import (
     BlockSpec,
@@ -31,7 +30,8 @@ from conftest import (
 )
 
 
-def scored_problem(budget=100.0, removable=True):
+def scored_inputs(removable=True):
+    """(arch, vectors, tables) of a one-block chain, and its raw scores."""
     dims = [trunk_dim("t"), conv_dim("c1", 3)]
     blocks = [BlockSpec(id=1, kind="cnn_chain", dims=("c1",), removable=removable, input_ref="t")]
     arch = make_arch(dims, blocks)
@@ -45,66 +45,39 @@ def scored_problem(budget=100.0, removable=True):
         LatencyTable(block_id=1, part="conv_layer", layer=1, axes=("t", "c1"),
                      data=np.array([[1.0, 2.0, 3.0]])),
     )
-    return assemble(arch, vectors, tables, budget), raw
+    return (arch, vectors, tables), raw
 
 
 class TestExtract:
     def test_keeps_highest_scoring_elements(self):
-        problem, raw = scored_problem()
-        solution = PruningSolution(
-            status="optimal",
-            assignment=Assignment(omega={"c1": 2}, kappa={1: 1}),
-            importance=1.4,
-            latency=2.0,
-            bound=1.4,
-            node_count=1,
-            wall_time=0.0,
-        )
-        structure = extract_structure(solution, problem, raw)
+        inputs, raw = scored_inputs()
+        assignment = Assignment(omega={"c1": 2}, kappa={1: 1})
+        structure = extract_structure(assignment, *inputs, raw)
         dim = structure.blocks[0].dims[0]
         # Scores [0.2, 0.9, 0.5]: top-2 are elements 2 and 3 (1-based).
         assert dim.kept_elements == (2, 3)
         assert dim.kept_count == 2
 
     def test_removed_block_absent_regardless_of_options(self):
-        problem, raw = scored_problem()
-        solution = PruningSolution(
-            status="optimal",
-            assignment=Assignment(omega={"c1": 3}, kappa={1: 0}),
-            importance=0.0,
-            latency=0.0,
-            bound=0.0,
-            node_count=1,
-            wall_time=0.0,
-        )
-        structure = extract_structure(solution, problem, raw)
+        inputs, raw = scored_inputs()
+        assignment = Assignment(omega={"c1": 3}, kappa={1: 0})
+        structure = extract_structure(assignment, *inputs, raw)
         assert structure.blocks[0].kept is False
         assert structure.blocks[0].dims == ()
         assert structure.degenerate
 
     def test_infeasible_solution_rejected(self):
-        problem, raw = scored_problem()
-        solution = PruningSolution(
-            status="infeasible", assignment=None, importance=None,
-            latency=None, bound=None, node_count=0, wall_time=0.0,
-        )
+        # An infeasible solve's assignment is None.
+        inputs, raw = scored_inputs()
         with pytest.raises(ValidationError, match="infeasible"):
-            extract_structure(solution, problem, raw)
+            extract_structure(None, *inputs, raw)
 
     def test_missing_scores_for_retained_dim(self):
-        problem, raw = scored_problem()
+        inputs, raw = scored_inputs()
         del raw["c1"]
-        solution = PruningSolution(
-            status="optimal",
-            assignment=Assignment(omega={"c1": 1}, kappa={1: 1}),
-            importance=0.9,
-            latency=1.0,
-            bound=0.9,
-            node_count=1,
-            wall_time=0.0,
-        )
+        assignment = Assignment(omega={"c1": 1}, kappa={1: 1})
         with pytest.raises(ValidationError, match="c1"):
-            extract_structure(solution, problem, raw)
+            extract_structure(assignment, *inputs, raw)
 
     @given(
         scores=st.lists(st.sampled_from([0.0, -1.0, 0.5, 2.0]), min_size=1, max_size=60),
@@ -121,13 +94,11 @@ class TestExtract:
         tables = TableSet()
         tables.add(LatencyTable(block_id=1, part="conv_layer", layer=1, axes=("t", "c1"),
                                 data=np.ones((1, n))))
-        problem = assemble(arch, build_all_vectors(arch, raw), tables, 10.0)
+        vectors = build_all_vectors(arch, raw)
         count = data.draw(st.integers(1, n), label="option")
-        solution = PruningSolution(
-            status="optimal", assignment=Assignment(omega={"c1": count}, kappa={}),
-            importance=0.0, latency=1.0, bound=0.0, node_count=1, wall_time=0.0,
-        )
-        kept = extract_structure(solution, problem, raw).blocks[0].dims[0].kept_elements
+        assignment = Assignment(omega={"c1": count}, kappa={})
+        structure = extract_structure(assignment, arch, vectors, tables, raw)
+        kept = structure.blocks[0].dims[0].kept_elements
         assert kept == tuple(sorted(int(i) + 1 for i in ranked_indices(np.array(scores))[:count]))
         assert all(type(i) is int for i in kept)
 
@@ -138,7 +109,9 @@ class TestExtract:
         sol = solve_branch_and_bound(problem)
         if sol.status == "infeasible":
             return
-        structure = extract_structure(sol, problem, raw)
+        structure = extract_structure(
+            sol.assignment, problem.arch, problem.vectors, problem.tables, raw
+        )
         assert structure.importance == sol.importance
         assert structure.latency == sol.latency
 
@@ -148,7 +121,9 @@ class TestExtract:
         sol = solve_exhaustive(problem)
         if sol.status == "infeasible":
             return
-        structure = extract_structure(sol, problem, raw)
+        structure = extract_structure(
+            sol.assignment, problem.arch, problem.vectors, problem.tables, raw
+        )
         from latprune import kept_elements
 
         for block_out, block in zip(structure.blocks, problem.arch.blocks):
@@ -168,7 +143,9 @@ class TestExtract:
         sol = solve_exhaustive(problem)
         if sol.status == "infeasible":
             return
-        structure = extract_structure(sol, problem, raw)
+        structure = extract_structure(
+            sol.assignment, problem.arch, problem.vectors, problem.tables, raw
+        )
         total = 0.0
         for block_out in structure.blocks:
             for dim_out in block_out.dims:
@@ -189,20 +166,8 @@ class TestSummarize:
         raw = random_scores(arch, rng)
         vectors = build_all_vectors(arch, raw)
         tables = random_tables(arch, rng)
-        problem = assemble(arch, vectors, tables, 100.0)
-        solution = PruningSolution(
-            status="optimal",
-            assignment=Assignment(
-                omega={f"c{i}": 1 for i in range(1, 5)},
-                kappa=dict(kappa),
-            ),
-            importance=0.0,
-            latency=0.0,
-            bound=0.0,
-            node_count=1,
-            wall_time=0.0,
-        )
-        return extract_structure(solution, problem, raw)
+        assignment = Assignment(omega={f"c{i}": 1 for i in range(1, 5)}, kappa=dict(kappa))
+        return extract_structure(assignment, arch, vectors, tables, raw)
 
     def test_depth_line_counts_removals(self):
         structure = self._structure({1: 1, 2: 0, 3: 1, 4: 0})
@@ -229,17 +194,9 @@ class TestSummarize:
 
 class TestSerialize:
     def test_structure_json_round_trip_fields(self):
-        problem, raw = scored_problem()
-        solution = PruningSolution(
-            status="optimal",
-            assignment=Assignment(omega={"c1": 2}, kappa={1: 1}),
-            importance=1.4,
-            latency=2.0,
-            bound=1.4,
-            node_count=1,
-            wall_time=0.0,
-        )
-        structure = extract_structure(solution, problem, raw)
+        inputs, raw = scored_inputs()
+        assignment = Assignment(omega={"c1": 2}, kappa={1: 1})
+        structure = extract_structure(assignment, *inputs, raw)
         obj = json.loads(serialize_structure(structure, manifest="abc"))
         assert obj["_manifest"] == "abc"
         assert obj["depth_kept"] == 1

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latprune import (
     Assignment,
@@ -16,6 +16,7 @@ from latprune import (
     serialize_scores,
     synth_scores,
 )
+from latprune.importance import ranked_indices
 
 from conftest import (
     BlockSpec,
@@ -31,6 +32,27 @@ from conftest import (
 
 def vec(dim_id, values):
     return RawScores(dim_id=dim_id, scores=np.asarray(values, dtype=float))
+
+
+def assert_ranked_as_stable_sort(scores):
+    x = np.array(scores, dtype=np.float64)
+    got, want = ranked_indices(x), np.argsort(-x, kind="stable")
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+class TestRankedIndices:
+    # Ties, both zeros and NaN: the default sort may order them differently
+    # from the stable one.
+    @example([1.0, 0.0, -0.0] * 20)
+    @given(st.lists(st.sampled_from([0.0, -0.0, float("nan"), 1.0, -2.5, float("inf")]),
+                    max_size=300))
+    def test_tied_scores_rank_as_the_stable_sort(self, scores):
+        assert_ranked_as_stable_sort(scores)
+
+    @given(st.lists(st.floats(-1e6, 1e6), max_size=300, unique=True))
+    def test_distinct_scores_rank_as_the_stable_sort(self, scores):
+        assert_ranked_as_stable_sort(scores)
 
 
 class TestBuildVector:

@@ -55,11 +55,16 @@ def inputs(tmp_path_factory) -> Path:
     ("synth", ["--seed", "1"], {"latprune.solver", "latprune.extract"}),
     ("check", [], {"latprune.solver", "latprune.extract", "hashlib"}),
     ("sweep", ["--budgets", "0.2,0.3"], {"latprune.extract"}),
+    ("extract", [], {"latprune.solver"}),  # a saved plan is rechecked, not solved
 ])
 def test_command_loads_only_what_it_runs(inputs, tmp_path, command, extra, unloaded):
     args = ["--arch", ARCH]
     if command != "synth":
         args += ["--scores", str(inputs / "scores.json"), "--lut", str(inputs / "lut.json")]
+    if command == "extract":
+        run = tmp_path / "run"
+        assert main(["solve", *args, "--budget-ms", "0.25", "--out", str(run)]) == 0
+        args += ["--report", str(run / "report.json")]
     if command != "check":
         args += ["--out", str(tmp_path / "out")]
     code = (
