@@ -96,6 +96,11 @@ def kept_elements(dim: DimensionSpec, option_index: int) -> int:
     return min(option_index * dim.group_size, dim.max_elements)
 
 
+def kept_counts(dim: DimensionSpec) -> np.ndarray:
+    """``kept_elements`` of every option of `dim`, in option order."""
+    return np.minimum(np.arange(1, dim.option_count + 1) * dim.group_size, dim.max_elements)
+
+
 class BlockSpec(Record, frozen=True):
     """A residually skipped group of layers; the unit of whole removal."""
 

@@ -446,12 +446,21 @@ def cmd_extract(args) -> int:
         omega=dict(plan["omega"]), kappa={int(b): k for b, k in plan["kappa"].items()}
     )
     # The checks and their order are those of assembling the solved problem.
-    arch_mod.checked_budget(arch_mod.number(report["budget_ms"], "report: budget_ms"))
+    budget = arch_mod.checked_budget(arch_mod.number(report["budget_ms"], "report: budget_ms"))
     arch_mod.validate_problem_shapes(arch, tables, vectors)
     assignment.validate_for(arch)
     if report["status"] == "infeasible":
         raise ValidationError("cannot extract a structure from an infeasible solve")
+    if report["status"] not in ("optimal", "feasible_heuristic"):
+        raise ValidationError(f"report: status {report['status']!r} is not one a solve writes")
     structure = extract_mod.extract_structure(assignment, arch, vectors, tables, raw_scores)
+    for key, total in (("importance", structure.importance), ("latency_ms", structure.latency)):
+        if arch_mod.number(report[key], f"report: {key}") != total:
+            raise ValidationError(f"report: {key} {report[key]!r} is not the plan's "
+                                  f"recomputed {total!r}")
+    if structure.latency > budget:
+        raise ValidationError(f"report: the plan's latency {structure.latency!r} ms exceeds "
+                              f"budget_ms {budget!r}")
     out = Path(args.out)
     _write_structure(out, structure, manifest.hash())
     _write_manifest(out, manifest)

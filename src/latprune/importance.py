@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .arch import (
-    ArchitectureSpec, BlockSpec, DimensionSpec, MANIFEST_KEY, dump_json, kept_elements, numbers,
+    ArchitectureSpec, BlockSpec, DimensionSpec, MANIFEST_KEY, dump_json, kept_counts, numbers,
     records, require_keys, typed,
 )
 from .errors import ParseError, ValidationError
@@ -114,8 +114,7 @@ def build_importance_vector(raw: RawScores, dim: DimensionSpec) -> ImportanceVec
         )
     ordered = scores[raw.ranked]
     prefix = np.cumsum(ordered)
-    kept = [kept_elements(dim, j) for j in range(1, dim.option_count + 1)]
-    return ImportanceVector(dim_id=dim.id, values=prefix[np.array(kept) - 1].copy())
+    return ImportanceVector(dim_id=dim.id, values=prefix[kept_counts(dim) - 1])
 
 
 def build_all_vectors(

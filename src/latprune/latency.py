@@ -27,7 +27,7 @@ from functools import reduce
 
 import numpy as np
 
-from .arch import ArchitectureSpec, BlockSpec, MANIFEST_KEY, kept_elements, numbers, records
+from .arch import ArchitectureSpec, BlockSpec, MANIFEST_KEY, kept_counts, numbers, records
 from .arch import TRANSFORMER_PARTS, dump_json, require_keys, typed, validate_tables
 from .errors import ParseError, ValidationError
 from .importance import Assignment, synth_rng
@@ -192,11 +192,6 @@ def synth_lut(
         raise ValidationError(f"noise fraction must be in [0, 1), got {noise}")
     rng = synth_rng(seed)
     tables = TableSet()
-
-    def kept_counts(dim) -> np.ndarray:
-        return np.array(
-            [kept_elements(dim, j) for j in range(1, dim.option_count + 1)], dtype=float
-        )
 
     def finish(data: np.ndarray) -> np.ndarray:
         if noise > 0:

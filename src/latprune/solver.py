@@ -37,8 +37,9 @@ on its first solve and shared by every problem ``PruningProblem.with_budget``
 derives, so a budget sweep builds them once per problem family.
 ``solve_budgets`` goes one step further: it merges a list of budgets in one
 pass, side by side, each partial plan carrying its budget, so a sweep pays
-each stage's fixed cost once.  ``solve`` and ``solve_branch_and_bound`` are
-its batch of one, so every solve runs the same merge.
+each stage's fixed cost once, its pre-cut's one sort and one search
+included.  ``solve`` and ``solve_branch_and_bound`` are its batch of one, so
+every solve runs the same merge.
 
 Mode ``heuristic_only`` reports the seed with the root LP bound; only when
 the rounding finds no plan does the merge run, to decide feasibility.
@@ -502,21 +503,21 @@ class _Bound:
         self.cum_lat = [np.zeros(1)] * (n + 1)
         self.cum_imp = [np.zeros(1)] * (n + 1)
         self.slope = [np.zeros(1)] * (n + 1)
-        d_lat, d_imp = np.zeros(0), np.zeros(0)
-        blocks = order = np.zeros(0, dtype=np.int64)
+        hulls = [np.stack((f.lat[f.hull], f.imp[f.hull])) for f in frontiers]
+        d_lat, d_imp = np.concatenate([np.zeros((2, 0)), *map(np.diff, hulls)], axis=1)
+        blocks = np.repeat(np.arange(n), [h.shape[1] - 1 for h in hulls])
+        slope = d_imp / d_lat
+        order = np.argsort(-slope, kind="stable")  # a suffix's part is its own stable sort
+        after = blocks[order]
         for k in range(n - 1, -1, -1):
-            f = frontiers[k]
-            x, y = f.lat[f.hull], f.imp[f.hull]
+            x, y = hulls[k]
             self.base_lat[k] = self.base_lat[k + 1] + float(x[0])
             self.base_imp[k] = self.base_imp[k + 1] + float(y[0])
-            d_lat = np.concatenate([np.diff(x), d_lat])
-            d_imp = np.concatenate([np.diff(y), d_imp])
-            blocks = np.concatenate([np.full(x.size - 1, k), blocks])
-            order = np.argsort(-(d_imp / d_lat), kind="stable")
-            self.cum_lat[k] = np.concatenate(([0.0], np.cumsum(d_lat[order])))
-            self.cum_imp[k] = np.concatenate(([0.0], np.cumsum(d_imp[order])))
-            self.slope[k] = np.append((d_imp / d_lat)[order], 0.0)
-        self.root = (d_lat[order].tolist(), blocks[order].tolist())
+            mine = order[after >= k]
+            self.cum_lat[k] = np.concatenate(([0.0], np.cumsum(d_lat[mine])))
+            self.cum_imp[k] = np.concatenate(([0.0], np.cumsum(d_imp[mine])))
+            self.slope[k] = np.append(slope[mine], 0.0)
+        self.root = (d_lat[order].tolist(), after.tolist())
 
     def __call__(self, k: int, imp: np.ndarray, lat: np.ndarray, room: float) -> np.ndarray:
         """Upper bound on every completion by blocks k.. of partial plans
@@ -663,10 +664,22 @@ def _raise_max(out: np.ndarray, values: np.ndarray, bud) -> None:
     out[bud] = max(out[bud], values.max())
 
 
-def _spread(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Per-budget values repeated over each budget's `sizes` partial plans;
-    a single budget's value broadcasts as it is."""
-    return values if values.size == 1 else np.repeat(values, sizes)
+def _precut(scores, inp, offsets, bud, sets, need) -> tuple:
+    """(perm, start, counts): each budget's row of `scores` sorted by the
+    points' input option `inp` (ascending, runs at `offsets`), then score
+    descending, ties in point order, flat; and for each parent of budget
+    `bud` and input option `sets`, its run's start in `perm` and how many of
+    its points score above its `need`, strictly."""
+    order = np.lexsort((-scores, np.broadcast_to(inp, scores.shape)))
+    # numpy orders complex numbers by real part first: one per (budget, input option) run
+    key = np.empty(scores.shape, dtype=np.complex128)
+    key.real = np.arange(len(scores))[:, None] * len(offsets) + inp
+    key.imag = -np.take_along_axis(scores, order, axis=1)
+    query = np.empty(bud.size, dtype=np.complex128)
+    query.real = bud * len(offsets) + sets
+    query.imag = -need
+    start = bud * scores.shape[1] + offsets[sets]
+    return order.reshape(-1), start, np.searchsorted(key.reshape(-1), query, side="left") - start
 
 
 def _pareto_dp(models, frontiers, bound, floor, tolerance, deadline, margin, room, limit):
@@ -690,7 +703,8 @@ def _pareto_dp(models, frontiers, bound, floor, tolerance, deadline, margin, roo
     and filtered in chunks, and a stage of several chunks filters their
     survivors once more.  A chunk may span budgets except at the last
     stage, where each chunk raises its budget's floor for the next, so
-    every budget's chunks there start and end as they would alone.
+    every budget's chunks there start and end as they would alone.  The
+    pre-cut below is one sort and one search per stage (``_precut``).
     """
     n = floor.size
     floor = floor.copy()
@@ -716,34 +730,16 @@ def _pareto_dp(models, frontiers, bound, floor, tolerance, deadline, margin, roo
     top = np.array([s.max(axis=1) for s in scores]).reshape(-1, n)
     phi = np.concatenate((np.cumsum(top[::-1], axis=0)[::-1], np.zeros((1, n))))
 
-    for k, f in enumerate(frontiers):
-        model = models[k]
+    for k, (model, f) in enumerate(zip(models, frontiers)):
         bud = np.repeat(np.arange(n), sizes)
-        if model.input_dim_id is None:
-            sets = np.zeros(lat.size, dtype=np.int64)
-        else:
-            sets = opts[:, open_dims.index(model.input_dim_id)]
+        sets = 0 if model.input_dim_id is None else opts[:, open_dims.index(model.input_dim_id)]
         if k < last:
             dims = open_dims + [model.dim_ids[p] for p in f.reads]
             still = [c for c, d in enumerate(dims) if last_reader[d] > k]
             open_dims = [dims[c] for c in still]
-        head = imp + _spread(phi[k + 1], sizes) + _spread(lam, sizes) * (_spread(room, sizes) - lat)
-        need = _spread(floor + tolerance - 2 * margin, sizes) - head
-        perm = np.zeros(scores[k].shape, dtype=np.int64)
-        counts = np.zeros(lat.size, dtype=np.int64)
-        offsets = f.offsets.tolist()
-        seg = [0, *np.cumsum(sizes).tolist()]  # budget b's parents: seg[b]:seg[b + 1]
-        for b in np.flatnonzero(sizes).tolist():  # a pass per budget and input option
-            part = sets[seg[b]:seg[b + 1]]
-            for s in np.flatnonzero(np.bincount(part)).tolist():  # numpy 2 np.unique imports numpy.ma
-                lo, hi = offsets[s], offsets[s] + int(f.sizes[s])
-                neg = -scores[k][b, lo:hi]
-                order = np.argsort(neg, kind="stable")
-                perm[b, lo:hi] = lo + order
-                mine = seg[b] + np.flatnonzero(part == s)
-                counts[mine] = np.searchsorted(neg[order], -need[mine], side="left")
-        start = bud * f.lat.size + f.offsets[sets]  # each parent's points in perm
-        perm = perm.reshape(-1)
+        head = imp + phi[k + 1][bud] + lam[bud] * (room[bud] - lat)
+        need = (floor + tolerance - 2 * margin)[bud] - head
+        perm, start, counts = _precut(scores[k], f.inp, f.offsets, bud, sets, need)
         rest = np.flatnonzero(counts < f.sizes[sets])
         if rest.size:  # the best point a parent leaves out bounds all it leaves out
             first = perm[start[rest] + counts[rest]]
@@ -764,7 +760,7 @@ def _pareto_dp(models, frontiers, bound, floor, tolerance, deadline, margin, roo
             hi = max(lo + 1, int(np.searchsorted(ends, base + _CHUNK, side="right")))
             b = int(bud[lo])
             if k == last:  # this budget's candidates only
-                hi = min(hi, seg[b + 1])
+                hi = min(hi, int(np.searchsorted(bud, b, side="right")))
             par = np.repeat(np.arange(lo, hi), counts[lo:hi])
             pt = perm[np.repeat(shift[lo:hi], counts[lo:hi]) + np.arange(base, base + par.size)]
             c_lat = lat[par] + f.lat[pt]

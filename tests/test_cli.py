@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -910,6 +911,17 @@ BAD_REPORTS = [
     ),
     pytest.param(
         _edit(lambda r: r.update(status="infeasible")), "infeasible", id="infeasible-status"
+    ),
+    # The report's own numbers must be the plan's, recomputed bit for bit.
+    pytest.param(_edit(lambda r: r.update(status="bogus")), "status", id="bogus-status"),
+    pytest.param(_edit(lambda r: r.update(importance=1e9)), "importance", id="wrong-importance"),
+    pytest.param(
+        _edit(lambda r: r.update(latency_ms=math.nextafter(r["latency_ms"], math.inf))),
+        "latency_ms",
+        id="latency-one-ulp-off",
+    ),
+    pytest.param(
+        _edit(lambda r: r.update(budget_ms=0.001)), "exceeds budget_ms", id="plan-over-budget"
     ),
 ]
 

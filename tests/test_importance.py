@@ -16,6 +16,7 @@ from latprune import (
     serialize_scores,
     synth_scores,
 )
+from latprune.arch import kept_counts, kept_elements
 from latprune.importance import ranked_indices
 
 from conftest import (
@@ -81,6 +82,21 @@ class TestBuildVector:
         dim = conv_dim("d", 2, group=2, max_elements=3)
         out = build_importance_vector(vec("d", [3.0, 1.0, 2.0]), dim)
         assert np.allclose(out.values, [5.0, 6.0])
+
+    # A last option that clamps to max_elements, and one that does not.
+    @example(options=3, group=4, short=3, seed=0)
+    @example(options=3, group=4, short=0, seed=0)
+    @given(st.integers(1, 12), st.integers(1, 8), st.integers(0, 7), st.integers(0, 2**32 - 1))
+    def test_vector_equals_the_per_option_loop(self, options, group, short, seed):
+        dim = conv_dim("d", options, group=group,
+                       max_elements=options * group - min(short, group - 1))
+        scores = np.random.default_rng(seed).normal(size=dim.max_elements)
+        kept = [kept_elements(dim, j) for j in range(1, options + 1)]
+        assert kept_counts(dim).tolist() == kept
+        prefix = np.cumsum(np.sort(scores)[::-1])
+        want = np.array([prefix[k - 1] for k in kept])
+        got = build_importance_vector(vec("d", scores), dim).values
+        assert got.tobytes() == want.tobytes()
 
     @given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=12))
     def test_nonnegative_scores_give_nondecreasing_vector(self, scores):

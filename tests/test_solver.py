@@ -669,3 +669,40 @@ class TestSolveBudgets:
         with pytest.raises(ValidationError, match="time_limit"):
             solve_budgets(problem, [2.0], SolverConfig(time_limit=0.0))
         assert solve_budgets(problem, []) == []
+
+
+class TestPreCut:
+    """The merge's pre-cut: each partial plan expands only the points of its
+    budget and input option that score above its need, strictly."""
+
+    # Few distinct values, so scores tie with each other and with the needs.
+    VALUES = np.array([-1.5, -0.0, 0.0, 0.5, 2.0])
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_counts_equal_a_count_per_parent(self, seed):
+        rng = np.random.default_rng(seed)
+        budgets, options = 1 + seed % 3, 1 + seed // 3 % 4
+        sizes = rng.integers(0, 6, options)
+        inp = np.repeat(np.arange(options), sizes)
+        offsets = np.cumsum(sizes) - sizes
+        scores = rng.choice(self.VALUES, size=(budgets, inp.size))
+        bud = np.sort(rng.integers(0, budgets, 16))  # budget-major, as in the merge
+        sets = rng.integers(0, options, bud.size) if options > 1 else 0
+        need = rng.choice(np.append(self.VALUES, -np.inf), bud.size)
+        perm, start, counts = solver._precut(scores, inp, offsets, bud, sets, need)
+        for p, (b, s) in enumerate(zip(bud, np.broadcast_to(sets, bud.shape))):
+            run = np.flatnonzero(inp == s)
+            best_first = sorted(run, key=lambda j: (-scores[b, j], j))
+            assert perm[start[p]:start[p] + run.size].tolist() == best_first
+            assert counts[p] == np.count_nonzero(scores[b, run] > need[p])
+
+    def test_ties_at_the_need_stay_out_and_a_floor_of_minus_infinity_takes_all(self):
+        # Two budgets by two input options; each run holds a point tied at the need.
+        scores = np.array([[0.0, 1.0, -0.0, 3.0, 0.0], [3.0, -0.0, 1.0, 0.0, 2.0]])
+        inp, offsets = np.array([0, 0, 0, 1, 1]), np.array([0, 3])
+        bud, sets = np.array([0, 0, 1, 1, 1]), np.array([0, 1, 0, 1, 1])
+        need = np.array([-0.0, 0.0, 1.0, 2.0, -np.inf])
+        perm, start, counts = solver._precut(scores, inp, offsets, bud, sets, need)
+        assert counts.tolist() == [1, 1, 1, 0, 2]
+        assert start.tolist() == [0, 3, 5, 8, 8]
+        assert perm.tolist() == [1, 0, 2, 3, 4, 0, 2, 1, 4, 3]
