@@ -44,7 +44,7 @@ print(f"dense latency: {dense_ms:.4f} ms\n")
 # ----------------------------------------------------------------------------
 for budget in (0.6 * dense_ms, 0.12 * dense_ms):
     problem = lp.assemble(arch, vectors, tables, budget)
-    solution = lp.solve_branch_and_bound(problem, lp.SolverConfig(time_limit=30.0))
+    solution = lp.solve(problem, lp.SolverConfig(time_limit=30.0))
     print(f"budget {budget:.4f} ms -> {solution.status}, "
           f"importance {solution.importance:.3f}, latency {solution.latency:.4f} ms, "
           f"{solution.node_count} nodes")

@@ -37,7 +37,7 @@ _EXPORTS = {
     ),
     "solver": (
         "PruningProblem", "PruningSolution", "SolverConfig", "assemble", "solve",
-        "solve_branch_and_bound", "solve_budgets", "solve_exhaustive",
+        "solve_budgets", "solve_exhaustive",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -8,7 +8,7 @@ budget is a multiple-choice knapsack.  The one coupling between blocks is a
 chain reading a conv output of an earlier (permanent) block: its latency
 depends on that producer's option.
 
-``solve_branch_and_bound`` solves it exactly by a Pareto dynamic program:
+``solve_budgets`` solves it exactly by a Pareto dynamic program:
 
 * each block's states are thinned to a (latency, importance) frontier
   without enumerating the block, by one pass for both block kinds: it adds
@@ -32,14 +32,12 @@ depends on that producer's option.
 
 The frontiers, their hulls, the bound and the rounding's reserve depend on
 the architecture, vectors and tables but not on the budget, which enters
-only as the room the merge may fill.  They form the problem's core, built
-on its first solve and shared by every problem ``PruningProblem.with_budget``
-derives, so a budget sweep builds them once per problem family.
-``solve_budgets`` goes one step further: it merges a list of budgets in one
-pass, side by side, each partial plan carrying its budget, so a sweep pays
-each stage's fixed cost once, its pre-cut's one sort and one search
-included.  ``solve`` and ``solve_branch_and_bound`` are its batch of one, so
-every solve runs the same merge.
+only as the room the merge may fill.  They form ``PruningProblem.core``,
+built on the problem's first solve and kept by it, so later solves of the
+problem reuse it.  ``solve_budgets`` merges a list of budgets in one pass,
+side by side, each partial plan carrying its budget, so a sweep pays each
+stage's fixed cost once, its pre-cut's one sort and one search included.
+``solve`` is its batch of one, so every solve runs the same merge.
 
 Mode ``heuristic_only`` reports the seed with the root LP bound; only when
 the rounding finds no plan does the merge run, to decide feasibility.
@@ -61,7 +59,6 @@ counts.  The solver runs sequentially in the calling thread.
 
 from __future__ import annotations
 
-import copy
 import math
 import sys
 import time
@@ -175,8 +172,8 @@ class _BlockModel:
 class PruningProblem:
     """Immutable bundle of architecture, vectors, tables and budget.
 
-    Built by ``assemble``; read-only afterwards.  ``with_budget`` gives the
-    same problem under another budget.
+    Built by ``assemble``; read-only afterwards.  ``solve_budgets`` solves
+    it under other budgets.
     """
 
     def __init__(
@@ -192,15 +189,16 @@ class PruningProblem:
         self.budget = budget
         self.models = [_BlockModel(arch, b, vectors, tables) for b in arch.blocks]
         self.dim_order = [d for b in arch.blocks for d in b.dims]
-        self._core = _Core(self.models)
 
-    def with_budget(self, budget: float) -> "PruningProblem":
-        """This problem under `budget`, validated as ``assemble`` does.  It
-        shares the block models and the budget-free core, so a sweep builds
-        the frontiers and the LP bound once."""
-        problem = copy.copy(self)
-        problem.budget = checked_budget(budget)
-        return problem
+    @cached_property
+    def core(self) -> tuple[float, list[_Frontier], _Bound, _Reserve]:
+        """The budget-free part of a solve, built on first use: (dominance
+        margin, block frontiers, their suffix LP bound, the latency reserve
+        of the LP rounding).  No solve changes it."""
+        scale = sum(float(np.max(np.abs(v))) for m in self.models for v in m.imp)
+        margin = 1e-9 * (1.0 + scale)
+        frontiers = _frontiers(self.models, margin)
+        return margin, frontiers, _Bound(frontiers), _Reserve(self.models, frontiers)
 
     def tie_key(self, assignment: Assignment):
         """Kept blocks sort first, then option indices ascending."""
@@ -223,16 +221,17 @@ def assemble(
     return PruningProblem(arch, vectors, tables, budget)
 
 
-def _solution(problem, start, status, nodes, plan=None, bound=None, message="") -> PruningSolution:
+def _solution(problem, budget, start, status, nodes, plan=None, bound=None,
+              message="") -> PruningSolution:
     """The solution reporting `plan`, (importance, latency, assignment) or
     None, after its one recheck: the sums must be the evaluators' bit for
-    bit and fit the budget."""
+    bit and fit `budget`."""
     importance = latency = assignment = None
     if plan is not None:
         importance, latency, assignment = plan
         if (objective_value(assignment, problem.vectors, problem.arch) != importance
                 or constraint_value(assignment, problem.tables, problem.arch) != latency
-                or latency > problem.budget):
+                or latency > budget):
             raise SolveError("internal error: a plan fails its recheck")
     wall = time.perf_counter() - start
     return PruningSolution(status, assignment, importance, latency, bound, nodes, wall, message)
@@ -247,7 +246,7 @@ def solve_exhaustive(problem: PruningProblem) -> PruningSolution:
     """Enumerate every state and return the max-importance feasible one.
 
     Ties break toward kept blocks first, then ascending option indices.
-    Guarded at {guard} states.
+    Guarded at ``EXHAUSTIVE_GUARD`` (10**6) states.
     """
     start = time.perf_counter()
     count = subnetwork_count(problem.arch)
@@ -258,12 +257,9 @@ def solve_exhaustive(problem: PruningProblem) -> PruningSolution:
         )
     plan = _enumerate(problem)
     if plan is None:
-        return _solution(problem, start, "infeasible", count,
+        return _solution(problem, problem.budget, start, "infeasible", count,
                          message="no state satisfies the latency budget")
-    return _solution(problem, start, "optimal", count, plan, bound=plan[0])
-
-
-solve_exhaustive.__doc__ = solve_exhaustive.__doc__.format(guard=EXHAUSTIVE_GUARD)
+    return _solution(problem, problem.budget, start, "optimal", count, plan, bound=plan[0])
 
 
 def _enumerate(problem: PruningProblem) -> tuple[float, float, Assignment] | None:
@@ -566,24 +562,6 @@ class _Reserve:
         ]
 
 
-class _Core:
-    """The budget-free part of a solve, built on first use from the block
-    models alone, so problems that differ only in the budget share one.
-    No solve changes it."""
-
-    def __init__(self, models: list[_BlockModel]) -> None:
-        self.models = models
-
-    @cached_property
-    def parts(self) -> tuple[float, list[_Frontier], _Bound, _Reserve]:
-        """(dominance margin, block frontiers, their suffix LP bound, the
-        latency reserve of the LP rounding)."""
-        scale = sum(float(np.max(np.abs(v))) for m in self.models for v in m.imp)
-        margin = 1e-9 * (1.0 + scale)
-        frontiers = _frontiers(self.models, margin)
-        return margin, frontiers, _Bound(frontiers), _Reserve(self.models, frontiers)
-
-
 def _plan(problem: PruningProblem, frontiers: list[_Frontier], points: list[int]) -> Assignment:
     """The assignment of one frontier point per block."""
     omega, kappa = {}, {}
@@ -595,10 +573,10 @@ def _plan(problem: PruningProblem, frontiers: list[_Frontier], points: list[int]
 
 
 def _lp_rounding(
-    problem: PruningProblem, frontiers: list[_Frontier], bound: _Bound, reserve: _Reserve
+    budget: float, frontiers: list[_Frontier], bound: _Bound, reserve: _Reserve
 ) -> tuple[float, float, list[int]] | None:
-    """Round the root LP optimum to a plan that fits whenever any plan
-    does, up to the order of float additions, as (importance, latency,
+    """Round the root LP optimum to a plan that fits `budget` whenever any
+    plan does, up to the order of float additions, as (importance, latency,
     frontier point per block) with the sums in block order, the form of
     ``_pareto_dp``'s leaf; None when it finds none.
 
@@ -617,7 +595,7 @@ def _lp_rounding(
     plan always fits.
     """
     step = [0] * len(frontiers)
-    left = problem.budget - bound.base_lat[0]
+    left = budget - bound.base_lat[0]
     stopped = set()
     for d_lat, k in zip(*bound.root):
         if k in stopped:
@@ -633,7 +611,7 @@ def _lp_rounding(
     for k, f in enumerate(frontiers):
         lo = int(f.offsets[inputs[k]])
         hi = lo + int(f.sizes[inputs[k]])
-        allowed = used + reserve.total[k][lo:hi] + sum(waiting[k + 1:]) <= problem.budget
+        allowed = used + reserve.total[k][lo:hi] + sum(waiting[k + 1:]) <= budget
         if not allowed.any():
             return None
         limit = float(f.lat[f.hull[step[k]]]) + left
@@ -820,58 +798,6 @@ def _pareto_dp(models, frontiers, bound, floor, tolerance, deadline, margin, roo
     return leaves, nodes, pruned, np.zeros(n, dtype=bool)
 
 
-def solve_branch_and_bound(
-    problem: PruningProblem, config: SolverConfig | None = None
-) -> PruningSolution:
-    """Exact solve by a Pareto dynamic program over per-block frontiers:
-    the batch of one budget, ``problem.budget`` (see ``solve_budgets``).
-
-    The margin, frontiers, LP bound and rounding reserve come from the
-    problem's core, built on the first solve of the problem family and
-    reused by later budgets.  The seed, the rounded root LP optimum in the
-    form of the merge's leaf, sets the merge's importance floor; stages
-    then merge the blocks' frontiers in declaration order, pruning partial
-    plans by the suffix LP bound and the suffix minimum latency within a
-    finite room (see ``_pareto_dp``).  The answer, the better of the seed
-    and the merge's leaf by importance and then ``tie_key``, goes through
-    ``_solution`` and its one recheck.  It is proven optimal within
-    ``config.tolerance``, with bound the largest pruned bound (at least the
-    importance), or, when the time limit ends the merge first, feasible
-    with the root LP bound.  ``node_count`` is the number of partial plans
-    kept, summed over stages.
-
-    In mode ``heuristic_only`` the answer is the seed with the root LP
-    bound; the merge runs only when the rounding finds no plan.
-    """
-    config = config or SolverConfig()
-    config.validate()
-    return _solve_batch([problem], config)[0]
-
-
-def solve_budgets(
-    problem: PruningProblem, budgets, config: SolverConfig | None = None
-) -> list[PruningSolution]:
-    """Solve `problem` under each of `budgets`, one solution per budget in
-    their order, each equal to ``solve(problem.with_budget(b), config)``
-    apart from its wall time.
-
-    The branch-and-bound modes seed every budget by the LP rounding and
-    then merge all the budgets that need a merge in one pass, side by side,
-    so the merge's per-stage fixed cost is paid once for the whole list.
-    That pass checks one deadline, ``len(budgets) * config.time_limit``
-    seconds after the call starts; a budget whose merge is still open then
-    reports as a timed-out solve does.  Each solution's ``wall_time`` runs
-    from the call's start to its report.  Mode ``exhaustive`` solves the
-    budgets one after another.
-    """
-    config = config or SolverConfig()
-    config.validate()
-    problems = [problem.with_budget(b) for b in budgets]
-    if config.mode == "exhaustive":
-        return [solve_exhaustive(p) for p in problems]
-    return _solve_batch(problems, config)
-
-
 def _room(budget: float) -> float:
     """The latency room a merge may fill under `budget`.  Rounding can move
     a sum by far less than the slack or the core's margin, and the cap
@@ -879,34 +805,65 @@ def _room(budget: float) -> float:
     return min(budget + 1e-9 * (1.0 + budget), sys.float_info.max)
 
 
-def _solve_batch(problems: list[PruningProblem], config: SolverConfig) -> list[PruningSolution]:
-    """``solve_branch_and_bound`` for problems that differ only in budget."""
-    if not problems:
+def solve_budgets(
+    problem: PruningProblem, budgets, config: SolverConfig | None = None
+) -> list[PruningSolution]:
+    """Solve `problem` under each of `budgets`, one solution per budget in
+    their order, each equal to ``solve(assemble(..., b), config)`` apart
+    from its wall time.  Every budget is checked as ``assemble`` checks one
+    before any is solved; mode ``exhaustive`` then runs ``solve_exhaustive``
+    per budget.
+
+    The other modes seed each budget by rounding the root LP optimum, which
+    sets its importance floor, and then merge the frontiers of
+    ``problem.core`` for all the budgets that need a merge in one pass, side
+    by side (``_pareto_dp``), so the merge's per-stage fixed cost is paid
+    once for the whole list.  A budget's answer, the better of its seed and
+    its leaf by importance and then ``tie_key``, goes through ``_solution``
+    and its one recheck.  It is proven optimal within ``config.tolerance``,
+    with bound the largest pruned bound (at least the importance), or, when
+    the time limit ends the merge first, feasible with the root LP bound.
+    ``node_count`` is the number of partial plans kept, summed over stages.
+    In mode ``heuristic_only`` the answer is the seed with the root LP
+    bound; the merge runs only when the rounding finds no plan.
+
+    The pass checks one deadline, ``len(budgets) * config.time_limit``
+    seconds after the call starts; a budget whose merge is still open then
+    reports as a timed-out solve does.  Each solution's ``wall_time`` runs
+    from the call's start to its report.
+    """
+    config = config or SolverConfig()
+    config.validate()
+    budgets = [checked_budget(b) for b in budgets]
+    if config.mode == "exhaustive":
+        return [solve_exhaustive(PruningProblem(problem.arch, problem.vectors, problem.tables, b))
+                for b in budgets]
+    if not budgets:
         return []
     start = time.perf_counter()
-    deadline = start + len(problems) * config.time_limit
+    deadline = start + len(budgets) * config.time_limit
     heuristic = config.mode == "heuristic_only"
-    margin, frontiers, bound, reserve = problems[0]._core.parts
-    rooms = [_room(p.budget) for p in problems]
-    seeds = [None if bound.base_lat[0] > room else _lp_rounding(p, frontiers, bound, reserve)
-             for p, room in zip(problems, rooms)]
+    margin, frontiers, bound, reserve = problem.core
+    rooms = [_room(b) for b in budgets]
+    seeds = [None if bound.base_lat[0] > room else _lp_rounding(b, frontiers, bound, reserve)
+             for b, room in zip(budgets, rooms)]
     merged = [j for j, (room, seed) in enumerate(zip(rooms, seeds))
               if bound.base_lat[0] <= room and not (heuristic and seed)]
     merge = {}  # budget index -> (leaf, node count, largest pruned bound, timed out)
     if merged:
         floor = np.array([_NEG_INF if seeds[j] is None else seeds[j][0] for j in merged])
         room = np.array([rooms[j] for j in merged])
-        limit = np.array([min(problems[j].budget, rooms[j]) for j in merged])
-        results = _pareto_dp(problems[0].models, frontiers, bound, floor, config.tolerance,
+        limit = np.array([min(budgets[j], rooms[j]) for j in merged])
+        results = _pareto_dp(problem.models, frontiers, bound, floor, config.tolerance,
                              deadline, margin, room, limit)
         merge = {j: (leaf, int(nodes), float(pruned), bool(timed_out))
                  for j, leaf, nodes, pruned, timed_out in zip(merged, *results)}
 
     solutions = []
-    for j, problem in enumerate(problems):
+    for j, budget in enumerate(budgets):
         if bound.base_lat[0] > rooms[j]:
             solutions.append(_solution(
-                problem, start, "infeasible", 0,
+                problem, budget, start, "infeasible", 0,
                 message="optimistic minimum latency already exceeds the budget"))
             continue
         plans = [] if seeds[j] is None else [seeds[j]]  # (importance, latency, point per block)
@@ -916,7 +873,8 @@ def _solve_batch(problems: list[PruningProblem], config: SolverConfig) -> list[P
         if not plans:
             message = ("time limit reached before feasibility could be decided" if timed_out
                        else "no state satisfies the latency budget")
-            solutions.append(_solution(problem, start, "infeasible", nodes, message=message))
+            solutions.append(_solution(problem, budget, start, "infeasible", nodes,
+                                       message=message))
             continue
         plan = min(((imp, lat, _plan(problem, frontiers, pts)) for imp, lat, pts in plans),
                    key=lambda p: (-p[0], problem.tie_key(p[2])))
@@ -924,10 +882,10 @@ def _solve_batch(problems: list[PruningProblem], config: SolverConfig) -> list[P
             root = float(bound(0, np.zeros(1), np.zeros(1), rooms[j])[0])
             message = "" if heuristic else (
                 "time limit reached; reporting best incumbent and surviving bound")
-            solutions.append(_solution(problem, start, "feasible_heuristic", nodes, plan,
-                                       max(plan[0], root), message))
+            solutions.append(_solution(problem, budget, start, "feasible_heuristic", nodes,
+                                       plan, max(plan[0], root), message))
         else:
-            solutions.append(_solution(problem, start, "optimal", nodes, plan,
+            solutions.append(_solution(problem, budget, start, "optimal", nodes, plan,
                                        max(plan[0], pruned)))
     return solutions
 

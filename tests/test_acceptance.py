@@ -24,7 +24,7 @@ from latprune import (
     linear_channel_cost,
     objective_value,
     replay_trajectory,
-    solve_branch_and_bound,
+    solve,
     solve_exhaustive,
     synth_lut,
 )
@@ -73,7 +73,7 @@ def test_oracle_equivalence_300_instances():
                 chained_cap=10_000,
             )
             oracle = solve_exhaustive(problem)
-            sol = solve_branch_and_bound(problem)
+            sol = solve(problem)
             assert sol.status == oracle.status, f"instance {i}: status diverged"
             if oracle.status == "optimal":
                 assert sol.importance == oracle.importance, (
@@ -104,7 +104,7 @@ def test_feasibility_soundness_ten_thousand_solves():
             for budget in budgets:
                 p = assemble(problem.arch, problem.vectors, problem.tables, float(budget))
                 for mode, solver in (
-                    ("branch_and_bound", lambda q: solve_branch_and_bound(q, SolverConfig())),
+                    ("branch_and_bound", lambda q: solve(q, SolverConfig())),
                     ("exhaustive", solve_exhaustive),
                 ):
                     sol = solver(p)
@@ -192,7 +192,7 @@ def test_solve_time_target_resnet50_shape():
         assert len(problem.arch.blocks) == 16
         assert len(problem.arch.dims) == 53
         started = time.perf_counter()
-        sol = solve_branch_and_bound(problem, SolverConfig(time_limit=60.0))
+        sol = solve(problem, SolverConfig(time_limit=60.0))
         elapsed = time.perf_counter() - started
         assert sol.status == "optimal", f"status {sol.status} after {elapsed:.1f}s"
         assert elapsed < 60.0, f"solve took {elapsed:.1f}s (limit 60s)"
@@ -210,7 +210,7 @@ def test_budget_monotonicity_20_instances():
             best_so_far = None
             for budget in np.linspace(lo, hi, 10):
                 p = assemble(problem.arch, problem.vectors, problem.tables, float(budget))
-                sol = solve_branch_and_bound(p)
+                sol = solve(p)
                 if sol.status == "infeasible":
                     assert best_so_far is None, f"instance {i}: feasibility not monotone"
                     continue

@@ -1053,28 +1053,39 @@ class TestProcessEntry:
         assert main(command_args(command, documents, tmp_path / "out")) == 0
         assert gc.get_freeze_count() == before
 
-    def test_module_entry_writes_what_main_writes(self, documents, tmp_path):
+    @staticmethod
+    def entry(args: list[str], *flags: str) -> int:
+        """The exit code of ``python [flags] -m latprune.cli args``."""
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")) if p
         )
+        return subprocess.run([sys.executable, *flags, "-m", "latprune.cli", *args], env=env,
+                              capture_output=True, timeout=60).returncode
 
-        def entry(args: list[str]) -> int:
-            return subprocess.run([sys.executable, "-m", "latprune.cli", *args], env=env,
-                                  capture_output=True, timeout=60).returncode
-
-        args = command_args("solve", documents, tmp_path / "process")
-        assert entry(args) == 0
-        assert main(command_args("solve", documents, tmp_path / "in_process")) == 0
-        names = sorted(p.name for p in (tmp_path / "in_process").iterdir())
-        assert sorted(p.name for p in (tmp_path / "process").iterdir()) == names
+    @staticmethod
+    def assert_same_outputs(got: Path, want: Path) -> None:
+        names = sorted(p.name for p in want.iterdir())
+        assert sorted(p.name for p in got.iterdir()) == names
         for name in names:
             if name != "timing.json":  # wall-clock, the one unstamped output
-                want = (tmp_path / "in_process" / name).read_bytes()
-                assert (tmp_path / "process" / name).read_bytes() == want, name
+                assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+    def test_module_entry_writes_what_main_writes(self, documents, tmp_path):
+        args = command_args("solve", documents, tmp_path / "process")
+        assert self.entry(args) == 0
+        assert main(command_args("solve", documents, tmp_path / "in_process")) == 0
+        self.assert_same_outputs(tmp_path / "process", tmp_path / "in_process")
         infeasible = [a if a != "0.25" else "0.0001" for a in args]
-        assert entry(infeasible) == 2
-        assert entry([*args, "--no-such-flag"]) == 3
+        assert self.entry(infeasible) == 2
+        assert self.entry([*args, "--no-such-flag"]) == 3
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_stripped_docstrings_change_no_output(self, documents, tmp_path, command):
+        # -OO strips every docstring, so no code path may read one.
+        assert self.entry(command_args(command, documents, tmp_path / "optimized"), "-OO") == 0
+        assert self.entry(command_args(command, documents, tmp_path / "plain")) == 0
+        self.assert_same_outputs(tmp_path / "optimized", tmp_path / "plain")
 
 
 class TestParser:

@@ -1,6 +1,6 @@
 """Differential tests of the solver against independent references.
 
-* ``solve_branch_and_bound`` must match ``solve_exhaustive`` on
+* ``solve`` must match ``solve_exhaustive`` on
   integer-valued instances, where many states tie on importance and the
   ``tie_key`` order decides the answer.
 * each block's state tables, which both solvers read, must give every
@@ -15,10 +15,12 @@
   additions: the integer-valued draws here sum exactly, and where the
   rounding misses a plan at the budget's last bit, ``heuristic_only``
   falls back to the merge (``tests/test_solver.py``).
-* a problem derived by ``PruningProblem.with_budget`` shares the budget-free
-  core, and must solve exactly as a freshly assembled one.
+* one problem solved by ``solve_budgets`` at budget after budget must
+  solve each exactly as a freshly assembled one, and no solve may change
+  its budget-free core; ``solve_budgets`` must check every budget as
+  ``assemble`` does before it solves any.
 * on integer-valued instances of 6 to 12 blocks, far above the exhaustive
-  guard, ``solve_branch_and_bound`` must find the importance and
+  guard, ``solve`` must find the importance and
   ``tie_key`` of an exact Pareto merge of the blocks' enumerated states,
   with stages in one chunk and split into many; so must a merge seeded
   just below that optimum, alone and in a batch whose budgets carry other
@@ -51,7 +53,6 @@ from latprune import (
     build_all_vectors,
     constraint_value,
     solve,
-    solve_branch_and_bound,
     solve_budgets,
     solve_exhaustive,
 )
@@ -160,7 +161,7 @@ def test_branch_and_bound_tie_break_matches_exhaustive(case, percent):
     budget = max(1.0, float(round(dense * percent / 100)))
     problem = assemble(arch, build_all_vectors(arch, raw), tables, budget)
     oracle = solve_exhaustive(problem)
-    sol = solve_branch_and_bound(problem)
+    sol = solve(problem)
     assert sol.status == oracle.status
     if oracle.status == "optimal":
         assert sol.importance == oracle.importance
@@ -232,7 +233,7 @@ def test_branch_and_bound_matches_an_exact_pareto_merge(chunk, case, percent):
     problem = assemble(arch, build_all_vectors(arch, raw), tables, budget)
     want = pareto_merge_optimum(problem)
     with mock.patch.object(solver, "_CHUNK", chunk):
-        sol = solve_branch_and_bound(problem)
+        sol = solve(problem)
         if want is not None:
             # Seeded just below the optimum, the merge must still find it,
             # alone and in a batch whose budgets carry other floors.
@@ -253,7 +254,7 @@ def merge(problem, budgets, floors):
     """Per budget, (importance, tie key, node count, largest pruned bound)
     of one batched merge of `budgets` at importance `floors`; importance and
     tie key are None where the merge finds no leaf."""
-    margin, frontiers, bound, _ = problem._core.parts
+    margin, frontiers, bound, _ = problem.core
     room = np.array([_room(b) for b in budgets])
     limit = np.minimum(budgets, room)
     leaves, nodes, pruned, timed_out = _pareto_dp(
@@ -300,10 +301,10 @@ def test_lp_rounding_fits_whenever_a_plan_does(case, percent):
     budget = max(1.0, low + round((dense - low) * percent / 100))
     problem = assemble(arch, build_all_vectors(arch, raw), tables, budget)
     assert solve_exhaustive(problem).status == "optimal"
-    rounded = _lp_rounding(problem, *problem._core.parts[1:])
+    rounded = _lp_rounding(budget, *problem.core[1:])
     assert rounded is not None
-    assert constraint_value(_plan(problem, problem._core.parts[1], rounded[2]), tables, arch) <= budget
-    heuristic = solve_branch_and_bound(problem, SolverConfig(mode="heuristic_only"))
+    assert constraint_value(_plan(problem, problem.core[1], rounded[2]), tables, arch) <= budget
+    heuristic = solve(problem, SolverConfig(mode="heuristic_only"))
     assert heuristic.status == "feasible_heuristic"
 
 
@@ -456,34 +457,29 @@ def test_frontiers_on_python_int_codes_equal_the_int64_ones(seed):
             assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
-def _outcome(problem, mode):
-    sol = solve_branch_and_bound(problem, SolverConfig(mode=mode))
-    return sol.status, sol.importance, sol.latency, sol.bound, sol.node_count, sol.assignment
+def _fields(sol):
+    return (sol.status, sol.importance, sol.latency, sol.bound, sol.node_count, sol.message,
+            sol.assignment)
 
 
 @settings(max_examples=120, deadline=None)
 @given(instances(max_layers=2), st.data())
 def test_with_budget_solves_as_a_fresh_assemble(case, data):
+    """One problem solved at budget after budget by ``solve_budgets`` solves
+    each as a fresh ``assemble`` does, and keeps its core unchanged."""
     arch, raw, tables = case
     vectors = build_all_vectors(arch, raw)
     dense = constraint_value(dense_assignment(arch), tables, arch)
     percents = data.draw(st.lists(st.integers(0, 110), min_size=2, max_size=5))
     budgets = data.draw(st.permutations([max(0.5, dense * p / 100) for p in percents] + [math.inf]))
-    mode = data.draw(st.sampled_from(["branch_and_bound", "heuristic_only"]))
+    config = SolverConfig(mode=data.draw(st.sampled_from(["branch_and_bound", "heuristic_only"])))
     base = assemble(arch, vectors, tables, budgets[0])
     outcomes = []
     for budget in budgets:
-        problem = base.with_budget(budget)
-        assert problem.budget == budget and problem._core is base._core
-        outcomes.append(_outcome(problem, mode))
-        assert outcomes[-1] == _outcome(assemble(arch, vectors, tables, budget), mode)
-    # No solve changed the shared core: the first budget solves as before.
-    assert _outcome(base.with_budget(budgets[0]), mode) == outcomes[0]
-
-
-def _fields(sol):
-    return (sol.status, sol.importance, sol.latency, sol.bound, sol.node_count, sol.message,
-            sol.assignment)
+        outcomes.append(_fields(solve_budgets(base, [budget], config)[0]))
+        assert outcomes[-1] == _fields(solve(assemble(arch, vectors, tables, budget), config))
+    # No solve changed the problem's core: the first budget solves as before.
+    assert _fields(solve(base, config)) == outcomes[0]
 
 
 @pytest.mark.parametrize("chunk", [solver._CHUNK, 7])  # 7 spans budgets and splits the last stage
@@ -503,7 +499,8 @@ def test_solve_budgets_equals_separate_solves(chunk, case, percents, data):
             batch = solve_budgets(problem, budgets, config)
             assert len(batch) == len(budgets)
             for budget, got in zip(budgets, batch):
-                assert _fields(got) == _fields(solve(problem.with_budget(budget), config))
+                fresh = assemble(arch, problem.vectors, tables, budget)
+                assert _fields(got) == _fields(solve(fresh, config))
         # Unseeded, every budget's floor rises many times in its last stage.
         floors = [-math.inf] * len(budgets)
         assert merge(problem, budgets, floors) == [merge(problem, [b], [-math.inf])[0] for b in budgets]
@@ -511,12 +508,23 @@ def test_solve_budgets_equals_separate_solves(chunk, case, percents, data):
 
 @pytest.mark.parametrize("budget", [0, -1.0, math.nan])
 def test_with_budget_rejects_what_assemble_rejects(budget):
+    """``solve_budgets`` checks each budget as ``assemble`` does, and a bad
+    budget after a good one raises before either is solved."""
     problem, _ = random_problem(np.random.default_rng(3))
     with pytest.raises(ValidationError) as fresh:
         assemble(problem.arch, problem.vectors, problem.tables, budget)
-    with pytest.raises(ValidationError) as derived:
-        problem.with_budget(budget)
-    assert str(derived.value) == str(fresh.value)
+    with pytest.raises(ValidationError) as batch:
+        solve_budgets(problem, [budget])
+    assert str(batch.value) == str(fresh.value)
+    # Every solve of the good budget passes one of these; none may run.
+    error = AssertionError("a budget was solved before every budget was checked")
+    for mode in ("branch_and_bound", "heuristic_only", "exhaustive"):
+        with (mock.patch.object(solver, "_lp_rounding", side_effect=error),
+              mock.patch.object(solver, "_pareto_dp", side_effect=error),
+              mock.patch.object(solver, "_enumerate", side_effect=error),
+              pytest.raises(ValidationError) as late):
+            solve_budgets(problem, [problem.budget, budget], SolverConfig(mode=mode))
+        assert str(late.value) == str(fresh.value)
 
 
 @pytest.mark.parametrize("budget", [True, False, "5", None])
@@ -525,12 +533,14 @@ def test_budget_that_is_not_a_number_is_named_so(budget):
     with pytest.raises(ValidationError, match="budget must be a real number"):
         assemble(problem.arch, problem.vectors, problem.tables, budget)
     with pytest.raises(ValidationError, match="budget must be a real number"):
-        problem.with_budget(budget)
+        solve_budgets(problem, [budget])
 
 
 @pytest.mark.parametrize("budget", [np.int64(5), np.float32(0.5)], ids=["int64", "float32"])
 def test_numpy_scalar_budgets_are_accepted(budget):
+    """A numpy scalar budget solves as the float it equals."""
     problem, _ = random_problem(np.random.default_rng(3))
-    for derived in (assemble(problem.arch, problem.vectors, problem.tables, budget),
-                    problem.with_budget(budget)):
-        assert type(derived.budget) is float and derived.budget == float(budget)
+    fresh = assemble(problem.arch, problem.vectors, problem.tables, budget)
+    assert type(fresh.budget) is float and fresh.budget == float(budget)
+    got, = solve_budgets(problem, [budget])
+    assert _fields(got) == _fields(solve(fresh))

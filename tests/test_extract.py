@@ -12,7 +12,7 @@ from latprune import (
     ValidationError,
     build_all_vectors,
     extract_structure,
-    solve_branch_and_bound,
+    solve,
     solve_exhaustive,
     summarize,
 )
@@ -106,7 +106,7 @@ class TestExtract:
     def test_totals_reproduce_solver_values_exactly(self, seed):
         rng = np.random.default_rng(5000 + seed)
         problem, raw = random_problem(rng)
-        sol = solve_branch_and_bound(problem)
+        sol = solve(problem)
         if sol.status == "infeasible":
             return
         structure = extract_structure(

@@ -20,7 +20,6 @@ from latprune import (
     objective_value,
     parse_architecture,
     solve,
-    solve_branch_and_bound,
     solve_budgets,
     solve_exhaustive,
     subnetwork_count,
@@ -176,9 +175,9 @@ class TestExhaustive:
         assert subnetwork_count(arch) == 571_536
         problem = integer_problem(np.random.default_rng(11), arch)
         dense = constraint_value(dense_assignment(arch), problem.tables, arch)
-        problem = problem.with_budget(dense / 2)
+        problem = assemble(problem.arch, problem.vectors, problem.tables, dense / 2)
         oracle = solve_exhaustive(problem)
-        sol = solve_branch_and_bound(problem)
+        sol = solve(problem)
         assert oracle.status == sol.status == "optimal"
         assert sol.importance == oracle.importance
         assert sol.assignment == oracle.assignment
@@ -190,7 +189,7 @@ class TestExhaustive:
         arch = make_arch([trunk_dim("t")], [])
         vectors = {"t": ImportanceVector(dim_id="t", values=np.zeros(1))}
         problem = assemble(arch, vectors, TableSet(), 1.0)
-        for solver in (solve_exhaustive, solve_branch_and_bound):
+        for solver in (solve_exhaustive, solve):
             sol = solver(problem)
             assert sol.status == "optimal"
             assert sol.assignment == Assignment(omega={}, kappa={})
@@ -306,7 +305,7 @@ class TestBranchAndBound:
         rng = np.random.default_rng(4000 + seed)
         problem, _ = random_problem(rng, signed_scores=bool(seed % 3 == 0))
         oracle = solve_exhaustive(problem)
-        sol = solve_branch_and_bound(problem)
+        sol = solve(problem)
         assert sol.status in ("optimal", "infeasible")
         assert sol.status == oracle.status
         if sol.status == "optimal":
@@ -317,7 +316,7 @@ class TestBranchAndBound:
     def test_unbounded_budget_takes_every_max_option(self):
         rng = np.random.default_rng(70)
         problem, _ = random_problem(rng, budget=float("inf"))
-        sol = solve_branch_and_bound(problem)
+        sol = solve(problem)
         assert sol.status == "optimal"
         arch = problem.arch
         for block in arch.blocks:
@@ -334,7 +333,8 @@ class TestBranchAndBound:
         vectors = build_all_vectors(arch, synth_scores(arch, 0))
         problem = assemble(arch, vectors, synth_lut(arch, LatencyModelParams(), 0), math.inf)
         config = SolverConfig(mode=mode)
-        want, got = solve(problem, config), solve(problem.with_budget(budget), config)
+        huge = assemble(problem.arch, problem.vectors, problem.tables, budget)
+        want, got = solve(problem, config), solve(huge, config)
         assert got.status == want.status != "infeasible"
         assert got.assignment == want.assignment
         assert (got.importance, got.latency, got.bound) == (
@@ -343,8 +343,8 @@ class TestBranchAndBound:
     def test_deterministic_repeat_runs(self):
         rng = np.random.default_rng(71)
         problem, _ = random_problem(rng)
-        a = solve_branch_and_bound(problem, SolverConfig())
-        b = solve_branch_and_bound(problem, SolverConfig())
+        a = solve(problem, SolverConfig())
+        b = solve(problem, SolverConfig())
         assert a.assignment == b.assignment
         assert a.node_count == b.node_count
         assert a.importance == b.importance
@@ -358,7 +358,7 @@ class TestBranchAndBound:
         last = -math.inf
         for budget in budgets:
             p = assemble(problem.arch, problem.vectors, problem.tables, float(budget))
-            sol = solve_branch_and_bound(p)
+            sol = solve(p)
             if sol.status == "infeasible":
                 continue
             assert sol.importance >= last - 1e-12
@@ -368,13 +368,13 @@ class TestBranchAndBound:
         rng = np.random.default_rng(74)
         for _ in range(10):
             problem, _ = random_problem(rng)
-            sol = solve_branch_and_bound(problem)
+            sol = solve(problem)
             if sol.status == "optimal":
                 assert sol.importance <= sol.bound + 1e-9 * abs(sol.bound) + 1e-12
 
     def test_infeasible_instance(self):
         problem, _ = one_dim_problem([1.0, 3.0], [1.0, 2.0], budget=0.5)
-        sol = solve_branch_and_bound(problem)
+        sol = solve(problem)
         assert sol.status == "infeasible"
         assert sol.assignment is None
 
@@ -390,15 +390,15 @@ class TestBranchAndBound:
         dense = constraint_value(dense_assignment(arch), tables, arch)
         problem = assemble(arch, build_all_vectors(arch, random_scores(arch, rng)), tables,
                            dense / 2)
-        sol = solve_branch_and_bound(problem)
+        sol = solve(problem)
         assert sol.status == "optimal" and sol.latency <= problem.budget
-        assert sol.importance >= solve_branch_and_bound(
+        assert sol.importance >= solve(
             problem, SolverConfig(mode="heuristic_only")).importance
 
     def test_time_limit_degrades_to_feasible_heuristic(self):
         rng = np.random.default_rng(75)
         problem, _ = random_problem(rng, budget=None)
-        sol = solve_branch_and_bound(problem, SolverConfig(time_limit=1e-9))
+        sol = solve(problem, SolverConfig(time_limit=1e-9))
         if sol.status == "infeasible":
             return  # budget drew below the feasible range; nothing to degrade
         assert sol.status in ("optimal", "feasible_heuristic")
@@ -410,8 +410,8 @@ class TestBranchAndBound:
         rng = np.random.default_rng(78)
         for _ in range(5):
             problem, _ = random_problem(rng)
-            exact = solve_branch_and_bound(problem)
-            loose = solve_branch_and_bound(problem, SolverConfig(tolerance=0.5))
+            exact = solve(problem)
+            loose = solve(problem, SolverConfig(tolerance=0.5))
             assert loose.status == exact.status
             if exact.status == "optimal":
                 assert loose.bound - loose.importance <= 0.5 + 1e-9
@@ -421,7 +421,7 @@ class TestBranchAndBound:
     def test_vit_b12_data_seed_3_is_proved_optimal(self):
         # This instance once ran into the 60 s limit (feasible_heuristic).
         problem = vit_b12_problem(seed=3, budget_fraction=0.25)
-        sol = solve_branch_and_bound(problem, SolverConfig(time_limit=30))
+        sol = solve(problem, SolverConfig(time_limit=30))
         assert sol.status == "optimal"
         assert constraint_value(sol.assignment, problem.tables, problem.arch) == sol.latency
         assert sol.latency <= problem.budget
@@ -453,7 +453,7 @@ class TestBranchAndBound:
         problem = assemble(arch, vectors, tables, 5.0)
         oracle = solve_exhaustive(problem)
         assert oracle.assignment.omega["c1"] == 1
-        sol = solve_branch_and_bound(problem)
+        sol = solve(problem)
         assert sol.assignment == oracle.assignment
         assert sol.importance == oracle.importance == 1.3
 
@@ -474,7 +474,7 @@ class TestBranchAndBound:
                 d: RawScores(dim_id=d, scores=8.0 * r.scores) for d, r in raw.items()
             }
             scaled = assemble(arch, build_all_vectors(arch, scaled_raw), tables, budget)
-            sol = solve_branch_and_bound(scaled)
+            sol = solve(scaled)
             assert sol.assignment == ref.assignment
             assert sol.importance == 8.0 * ref.importance
             checked += 1
@@ -487,9 +487,9 @@ class TestBranchAndBound:
         assert constraint_value(dense_assignment(problem.arch), problem.tables,
                                 problem.arch) == THREE_CHAIN_BUDGET
         assert solve_exhaustive(problem).status == "optimal"
-        sol = solve_branch_and_bound(problem, SolverConfig(mode="heuristic_only"))
+        sol = solve(problem, SolverConfig(mode="heuristic_only"))
         assert sol.status == "feasible_heuristic"
-        assert sol.assignment == solve_branch_and_bound(problem).assignment
+        assert sol.assignment == solve(problem).assignment
         assert sol.latency == THREE_CHAIN_BUDGET
         assert sol.importance == 3.0
         assert sol.bound >= sol.importance
@@ -518,9 +518,9 @@ class TestBranchAndBound:
             tables.add(LatencyTable(block_id=i, part="conv_layer", layer=1, axes=("t", f"c{i}"),
                                     data=np.array([[1.0, 2.0]])))
         problem = assemble(arch, build_all_vectors(arch, raw), tables, 3.0)
-        heuristic = solve_branch_and_bound(problem, SolverConfig(mode="heuristic_only"))
+        heuristic = solve(problem, SolverConfig(mode="heuristic_only"))
         assert heuristic.assignment.omega == {"c1": 2, "c2": 1}
-        assert solve_branch_and_bound(problem).assignment.omega == {"c1": 1, "c2": 2}
+        assert solve(problem).assignment.omega == {"c1": 1, "c2": 2}
 
 
 class TestOneRecheck:
@@ -530,11 +530,11 @@ class TestOneRecheck:
     @pytest.mark.parametrize("mode", ["branch_and_bound", "heuristic_only"])
     def test_frontier_sums_off_the_evaluators_raise(self, mode):
         problem = three_chain_problem(budget=1.0)
-        assert solve_branch_and_bound(problem, SolverConfig(mode=mode)).importance == 3.0
+        assert solve(problem, SolverConfig(mode=mode)).importance == 3.0
         problem = three_chain_problem(budget=1.0)
-        problem._core.parts[1][0].imp += 1e-6
+        problem.core[1][0].imp += 1e-6
         with pytest.raises(SolveError, match="recheck"):
-            solve_branch_and_bound(problem, SolverConfig(mode=mode))
+            solve(problem, SolverConfig(mode=mode))
 
     def test_state_sums_off_the_evaluators_raise(self):
         problem = three_chain_problem(budget=1.0)
@@ -641,7 +641,8 @@ class TestSolveBudgets:
         batch = solve_budgets(problem, budgets, config)
         assert len(batch) == 16
         for budget, got in zip(budgets, batch):
-            assert _fields(got) == _fields(solve(problem.with_budget(budget), config))
+            fresh = assemble(problem.arch, problem.vectors, problem.tables, budget)
+            assert _fields(got) == _fields(solve(fresh, config))
             assert got.status in ("feasible_heuristic", "infeasible")
             if got.status == "feasible_heuristic":
                 assert got.message.startswith("time limit reached")
