@@ -30,6 +30,7 @@ from json.encoder import encode_basestring_ascii
 from numbers import Real
 
 import numpy as np
+import orjson
 
 from .errors import ParseError, ValidationError
 from .record import Record
@@ -46,6 +47,9 @@ BLOCK_KINDS = ("cnn_chain", "transformer")
 
 # Reserved key allowed (and ignored) in every document this package reads.
 MANIFEST_KEY = "_manifest"
+# The most containers a document may hold for `load_json` to hand it to
+# orjson: as deep as json.loads goes under the default recursion limit.
+ORJSON_MAX_CONTAINERS = 1000
 
 
 class DimensionSpec(Record, frozen=True):
@@ -59,13 +63,18 @@ class DimensionSpec(Record, frozen=True):
 
     def validate(self) -> None:
         if self.role not in ROLES:
-            raise ValidationError(f"dimension {self.id!r}: unknown role {self.role!r}")
+            raise ValidationError(f"dimension {self.id!r}: unknown role {shown(self.role)}")
         for field in ("option_count", "group_size", "max_elements"):
             value = getattr(self, field)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValidationError(
                     f"dimension {self.id!r}: {field} must be a positive integer, got {value!r}"
                 )
+        # Kept counts are computed in int64 (see kept_counts).
+        for sizes, value in (("option_count*group_size", self.option_count * self.group_size),
+                             ("max_elements", self.max_elements)):
+            if value >= 2**63:
+                raise ValidationError(f"dimension {self.id!r}: {sizes} must be below 2**63")
         # Guarantees options are strictly increasing: only the last one may clamp.
         if self.option_count * self.group_size > self.max_elements + self.group_size - 1:
             raise ValidationError(
@@ -177,7 +186,7 @@ class ArchitectureSpec(Record, frozen=True):
                     f"position {pos}"
                 )
             if block.kind not in BLOCK_KINDS:
-                raise ValidationError(f"block {block.id}: unknown kind {block.kind!r}")
+                raise ValidationError(f"block {block.id}: unknown kind {shown(block.kind)}")
             if not block.dims:
                 raise ValidationError(f"block {block.id}: empty dims list")
             for dim_id in block.dims:
@@ -260,12 +269,36 @@ class ArchitectureSpec(Record, frozen=True):
 
 
 def load_json(document: str, where: str):
-    """Decode a JSON document; a syntax error becomes a ParseError naming `where`."""
+    """Decode a JSON document; an error becomes a ParseError naming `where`.
+
+    The value is ``json.loads(document)``'s: the same types, key order,
+    duplicate-key result and float bits.  It is decoded by orjson, several
+    times faster, unless orjson refuses the document (a ``NaN`` or
+    ``Infinity`` token, a lone-surrogate escape, a number beyond the float
+    range, or a syntax error) or the document holds more than
+    `ORJSON_MAX_CONTAINERS` ``[`` and ``{`` characters; then ``json.loads``
+    decodes it, and its syntax errors are the messages.  orjson has no
+    nesting limit and crashes the process on a deep enough document, while
+    ``json.loads`` stops near the interpreter's recursion limit: that is a
+    ParseError too, as is an integer literal longer than the interpreter's
+    digit limit for ``int``.  One difference remains: orjson reads an
+    integer literal outside [-2**63, 2**64) as the nearest float64, which
+    number fields read as the value they read the integer as, and integer
+    fields reject."""
+    if document.count("[") + document.count("{") <= ORJSON_MAX_CONTAINERS:
+        try:
+            return orjson.loads(document)
+        except orjson.JSONDecodeError:
+            pass
     try:
         return json.loads(document)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{where}: invalid JSON at line {exc.lineno} "
                          f"column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError(f"{where}: nested too deeply") from None
+    except ValueError as exc:  # an integer literal past sys.get_int_max_str_digits()
+        raise ParseError(f"{where}: {str(exc).split(';')[0]}") from None
 
 
 def dump_json(obj) -> str:
@@ -338,17 +371,23 @@ def _encode(value, indent: str, out: list[str]) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def shown(value) -> str:
+    """A decoded value's repr for a message, cut to at most 80 characters (a
+    whole table would be hundreds of thousands); a value nested too deeply
+    for repr shows as its type."""
+    try:
+        text = repr(value)
+    except RecursionError:
+        return f"<{type(value).__name__} nested too deeply>"
+    return text if len(text) <= 80 else text[:76] + " ..."
+
+
 def typed(value, kind, where: str, item=None):
     """`value` if it is a `kind` (a type or tuple of types) whose entries, when
     `item` is given, are `item`s; a bool never counts as a number.  Shared by
-    the document readers, so a wrong type names its field.  The message cuts
-    the value's repr to at most 80 characters; a whole table would be
-    hundreds of thousands."""
+    the document readers, so a wrong type names its field and `shown` value."""
     if isinstance(value, bool) or not isinstance(value, kind):
-        shown = repr(value)
-        if len(shown) > 80:
-            shown = shown[:76] + " ..."
-        raise ParseError(f"{where}: unexpected {type(value).__name__} value {shown}")
+        raise ParseError(f"{where}: unexpected {type(value).__name__} value {shown(value)}")
     if item is not None:
         for i, entry in enumerate(value):
             typed(entry, item, f"{where}[{i}]")

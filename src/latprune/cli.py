@@ -452,7 +452,8 @@ def cmd_extract(args) -> int:
     if report["status"] == "infeasible":
         raise ValidationError("cannot extract a structure from an infeasible solve")
     if report["status"] not in ("optimal", "feasible_heuristic"):
-        raise ValidationError(f"report: status {report['status']!r} is not one a solve writes")
+        raise ValidationError(f"report: status {arch_mod.shown(report['status'])} is not one "
+                              f"a solve writes")
     structure = extract_mod.extract_structure(assignment, arch, vectors, tables, raw_scores)
     for key, total in (("importance", structure.importance), ("latency_ms", structure.latency)):
         if arch_mod.number(report[key], f"report: {key}") != total:

@@ -28,7 +28,7 @@ from functools import reduce
 import numpy as np
 
 from .arch import ArchitectureSpec, BlockSpec, MANIFEST_KEY, kept_counts, numbers, records
-from .arch import TRANSFORMER_PARTS, dump_json, require_keys, typed, validate_tables
+from .arch import TRANSFORMER_PARTS, dump_json, require_keys, shown, typed, validate_tables
 from .errors import ParseError, ValidationError
 from .importance import Assignment, synth_rng
 from .record import Record
@@ -293,7 +293,7 @@ class PruneTrajectory(Record, frozen=True):
                 dim = arch.dim(d)
                 if isinstance(j, bool) or not isinstance(j, int):
                     raise ValidationError(
-                        f"trajectory step {t}: {d!r} option must be an integer, got {j!r}"
+                        f"trajectory step {t}: {d!r} option must be an integer, got {shown(j)}"
                     )
                 if not 1 <= j <= dim.option_count:
                     raise ValidationError(
@@ -402,7 +402,7 @@ def parse_lut(document: str) -> TableSet:
             )
         table = LatencyTable(
             block_id=typed(entry["block_id"], int, f"{where}.block_id"),
-            part=entry["part"],
+            part=typed(entry["part"], str, f"{where}.part"),
             axes=tuple(typed(entry["axes"], list, f"{where}.axes", str)),
             data=flat.reshape(shape),
             layer=layer,

@@ -1,10 +1,18 @@
 import itertools
 import json
 import math
+import struct
+import subprocess
+import sys
+from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+import latprune
 
 from latprune import (
     ParseError,
@@ -16,7 +24,10 @@ from latprune import (
     subnetwork_count,
     validate_problem_shapes,
 )
-from latprune.arch import DimensionSpec, architecture_from_obj, dump_json
+from latprune import arch as arch_mod
+from latprune.arch import (
+    DimensionSpec, architecture_from_obj, dump_json, kept_counts, load_json,
+)
 
 from conftest import (
     BlockSpec,
@@ -219,6 +230,22 @@ class TestKeptElements:
         assert kept[-1] == max_elements
 
 
+    @pytest.mark.parametrize("options, group, max_elements", [
+        (1, 2**63, 16), (2**63, 1, 2**63 + 5), (1, 16, 2**63), (2, 2**62 + 1, 2**63 - 1),
+    ], ids=["group", "options", "max", "product"])
+    def test_kept_counts_past_int64_rejected(self, options, group, max_elements):
+        dim = DimensionSpec(id="d", role="conv_out", option_count=options, group_size=group,
+                            max_elements=max_elements)
+        with pytest.raises(ValidationError, match=r"must be below 2\*\*63"):
+            dim.validate()
+
+    def test_largest_kept_counts_fit_int64(self):
+        dim = DimensionSpec(id="d", role="conv_out", option_count=3, group_size=2**61 + 1,
+                            max_elements=2**63 - 1)
+        dim.validate()
+        assert kept_counts(dim).tolist() == [kept_elements(dim, j) for j in (1, 2, 3)]
+
+
 class TestValidateShapes:
     def _consistent(self, seed=0):
         rng = np.random.default_rng(seed)
@@ -348,3 +375,171 @@ class TestDumpJson:
         # the package never writes such keys, so the writer refuses them.
         with pytest.raises(TypeError, match="keys must be str"):
             dump_json({"ok": [{key: 0}]})
+
+
+# ---------------------------------------------------------------------------
+# load_json against json.loads
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def float_tokens(draw) -> str:
+    """A float literal drawn as a random 64-bit pattern, written as its repr,
+    as ``%.17e`` or as the exact decimal halfway to its upper neighbour (the
+    NaN and infinite patterns as json's ``NaN`` and ``Infinity`` tokens)."""
+    x = struct.unpack("<d", struct.pack("<Q", draw(st.integers(0, 2**64 - 1))))[0]
+    if not math.isfinite(x):
+        return "NaN" if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")
+    form = draw(st.sampled_from(["repr", "e17", "halfway"]))
+    if form == "repr":
+        return repr(x)
+    if form == "e17":
+        return "%.17e" % x
+    y = math.nextafter(x, math.inf)
+    if math.isinf(y):
+        y = math.nextafter(x, -math.inf)
+    with localcontext() as ctx:
+        ctx.prec = 1200  # exact: a float64's decimal expansion has at most 767 digits
+        return str((Decimal(x) + Decimal(y)) / 2)
+
+
+JSON_TEXT = st.text(st.characters(exclude_categories=()), max_size=6)
+STRING_PIECES = st.one_of(
+    JSON_TEXT.map(lambda t: json.dumps(t)[1:-1]),  # lone surrogates as escapes
+    JSON_TEXT.map(lambda t: json.dumps(t, ensure_ascii=False)[1:-1]),  # raw characters
+    st.integers(0, 0xFFFF).map(lambda n: "\\u%04x" % n),
+    st.integers(0xD800, 0xDFFF).map(lambda n: "\\u%04X" % n),
+    st.sampled_from(['\\"', "\\\\", "\\/", "\\b", "\\f", "\\n", "\\r", "\\t"]),
+)
+STRINGS = st.lists(STRING_PIECES, max_size=4).map(lambda pieces: '"' + "".join(pieces) + '"')
+KEYS = STRINGS | st.sampled_from(['"a"', '"b"', '"\\u0061"'])  # duplicate keys, one escaped
+SCALAR_TOKENS = st.one_of(
+    float_tokens(),
+    st.integers(-(2**70), 2**70).map(str),
+    st.integers(-(10**400), 10**400).map(str),
+    STRINGS,
+    st.sampled_from(["true", "false", "null", "NaN", "Infinity", "-Infinity", "-0", "-0.0"]),
+)
+WHITESPACE = st.text(" \t\n\r", max_size=2)
+TREES = st.recursive(
+    SCALAR_TOKENS,
+    lambda children: st.one_of(
+        st.lists(st.tuples(WHITESPACE, children)).map(
+            lambda items: "[" + ",".join(w + v for w, v in items) + "]"),
+        st.lists(st.tuples(KEYS, WHITESPACE, children)).map(
+            lambda items: "{" + ",".join(f"{k}:{w}{v}" for k, w, v in items) + "}"),
+    ),
+    max_leaves=20,
+)
+
+
+@st.composite
+def json_documents(draw) -> str:
+    """A JSON text, sometimes cut short or with a stray character inserted."""
+    text = draw(WHITESPACE) + draw(TREES) + draw(WHITESPACE)
+    how = draw(st.sampled_from(["keep", "keep", "cut", "insert"]))
+    at = draw(st.integers(0, len(text)))
+    if how == "cut":
+        return text[:at]
+    if how == "insert":
+        stray = draw(st.sampled_from([",", "]", "}", ":", "x", "0", "\x01", "\ufeff"]))
+        return text[:at] + stray + text[at:]
+    return text
+
+
+def same(got, want) -> bool:
+    """`got` equals `want` in type, key order and float bits, recursively,
+    except that an integer outside [-2**63, 2**64) may be read as its
+    nearest float64."""
+    if type(want) is int and type(got) is float and not -(2**63) <= want < 2**64:
+        want = float(want)
+    if type(got) is not type(want):
+        return False
+    if type(want) is float:
+        return struct.pack("<d", got) == struct.pack("<d", want)
+    if type(want) is list:
+        return len(got) == len(want) and all(map(same, got, want))
+    if type(want) is dict:
+        return list(got) == list(want) and all(same(got[k], want[k]) for k in want)
+    return got == want
+
+
+def assert_reads_as_json(text: str) -> None:
+    """`load_json(text, "doc")` returns what ``json.loads(text)`` returns, or
+    raises a ParseError with the message json's error gives."""
+    try:
+        want = json.loads(text)
+    except json.JSONDecodeError as exc:
+        message = f"doc: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        message = f"doc: {str(exc).split(';')[0]}"
+    else:
+        assert same(load_json(text, "doc"), want), text
+        return
+    with pytest.raises(ParseError) as caught:
+        load_json(text, "doc")
+    assert str(caught.value) == message
+
+
+class TestLoadJson:
+    @settings(max_examples=500)
+    @given(json_documents())
+    def test_reads_what_json_loads_reads(self, text):
+        assert_reads_as_json(text)
+
+    @pytest.mark.parametrize("text", [
+        "\ufeff{}", '{"a": 1} x', "1e400", "-1e400", "-1e-400", "-0", "-0.0", "[NaN, 1]",
+        '"\\ud800"', str(2**63), str(2**64), str(-(2**63) - 1), str(10**400), "1" * 5000,
+        '{"a": 1, "b": 2, "a": 3}', "[" * 5 + "]" * 4,
+    ], ids=["bom", "trailing-data", "1e400", "-1e400", "-1e-400", "-0", "-0.0", "nan-token",
+            "lone-surrogate", "2**63", "2**64", "below-int64", "10**400", "5000-digits",
+            "duplicate-key", "unclosed"])
+    def test_explicit_cases_read_as_json(self, text):
+        assert_reads_as_json(text)
+
+    def test_more_than_a_thousand_containers_skip_orjson(self, monkeypatch):
+        class Refusing:
+            JSONDecodeError = orjson.JSONDecodeError
+
+            @staticmethod
+            def loads(text):
+                raise AssertionError("orjson was given the document")
+
+        monkeypatch.setattr(arch_mod, "orjson", Refusing)
+        text = "[" + ", ".join(["[1.5]"] * 998) + ', {"a": []}]'  # 1,001 containers, 3 deep
+        assert text.count("[") + text.count("{") == 1001
+        assert_reads_as_json(text)
+
+    def test_a_thousand_containers_go_to_orjson(self, monkeypatch):
+        calls = []
+
+        class Counting:
+            JSONDecodeError = orjson.JSONDecodeError
+
+            @staticmethod
+            def loads(text):
+                calls.append(text)
+                return orjson.loads(text)
+
+        monkeypatch.setattr(arch_mod, "orjson", Counting)
+        text = "[" + ", ".join(["[1.5]"] * 997) + ', {"a": []}]'
+        assert text.count("[") + text.count("{") == 1000
+        assert_reads_as_json(text)
+        assert calls == [text]
+
+    def test_deep_document_is_a_parse_error_not_a_crash(self):
+        # In a child process: without the container guard orjson would
+        # decode this and crash the interpreter (SIGSEGV).
+        code = (
+            "from latprune.arch import load_json\n"
+            "from latprune.errors import ParseError\n"
+            "try:\n"
+            "    load_json('[' * 200_000 + ']' * 200_000, 'doc')\n"
+            "except ParseError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(latprune.__file__).parents[1])
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=60, env={"PYTHONPATH": src})
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "doc: nested too deeply\n"

@@ -16,6 +16,7 @@ from latprune import (
     synth_lut, synth_scores,
 )
 from latprune import cli
+from latprune.arch import ORJSON_MAX_CONTAINERS
 from latprune.cli import _write_json, main
 
 DATA = Path(__file__).parent.parent / "demos" / "data"
@@ -1135,3 +1136,83 @@ def test_every_command_closes_every_file_it_opens(documents, tmp_path, command):
         assert main(command_args(command, documents, tmp_path / "out")) == 0
         gc.collect()
     assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def deep_list(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+def with_node(text: str, path: tuple, literal: str) -> str:
+    """`text`, a JSON document, with the node at `path` written as `literal`."""
+    doc = json.loads(text)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "@node@"
+    return json.dumps(doc).replace('"@node@"', literal)
+
+
+def deepest_within_the_guard(text: str, path: tuple) -> str:
+    """`text` with the node at `path` a list nested as deep as the most
+    containers a document may hold for orjson to decode it allows."""
+    spare = ORJSON_MAX_CONTAINERS - sum(map(with_node(text, path, "0").count, "[{"))
+    return with_node(text, path, deep_list(spare))
+
+
+class TestInputLimits:
+    """Documents nested past the interpreter's recursion limit and dimension
+    sizes past int64 exit 3, naming the document or the field."""
+
+    @pytest.mark.parametrize("command, flag, edit, named", [
+        pytest.param("check", "--arch", lambda text: deep_list(100_000), "architecture",
+                     id="100000-deep-document"),
+        pytest.param("check", "--arch", lambda text: with_node(text, ("name",), deep_list(995)),
+                     "architecture", id="995-deep-name"),
+        pytest.param("check", "--scores",
+                     lambda text: deepest_within_the_guard(text, ("scores", 0, "scores", 0)),
+                     "scores[0].scores[0]", id="deep-score"),
+        pytest.param("extract", "--report",
+                     lambda text: deepest_within_the_guard(text, ("status",)),
+                     "report: status", id="deep-report-status"),
+        *(
+            pytest.param(command, flag, lambda text, path=path: deepest_within_the_guard(text, path),
+                         named, id=f"deep-{path[-1]}")
+            for command, flag, path, named in [
+                ("check", "--arch", ("dims", 0, "role"), "unknown role"),
+                ("check", "--arch", ("blocks", 0, "kind"), "unknown kind"),
+                ("check", "--lut", ("tables", 0, "part"), "lut[0].part"),
+                ("compare-latency-models", "--trajectory", ("steps", 0, "c1"),
+                 "trajectory step 0"),
+            ]
+        ),
+    ])
+    def test_deeply_nested_document_exits_3_naming_it(
+        self, documents, tmp_path, capsys, command, flag, edit, named
+    ):
+        argv = command_args(command, documents, tmp_path / "out")
+        at = argv.index(flag) + 1
+        bad = tmp_path / "deep.json"
+        bad.write_text(edit(Path(argv[at]).read_text()))
+        argv[at] = str(bad)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert named in captured.out + captured.err
+
+    @pytest.mark.parametrize("value", [2**63, 2**64, 10**400], ids=["2**63", "2**64", "10**400"])
+    @pytest.mark.parametrize("command", ["check", "solve", "extract"])
+    def test_dimension_size_past_int64_exits_3_naming_it(
+        self, documents, tmp_path, capsys, command, value
+    ):
+        # The fixed_external stem: one option, so any group_size >= 16 is valid
+        # for the architecture alone; kept counts are int64.
+        doc = json.loads((DATA / "tiny_mixed.arch.json").read_text())
+        assert doc["dims"][0]["id"] == "stem"
+        doc["dims"][0]["group_size"] = value
+        bad = tmp_path / "huge.arch.json"
+        bad.write_text(json.dumps(doc))
+        argv = command_args(command, documents, tmp_path / "out")
+        argv[argv.index("--arch") + 1] = str(bad)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert "group_size" in captured.out + captured.err
+        assert not (tmp_path / "out").exists()

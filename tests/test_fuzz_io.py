@@ -10,7 +10,9 @@ list, object, NaN, infinity, a 401-digit integer), wrapped in a list or
 unwrapped from its container.  The encoded bytes of the mutated document
 may then be broken too: a UTF-8 byte-order mark in front, or bytes that are
 not UTF-8 (a UTF-16 mark, a stray continuation byte, an encoded surrogate, a
-cut multi-byte sequence) inserted anywhere.
+cut multi-byte sequence) inserted anywhere.  Explicit examples put the
+401-digit integer at the first dimension's ``group_size``, a node the random
+draws rarely reach.
 
 The budget is fuzzed too: any positive finite float, subnormals and values
 near the largest float included, given to ``solve`` in every mode and to a
@@ -114,45 +116,85 @@ def node_paths(node, path=()):
 
 
 @st.composite
-def mutated(draw, doc):
-    """`doc` with one node deleted, replaced, wrapped or unwrapped."""
-    doc = json.loads(json.dumps(doc))
+def edits(draw, doc):
+    """One edit of `doc` as ``(path, op, arg)``: the node at `path` is
+    deleted, replaced by `arg`, wrapped in a list or unwrapped to its entry
+    `arg`."""
     path = draw(st.sampled_from(list(node_paths(doc))))
+    node = doc
+    for key in path:
+        node = node[key]
+    ops = ["replace", "wrap"] + (["delete"] if path else [])
+    ops += ["unwrap"] if isinstance(node, (dict, list)) and node else []
+    op = draw(st.sampled_from(ops))
+    arg = None
+    if op == "replace":
+        arg = draw(st.sampled_from(REPLACEMENTS))
+    elif op == "unwrap":
+        arg = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+    return path, op, arg
+
+
+def edited(doc, path, op, arg):
+    """A copy of `doc` with the edit ``(path, op, arg)`` (see `edits`) made."""
+    doc = json.loads(json.dumps(doc))
     parent = None
     node = doc
     for key in path:
         parent, node = node, node[key]
-    ops = ["replace", "wrap"] + (["delete"] if path else [])
-    ops += ["unwrap"] if isinstance(node, (dict, list)) and node else []
-    op = draw(st.sampled_from(ops))
     if op == "delete":
         del parent[path[-1]]
         return doc
     if op == "replace":
-        new = draw(st.sampled_from(REPLACEMENTS))
+        new = arg
     elif op == "wrap":
         new = [node]
     else:
-        new = node[draw(st.sampled_from(list(node) if isinstance(node, dict)
-                                        else range(len(node))))]
+        new = node[arg]
     if not path:
         return new
     parent[path[-1]] = new
     return doc
 
 
-@st.composite
-def encoded(draw, text: str) -> bytes:
-    """`text` as UTF-8, unchanged, behind a byte-order mark, or with bytes
-    that are not UTF-8 inserted."""
+# How a document's text is encoded: as UTF-8 unchanged, behind a byte-order
+# mark, or with bytes that are not UTF-8 inserted at a fraction of its length.
+ENCODINGS = st.one_of(
+    st.just(("keep", None, None)),
+    st.just(("bom", None, None)),
+    st.tuples(st.just("insert"), st.floats(0, 1), st.sampled_from(NOT_UTF8)),
+)
+
+
+def encoded(text: str, how) -> bytes:
+    op, at, bad = how
     data = text.encode()
-    op = draw(st.sampled_from(["keep", "bom", "insert"]))
     if op == "bom":
         return BOM + data
     if op == "insert":
-        at = draw(st.integers(0, len(data)))
-        return data[:at] + draw(st.sampled_from(NOT_UTF8)) + data[at:]
+        at = round(at * len(data))
+        return data[:at] + bad + data[at:]
     return data
+
+
+@st.composite
+def cases(draw):
+    """A command, its input documents by flag, the flag whose document is
+    edited, the edit and the encoding of the edited document."""
+    command = draw(st.sampled_from(sorted(COMMANDS)), label="command")
+    inputs = dict(COMMANDS[command])
+    if inputs.get("--lut") == "lut" and draw(st.booleans(), label="base64 lut"):
+        inputs["--lut"] = "lut_b64"
+    target = draw(st.sampled_from(sorted(inputs)), label="mutated input")
+    edit = draw(edits(valid_documents()[inputs[target]]), label="edit")
+    return command, inputs, target, edit, draw(ENCODINGS, label="bytes")
+
+
+def huge_group_size(command: str) -> tuple:
+    """The case of `command` whose architecture's first dimension has a
+    401-digit group_size, past the int64 that kept counts are computed in."""
+    edit = (("dims", 0, "group_size"), "replace", HUGE)
+    return command, COMMANDS[command], "--arch", edit, ("keep", None, None)
 
 
 @pytest.fixture(scope="module")
@@ -161,19 +203,18 @@ def workdir(tmp_path_factory):
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), command=st.sampled_from(sorted(COMMANDS)))
-def test_every_mutation_exits_with_a_contract_code(workdir, data, command):
+@given(case=cases())
+@example(case=huge_group_size("check"))
+@example(case=huge_group_size("solve"))
+@example(case=huge_group_size("extract"))
+def test_every_mutation_exits_with_a_contract_code(workdir, case):
+    command, inputs, target, edit, how = case
     documents = valid_documents()
-    inputs = dict(COMMANDS[command])
-    if inputs.get("--lut") == "lut" and data.draw(st.booleans(), label="base64 lut"):
-        inputs["--lut"] = "lut_b64"
-    target = data.draw(st.sampled_from(sorted(inputs)), label="mutated input")
     argv = [command, *OPTIONS.get(command, [])]
     for flag, name in inputs.items():
         path = workdir / f"{name}.json"
         if flag == target:
-            doc = data.draw(mutated(documents[name]), label=name)
-            path.write_bytes(data.draw(encoded(json.dumps(doc)), label="bytes"))
+            path.write_bytes(encoded(json.dumps(edited(documents[name], *edit)), how))
         else:
             path.write_text(json.dumps(documents[name]))
         argv += [flag, str(path)]
