@@ -550,9 +550,12 @@ def subnetwork_count(arch: ArchitectureSpec) -> int:
 def validate_problem_shapes(arch: ArchitectureSpec, tables, vectors) -> None:
     """Check that importance vectors and latency tables match `arch`.
 
-    `vectors` maps dimension id to an object with ``values``; `tables` is
-    checked by ``validate_tables``.
+    `vectors` maps dimension id to an object with ``values``, and the
+    dimensions' largest |values| must sum to a finite total, so no plan's
+    importance overflows float64; `tables` is a ``latency.TableSet`` and
+    checks itself (``TableSet.validate_for``).
     """
+    total = 0.0
     for dim in arch.dims.values():
         vec = vectors.get(dim.id)
         if vec is None:
@@ -562,45 +565,10 @@ def validate_problem_shapes(arch: ArchitectureSpec, tables, vectors) -> None:
                 f"importance vector for {dim.id!r}: expected length "
                 f"{dim.option_count}, found {len(vec.values)}"
             )
-    validate_tables(arch, tables)
-
-
-def validate_tables(arch: ArchitectureSpec, tables) -> None:
-    """Check that the latency tables match `arch`: every part of every block
-    has its table, with the part's axes and option counts.
-
-    `tables` must expose ``get(block_id, part, layer)``, returning an object
-    with ``axes`` and ``data`` (or None when absent), and iterate over its
-    tables, each with ``block_id``, ``part``, ``layer`` and ``label()``; a
-    table that no part of `arch` names is rejected.
-    """
-    named = set()
-    for block in arch.blocks:
-        for part, layer, dims in arch.parts(block):
-            label = part if layer is None else f"{part} {layer}"
-            table = tables.get(block.id, part, layer)
-            if table is None:
-                raise ValidationError(f"block {block.id}: missing {label} table")
-            _check_axes(block.id, label, table, dims)
-            named.add((block.id, part, layer))
-    for table in tables:
-        if (table.block_id, table.part, table.layer) not in named:
-            raise ValidationError(
-                f"{table.label()}: no part of architecture {arch.name!r} reads this table"
-            )
-
-
-def _check_axes(block_id: int, label: str, table, expected_dims) -> None:
-    expected_ids = tuple(d.id for d in expected_dims)
-    if tuple(table.axes) != expected_ids:
+        total += float(np.abs(vec.values).max())
+    if not math.isfinite(total):
         raise ValidationError(
-            f"block {block_id}: {label} table axes {tuple(table.axes)} do not "
-            f"match expected dimensions {expected_ids}"
+            f"importance vectors: the dimensions' largest |entries| sum to {total!r}, "
+            f"beyond float64's range; scale the scores down"
         )
-    for axis, dim in enumerate(expected_dims):
-        found = table.data.shape[axis]
-        if found != dim.option_count:
-            raise ValidationError(
-                f"block {block_id}: {label} table axis {axis} ({dim.id!r}): "
-                f"expected {dim.option_count}, found {found}"
-            )
+    tables.validate_for(arch)

@@ -28,7 +28,7 @@ from functools import reduce
 import numpy as np
 
 from .arch import ArchitectureSpec, BlockSpec, MANIFEST_KEY, kept_counts, numbers, records
-from .arch import TRANSFORMER_PARTS, dump_json, require_keys, shown, typed, validate_tables
+from .arch import TRANSFORMER_PARTS, dump_json, require_keys, shown, typed
 from .errors import ParseError, ValidationError
 from .importance import Assignment, synth_rng
 from .record import Record
@@ -88,14 +88,56 @@ class TableSet:
             raise ValidationError(f"duplicate table for {table.label()}")
         self._tables[key] = table
 
-    def get(self, block_id: int, part: str, layer: int | None = None) -> LatencyTable | None:
-        return self._tables.get((block_id, part, layer))
+    def get(self, block_id: int, part: str, layer: int | None = None) -> LatencyTable:
+        """The table of one part; a missing one is a ValidationError naming
+        the block and the part."""
+        try:
+            return self._tables[(block_id, part, layer)]
+        except KeyError:
+            label = _part_label(part, layer)
+            raise ValidationError(f"block {block_id}: missing {label} table") from None
 
     def __iter__(self):
         return iter(sorted(self._tables.values(), key=lambda t: (t.block_id, t.part, t.layer or 0)))
 
-    def __len__(self) -> int:
-        return len(self._tables)
+    def validate_for(self, arch: ArchitectureSpec) -> None:
+        """Check that the tables match `arch`: every part of every block has
+        its table, with the part's axes and option counts; no table is one
+        that no part reads; and the tables' largest entries sum to a finite
+        total, so no plan's latency overflows float64."""
+        named = set()
+        total = 0.0
+        for block in arch.blocks:
+            for part, layer, dims in arch.parts(block):
+                table = self.get(block.id, part, layer)
+                label = _part_label(part, layer)
+                expected_ids = tuple(d.id for d in dims)
+                if tuple(table.axes) != expected_ids:
+                    raise ValidationError(
+                        f"block {block.id}: {label} table axes {tuple(table.axes)} do not "
+                        f"match expected dimensions {expected_ids}"
+                    )
+                for axis, (dim, found) in enumerate(zip(dims, table.data.shape)):
+                    if found != dim.option_count:
+                        raise ValidationError(
+                            f"block {block.id}: {label} table axis {axis} ({dim.id!r}): "
+                            f"expected {dim.option_count}, found {found}"
+                        )
+                named.add((block.id, part, layer))
+                total += float(table.data.max())
+        for table in self:
+            if (table.block_id, table.part, table.layer) not in named:
+                raise ValidationError(
+                    f"{table.label()}: no part of architecture {arch.name!r} reads this table"
+                )
+        if not math.isfinite(total):
+            raise ValidationError(
+                f"lut: the tables' largest entries sum to {total!r} ms, beyond float64's range"
+            )
+
+
+def _part_label(part: str, layer: int | None) -> str:
+    return part if layer is None else f"{part} {layer}"
 
 
 def block_latency(
@@ -106,9 +148,6 @@ def block_latency(
     subtotal = 0.0
     for part, layer, dims in arch.parts(block):
         table = tables.get(block.id, part, layer)
-        if table is None:
-            label = part if layer is None else f"{part} {layer}"
-            raise ValidationError(f"block {block.id}: missing {label} table")
         idx = []
         for dim in dims:
             choice = 1 if dim.role == "fixed_external" else omega[dim.id]
@@ -231,9 +270,12 @@ def linear_channel_cost(table: LatencyTable, p_prev: int, j: int) -> float:
         raise ValidationError(f"output option {j} must be >= 1")
     _check_choice(table, 0, p_prev)
     _check_choice(table, 1, j)
-    row = table.data[p_prev - 1]
-    prev = float(row[j - 2]) if j >= 2 else 0.0
-    return float(row[j - 1]) - prev
+    return _at(table, p_prev, j) - _at(table, p_prev, j - 1)
+
+
+def _at(table: LatencyTable, p: int, j: int) -> float:
+    """``T(p, j)`` of a conv_layer table, 1-based, with ``T(p, 0) = 0``."""
+    return float(table.data[p - 1, j - 1]) if j >= 1 else 0.0
 
 
 def estimation_error(
@@ -253,11 +295,8 @@ def estimation_error(
     r_stale = linear_channel_cost(table, p_prev, j)
     r_true = linear_channel_cost(table, p_hat, j)
     epsilon = abs(r_true - r_stale)
-    row_prev = table.data[p_prev - 1]
-    row_hat = table.data[p_hat - 1]
-    at = lambda row, k: float(row[k - 1]) if k >= 1 else 0.0
-    bound = abs(at(row_prev, j - 1) - at(row_hat, j - 1)) + abs(
-        at(row_prev, j) - at(row_hat, j)
+    bound = abs(_at(table, p_prev, j - 1) - _at(table, p_hat, j - 1)) + abs(
+        _at(table, p_prev, j) - _at(table, p_hat, j)
     )
     return epsilon, bound
 
@@ -316,14 +355,6 @@ class ReplayStep(Record, frozen=True):
     layer_errors: tuple[tuple[str, float, float], ...]  # (dim_id, epsilon, bound)
 
 
-def _dense_config(arch: ArchitectureSpec) -> dict[str, int]:
-    cfg = {}
-    for block in arch.blocks:
-        for d in block.dims:
-            cfg[d] = arch.dim(d).option_count
-    return cfg
-
-
 def replay_trajectory(
     traj: PruneTrajectory, tables: TableSet, arch: ArchitectureSpec
 ) -> list[ReplayStep]:
@@ -335,10 +366,12 @@ def replay_trajectory(
     no layer's input changed in the step.
     """
     traj.validate_for(arch)
-    validate_tables(arch, tables)
+    tables.validate_for(arch)
     report = []
-    prev_cfg = _dense_config(arch)
+    # The dense network: every dimension at its last option, a trunk width at its only one.
+    prev_cfg = {d.id: d.option_count for d in arch.dims.values()}
     for t, step in enumerate(traj.steps):
+        cfg = prev_cfg | step
         asg = Assignment(omega=dict(step), kappa={b.id: 1 for b in arch.blocks if b.removable})
         true_ms = constraint_value(asg, tables, arch)
         linear_ms = 0.0
@@ -346,13 +379,8 @@ def replay_trajectory(
         for block in arch.blocks:
             for part, layer, (din, dout) in arch.parts(block):
                 table = tables.get(block.id, part, layer)
-                if din.role == "fixed_external":
-                    in_prev = in_now = 1
-                else:
-                    in_prev = prev_cfg[din.id]
-                    in_now = step[din.id]
-                out_now = step[dout.id]
-                linear_ms += float(table.data[in_prev - 1, out_now - 1])
+                in_prev, in_now, out_now = prev_cfg[din.id], cfg[din.id], cfg[dout.id]
+                linear_ms += _at(table, in_prev, out_now)
                 eps, bound = estimation_error(table, in_prev, in_now, out_now)
                 layer_errors.append((dout.id, eps, bound))
         report.append(
@@ -364,7 +392,7 @@ def replay_trajectory(
                 layer_errors=tuple(layer_errors),
             )
         )
-        prev_cfg = dict(step)
+        prev_cfg = cfg
     return report
 
 

@@ -82,6 +82,7 @@ class TestSynth:
         ("--spatial", "nan", "spatial"),
         ("--unit-cost", "inf", "unit_cost"),
         ("--overhead", "-inf", "overhead"),
+        ("--noise", "1", "noise fraction must be in [0, 1), got 1.0"),
     ])
     def test_bad_parameter_exits_3_naming_it(self, tmp_path, capsys, flag, value, named):
         out = tmp_path / "o"
@@ -120,6 +121,77 @@ def _three_byte_payload(lut: dict) -> None:
     """Give the first table a base64 payload that is not whole float64s."""
     del lut["tables"][0]["data"]
     lut["tables"][0]["data_b64"] = "AAAA"
+
+
+def problem_args(inputs: Path) -> list[str]:
+    """tiny_mixed with the documents `synth` wrote under `inputs`."""
+    return ["--arch", str(DATA / "tiny_mixed.arch.json"), "--scores", str(inputs / "scores.json"),
+            "--lut", str(inputs / "lut.json")]
+
+
+def _overflow(inputs: Path, document: str, every: bool) -> None:
+    """Set every entry of `document`, or the first of each record, to
+    1e308: each is finite, but the totals pass float64's range."""
+    path = inputs / f"{document}.json"
+    doc = json.loads(path.read_text())
+    records, key = (doc["scores"], "scores") if document == "scores" else (doc["tables"], "data")
+    for record in records:
+        values = record[key]
+        record[key] = [1e308] * len(values) if every else [1e308] + [0.0] * (len(values) - 1)
+    path.write_text(json.dumps(doc))
+
+
+def _dim(arch: dict, dim_id: str) -> dict:
+    return next(d for d in arch["dims"] if d["id"] == dim_id)
+
+
+def _free_conv_input(arch: dict) -> None:
+    """Block 2 reads a conv output that no block owns."""
+    arch["dims"].append(dict(_dim(arch, "b1_c1"), id="free"))
+    arch["blocks"][1]["input_ref"] = "free"
+
+
+# Edits of tiny_mixed: a permanent chain (block 1), a removable chain
+# (block 2), both fed by the fixed trunk width "stem", and a removable
+# transformer (block 3).
+ARCH_RULES = [
+    pytest.param(lambda a: a.update(name=""), "architecture name must be a non-empty string",
+                 id="empty-name"),
+    pytest.param(lambda a: a.update(name=5), "architecture name must be a non-empty string",
+                 id="non-string-name"),
+    pytest.param(lambda a: a["blocks"][0].update(dims=[]), "block 1: empty dims list",
+                 id="block-without-dims"),
+    pytest.param(lambda a: a["blocks"][1]["dims"].append("b1_c2"),
+                 "dimension 'b1_c2' belongs to both block 1 and block 2", id="dim-in-two-blocks"),
+    pytest.param(lambda a: a["blocks"][2].update(input_ref="stem"),
+                 "block 3: transformer blocks take no input_ref", id="transformer-input-ref"),
+    pytest.param(lambda a: _dim(a, "b1_c1").update(role="mlp"),
+                 "block 1: cnn_chain dims must have role conv_out, but 'b1_c1' has role 'mlp'",
+                 id="chain-dim-not-conv-out"),
+    pytest.param(lambda a: a["blocks"][0].pop("input_ref"), "block 1: cnn_chain needs input_ref",
+                 id="chain-without-input-ref"),
+    pytest.param(lambda a: a["blocks"][1].update(input_ref="b3_emb"),
+                 "block 2: input_ref 'b3_emb' must have role conv_out or fixed_external, "
+                 "found 'emb'", id="input-ref-of-role-emb"),
+    pytest.param(_free_conv_input,
+                 "block 2: input_ref 'free' is a conv_out dimension owned by no block",
+                 id="input-ref-owned-by-no-block"),
+    pytest.param(lambda a: a["blocks"][0].update(input_ref="b2_c2"),
+                 "block 1: input_ref 'b2_c2' must be declared earlier in topology order "
+                 "(owned by block 2)", id="input-ref-owned-by-a-later-block"),
+    pytest.param(lambda a: _dim(a, "b1_c1").update(option_count=0),
+                 "dimension 'b1_c1': option_count must be a positive integer, got 0",
+                 id="zero-options"),
+    pytest.param(lambda a: _dim(a, "b1_c1").update(option_count=5),
+                 "dimension 'b1_c1': option_count*group_size exceeds max_elements+group_size-1 "
+                 "(5*4 > 16+4-1)", id="options-past-max-elements"),
+    pytest.param(lambda a: _dim(a, "stem").update(option_count=2, group_size=8),
+                 "dimension 'stem': fixed_external requires option_count=1",
+                 id="fixed-external-with-two-options"),
+    pytest.param(lambda a: _dim(a, "stem").update(group_size=8),
+                 "dimension 'stem': fixed_external requires group_size >= max_elements",
+                 id="fixed-external-narrower-than-its-width"),
+]
 
 
 class TestCheck:
@@ -283,6 +355,48 @@ class TestCheck:
         out = capsys.readouterr().out
         assert code == 3
         assert "duplicate" in out and "b1_c1" in out
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda t: t[0].update(part="conv"), "lut[0]: block 1 conv: unknown part 'conv'"),
+            (lambda t: t[0].pop("layer"), "lut[0]: block 1 conv_layer None: conv_layer tables "
+                                          "need a 1-based layer"),
+            (lambda t: t.insert(1, dict(t[0])),
+             "lut[1]: duplicate table for block 1 conv_layer 1"),
+            (lambda t: t[0].update(shape=[1, 0]),
+             "lut[0]: shape must be a list of positive integers"),
+        ],
+        ids=["unknown-part", "conv-layer-without-layer", "two-records-for-one-part",
+             "zero-in-shape"],
+    )
+    def test_lut_record_rule_named(self, tmp_path, capsys, edit, named):
+        inputs = synth(tmp_path)
+        doc = json.loads((inputs / "lut.json").read_text())
+        assert (doc["tables"][0]["block_id"], doc["tables"][0]["layer"]) == (1, 1)
+        edit(doc["tables"])
+        (inputs / "lut.json").write_text(json.dumps(doc))
+        assert main(["check", *problem_args(inputs)]) == 3
+        assert f"lut: FAIL {named}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("edit, named", ARCH_RULES)
+    def test_architecture_rule_named(self, tmp_path, capsys, edit, named):
+        doc = json.loads((DATA / "tiny_mixed.arch.json").read_text())
+        edit(doc)
+        arch = tmp_path / "arch.json"
+        arch.write_text(json.dumps(doc))
+        assert main(["check", "--arch", str(arch)]) == 3
+        assert f"architecture: FAIL {named}" in capsys.readouterr().out
+
+    def test_empty_score_list_named(self, tmp_path, capsys):
+        inputs = synth(tmp_path)
+        doc = json.loads((inputs / "scores.json").read_text())
+        doc["scores"][0]["scores"] = []
+        (inputs / "scores.json").write_text(json.dumps(doc))
+        assert main(["check", *problem_args(inputs)]) == 3
+        dim_id = doc["scores"][0]["dim_id"]
+        assert (f"scores: FAIL scores[0] ({dim_id!r}): scores must be a non-empty list"
+                in capsys.readouterr().out)
 
 
 class TestSolve:
@@ -575,7 +689,8 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "budgets, entry",
-        [("0.2,abc", "'abc'"), ("0.2,inf", "'inf'"), ("nan,0.2", "'nan'"), ("0.2, x1", "'x1'")],
+        [("0.2,abc", "'abc'"), ("0.2,inf", "'inf'"), ("nan,0.2", "'nan'"), ("0.2, x1", "'x1'"),
+         (",", "needs at least one value")],
     )
     def test_bad_budget_entry_exits_3_and_is_named(self, tmp_path, capsys, budgets, entry):
         inputs = synth(tmp_path)
@@ -707,6 +822,46 @@ class TestSweep:
         assert not out.exists()
 
 
+class TestOverflowingTotals:
+    """Entries finite one by one, but totals past float64's range: every
+    command that reads them exits 3 naming the document, before a solver
+    sum can overflow."""
+
+    @pytest.mark.parametrize("command", ["check", "solve", "sweep", "extract"])
+    @pytest.mark.parametrize(
+        "document, every, named",
+        [
+            ("scores", True, "importance vectors: the dimensions' largest |entries| sum to inf"),
+            ("scores", False, "importance vectors: the dimensions' largest |entries| sum to inf"),
+            ("lut", True, "lut: the tables' largest entries sum to inf ms"),
+        ],
+        ids=["every-score", "one-score-per-dimension", "every-lut-entry"],
+    )
+    def test_exits_3_naming_the_document(self, tmp_path, capsys, command, document, every, named):
+        inputs = synth(tmp_path)
+        arch = DATA / "tiny_mixed.arch.json"
+        report = tmp_path / "run" / "report.json"
+        if command == "extract":  # a report solved before the inputs overflow
+            assert main(solve_args(arch, inputs, report.parent, "0.25")) == 0
+        _overflow(inputs, document, every)
+        out = tmp_path / "out"
+        argv = {
+            "check": ["check", *problem_args(inputs)],
+            "solve": solve_args(arch, inputs, out, "1e308"),
+            "sweep": ["sweep", *problem_args(inputs), "--budgets", "0.1,0.12", "--out", str(out)],
+            "extract": ["extract", "--report", str(report), *problem_args(inputs),
+                        "--out", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        if command == "check":
+            assert f"problem shapes: FAIL {named}" in captured.out
+        else:
+            assert captured.err.startswith(f"error: {named}")
+        assert not out.exists()
+
+
 def test_json_writer_rejects_non_finite_values(tmp_path):
     with pytest.raises(ValueError):
         _write_json(tmp_path / "x.json", {"budget_ms": float("inf")})
@@ -828,8 +983,9 @@ class TestCompareLatencyModels:
             (lambda tables: tables.append(
                 {k: v for k, v in tables[1].items() if k != "layer"} | {"block_id": 7, "part": "mlp"}
             ), "block 7 mlp: no part"),
+            (lambda tables: tables.pop(1), "block 1: missing conv_layer 2 table"),
         ],
-        ids=["swapped-axes", "stray-table"],
+        ids=["swapped-axes", "stray-table", "missing-table"],
     )
     def test_lut_not_matching_the_architecture_exits_3(self, tmp_path, capsys, edit, named):
         arch = self._cnn_arch(tmp_path)
@@ -924,6 +1080,16 @@ BAD_REPORTS = [
     pytest.param(
         _edit(lambda r: r.update(budget_ms=0.001)), "exceeds budget_ms", id="plan-over-budget"
     ),
+    # The plan itself: there, and a keep/remove bit for each removable block only.
+    pytest.param(_edit(lambda r: r.update(assignment=None)),
+                 "extract: report carries no assignment", id="null-assignment"),
+    pytest.param(_edit(lambda r: r["assignment"]["kappa"].pop("2")),
+                 "assignment missing kappa for block 2", id="missing-kappa"),
+    pytest.param(_edit(lambda r: r["assignment"]["kappa"].update({"2": 2})),
+                 "block 2: kappa must be 0 or 1, got 2", id="kappa-2"),
+    pytest.param(_edit(lambda r: r["assignment"]["kappa"].update({"1": 1})),
+                 "kappa given for block 1, which is not a removable block",
+                 id="kappa-of-permanent-block"),
 ]
 
 

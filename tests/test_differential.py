@@ -36,6 +36,7 @@ nested or not, the one cross-block dependency in the model.
 """
 
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -67,6 +68,7 @@ from conftest import (
     integer_problem,
     make_arch,
     minimal_assignment,
+    pick_budget,
     random_architecture,
     random_problem,
     tf_dims,
@@ -460,6 +462,82 @@ def test_frontiers_on_python_int_codes_equal_the_int64_ones(seed):
 def _fields(sol):
     return (sol.status, sol.importance, sol.latency, sol.bound, sol.node_count, sol.message,
             sol.assignment)
+
+
+def kept_or_removed_tie():
+    """A problem of three removable one-option chains, of 1, 2 and 1 ms and
+    as much importance, under a 3 ms budget.  Keeping blocks (1, 2) or
+    (2, 3) ties on both sums, and ``tie_key`` picks (1, 2), the plan that
+    removes the later block.  Unseeded, the merge reaches block 3 with the
+    plans keeping blocks (1, 2), (1), (2) and none, kept/removed codes 0 to
+    3, which a cap of 4 ranks again there."""
+    cost = {1: 1.0, 2: 2.0, 3: 1.0}
+    layers = [conv_dim(f"b{b}_c1", 1) for b in cost]
+    arch = make_arch([trunk_dim("trunk"), *layers], [
+        BlockSpec(id=b, kind="cnn_chain", dims=(f"b{b}_c1",), removable=True, input_ref="trunk")
+        for b in cost])
+    raw = {"trunk": RawScores(dim_id="trunk", scores=np.ones(4))}
+    tables = TableSet()
+    for b, ms in cost.items():
+        raw[f"b{b}_c1"] = RawScores(dim_id=f"b{b}_c1", scores=np.array([ms]))
+        tables.add(LatencyTable(block_id=b, part="conv_layer", layer=1,
+                                axes=("trunk", f"b{b}_c1"), data=np.array([[ms]])))
+    return assemble(arch, build_all_vectors(arch, raw), tables, 3.0)
+
+
+def two_open_producers(rng):
+    """An integer problem where blocks 2 and 3 read the two layers of
+    permanent block 1, 10 options each, so the merge groups its plans by two
+    open producer options at once."""
+    producer = [conv_dim("a1", 10), conv_dim("a2", 10)]
+    readers = [conv_dim("b1", 3, 2), conv_dim("c1", 3)]
+    arch = make_arch([trunk_dim("trunk"), *producer, *readers], [
+        BlockSpec(id=1, kind="cnn_chain", dims=("a1", "a2"), removable=False, input_ref="trunk"),
+        BlockSpec(id=2, kind="cnn_chain", dims=("b1",), removable=True, input_ref="a1"),
+        BlockSpec(id=3, kind="cnn_chain", dims=("c1",), removable=True, input_ref="a2"),
+    ])
+    return integer_problem(rng, arch)
+
+
+@pytest.mark.parametrize("cap", [2**6, 4])
+def test_codes_made_dense_under_a_low_cap_solve_as_before(cap):
+    """The merge's two overflow guards, ``_group_ids`` and ``_pareto_dp``
+    making their codes dense once the next digit could take them past
+    ``_CODE_CAP``, run at almost every stage under a low cap and must leave
+    every solve's status, sums, bound, node count and plan as they are, and
+    the plan an unseeded merge picks among ties."""
+    callers = set()
+    dense = solver._dense
+
+    def spy(code):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return dense(code)
+
+    problems = [kept_or_removed_tie()]
+    for seed in range(40):
+        rng = np.random.default_rng(9100 + seed)
+        if seed % 8:
+            arch = random_architecture(rng, max_blocks=5, state_cap=50_000, chained_cap=20_000)
+            problem = integer_problem(rng, arch)
+        else:
+            problem = two_open_producers(rng)
+        budget = pick_budget(problem.arch, problem.tables, rng)
+        problems.append(assemble(problem.arch, problem.vectors, problem.tables, budget))
+    assert solve(problems[0]).assignment.kappa == {1: 1, 2: 1, 3: 0}
+    for problem in problems:
+        budgets = [problem.budget * f for f in (0.8, 1.0, 1.25)]
+        # Unseeded, the merge's leaf alone decides each tie, a seed never.
+        unseeded = [-math.inf] * len(budgets)
+        want = [_fields(sol) for sol in solve_budgets(problem, budgets)]
+        want_merge = merge(problem, budgets, unseeded)
+        with (mock.patch.object(solver, "_CODE_CAP", cap),
+              mock.patch.object(solver, "_dense", spy)):
+            got = [_fields(sol) for sol in solve_budgets(assemble(
+                problem.arch, problem.vectors, problem.tables, problem.budget), budgets)]
+            got_merge = merge(problem, budgets, unseeded)
+        assert got == want
+        assert got_merge == want_merge
+    assert {"_group_ids", "_pareto_dp"} <= callers
 
 
 @settings(max_examples=120, deadline=None)

@@ -94,6 +94,15 @@ class TestConstraintValue:
         with pytest.raises(ValidationError, match="layer 2"):
             constraint_value(asg, tables, arch)
 
+    def test_get_of_a_missing_part_names_block_and_part(self):
+        tables = TableSet()
+        tables.add(conv_table(1, 1, ("t", "c1"), [[1.0, 2.0, 3.0]]))
+        assert tables.get(1, "conv_layer", 1).layer == 1
+        with pytest.raises(ValidationError, match=r"^block 1: missing conv_layer 2 table$"):
+            tables.get(1, "conv_layer", 2)
+        with pytest.raises(ValidationError, match=r"^block 3: missing mlp table$"):
+            tables.get(3, "mlp")
+
     def test_nonnegative_for_random_assignments(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
