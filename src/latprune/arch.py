@@ -547,14 +547,11 @@ def subnetwork_count(arch: ArchitectureSpec) -> int:
     return total
 
 
-def validate_problem_shapes(arch: ArchitectureSpec, tables, vectors) -> None:
-    """Check that importance vectors and latency tables match `arch`.
-
-    `vectors` maps dimension id to an object with ``values``, and the
-    dimensions' largest |values| must sum to a finite total, so no plan's
-    importance overflows float64; `tables` is a ``latency.TableSet`` and
-    checks itself (``TableSet.validate_for``).
-    """
+def checked_vectors(arch: ArchitectureSpec, vectors: dict) -> dict:
+    """`vectors` if they match `arch`: each maps a dimension id to an object
+    with ``values`` of the dimension's option count, and the dimensions'
+    largest |values| sum to a finite total, so no plan's importance
+    overflows float64."""
     total = 0.0
     for dim in arch.dims.values():
         vec = vectors.get(dim.id)
@@ -571,4 +568,12 @@ def validate_problem_shapes(arch: ArchitectureSpec, tables, vectors) -> None:
             f"importance vectors: the dimensions' largest |entries| sum to {total!r}, "
             f"beyond float64's range; scale the scores down"
         )
+    return vectors
+
+
+def validate_problem_shapes(arch: ArchitectureSpec, tables, vectors) -> None:
+    """Check that importance vectors (``checked_vectors``) and latency
+    tables match `arch`; `tables` is a ``latency.TableSet`` and checks
+    itself (``TableSet.validate_for``)."""
+    checked_vectors(arch, vectors)
     tables.validate_for(arch)

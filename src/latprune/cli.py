@@ -145,14 +145,19 @@ def _budget(text: str | float, flag: str) -> float:
     return value
 
 
-def _load_problem(texts: dict[str, str]) -> tuple:
+def _load_problem(args, command: str, params: dict,
+                  inputs: tuple[str, ...] = ("arch", "scores", "lut")) -> tuple:
+    """The run's manifest over the `inputs` that `args` names, read in that
+    order, then its problem: (manifest, the texts of the inputs other than
+    arch, scores and lut, arch, raw scores, vectors, tables)."""
+    manifest, texts = _manifest(command, {name: getattr(args, name) for name in inputs}, params)
     # Each text is dropped once parsed, so the documents are not all held
     # through the solve.
     arch = arch_mod.parse_architecture(texts.pop("arch"))
     raw_scores = imp_mod.parse_scores(texts.pop("scores"))
     tables = lat_mod.parse_lut(texts.pop("lut"))
     vectors = imp_mod.build_all_vectors(arch, raw_scores)
-    return arch, raw_scores, vectors, tables
+    return manifest, texts, arch, raw_scores, vectors, tables
 
 
 def _solution_report(solution, budget: float, manifest_hash: str) -> dict:
@@ -191,7 +196,9 @@ def _assignment_csv(arch, assignment, manifest_hash: str) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _solver_config(args) -> SolverConfig:
+def _solver_config(args) -> tuple[SolverConfig, dict]:
+    """The solver's configuration and its parameters as the manifest
+    records them."""
     from . import solver as solver_mod
 
     if args.threads < 1:
@@ -199,11 +206,8 @@ def _solver_config(args) -> SolverConfig:
     for flag, value in (("--time-limit", args.time_limit), ("--tolerance", args.tolerance)):
         if not math.isfinite(value):
             raise ValidationError(f"{flag} must be finite, got {value!r}")
-    return solver_mod.SolverConfig(
-        mode=args.mode,
-        time_limit=args.time_limit,
-        tolerance=args.tolerance,
-    )
+    params = {"mode": args.mode, "time_limit": args.time_limit, "tolerance": args.tolerance}
+    return solver_mod.SolverConfig(**params), params
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +273,8 @@ def cmd_check(args) -> int:
         tables = record("lut", lambda: lat_mod.parse_lut(_read_text("lut", args.lut)))
     vectors = None
     if arch is not None and raw_scores is not None:
-        vectors = record("importance vectors", lambda: imp_mod.build_all_vectors(arch, raw_scores))
+        vectors = record("importance vectors", lambda: arch_mod.checked_vectors(
+            arch, imp_mod.build_all_vectors(arch, raw_scores)))
     if arch is not None and tables is not None and vectors is not None:
         record(
             "problem shapes",
@@ -288,18 +293,10 @@ def cmd_solve(args) -> int:
     from . import solver as solver_mod
 
     _budget(args.budget_ms, "--budget-ms")
-    config = _solver_config(args)
-    manifest, texts = _manifest(
-        "solve",
-        {"arch": args.arch, "scores": args.scores, "lut": args.lut},
-        {
-            "budget_ms": args.budget_ms,
-            "mode": args.mode,
-            "time_limit": args.time_limit,
-            "tolerance": args.tolerance,
-        },
+    config, params = _solver_config(args)
+    manifest, _, arch, raw_scores, vectors, tables = _load_problem(
+        args, "solve", {"budget_ms": args.budget_ms, **params}
     )
-    arch, raw_scores, vectors, tables = _load_problem(texts)
     problem = solver_mod.assemble(arch, vectors, tables, args.budget_ms)
     solution = solver_mod.solve(problem, config)
 
@@ -333,18 +330,10 @@ def cmd_sweep(args) -> int:
     budgets = [_budget(b.strip(), "--budgets") for b in args.budgets.split(",") if b.strip()]
     if not budgets:
         raise ValidationError("sweep: --budgets needs at least one value")
-    config = _solver_config(args)
-    manifest, texts = _manifest(
-        "sweep",
-        {"arch": args.arch, "scores": args.scores, "lut": args.lut},
-        {
-            "budgets_ms": budgets,
-            "mode": args.mode,
-            "time_limit": args.time_limit,
-            "tolerance": args.tolerance,
-        },
+    config, params = _solver_config(args)
+    manifest, _, arch, raw_scores, vectors, tables = _load_problem(
+        args, "sweep", {"budgets_ms": budgets, **params}
     )
-    arch, raw_scores, vectors, tables = _load_problem(texts)
     stamp = manifest.hash()
     rows = [f"# manifest: {stamp}", "budget_ms,status,importance,latency_ms,gap,node_count"]
     # One assembled problem and one batch: every budget reuses its frontiers
@@ -355,14 +344,9 @@ def cmd_sweep(args) -> int:
     for budget, solution in zip(budgets, solutions):
         if solution.status == "optimal":
             optimal.append((budget, solution.importance))
-        if solution.status == "infeasible":
-            rows.append(f"{budget!r},infeasible,,,,{solution.node_count}")
-        else:
-            gap = max(0.0, solution.bound - solution.importance)
-            rows.append(
-                f"{budget!r},{solution.status},{solution.importance!r},"
-                f"{solution.latency!r},{gap!r},{solution.node_count}"
-            )
+        r = _solution_report(solution, budget, stamp)
+        sums = ["" if r[k] is None else repr(r[k]) for k in ("importance", "latency_ms", "gap")]
+        rows.append(",".join([repr(budget), r["status"], *sums, str(r["node_count"])]))
     # Optimal importance cannot fall as the budget grows: a plan that fits
     # one budget fits every larger one.
     best = (-math.inf, 0.0)
@@ -414,17 +398,9 @@ def cmd_extract(args) -> int:
     # never loaded.
     from . import extract as extract_mod
 
-    manifest, texts = _manifest(
-        "extract",
-        {
-            "report": args.report,
-            "arch": args.arch,
-            "scores": args.scores,
-            "lut": args.lut,
-        },
-        {},
+    manifest, texts, arch, raw_scores, vectors, tables = _load_problem(
+        args, "extract", {}, ("report", "arch", "scores", "lut")
     )
-    arch, raw_scores, vectors, tables = _load_problem(texts)
     report = arch_mod.load_json(texts["report"], "report")
     arch_mod.require_keys(
         report,

@@ -113,7 +113,7 @@ def build_importance_vector(raw: RawScores, dim: DimensionSpec) -> ImportanceVec
             f"found {scores.shape[0] if scores.ndim == 1 else scores.shape}"
         )
     ordered = scores[raw.ranked]
-    with np.errstate(over="ignore"):  # an inf sum is refused by validate_problem_shapes
+    with np.errstate(over="ignore"):  # an inf sum is refused by arch.checked_vectors
         prefix = np.cumsum(ordered)
     return ImportanceVector(dim_id=dim.id, values=prefix[kept_counts(dim) - 1])
 

@@ -489,7 +489,9 @@ class _Bound:
     one in part (Sinha & Zoltners, Oper. Res. 1979).  A slope-0 end segment
     holds it at the full sum past the last, so a finite allowance reads one
     formula.  ``root`` lists the root's segments in that order, as
-    (latencies, blocks), for the LP rounding.
+    (latencies, blocks), for the LP rounding.  A slope past float64's range
+    is a ValidationError naming the scores: the bound and the pre-cut would
+    read inf and NaN and drop the optimum.
     """
 
     def __init__(self, frontiers: list[_Frontier]) -> None:
@@ -502,7 +504,13 @@ class _Bound:
         hulls = [np.stack((f.lat[f.hull], f.imp[f.hull])) for f in frontiers]
         d_lat, d_imp = np.concatenate([np.zeros((2, 0)), *map(np.diff, hulls)], axis=1)
         blocks = np.repeat(np.arange(n), [h.shape[1] - 1 for h in hulls])
-        slope = d_imp / d_lat
+        with np.errstate(over="ignore"):
+            slope = d_imp / d_lat
+        if not np.isfinite(slope).all():
+            raise ValidationError(
+                "importance vectors: a hull step's importance per ms passes float64's "
+                "range; scale the scores down"
+            )
         order = np.argsort(-slope, kind="stable")  # a suffix's part is its own stable sort
         after = blocks[order]
         for k in range(n - 1, -1, -1):

@@ -637,18 +637,21 @@ class TestSolve:
         assert main(["solve", "--help"]) == 0
         assert "--budget-ms" in capsys.readouterr().out
 
-    def test_missing_input_exits_4(self, tmp_path):
-        code = main(
-            [
-                "solve",
-                "--arch", str(tmp_path / "missing.json"),
-                "--scores", str(tmp_path / "missing2.json"),
-                "--lut", str(tmp_path / "missing3.json"),
-                "--budget-ms", "1.0",
-                "--out", str(tmp_path / "run"),
-            ]
-        )
-        assert code == 4
+    @pytest.mark.parametrize("command, first", [
+        ("solve", "arch"), ("sweep", "arch"), ("extract", "report")])
+    def test_missing_input_exits_4(self, tmp_path, capsys, command, first):
+        """Every input is missing, each under its own name: the i/o error
+        names the document the command reads first."""
+        names = ("report", "arch", "scores", "lut") if command == "extract" else (
+            "arch", "scores", "lut")
+        argv = [command, *(f"--{name}={tmp_path / f'absent-{name}.json'}" for name in names),
+                *{"solve": ["--budget-ms", "1.0"], "sweep": ["--budgets", "0.5,1.0"],
+                  "extract": []}[command], "--out", str(tmp_path / "run")]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and f"absent-{first}.json" in err
+        assert err.count("absent-") == 1
+        assert not (tmp_path / "run").exists()
 
 
 class TestSweep:
@@ -743,7 +746,7 @@ class TestSweep:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("mode", ["branch_and_bound", "heuristic_only"])
+    @pytest.mark.parametrize("mode", ["branch_and_bound", "heuristic_only", "exhaustive"])
     @pytest.mark.parametrize("chained", [False, True], ids=["tiny_mixed", "chained"])
     def test_rows_equal_independent_solves(self, tmp_path, mode, chained):
         arch = DATA / "tiny_mixed.arch.json"
@@ -753,8 +756,8 @@ class TestSweep:
             arch = tmp_path / "chained.arch.json"
             arch.write_text(json.dumps(doc))
         inputs = synth(tmp_path, arch)
-        # Unsorted, with a repeat and an infeasible budget.
-        budgets = ["0.5", "0.15", "1.0", "0.001", "0.25", "0.5", "0.35"]
+        # Unsorted, with a repeat, an infeasible and a huge budget.
+        budgets = ["0.5", "0.15", "1.0", "0.001", "0.25", "0.5", "0.35", "1e308"]
         out = tmp_path / "sweep"
         code = main([
             "sweep", "--arch", str(arch), "--scores", str(inputs / "scores.json"),
@@ -855,7 +858,10 @@ class TestOverflowingTotals:
         capsys.readouterr()
         assert main(argv) == 3
         captured = capsys.readouterr()
-        if command == "check":
+        if command == "check" and document == "scores":  # the line that names the vectors
+            assert f"importance vectors: FAIL {named}" in captured.out
+            assert "problem shapes" not in captured.out
+        elif command == "check":
             assert f"problem shapes: FAIL {named}" in captured.out
         else:
             assert captured.err.startswith(f"error: {named}")

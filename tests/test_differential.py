@@ -30,6 +30,10 @@
   huge budget, with chunks that span budgets; and an unseeded batched
   merge, whose floors rise chunk by chunk at the last stage, must equal
   each budget's merge alone, node counts included.
+* with importance and latency scaled by powers of two over float64's whole
+  exponent range, ``branch_and_bound`` must return exhaustive's status and
+  importance or refuse the problem naming the scores, and
+  ``heuristic_only`` must report finite sums or refuse it too.
 
 The drawn instances include chains fed by a permanent block's conv output,
 nested or not, the one cross-block dependency in the model.
@@ -37,6 +41,7 @@ nested or not, the one cross-block dependency in the model.
 
 import math
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -46,6 +51,7 @@ from hypothesis import example, given, settings, strategies as st
 from latprune import (
     Assignment,
     BlockSpec,
+    LatencyModelParams,
     LatencyTable,
     SolverConfig,
     TableSet,
@@ -53,12 +59,15 @@ from latprune import (
     assemble,
     build_all_vectors,
     constraint_value,
+    parse_architecture,
     solve,
     solve_budgets,
     solve_exhaustive,
+    synth_lut,
+    synth_scores,
 )
 from latprune import solver
-from latprune.importance import RawScores
+from latprune.importance import ImportanceVector, RawScores
 from latprune.latency import block_latency
 from latprune.solver import _frontiers, _lp_rounding, _pareto_dp, _plan, _room
 
@@ -74,6 +83,8 @@ from conftest import (
     tf_dims,
     trunk_dim,
 )
+
+DATA = Path(__file__).parent.parent / "demos" / "data"
 
 
 @st.composite
@@ -622,3 +633,63 @@ def test_numpy_scalar_budgets_are_accepted(budget):
     assert type(fresh.budget) is float and fresh.budget == float(budget)
     got, = solve_budgets(problem, [budget])
     assert _fields(got) == _fields(solve(fresh))
+
+
+def agrees_or_refuses(arch, vectors, tables, budget):
+    """`branch_and_bound` returns exhaustive's status and importance, or
+    refuses the problem (exit 3 in the CLI); `heuristic_only` raises nothing
+    else and reports only finite sums."""
+    try:
+        problem = assemble(arch, vectors, tables, budget)
+    except ValidationError as exc:  # totals past float64's range, or a budget of 0
+        assert any(name in str(exc) for name in ("importance", "lut", "budget")), exc
+        return None
+    oracle = solve_exhaustive(problem)
+    refused = []
+    for mode in ("branch_and_bound", "heuristic_only"):
+        try:
+            sol = solve(problem, SolverConfig(mode=mode))
+        except ValidationError as exc:
+            assert "scores" in str(exc)
+            refused.append(mode)
+            continue
+        assert all(math.isfinite(v) for v in (sol.importance, sol.latency, sol.bound)
+                   if v is not None)
+        if mode == "branch_and_bound":
+            assert (sol.status, sol.importance) == (oracle.status, oracle.importance)
+    assert refused in ([], ["branch_and_bound", "heuristic_only"])
+    return oracle, refused
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(max_layers=2), st.integers(0, 110), st.integers(-1080, 1023),
+       st.integers(-1080, 1022))
+def test_any_magnitude_solves_as_exhaustive_or_is_refused(case, percent, e, f):
+    """Importance scaled by 2^e and latencies and budget by 2^f, over
+    float64's whole exponent range: scaling by a power of two is exact until
+    a value leaves the normal range, so the instance is the drawn one."""
+    arch, raw, tables = case
+    dense = constraint_value(dense_assignment(arch), tables, arch)
+    with np.errstate(over="ignore"):  # an inf entry is refused by assemble
+        vectors = {d: ImportanceVector(dim_id=d, values=np.ldexp(v.values, e))
+                   for d, v in build_all_vectors(arch, raw).items()}
+        scaled = TableSet()
+        for t in tables:
+            scaled.add(LatencyTable(block_id=t.block_id, part=t.part, layer=t.layer,
+                                    axes=t.axes, data=np.ldexp(t.data, f)))
+        budget = float(np.ldexp(max(1.0, float(round(dense * percent / 100))), f))
+    agrees_or_refuses(arch, vectors, scaled, budget)
+
+
+def test_hull_slope_past_float64_is_refused_naming_the_scores():
+    """tiny_mixed as `latprune synth --seed 0` writes it, with the first
+    score of every dimension at 1e307 and the rest at 0.5: every total is
+    finite, but an importance step over a ~0.01 ms latency step is not.
+    Branch-and-bound reported a worse plan than exhaustive as optimal."""
+    arch = parse_architecture((DATA / "tiny_mixed.arch.json").read_text())
+    raw = {d: RawScores(dim_id=d, scores=np.array([1e307] + [0.5] * (r.scores.size - 1)))
+           for d, r in synth_scores(arch, 0).items()}
+    tables = synth_lut(arch, LatencyModelParams(), 0, noise=0.02)
+    oracle, refused = agrees_or_refuses(arch, build_all_vectors(arch, raw), tables, 0.12)
+    assert (oracle.status, oracle.importance) == ("optimal", 7e307)
+    assert refused == ["branch_and_bound", "heuristic_only"]
