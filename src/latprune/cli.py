@@ -102,21 +102,17 @@ def _manifest(
     return RunManifest(command=command, inputs=hashed, params=params), texts
 
 
-def _write_pieces(path: Path, pieces) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        f.writelines(pieces)
-
-
 def _write(path: Path, text: str) -> None:
-    # In slices: no encoded copy of a whole large document.
-    _write_pieces(path, (text[i:i + (1 << 16)] for i in range(0, len(text), 1 << 16)))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    # UTF-8 under any locale, in slices: no encoded copy of a whole large document.
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(text[i:i + (1 << 16)] for i in range(0, len(text), 1 << 16))
 
 
 def _write_json(path: Path, obj: dict) -> None:
     # Encoded before the file is opened, so a value JSON cannot hold writes
-    # nothing; the pieces are written as they are, never joined.
-    _write_pieces(path, arch_mod.json_pieces(obj))
+    # nothing.
+    _write(path, arch_mod.dump_json(obj))
 
 
 def _write_manifest(out: Path, manifest: RunManifest) -> None:
@@ -574,6 +570,10 @@ def run() -> None:
     most of a process's exit time.  `atexit` handlers still run, standard
     output is still flushed and the OS reclaims the memory.  `main` never
     freezes, so a caller that stays alive after it leaks nothing."""
+    # A message naming a non-ASCII id is escaped, not an error, where the
+    # locale's encoding cannot print it (stderr already escapes).
+    if sys.stdout is not None:  # None when the process starts with it closed
+        sys.stdout.reconfigure(errors="backslashreplace")
     code = main()
     gc.freeze()
     sys.exit(code)

@@ -1,3 +1,4 @@
+import enum
 import itertools
 import json
 import math
@@ -137,6 +138,19 @@ class TestParse:
             BlockSpec(id=2, kind="cnn_chain", dims=("b1",), removable=True, input_ref="a1"),
         ]
         make_arch(dims, blocks)
+
+    @pytest.mark.parametrize("field", ["name", "dimension id"])
+    def test_lone_surrogate_is_refused_naming_the_field(self, field):
+        # A "\\ud800" escape is valid JSON, but no output could be written
+        # as UTF-8 with it.
+        doc = json.loads(json.dumps(MINIMAL_DOC))
+        if field == "name":
+            doc["name"] = "mini_\ud800"
+        else:
+            doc["dims"][1]["id"] = "c1_\ud800"
+            doc["blocks"][0]["dims"][0] = "c1_\ud800"
+        with pytest.raises(ValidationError, match=rf"{field} .*\\ud800.* not valid Unicode"):
+            parse_architecture(json.dumps(doc))
 
     def test_round_trip_identity(self):
         rng = np.random.default_rng(11)
@@ -375,6 +389,54 @@ class TestDumpJson:
         # the package never writes such keys, so the writer refuses them.
         with pytest.raises(TypeError, match="keys must be str"):
             dump_json({"ok": [{key: 0}]})
+
+    @pytest.mark.parametrize("key", [1, None])
+    @pytest.mark.parametrize("fallback", [1e-5, "é", np.float64(0.5), 2**64])
+    def test_non_string_key_under_a_fallback_value_rejected(self, key, fallback):
+        # `fallback` sends the document to json.dumps, which would write the
+        # key as a string: the rule's walk must still reach it.
+        with pytest.raises(TypeError, match="keys must be str"):
+            dump_json({"a": [fallback, {key: 0}]})
+
+    # Each side of `_plain`'s edges, as a value and in a list, where orjson's
+    # text and json.dumps' could part.
+    EDGES = [
+        1e-4, math.nextafter(1e-4, 0), -1e-4, 1e16, math.nextafter(1e16, 0), -1e16, 1e-5,
+        1.5e-7, 0.0, -0.0, 2**63 - 1, 2**64 - 1, 2**64, -(2**63), -(2**63) - 1,
+        "\x7f", "é", " ", '"', "\\", "\n", "a\u2028b", np.float64(0.5),
+        enum.IntEnum("Option", "ONE TWO").TWO,
+    ]
+
+    @pytest.mark.parametrize("edge", EDGES, ids=repr)
+    def test_edges_of_the_orjson_rule(self, edge):
+        for value in (edge, [edge], [edge, 1], {"k": edge}, [[0, 1, 2], edge]):
+            assert dump_json(value) == reference_json(value)
+        if isinstance(edge, str):
+            assert dump_json({edge: [edge]}) == reference_json({edge: [edge]})
+
+    def test_kept_element_lists_take_orjson_within_64_bits(self):
+        assert arch_mod._plain([0, 5, 2**64 - 1, -(2**63)])
+        assert not arch_mod._plain([0, 2**64])
+        assert not arch_mod._plain([-(2**63) - 1, 0])
+
+    def test_the_package_documents_take_orjson(self):
+        # ViT-B-12 at a quarter of its dense latency, the benchmark's vit
+        # instance: a slide back to json.dumps for its outputs fails here.
+        from latprune import (LatencyModelParams, assemble, constraint_value, solve,
+                              synth_lut, synth_scores)
+        from latprune.extract import extract_structure, structure_to_obj
+        from latprune.latency import lut_to_obj
+        from conftest import dense_assignment, vit_b12_architecture
+
+        arch = vit_b12_architecture()
+        raw = synth_scores(arch, 0)
+        vectors = build_all_vectors(arch, raw)
+        tables = synth_lut(arch, LatencyModelParams(), 0, noise=0.02)
+        budget = 0.25 * constraint_value(dense_assignment(arch), tables, arch)
+        plan = solve(assemble(arch, vectors, tables, budget)).assignment
+        structure = extract_structure(plan, arch, vectors, tables, raw)
+        assert arch_mod._plain(structure_to_obj(structure))
+        assert arch_mod._plain(lut_to_obj(tables, manifest="0" * 64))
 
 
 # ---------------------------------------------------------------------------

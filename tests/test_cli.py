@@ -1227,14 +1227,19 @@ class TestProcessEntry:
         assert gc.get_freeze_count() == before
 
     @staticmethod
-    def entry(args: list[str], *flags: str) -> int:
-        """The exit code of ``python [flags] -m latprune.cli args``."""
-        env = dict(os.environ)
+    def process(args: list[str], *flags: str, **env_vars: str) -> subprocess.CompletedProcess:
+        """``python [flags] -m latprune.cli args``, run with `env_vars` set."""
+        env = {**os.environ, **env_vars}
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")) if p
         )
         return subprocess.run([sys.executable, *flags, "-m", "latprune.cli", *args], env=env,
-                              capture_output=True, timeout=60).returncode
+                              capture_output=True, timeout=60)
+
+    @classmethod
+    def entry(cls, args: list[str], *flags: str) -> int:
+        """The exit code of ``python [flags] -m latprune.cli args``."""
+        return cls.process(args, *flags).returncode
 
     @staticmethod
     def assert_same_outputs(got: Path, want: Path) -> None:
@@ -1259,6 +1264,32 @@ class TestProcessEntry:
         assert self.entry(command_args(command, documents, tmp_path / "optimized"), "-OO") == 0
         assert self.entry(command_args(command, documents, tmp_path / "plain")) == 0
         self.assert_same_outputs(tmp_path / "optimized", tmp_path / "plain")
+
+    def test_outputs_are_utf8_under_an_ascii_locale(self, tmp_path):
+        # Under the C locale, with neither UTF-8 mode nor locale coercion, the
+        # default file encoding and standard output are ASCII.
+        ascii_locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        doc = json.loads((DATA / "tiny_mixed.arch.json").read_text())
+        renamed = {d["id"]: d["id"] + "_é" for d in doc["dims"] if d["role"] != "fixed_external"}
+        for d in doc["dims"]:
+            d["id"] = renamed.get(d["id"], d["id"])
+        for b in doc["blocks"]:
+            b["dims"] = [renamed[x] for x in b["dims"]]
+        arch = tmp_path / "arch.json"
+        arch.write_text(json.dumps(doc))
+        inputs = synth(tmp_path, arch)
+        args = solve_args(arch, inputs, tmp_path / "ascii", "0.12")
+        assert self.process(args, **ascii_locale).returncode == 0
+        assert self.entry(solve_args(arch, inputs, tmp_path / "default", "0.12")) == 0
+        self.assert_same_outputs(tmp_path / "ascii", tmp_path / "default")
+        # A FAIL line naming such an id is printed escaped.
+        scores = json.loads((inputs / "scores.json").read_text())
+        scores["scores"] = [r for r in scores["scores"] if r["dim_id"] != "b1_c1_é"]
+        (tmp_path / "scores.json").write_text(json.dumps(scores))
+        check = self.process(["check", "--arch", str(arch), "--scores",
+                              str(tmp_path / "scores.json")], **ascii_locale)
+        assert check.returncode == 3
+        assert b"'b1_c1_\\xe9'" in check.stdout
 
 
 class TestParser:

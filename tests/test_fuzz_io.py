@@ -6,13 +6,14 @@ synthesized scores, LUT and a solved report; a conv-only chain with its LUT
 and a trajectory).  Each example picks a command and one of its input
 documents, walks to a random node of the decoded JSON and mutates it: the
 node is deleted, swapped for a value of another type (string, bool, null,
-list, object, NaN, infinity, a 401-digit integer), wrapped in a list or
-unwrapped from its container.  The encoded bytes of the mutated document
-may then be broken too: a UTF-8 byte-order mark in front, or bytes that are
-not UTF-8 (a UTF-16 mark, a stray continuation byte, an encoded surrogate, a
-cut multi-byte sequence) inserted anywhere.  Explicit examples put the
+list, object, NaN, infinity, a 401-digit integer, a lone surrogate), wrapped
+in a list or unwrapped from its container.  The encoded bytes of the mutated
+document may then be broken too: a UTF-8 byte-order mark in front, or bytes
+that are not UTF-8 (a UTF-16 mark, a stray continuation byte, an encoded
+surrogate, a cut multi-byte sequence) inserted anywhere.  Explicit examples put the
 401-digit integer at the first dimension's ``group_size``, a node the random
-draws rarely reach.
+draws rarely reach, and the lone surrogate in the architecture's name, which
+the structure files carry.
 
 The budget is fuzzed too: any positive finite float, subnormals and values
 near the largest float included, given to ``solve`` in every mode and to a
@@ -37,7 +38,7 @@ DATA = Path(__file__).parent.parent / "demos" / "data"
 HUGE = 10**400
 REPLACEMENTS = [
     "", "x", "1.5", "AAAA", True, False, None, [], {}, [1.0], [[1.0]], {"a": 1},
-    math.nan, math.inf, -math.inf, HUGE, -HUGE, 0, -1, 1.5,
+    math.nan, math.inf, -math.inf, HUGE, -HUGE, 0, -1, 1.5, "\ud800",
 ]
 
 CHAIN_ARCH = {
@@ -197,6 +198,13 @@ def huge_group_size(command: str) -> tuple:
     return command, COMMANDS[command], "--arch", edit, ("keep", None, None)
 
 
+def surrogate_name(command: str) -> tuple:
+    """The case of `command` whose architecture is named ``"\\ud800"``: valid
+    JSON that no UTF-8 output can hold."""
+    edit = (("name",), "replace", "\ud800")
+    return command, COMMANDS[command], "--arch", edit, ("keep", None, None)
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -207,6 +215,8 @@ def workdir(tmp_path_factory):
 @example(case=huge_group_size("check"))
 @example(case=huge_group_size("solve"))
 @example(case=huge_group_size("extract"))
+@example(case=surrogate_name("solve"))
+@example(case=surrogate_name("extract"))
 def test_every_mutation_exits_with_a_contract_code(workdir, case):
     command, inputs, target, edit, how = case
     documents = valid_documents()
