@@ -62,14 +62,26 @@ class RunManifest(Record, frozen=True):
         # Content-addressed: input paths are recorded for humans but do not
         # enter the hash, so identical content reproduces identical outputs
         # from any directory.
-        import hashlib
-
         hashed_inputs = {name: entry["sha256"] for name, entry in self.inputs.items()}
         payload = json.dumps(
             {"command": self.command, "inputs": hashed_inputs, "params": self.params},
             sort_keys=True,
         ).encode()
-        return hashlib.sha256(payload).hexdigest()
+        return _sha256_hex(payload)
+
+
+def _sha256_hex(data: bytes) -> str:
+    """The SHA-256 hex digest of `data`, from CPython's built-in module:
+    `hashlib` would load OpenSSL's libcrypto, 3.3 MB resident, for the few
+    megabytes a command hashes.  `hashlib` only on a build without one."""
+    try:
+        from _sha2 import sha256  # CPython 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10-3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
 
 
 def _decode(data: bytes, name: str, path: str) -> str:
@@ -92,12 +104,10 @@ def _manifest(
 ) -> tuple[RunManifest, dict[str, str]]:
     """The run's manifest and its input documents as text.  Each file is
     read once, so the hash covers exactly the bytes that are parsed."""
-    import hashlib
-
     hashed, texts = {}, {}
     for name, path in inputs.items():
         data = Path(path).read_bytes()
-        hashed[name] = {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
+        hashed[name] = {"path": str(path), "sha256": _sha256_hex(data)}
         texts[name] = _decode(data, name, path)
     return RunManifest(command=command, inputs=hashed, params=params), texts
 

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import os
@@ -872,6 +873,32 @@ def test_json_writer_rejects_non_finite_values(tmp_path):
     with pytest.raises(ValueError):
         _write_json(tmp_path / "x.json", {"budget_ms": float("inf")})
     assert not (tmp_path / "x.json").exists()
+
+
+# SHA-256 pads an n-byte message to ceil((n + 9) / 64) blocks of 64 bytes:
+# 55 and 119 bytes are the longest that fit one and two blocks.
+SHA256_CASES = {
+    **{f"{n}-bytes": bytes(i % 251 for i in range(n))
+       for n in (0, 1, 55, 56, 63, 64, 65, 119, 120)},
+    "non-ascii-utf8": "é ✓ 𝄞 数据 ".encode() * 9,
+    "5-mb": np.random.default_rng(0).bytes(5 << 20),
+}
+
+
+class TestSha256Hex:
+    """Input digests come from CPython's built-in SHA-256, or from hashlib on
+    a build without one; either way they are the standard digest."""
+
+    @pytest.mark.parametrize("data", SHA256_CASES.values(), ids=SHA256_CASES.keys())
+    def test_equals_hashlib(self, data):
+        assert cli._sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+    @pytest.mark.parametrize("data", SHA256_CASES.values(), ids=SHA256_CASES.keys())
+    def test_hashlib_fallback_gives_the_same_digest(self, monkeypatch, data):
+        want = hashlib.sha256(data).hexdigest()
+        monkeypatch.setitem(sys.modules, "_sha2", None)  # CPython 3.12+
+        monkeypatch.setitem(sys.modules, "_sha256", None)  # CPython 3.10-3.11
+        assert cli._sha256_hex(data) == want
 
 
 class TestCompareLatencyModels:

@@ -3,8 +3,10 @@
 A command loads only the modules it runs (see the package and CLI module
 docstrings), none loads ``numpy.ma`` unless a bare ``import numpy`` does
 (numpy 1.x), none loads ``dataclasses`` (the record classes are plain
-classes, see ``latprune.record``), and the lazily resolved public names are
-the objects their home modules define.
+classes, see ``latprune.record``), none loads ``hashlib`` or OpenSSL's
+``_hashlib`` unless ``numpy.random`` does (input digests come from CPython's
+built-in SHA-256; only ``synth`` draws random numbers), and the lazily
+resolved public names are the objects their home modules define.
 """
 
 import importlib.util
@@ -24,8 +26,8 @@ ARCH = str(DATA / "tiny_mixed.arch.json")
 
 
 def loaded_modules(code: str) -> set[str]:
-    """The latprune modules, hashlib, numpy.ma and dataclasses loaded by a
-    fresh interpreter after running `code`."""
+    """The latprune modules, hashlib, _hashlib, numpy.ma and dataclasses
+    loaded by a fresh interpreter after running `code`."""
     script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -37,7 +39,8 @@ def loaded_modules(code: str) -> set[str]:
     )
     modules = json.loads(run.stdout.splitlines()[-1])
     return {m for m in modules
-            if m.startswith("latprune") or m in ("hashlib", "numpy.ma", "dataclasses")}
+            if m.startswith("latprune")
+            or m in ("hashlib", "_hashlib", "numpy.ma", "dataclasses")}
 
 
 def test_import_loads_no_submodule():
@@ -119,9 +122,12 @@ def chain(tmp_path_factory) -> Path:
     return out
 
 
-@pytest.mark.parametrize("command", [
-    "synth", "check", "solve", "sweep", "extract", "compare-latency-models"])
-def test_no_command_loads_dataclasses(inputs, chain, tmp_path, command):
+COMMANDS = ["synth", "check", "solve", "sweep", "extract", "compare-latency-models"]
+
+
+def modules_of_command(command: str, inputs: Path, chain: Path, tmp_path: Path) -> set[str]:
+    """`loaded_modules` of a process that runs `command` on the tiny_mixed
+    inputs (the one-chain instance for ``compare-latency-models``)."""
     docs = ["--arch", ARCH, "--scores", str(inputs / "scores.json"),
             "--lut", str(inputs / "lut.json")]
     out = ["--out", str(tmp_path / "out")]
@@ -141,9 +147,32 @@ def test_no_command_loads_dataclasses(inputs, chain, tmp_path, command):
         "from latprune.cli import main\n"
         f"assert main({[command, *args]!r}) == 0\n"
     )
-    loaded = loaded_modules(code)
+    return loaded_modules(code)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_no_command_loads_dataclasses(inputs, chain, tmp_path, command):
+    loaded = modules_of_command(command, inputs, chain, tmp_path)
     assert "latprune.record" in loaded
     assert "dataclasses" not in loaded
+
+
+@pytest.mark.skipif(
+    not (importlib.util.find_spec("_sha2") or importlib.util.find_spec("_sha256")),
+    reason="this interpreter has no built-in SHA-256 (_sha2 or _sha256), so "
+           "input digests come from hashlib",
+)
+@pytest.mark.parametrize("command", COMMANDS)
+def test_no_command_loads_openssl(inputs, chain, tmp_path, command):
+    loaded = modules_of_command(command, inputs, chain, tmp_path)
+    assert "latprune.cli" in loaded
+    openssl = loaded & {"hashlib", "_hashlib"}
+    if command == "synth":
+        # Its generator's module, numpy.random, imports secrets and so hmac,
+        # which loads both.
+        assert openssl <= loaded_modules("import numpy.random")
+    else:
+        assert not openssl
 
 
 @pytest.fixture
