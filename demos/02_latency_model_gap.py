@@ -31,7 +31,7 @@ params = lp.LatencyModelParams(unit_cost=1e-3, overhead=0.01, tile=8, spatial=1.
 tables = lp.synth_lut(arch, params, seed=0, noise=0.0)
 
 print("layer-2 latency table (rows: input option, cols: output option):")
-print(np.array_str(tables.get(1, "conv_layer", 2).data, precision=4), "\n")
+print(np.array_str(np.asarray(tables.get(1, "conv_layer", 2).data), precision=4), "\n")
 
 # Prune both layers at every step: each step invalidates the next layer's
 # remembered input width.

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from array import array
 from functools import cached_property
 from numbers import Real
 
-import numpy as np
 import orjson
 
 from .errors import ParseError, ValidationError
@@ -69,7 +70,7 @@ class DimensionSpec(Record, frozen=True):
                 raise ValidationError(
                     f"dimension {self.id!r}: {field} must be a positive integer, got {value!r}"
                 )
-        # Kept counts are computed in int64 (see kept_counts).
+        # Kept counts are held as int64 (see kept_counts).
         for sizes, value in (("option_count*group_size", self.option_count * self.group_size),
                              ("max_elements", self.max_elements)):
             if value >= 2**63:
@@ -104,9 +105,12 @@ def kept_elements(dim: DimensionSpec, option_index: int) -> int:
     return min(option_index * dim.group_size, dim.max_elements)
 
 
-def kept_counts(dim: DimensionSpec) -> np.ndarray:
-    """``kept_elements`` of every option of `dim`, in option order."""
-    return np.minimum(np.arange(1, dim.option_count + 1) * dim.group_size, dim.max_elements)
+def kept_counts(dim: DimensionSpec) -> array:
+    """``kept_elements`` of every option of `dim`, in option order, as an
+    int64 array (typecode ``q``)."""
+    step = dim.group_size
+    return array("q", [min(kept, dim.max_elements)
+                       for kept in range(step, dim.option_count * step + 1, step)])
 
 
 class BlockSpec(Record, frozen=True):
@@ -401,16 +405,39 @@ def checked_budget(budget) -> float:
     return float(budget)
 
 
-def numbers(value, where: str) -> np.ndarray:
-    """A list of JSON numbers (see `number`) as one float64 array; a bad entry
-    names its field as ``where[i]``."""
+def numbers(value, where: str) -> array:
+    """A list of JSON numbers (see `number`) as one float64 array (typecode
+    ``d``); a bad entry names its field as ``where[i]``."""
     typed(value, list, where)
     if set(map(type, value)) <= {int, float}:
         try:
-            return np.array(value, dtype=np.float64)
+            return array("d", value)
         except OverflowError:
             pass
-    return np.array([number(v, f"{where}[{i}]") for i, v in enumerate(value)], dtype=np.float64)
+    return array("d", [number(v, f"{where}[{i}]") for i, v in enumerate(value)])
+
+
+def loaded_numpy():
+    """numpy if this process has already imported it, else None.  ``solve``,
+    ``sweep`` and ``synth`` import it; the readers never do.  Where a reader
+    scans or sorts an array, numpy does it several times faster once loaded,
+    and the standard library does it otherwise, with the same results."""
+    return sys.modules.get("numpy")
+
+
+def first_non_finite(values) -> int | None:
+    """The index of the first NaN or infinite entry of a float64 buffer, or
+    None.  Without numpy, a finite sum clears them all in one pass: an
+    infinite or NaN entry leaves every float sum infinite or NaN (finite
+    entries can sum to inf too, so only then are they looked at one by
+    one)."""
+    np = loaded_numpy()
+    if np is not None:
+        bad = ~np.isfinite(np.frombuffer(values))
+        return int(bad.argmax()) if bad.any() else None
+    if math.isfinite(sum(values)):
+        return None
+    return next((i for i, v in enumerate(values) if not math.isfinite(v)), None)
 
 
 def require_keys(obj: dict, required: set[str], optional: set[str], where: str) -> None:
@@ -543,12 +570,14 @@ def checked_vectors(arch: ArchitectureSpec, vectors: dict) -> dict:
         vec = vectors.get(dim.id)
         if vec is None:
             raise ValidationError(f"missing importance vector for dimension {dim.id!r}")
-        if len(vec.values) != dim.option_count:
+        values = vec.values
+        if len(values) != dim.option_count:
             raise ValidationError(
                 f"importance vector for {dim.id!r}: expected length "
-                f"{dim.option_count}, found {len(vec.values)}"
+                f"{dim.option_count}, found {len(values)}"
             )
-        total += float(np.abs(vec.values).max())
+        # max() passes over a NaN that is not first: a NaN value makes the total NaN.
+        total += math.nan if any(map(math.isnan, values)) else float(max(map(abs, values)))
     if not math.isfinite(total):
         raise ValidationError(
             f"importance vectors: the dimensions' largest |entries| sum to {total!r}, "

@@ -11,9 +11,7 @@ independent check of the reported solution.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .arch import ArchitectureSpec, MANIFEST_KEY, dump_json, kept_elements
+from .arch import ArchitectureSpec, MANIFEST_KEY, dump_json, kept_elements, loaded_numpy
 from .errors import ValidationError
 from .importance import Assignment, ImportanceVector, RawScores, objective_value
 from .latency import TableSet, constraint_value
@@ -80,14 +78,16 @@ def extract_structure(
                 raise ValidationError(
                     f"missing raw scores for retained dimension {dim.id!r}"
                 )
-            if raw.scores.shape != (dim.max_elements,):
+            if len(raw.scores) != dim.max_elements:
                 raise ValidationError(
                     f"scores for {dim.id!r}: expected {dim.max_elements} values, "
-                    f"found {raw.scores.shape[0]}"
+                    f"found {len(raw.scores)}"
                 )
             option = assignment.omega[dim.id]
             count = kept_elements(dim, option)
-            chosen = (np.sort(raw.ranked[:count]) + 1).tolist()
+            vec = vectors.get(dim.id)
+            cut = None if vec is None or vec.cutoffs is None else vec.cutoffs[option - 1]
+            chosen = top_elements(raw.scores, count, cut)
             dims.append(
                 DimOutcome(
                     dim_id=dim.id,
@@ -112,6 +112,55 @@ def extract_structure(
         depth_kept=kept_blocks,
         depth_total=len(arch.blocks),
     )
+
+
+def top_elements(scores, count: int, cut: float | None = None) -> list[int]:
+    """The 1-based indices, ascending, of the `count` highest of the float64
+    `scores`, ties to the lower index: every element above the `count`-th
+    largest score, then the first of those equal to it (0.0 and -0.0 are
+    equal).  `cut` may give that score (an importance vector's cutoff) to
+    spare a sort; a value that is not it is found out, and the scores are
+    sorted.  The scans are numpy's where it is loaded (see
+    ``arch.loaded_numpy``)."""
+    np = loaded_numpy()
+    if np is not None:
+        return _top_numpy(np, np.asarray(scores, dtype=np.float64), count, cut)
+    scores = scores.tolist()  # floats, from a numpy array too
+    kept = None if cut is None else _selected(scores, count, cut)
+    if kept is None:
+        kept = _selected(scores, count, sorted(scores, reverse=True)[count - 1])
+    return kept
+
+
+def _top_numpy(np, x, count: int, cut: float | None) -> list[int]:
+    """``top_elements`` by numpy: the elements above `cut` and the first
+    that equal it when `cut` is the `count`-th largest of `x` (see
+    `_selected`), else the first `count` of numpy's stable sort."""
+    if cut is not None:
+        above = np.flatnonzero(x > cut)
+        if above.size <= count:
+            ties = np.flatnonzero(x == cut)[:count - above.size]
+            if above.size + ties.size == count:
+                return (np.sort(np.concatenate((above, ties))) + 1).tolist()
+    return (np.sort(np.argsort(-x, kind="stable")[:count]) + 1).tolist()
+
+
+def _selected(scores: list[float], count: int, cut: float) -> list[int] | None:
+    """``top_elements`` when `cut` is the `count`-th largest of `scores`:
+    then at most `count` scores lie above it and enough equal it to make up
+    the rest.  None otherwise."""
+    kept = [i for i, score in enumerate(scores, 1) if score > cut]
+    if len(kept) > count:
+        return None
+    start = 0
+    for _ in range(count - len(kept)):
+        try:
+            start = scores.index(cut, start) + 1
+        except ValueError:
+            return None
+        kept.append(start)
+    kept.sort()
+    return kept
 
 
 def summarize(structure: PrunedStructure) -> tuple[str, str]:

@@ -14,13 +14,13 @@ structure extraction is deterministic.
 
 from __future__ import annotations
 
-from functools import cached_property
-
-import numpy as np
+from array import array
+from itertools import accumulate
+from numbers import Integral
 
 from .arch import (
-    ArchitectureSpec, BlockSpec, DimensionSpec, MANIFEST_KEY, dump_json, kept_counts, numbers,
-    records, require_keys, typed,
+    ArchitectureSpec, BlockSpec, DimensionSpec, MANIFEST_KEY, dump_json, first_non_finite,
+    kept_counts, loaded_numpy, numbers, records, require_keys, typed,
 )
 from .errors import ParseError, ValidationError
 from .record import Record
@@ -28,25 +28,15 @@ from .record import Record
 
 class RawScores(Record, frozen=True):
     dim_id: str
-    scores: np.ndarray  # float64, one entry per element
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RawScores)
-            and self.dim_id == other.dim_id
-            and np.array_equal(self.scores, other.scores)
-        )
-
-    @cached_property
-    def ranked(self) -> np.ndarray:
-        """``ranked_indices`` of the scores, as int32: the importance vector
-        and the kept-element lists both read this one sort."""
-        return ranked_indices(self.scores).astype(np.int32)
+    scores: array  # float64 (typecode "d"), one entry per element
 
 
 class ImportanceVector(Record, frozen=True):
     dim_id: str
-    values: np.ndarray  # float64, one entry per keep-count option
+    values: array  # float64 (typecode "d"), one entry per keep-count option
+    # Per option, the least score it keeps (the kept_elements-th largest), so
+    # extraction need not sort the scores again; None when not known.
+    cutoffs: array | None = None
 
 
 class Assignment(Record):
@@ -90,43 +80,63 @@ class Assignment(Record):
                 )
 
 
-def ranked_indices(scores: np.ndarray) -> np.ndarray:
-    """Element indices sorted by descending score, ties by original index.
-
-    numpy's default sort is faster than its stable one and gives the same
-    order whenever the sorted values strictly increase; only ties (0.0 and
-    -0.0 among them) or NaN take the stable sort."""
-    negated = -np.asarray(scores, dtype=np.float64)
-    order = np.argsort(negated)
-    ranked = negated[order]
-    if (ranked[1:] > ranked[:-1]).all():
-        return order
-    return np.argsort(negated, kind="stable")
-
-
 def build_importance_vector(raw: RawScores, dim: DimensionSpec) -> ImportanceVector:
-    """Fold element scores into per-option top-k prefix sums."""
-    scores = np.asarray(raw.scores, dtype=np.float64)
-    if scores.shape != (dim.max_elements,):
+    """Fold element scores into per-option top-k prefix sums, added one by
+    one in descending score order (an overflow to inf is refused by
+    ``arch.checked_vectors``).  The sort is numpy's where it is loaded (see
+    ``arch.loaded_numpy``); the two folds give the same bits."""
+    scores = raw.scores
+    if len(scores) != dim.max_elements:
         raise ValidationError(
-            f"scores for {dim.id!r}: expected {dim.max_elements} values, "
-            f"found {scores.shape[0] if scores.ndim == 1 else scores.shape}"
+            f"scores for {dim.id!r}: expected {dim.max_elements} values, found {len(scores)}"
         )
-    ordered = scores[raw.ranked]
-    with np.errstate(over="ignore"):  # an inf sum is refused by arch.checked_vectors
-        prefix = np.cumsum(ordered)
-    return ImportanceVector(dim_id=dim.id, values=prefix[kept_counts(dim) - 1])
+    counts = kept_counts(dim)
+    np = loaded_numpy()
+    if np is None:
+        values, cutoffs = _fold(scores.tolist(), counts)  # floats, from a numpy array too
+    else:
+        values, cutoffs = _fold_numpy(np, scores, counts)
+    return ImportanceVector(dim_id=dim.id, values=values, cutoffs=cutoffs)
+
+
+def _fold(scores: list[float], counts: array) -> tuple[array, array]:
+    """(prefix sums, cutoffs) at the kept `counts` of `scores` sorted
+    descending, by the standard library; `scores` is sorted in place."""
+    scores.sort(reverse=True)
+    prefix = list(accumulate(scores))
+    return array("d", [prefix[k - 1] for k in counts]), array("d", [scores[k - 1] for k in counts])
+
+
+def _fold_numpy(np, scores, counts: array) -> tuple[array, array]:
+    """``_fold`` by numpy.  Equal scores have equal bits, so the order of
+    ties shows only between 0.0 and -0.0: numpy's faster default sort
+    serves unless a score is zero, and its stable one, which orders ties as
+    ``list.sort`` does, otherwise."""
+    negated = np.negative(scores, dtype=np.float64)
+    ordered = -np.sort(negated, kind=None if negated.all() else "stable")
+    at = np.frombuffer(counts, dtype=np.int64) - 1
+    with np.errstate(over="ignore"):
+        prefix = np.cumsum(ordered)[at]
+    return array("d", prefix.tobytes()), array("d", ordered[at].tobytes())
 
 
 def build_all_vectors(
     arch: ArchitectureSpec, raw_scores: dict[str, RawScores]
 ) -> dict[str, ImportanceVector]:
+    """The importance vector of every dimension of `arch`.  Each needs its
+    raw scores, and scores for a dimension `arch` does not declare are
+    refused, naming it."""
     vectors = {}
     for dim in arch.dims.values():
         raw = raw_scores.get(dim.id)
         if raw is None:
             raise ValidationError(f"missing raw scores for dimension {dim.id!r}")
         vectors[dim.id] = build_importance_vector(raw, dim)
+    for dim_id in raw_scores:
+        if dim_id not in arch.dims:
+            raise ValidationError(
+                f"scores for {dim_id!r}: architecture {arch.name!r} declares no such dimension"
+            )
     return vectors
 
 
@@ -171,10 +181,10 @@ def parse_scores(document: str) -> dict[str, RawScores]:
         if dim_id in out:
             raise ValidationError(f"scores: duplicate entry for dimension {dim_id!r}")
         values = numbers(entry["scores"], f"{where}.scores")
-        if not values.size:
+        if not values:
             raise ParseError(f"{where} ({dim_id!r}): scores must be a non-empty list")
-        if not np.isfinite(values).all():
-            k = int(np.flatnonzero(~np.isfinite(values))[0])
+        k = first_non_finite(values)
+        if k is not None:
             raise ValidationError(
                 f"scores for {dim_id!r}: non-finite value at element {k}: {values[k]}"
             )
@@ -198,11 +208,14 @@ def scores_to_obj(scores: dict[str, RawScores], manifest: str | None = None) -> 
     return doc
 
 
-def synth_rng(seed: int) -> np.random.Generator:
-    """The generator the synthesizers draw from; `seed` must be a
-    non-negative integer."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+def synth_rng(seed: int):
+    """The ``numpy.random.Generator`` the synthesizers draw from; `seed` must
+    be a non-negative integer.  It imports numpy: outside the solver, only
+    the synthesizers load it."""
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    import numpy as np
+
     return np.random.default_rng(seed)
 
 
@@ -219,5 +232,5 @@ def synth_scores(
             draws = rng.random(dim.max_elements)
         else:
             draws = rng.exponential(1.0, dim.max_elements)
-        out[dim.id] = RawScores(dim_id=dim.id, scores=draws)
+        out[dim.id] = RawScores(dim_id=dim.id, scores=array("d", draws.tobytes()))
     return out

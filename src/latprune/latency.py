@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import base64
 import math
+import sys
+from array import array
 from functools import reduce
-
-import numpy as np
+from numbers import Integral
 
 from .arch import ArchitectureSpec, BlockSpec, MANIFEST_KEY, kept_counts, numbers, records
-from .arch import TRANSFORMER_PARTS, dump_json, require_keys, shown, typed
+from .arch import TRANSFORMER_PARTS, dump_json, first_non_finite, loaded_numpy, require_keys
+from .arch import shown, typed
 from .errors import ParseError, ValidationError
 from .importance import Assignment, synth_rng
 from .record import Record
@@ -41,7 +43,9 @@ class LatencyTable(Record, frozen=True):
     block_id: int
     part: str
     axes: tuple[str, ...]
-    data: np.ndarray  # float64, milliseconds
+    # Milliseconds: a C-contiguous float64 buffer with one axis per entry of
+    # `axes`, an n-d memoryview (format "d") as the readers build it.
+    data: memoryview
     layer: int | None = None  # 1-based, conv_layer only
 
     def validate(self) -> None:
@@ -62,17 +66,54 @@ class LatencyTable(Record, frozen=True):
             raise ValidationError(
                 f"{label}: expected {rank} axes, found {len(self.axes)}"
             )
-        if not np.all(np.isfinite(self.data)):
-            idx = np.argwhere(~np.isfinite(self.data))[0]
-            raise ValidationError(f"{label}: non-finite entry at index {tuple(idx.tolist())}")
-        if np.any(self.data < 0):
-            idx = np.argwhere(self.data < 0)[0]
-            raise ValidationError(f"{label}: negative entry at index {tuple(idx.tolist())}")
+        view = memoryview(self.data)
+        if view.format != "d" or not view.c_contiguous:
+            raise ValidationError(f"{label}: data must be a C-contiguous float64 buffer")
+        flat = _flat(view)
+        k = first_non_finite(flat)
+        if k is not None:
+            raise ValidationError(f"{label}: non-finite entry at index {_index(k, view.shape)}")
+        k = _first_negative(flat)
+        if k is not None:
+            raise ValidationError(f"{label}: negative entry at index {_index(k, view.shape)}")
 
     def label(self) -> str:
         if self.part == "conv_layer":
             return f"block {self.block_id} conv_layer {self.layer}"
         return f"block {self.block_id} {self.part}"
+
+
+def _flat(data) -> memoryview:
+    """The entries of a checked table's data (see ``LatencyTable.validate``),
+    row-major, as one flat float64 view."""
+    return memoryview(data).cast("B").cast("d")
+
+
+def _first_negative(flat: memoryview) -> int | None:
+    """The index of the first negative entry of finite `flat`, or None."""
+    np = loaded_numpy()
+    if np is not None:
+        bad = np.frombuffer(flat) < 0
+        return int(bad.argmax()) if bad.any() else None
+    if min(flat) >= 0:
+        return None
+    return next(i for i, v in enumerate(flat) if v < 0)
+
+
+def _largest(data) -> float:
+    """The largest entry of a checked table's data."""
+    np = loaded_numpy()
+    flat = _flat(data)
+    return max(flat) if np is None else float(np.frombuffer(flat).max())
+
+
+def _index(k: int, shape: tuple[int, ...]) -> tuple[int, ...]:
+    """The index of the `k`-th entry, row-major, of an array of `shape`."""
+    index = []
+    for size in reversed(shape):
+        k, i = divmod(k, size)
+        index.append(i)
+    return tuple(reversed(index))
 
 
 class TableSet:
@@ -124,7 +165,7 @@ class TableSet:
                             f"expected {dim.option_count}, found {found}"
                         )
                 named.add((block.id, part, layer))
-                total += float(table.data.max())
+                total += _largest(table.data)
         for table in self:
             if (table.block_id, table.part, table.layer) not in named:
                 raise ValidationError(
@@ -155,7 +196,7 @@ def block_latency(
                 _check_choice(table, len(idx), choice)
             idx.append(choice - 1)
         try:
-            subtotal += table.data.item(*idx)
+            subtotal += float(table.data[tuple(idx)])
         except IndexError:  # a choice beyond its axis
             for axis, i in enumerate(idx):
                 _check_choice(table, axis, i + 1)
@@ -202,14 +243,10 @@ class LatencyModelParams(Record, frozen=True):
                     f"latency model parameter {name} must be finite and positive, got {value!r}"
                 )
         tile = self.tile
-        if isinstance(tile, bool) or not isinstance(tile, (int, np.integer)) or tile < 1:
+        if isinstance(tile, bool) or not isinstance(tile, Integral) or tile < 1:
             raise ValidationError(
                 f"latency model parameter tile must be a positive integer, got {tile!r}"
             )
-
-
-def _effective(kept: np.ndarray, tile: int) -> np.ndarray:
-    return np.ceil(kept / tile) * tile
 
 
 def synth_lut(
@@ -226,22 +263,25 @@ def synth_lut(
     estimates.  Multiplicative noise is bounded by `noise` (0 disables it)
     and is deterministic in `seed`.
     """
+    import numpy as np
+
     params.validate()
     if not 0 <= noise < 1:
         raise ValidationError(f"noise fraction must be in [0, 1), got {noise}")
     rng = synth_rng(seed)
     tables = TableSet()
 
-    def finish(data: np.ndarray) -> np.ndarray:
+    def effective(kept: array):
+        return np.ceil(np.asarray(kept) / params.tile) * params.tile
+
+    def finish(data):
         if noise > 0:
             data = data * (1.0 + noise * rng.uniform(-1.0, 1.0, size=data.shape))
-        return data
+        return memoryview(data)
 
     for block in arch.blocks:
         for part, layer, dims in arch.parts(block):
-            grids = np.meshgrid(
-                *(_effective(kept_counts(d), params.tile) for d in dims), indexing="ij"
-            )
+            grids = np.meshgrid(*(effective(kept_counts(d)) for d in dims), indexing="ij")
             data = params.overhead + params.unit_cost * params.spatial * reduce(
                 np.multiply, grids
             )
@@ -414,25 +454,28 @@ def parse_lut(document: str) -> TableSet:
         shape = typed(entry["shape"], list, f"{where}.shape", int)
         if not all(s > 0 for s in shape):
             raise ParseError(f"{where}: shape must be a list of positive integers")
+        if len(shape) > 64:  # more axes than a memoryview takes; a table has 2 or 3
+            raise ParseError(f"{where}: shape has {len(shape)} axes, more than 64")
         layer = typed(entry.get("layer"), (int, type(None)), f"{where}.layer")
         if "data" in entry:
             flat = numbers(entry["data"], f"{where}.data")
         else:
             try:
-                raw = base64.b64decode(entry["data_b64"], validate=True)
-                flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+                flat = array("d", base64.b64decode(entry["data_b64"], validate=True))
             except (TypeError, ValueError):
                 raise ParseError(f"{where}.data_b64: invalid base64 payload") from None
-        if flat.size != math.prod(shape):
+            if sys.byteorder == "big":  # the payload is little-endian
+                flat.byteswap()
+        if len(flat) != math.prod(shape):
             raise ParseError(
-                f"{where}: payload has {flat.size} values, shape {shape} needs "
+                f"{where}: payload has {len(flat)} values, shape {shape} needs "
                 f"{math.prod(shape)}"
             )
         table = LatencyTable(
             block_id=typed(entry["block_id"], int, f"{where}.block_id"),
             part=typed(entry["part"], str, f"{where}.part"),
             axes=tuple(typed(entry["axes"], list, f"{where}.axes", str)),
-            data=flat.reshape(shape),
+            data=memoryview(flat).cast("B").cast("d", shape),
             layer=layer,
         )
         try:
@@ -461,11 +504,14 @@ def lut_to_obj(
         }
         if table.layer is not None:
             record["layer"] = table.layer
-        flat = np.ascontiguousarray(table.data, dtype=np.float64).reshape(-1)
+        flat = _flat(table.data)
         if base64_payload:
-            record["data_b64"] = base64.b64encode(flat.astype("<f8").tobytes()).decode()
+            payload = array("d", flat)
+            if sys.byteorder == "big":  # the payload is little-endian
+                payload.byteswap()
+            record["data_b64"] = base64.b64encode(payload).decode()
         else:
-            record["data"] = [float(v) for v in flat]
+            record["data"] = flat.tolist()
         records.append(record)
     doc: dict = {"tables": records}
     if manifest is not None:

@@ -77,6 +77,7 @@ from .record import Record
 EXHAUSTIVE_GUARD = 10**6
 
 _NEG_INF = float("-inf")
+_NORMAL_MIN = sys.float_info.min
 
 
 class SolverConfig(Record, frozen=True):
@@ -132,7 +133,7 @@ class _BlockModel:
         outer = []
         for part, layer, dims in arch.parts(block):
             pos = tuple(self.dim_ids.index(d.id) if d.id in self.dim_ids else -1 for d in dims)
-            self.parts.append((tables.get(block.id, part, layer).data, pos))
+            self.parts.append((np.asarray(tables.get(block.id, part, layer).data), pos))
             outer += [d for d in dims if d.id not in self.dim_ids]
         self.inputs = outer[0].option_count if outer else 1
         self.input_dim_id = outer[0].id if outer and outer[0].role != "fixed_external" else None
@@ -427,11 +428,24 @@ def _points(model: _BlockModel, reads: list[int], margin: float) -> tuple:
 
 def _hull(lat: np.ndarray, imp: np.ndarray) -> np.ndarray:
     """Indices of the upper concave hull's vertices, latency ascending, from
-    the most important of the fastest points to the most important point."""
+    the most important of the fastest points to the most important point.
+
+    The cross products compare as floats when none can overflow or underflow,
+    which would drop a vertex: the rising points' smallest steps multiply to
+    a normal float and their spans to a finite one.  Otherwise they compare
+    as exact fractions."""
     order = np.lexsort((-imp, lat))
     v = imp[order]
     rising = order[np.concatenate(([True], v[1:] > np.maximum.accumulate(v)[:-1]))]
     x, y = lat.tolist(), imp.tolist()
+    if rising.size > 2:
+        with np.errstate(over="ignore"):
+            steps = float(np.diff(lat[rising]).min()) * float(np.diff(imp[rising]).min())
+        first, last = int(rising[0]), int(rising[-1])
+        if not (steps >= _NORMAL_MIN and (x[last] - x[first]) * (y[last] - y[first]) < math.inf):
+            from fractions import Fraction  # 2-3 ms of imports, for extreme inputs only
+
+            x, y = list(map(Fraction, x)), list(map(Fraction, y))
     hull: list[int] = []
     for i in rising.tolist():
         while len(hull) >= 2:

@@ -5,6 +5,7 @@ import math
 import struct
 import subprocess
 import sys
+from array import array
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import latprune
 
 from latprune import (
+    ImportanceVector,
     ParseError,
     ValidationError,
     build_all_vectors,
@@ -328,6 +330,17 @@ class TestValidateShapes:
         some_dim = next(iter(vectors))
         del vectors[some_dim]
         with pytest.raises(ValidationError, match=some_dim):
+            validate_problem_shapes(arch, tables, vectors)
+
+    @pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+    def test_nan_vector_entry_refused(self, at):
+        # max() passes over a NaN that is not first.
+        arch, tables, vectors = self._consistent(5)
+        dim_id = next(d for d, v in vectors.items() if len(v.values) >= 2)
+        values = array("d", vectors[dim_id].values)
+        values[at] = math.nan
+        vectors[dim_id] = ImportanceVector(dim_id, values)
+        with pytest.raises(ValidationError, match=r"largest \|entries\| sum to nan"):
             validate_problem_shapes(arch, tables, vectors)
 
 

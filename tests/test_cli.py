@@ -399,6 +399,29 @@ class TestCheck:
         assert (f"scores: FAIL scores[0] ({dim_id!r}): scores must be a non-empty list"
                 in capsys.readouterr().out)
 
+    @pytest.mark.parametrize("command", ["check", "solve", "sweep", "extract"])
+    def test_stray_scores_entry_named(self, tmp_path, capsys, command):
+        # Scores for a dimension the architecture does not declare are
+        # refused, as a table that no part reads is.
+        inputs = synth(tmp_path)
+        run = tmp_path / "run"
+        if command == "extract":
+            assert main(solve_args(DATA / "tiny_mixed.arch.json", inputs, run, "0.25")) == 0
+        doc = json.loads((inputs / "scores.json").read_text())
+        doc["scores"].append({"dim_id": "no_such_dim", "scores": [0.5, 0.25]})
+        (inputs / "scores.json").write_text(json.dumps(doc))
+        extra = {"check": [], "solve": ["--budget-ms", "0.25"], "sweep": ["--budgets", "0.2,0.25"],
+                 "extract": ["--report", str(run / "report.json")]}[command]
+        out = [] if command == "check" else ["--out", str(tmp_path / "out")]
+        assert main([command, *problem_args(inputs), *extra, *out]) == 3
+        named = "scores for 'no_such_dim': architecture 'tiny_mixed' declares no such dimension"
+        captured = capsys.readouterr()
+        if command == "check":
+            assert f"importance vectors: FAIL {named}\n" in captured.out
+        else:
+            assert captured.err == f"error: {named}\n"
+            assert not (tmp_path / "out").exists()
+
 
 class TestSolve:
     def test_bundled_example_matches_golden_report(self, tmp_path):

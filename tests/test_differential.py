@@ -687,9 +687,23 @@ def test_hull_slope_past_float64_is_refused_naming_the_scores():
     finite, but an importance step over a ~0.01 ms latency step is not.
     Branch-and-bound reported a worse plan than exhaustive as optimal."""
     arch = parse_architecture((DATA / "tiny_mixed.arch.json").read_text())
-    raw = {d: RawScores(dim_id=d, scores=np.array([1e307] + [0.5] * (r.scores.size - 1)))
+    raw = {d: RawScores(dim_id=d, scores=np.array([1e307] + [0.5] * (len(r.scores) - 1)))
            for d, r in synth_scores(arch, 0).items()}
     tables = synth_lut(arch, LatencyModelParams(), 0, noise=0.02)
     oracle, refused = agrees_or_refuses(arch, build_all_vectors(arch, raw), tables, 0.12)
     assert (oracle.status, oracle.importance) == ("optimal", 7e307)
     assert refused == ["branch_and_bound", "heuristic_only"]
+
+
+@pytest.mark.parametrize("lat, imp, hull", [
+    # (18 - 12) * 5.6e307 and (20 - 12) * 2.2e307 both overflow to inf,
+    # which dropped the vertex at 2.2e307.
+    ([0.0, 1.1235582092889474e307, 2.247116418577895e307, 5.617791046444737e307],
+     [12.0, 14.0, 18.0, 20.0], [0, 2, 3]),
+    # Every cross product underflows to 0.0.
+    ([0.0, 1e-200, 4e-200], [0.0, 3e-200, 4e-200], [0, 1, 2]),
+], ids=["overflow", "underflow"])
+def test_hull_keeps_vertices_whose_cross_products_leave_float64(lat, imp, hull):
+    """The vertices are those of the same points at ordinary magnitudes."""
+    assert solver._hull(np.array(lat), np.array(imp)).tolist() == hull
+    assert solver._hull(np.array(lat) / lat[-1], np.array(imp) / imp[-1]).tolist() == hull

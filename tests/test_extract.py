@@ -1,8 +1,11 @@
 import json
+import sys
+from array import array
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from latprune import (
     Assignment,
@@ -16,10 +19,10 @@ from latprune import (
     solve_exhaustive,
     summarize,
 )
-from latprune.extract import serialize_structure
-from latprune.importance import ranked_indices
+from latprune.extract import serialize_structure, top_elements
 
 from conftest import (
+    NUMPY_STATES,
     BlockSpec,
     conv_dim,
     make_arch,
@@ -46,6 +49,18 @@ def scored_inputs(removable=True):
                      data=np.array([[1.0, 2.0, 3.0]])),
     )
     return (arch, vectors, tables), raw
+
+
+@st.composite
+def cut_cases(draw):
+    """(scores, count, cut): many ties, and a cut that is the count-th
+    largest score, another score, any float or None."""
+    scores = draw(st.lists(st.sampled_from([0.0, -0.0, 5e-324, -1.0, 0.5, 2.0, 1e308, -1e308]),
+                           min_size=1, max_size=60))
+    count = draw(st.integers(1, len(scores)))
+    ranked = sorted(scores, reverse=True)
+    cut = draw(st.sampled_from([ranked[count - 1], None]) | st.sampled_from(scores) | st.floats())
+    return scores, count, cut
 
 
 class TestExtract:
@@ -80,11 +95,13 @@ class TestExtract:
             extract_structure(assignment, *inputs, raw)
 
     @given(
-        scores=st.lists(st.sampled_from([0.0, -1.0, 0.5, 2.0]), min_size=1, max_size=60),
+        scores=st.lists(st.sampled_from([0.0, -0.0, 5e-324, -1.0, 0.5, 2.0, 1e308, -1e308]),
+                        min_size=1, max_size=60),
         data=st.data(),
     )
     def test_kept_elements_equal_the_sorted_ranked_prefix(self, scores, data):
-        # Many tied scores: the kept set must follow the ranking's index tie-break.
+        # Many tied scores (0.0 and -0.0 among them): the kept set must follow
+        # the index tie-break of numpy's stable sort, the ranking it replaced.
         n = len(scores)
         arch = make_arch(
             [trunk_dim("t"), conv_dim("c1", n)],
@@ -99,8 +116,24 @@ class TestExtract:
         assignment = Assignment(omega={"c1": count}, kappa={})
         structure = extract_structure(assignment, arch, vectors, tables, raw)
         kept = structure.blocks[0].dims[0].kept_elements
-        assert kept == tuple(sorted(int(i) + 1 for i in ranked_indices(np.array(scores))[:count]))
+        want = np.sort(np.argsort(-np.array(scores), kind="stable")[:count]) + 1
+        assert kept == tuple(want.tolist())
         assert all(type(i) is int for i in kept)
+
+    # A cut above the count-th largest score that some element equals; the
+    # count-th largest itself among ties of 0.0 and -0.0.
+    @example(case=([2.0, 0.5, -1.0], 2, 2.0))
+    @example(case=([0.0, -0.0, 0.5, -0.0], 2, -0.0))
+    @given(case=cut_cases())
+    def test_any_cut_selects_as_the_stable_sort(self, case):
+        # The cut is a hint: the count-th largest score spares a sort, and
+        # any other value (or none) selects the same elements.
+        scores, count, cut = case
+        want = np.sort(np.argsort(-np.array(scores), kind="stable")[:count]) + 1
+        for state in NUMPY_STATES:
+            with mock.patch.dict(sys.modules, state):
+                got = top_elements(array("d", scores), count, cut)
+            assert got == want.tolist() and all(type(i) is int for i in got)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_totals_reproduce_solver_values_exactly(self, seed):

@@ -17,14 +17,18 @@ the structure files carry.
 
 The budget is fuzzed too: any positive finite float, subnormals and values
 near the largest float included, given to ``solve`` in every mode and to a
-two-budget ``sweep`` on valid tiny_mixed documents.
+two-budget ``sweep`` on valid tiny_mixed documents.  So is one record
+appended to valid scores: whatever its id, a dimension the architecture does
+not declare exits 3, naming the id.
 """
 
 import functools
+import io
 import json
 import math
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -231,6 +235,34 @@ def test_every_mutation_exits_with_a_contract_code(workdir, case):
     if command != "check":
         argv += ["--out", str(workdir / "out")]
     assert main(argv) in (0, 2, 3, 4)
+
+
+def declared_dims() -> set[str]:
+    return {dim["id"] for dim in valid_documents()["arch"]["dims"]}
+
+
+@settings(max_examples=30, deadline=None)
+@given(command=st.sampled_from(["check", "extract", "solve"]),
+       dim_id=st.text().filter(lambda d: d not in declared_dims()),
+       scores=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4))
+@example(command="check", dim_id="no_such_dim", scores=[0.5, 0.25])
+def test_scores_for_an_undeclared_dimension_exit_3_naming_it(workdir, command, dim_id, scores):
+    documents = valid_documents()
+    argv = [command, *OPTIONS.get(command, [])]
+    for flag, name in COMMANDS[command].items():
+        doc = documents[name]
+        if name == "scores":
+            doc = {"scores": [*doc["scores"], {"dim_id": dim_id, "scores": scores}]}
+        path = workdir / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        argv += [flag, str(path)]
+    if command != "check":
+        argv += ["--out", str(workdir / "out")]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main(argv) == 3
+    named = f"scores for {dim_id!r}: architecture 'tiny_mixed' declares no such dimension"
+    assert named in (out if command == "check" else err).getvalue()
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,8 @@
 import json
+import re
+import sys
+from array import array
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,9 +21,9 @@ from latprune import (
     synth_scores,
 )
 from latprune.arch import kept_counts, kept_elements
-from latprune.importance import ranked_indices
 
 from conftest import (
+    NUMPY_STATES,
     BlockSpec,
     conv_dim,
     dense_assignment,
@@ -35,25 +39,43 @@ def vec(dim_id, values):
     return RawScores(dim_id=dim_id, scores=np.asarray(values, dtype=float))
 
 
-def assert_ranked_as_stable_sort(scores):
+# Scores whose order or sums a reader can get wrong: ties, both zeros, the
+# smallest subnormals and values whose sums overflow to infinity.
+EDGE_SCORES = [0.0, -0.0, 5e-324, -5e-324, 1.0, -2.5, 1e308, -1e308]
+
+
+def assert_folded_as_the_stable_sort(scores, group):
+    """The vector is numpy's cumulative sum in stable descending order, read
+    at the kept counts (the formulation the reader replaced), bit for bit,
+    and its cutoffs are the sorted scores there: folded by numpy, as in a
+    process that has it loaded, and by the standard library, as in one that
+    has not."""
     x = np.array(scores, dtype=np.float64)
-    got, want = ranked_indices(x), np.argsort(-x, kind="stable")
-    assert got.dtype == want.dtype
-    assert np.array_equal(got, want)
+    dim = conv_dim("d", -(-x.size // group), group=group, max_elements=x.size)
+    kept = np.array([kept_elements(dim, j) for j in range(1, dim.option_count + 1)])
+    ordered = x[np.argsort(-x, kind="stable")]
+    with np.errstate(over="ignore"):
+        want = np.cumsum(ordered)[kept - 1]
+    for state in NUMPY_STATES:
+        with mock.patch.dict(sys.modules, state):
+            got = build_importance_vector(RawScores("d", array("d", scores)), dim)
+        assert isinstance(got.values, array) and got.values.typecode == "d"
+        assert got.values.tobytes() == want.tobytes()
+        assert got.cutoffs.tobytes() == ordered[kept - 1].tobytes()
 
 
-class TestRankedIndices:
-    # Ties, both zeros and NaN: the default sort may order them differently
-    # from the stable one.
-    @example([1.0, 0.0, -0.0] * 20)
-    @given(st.lists(st.sampled_from([0.0, -0.0, float("nan"), 1.0, -2.5, float("inf")]),
-                    max_size=300))
-    def test_tied_scores_rank_as_the_stable_sort(self, scores):
-        assert_ranked_as_stable_sort(scores)
+class TestVectorsAgainstTheStableSort:
+    @example([1.0, 0.0, -0.0] * 20, 1)
+    @example([-0.0, 0.0, -0.0], 1)
+    @example([1e308, 1e308, -1e308, 5e-324], 1)
+    @given(st.lists(st.sampled_from(EDGE_SCORES), min_size=1, max_size=300), st.integers(1, 8))
+    def test_tied_scores_fold_as_the_stable_sort(self, scores, group):
+        assert_folded_as_the_stable_sort(scores, group)
 
-    @given(st.lists(st.floats(-1e6, 1e6), max_size=300, unique=True))
-    def test_distinct_scores_rank_as_the_stable_sort(self, scores):
-        assert_ranked_as_stable_sort(scores)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=300,
+                    unique=True), st.integers(1, 8))
+    def test_distinct_scores_fold_as_the_stable_sort(self, scores, group):
+        assert_folded_as_the_stable_sort(scores, group)
 
 
 class TestBuildVector:
@@ -206,7 +228,7 @@ class TestParseScores:
     def test_single_dim(self):
         out = parse_scores(json.dumps([{"dim_id": "a", "scores": [1.0, 2.0, 3.0]}]))
         assert set(out) == {"a"}
-        assert out["a"].scores.shape == (3,)
+        assert out["a"].scores == array("d", [1.0, 2.0, 3.0])
 
     def test_duplicate_dim_rejected(self):
         doc = json.dumps(
@@ -221,6 +243,24 @@ class TestParseScores:
     def test_non_finite_value_reports_element(self):
         with pytest.raises(ValidationError, match="element 1"):
             parse_scores(json.dumps([{"dim_id": "a", "scores": [1.0, float("nan")]}]))
+
+    # Finite scores whose sum overflows before the first non-finite one.
+    @example([1e308, 1e308, float("inf")])
+    @example([1e308, 1e308])
+    @given(st.lists(st.sampled_from(EDGE_SCORES + [float("nan"), float("inf"), -float("inf")]),
+                    min_size=1, max_size=50))
+    def test_first_non_finite_element_is_the_one_numpy_finds(self, scores):
+        x = np.array(scores)
+        document = json.dumps([{"dim_id": "a", "scores": scores}])
+        for state in NUMPY_STATES:
+            with mock.patch.dict(sys.modules, state):
+                if np.isfinite(x).all():
+                    assert parse_scores(document)["a"].scores.tobytes() == x.tobytes()
+                    continue
+                k = int(np.flatnonzero(~np.isfinite(x))[0])
+                with pytest.raises(ValidationError,
+                                   match=re.escape(f"non-finite value at element {k}: {x[k]}")):
+                    parse_scores(document)
 
     def test_round_trip(self):
         rng = np.random.default_rng(5)
@@ -251,7 +291,7 @@ class TestSynthScores:
         arch = random_architecture(rng)
         scores = synth_scores(arch, 9, "uniform01")
         for s in scores.values():
-            assert np.all(s.scores >= 0.0) and np.all(s.scores < 1.0)
+            assert 0.0 <= min(s.scores) and max(s.scores) < 1.0
 
     def test_exponential_mean(self):
         dims = [trunk_dim("t"), conv_dim("c", 10_000, group=1)]

@@ -1,9 +1,12 @@
 """What importing the package and running a command load.
 
 A command loads only the modules it runs (see the package and CLI module
-docstrings), none loads ``numpy.ma`` unless a bare ``import numpy`` does
-(numpy 1.x), none loads ``dataclasses`` (the record classes are plain
-classes, see ``latprune.record``), none loads ``hashlib`` or OpenSSL's
+docstrings).  Only the commands that solve or synthesize load numpy:
+``check``, ``extract`` and ``compare-latency-models`` read and check the
+documents as standard-library float64 buffers, and none of them loads it.
+None loads ``numpy.ma`` unless numpy is loaded and a bare ``import numpy``
+loads it (numpy 1.x), none loads ``dataclasses`` (the record classes are
+plain classes, see ``latprune.record``), none loads ``hashlib`` or OpenSSL's
 ``_hashlib`` unless ``numpy.random`` does (input digests come from CPython's
 built-in SHA-256; only ``synth`` draws random numbers), and the lazily
 resolved public names are the objects their home modules define.
@@ -26,8 +29,8 @@ ARCH = str(DATA / "tiny_mixed.arch.json")
 
 
 def loaded_modules(code: str) -> set[str]:
-    """The latprune modules, hashlib, _hashlib, numpy.ma and dataclasses
-    loaded by a fresh interpreter after running `code`."""
+    """The latprune modules, hashlib, _hashlib, numpy, numpy.ma and
+    dataclasses loaded by a fresh interpreter after running `code`."""
     script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -40,7 +43,7 @@ def loaded_modules(code: str) -> set[str]:
     modules = json.loads(run.stdout.splitlines()[-1])
     return {m for m in modules
             if m.startswith("latprune")
-            or m in ("hashlib", "_hashlib", "numpy.ma", "dataclasses")}
+            or m in ("hashlib", "_hashlib", "numpy", "numpy.ma", "dataclasses")}
 
 
 def test_import_loads_no_submodule():
@@ -98,7 +101,8 @@ def test_command_loads_numpy_ma_only_if_numpy_does(inputs, tmp_path, command, ex
         f"assert main({[command, *args, *extra]!r}) == 0\n"
     )
     bare = "numpy.ma" in loaded_modules("import numpy")
-    assert ("numpy.ma" in loaded_modules(code)) == bare
+    loaded = loaded_modules(code)
+    assert ("numpy.ma" in loaded) == (bare and "numpy" in loaded)
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +152,13 @@ def modules_of_command(command: str, inputs: Path, chain: Path, tmp_path: Path) 
         f"assert main({[command, *args]!r}) == 0\n"
     )
     return loaded_modules(code)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_only_solving_and_synthesis_load_numpy(inputs, chain, tmp_path, command):
+    loaded = modules_of_command(command, inputs, chain, tmp_path)
+    assert "latprune.latency" in loaded
+    assert ("numpy" in loaded) == (command in ("synth", "solve", "sweep"))
 
 
 @pytest.mark.parametrize("command", COMMANDS)

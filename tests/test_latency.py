@@ -1,13 +1,20 @@
+import base64
+import json
+import math
 import re
+import struct
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latprune import (
     Assignment,
     LatencyModelParams,
     LatencyTable,
+    ParseError,
     PruneTrajectory,
     SolveError,
     TableSet,
@@ -21,8 +28,10 @@ from latprune import (
     serialize_lut,
     synth_lut,
 )
+from latprune.latency import _largest
 
 from conftest import (
+    NUMPY_STATES,
     BlockSpec,
     conv_dim,
     dense_assignment,
@@ -197,9 +206,9 @@ class TestSynthLut:
         arch = make_arch(dims, blocks)
         params = LatencyModelParams(unit_cost=1.0, overhead=0.01, tile=32, spatial=1.0)
         tables = synth_lut(arch, params, seed=0, noise=0.0)
-        row = tables.get(1, "conv_layer", 1).data[0]
+        data = tables.get(1, "conv_layer", 1).data
         # Kept counts 33 and 64 both round up to 64 effective channels.
-        assert row[0] == row[1]
+        assert data[0, 0] == data[0, 1]
 
     def test_noise_is_deterministic(self):
         rng = np.random.default_rng(8)
@@ -372,6 +381,17 @@ class TestReplay:
             replay_trajectory(PruneTrajectory(steps=()), tables, arch)
 
 
+@st.composite
+def shaped_entries(draw):
+    """A rank-2 or rank-3 table shape and its row-major entries: ties, both
+    zeros, subnormals, the largest magnitudes, NaN, infinities and any float."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
+    edge = st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1.0, -5e-324, float("nan"),
+                            float("inf"), -float("inf")])
+    n = math.prod(shape)
+    return shape, draw(st.lists(edge | st.floats(), min_size=n, max_size=n))
+
+
 class TestLutIO:
     def test_round_trip_is_bit_identical(self):
         rng = np.random.default_rng(44)
@@ -408,6 +428,49 @@ class TestLutIO:
                      "axes": ["a", "b"], "shape": [2, 1], "data": [1.0, NaN]}]}
         """
         with pytest.raises(ValidationError, match=r"non-finite entry at index \(1, 0\)$"):
+            parse_lut(doc)
+
+    # Entries whose bits or order a reader can get wrong, and finite entries
+    # whose sum overflows before a non-finite one.
+    @example(case=([2, 2], [1e308, 1e308, float("inf"), -1.0]), b64=False)
+    @example(case=([1, 3], [-0.0, 5e-324, 1e308]), b64=True)
+    @given(case=shaped_entries(), b64=st.booleans())
+    def test_payload_reads_and_bad_entry_is_named_as_numpy_finds_it(self, case, b64):
+        shape, entries = case
+        n = len(entries)
+        record = {"block_id": 1, "part": "mlp" if len(shape) == 2 else "qk",
+                  "axes": ["a", "b", "c"][:len(shape)], "shape": shape}
+        if b64:
+            payload = struct.pack(f"<{n}d", *entries)
+            record["data_b64"] = base64.b64encode(payload).decode()
+            x = np.array(struct.unpack(f"<{n}d", payload)).reshape(shape)
+        else:
+            record["data"] = entries
+            x = np.array(entries).reshape(shape)
+        document = json.dumps({"tables": [record]})
+        for state in NUMPY_STATES:
+            with mock.patch.dict(sys.modules, state):
+                checks = ((~np.isfinite(x), "non-finite"), (x < 0, "negative"))
+                bad, what = next(((b, w) for b, w in checks if b.any()), (None, None))
+                if bad is not None:
+                    index = tuple(np.argwhere(bad)[0].tolist())
+                    with pytest.raises(ValidationError,
+                                       match=re.escape(f"{what} entry at index {index}") + "$"):
+                        parse_lut(document)
+                    continue
+                table = next(iter(parse_lut(document)))
+                assert table.data.shape == x.shape
+                assert np.asarray(table.data).tobytes() == x.tobytes()
+                assert _largest(table.data) == x.max()
+
+    @pytest.mark.parametrize("axes", [64, 65])
+    def test_shape_of_many_axes_named(self, axes):
+        # 64 axes reach the part's rank check; past 64 no array can hold them.
+        doc = json.dumps({"tables": [{"block_id": 1, "part": "mlp", "axes": ["a", "b"],
+                                      "shape": [1] * axes, "data": [1.0]}]})
+        named = ("expected rank 2 data, found rank 64" if axes == 64
+                 else "lut[0]: shape has 65 axes, more than 64")
+        with pytest.raises(ValidationError if axes == 64 else ParseError, match=re.escape(named)):
             parse_lut(doc)
 
     def test_rank_mismatch_for_declared_part(self):
