@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from array import array
 from functools import cached_property
 from numbers import Real
@@ -417,24 +416,11 @@ def numbers(value, where: str) -> array:
     return array("d", [number(v, f"{where}[{i}]") for i, v in enumerate(value)])
 
 
-def loaded_numpy():
-    """numpy if this process has already imported it, else None.  ``solve``,
-    ``sweep`` and ``synth`` import it; the readers never do.  Where a reader
-    scans or sorts an array, numpy does it several times faster once loaded,
-    and the standard library does it otherwise, with the same results."""
-    return sys.modules.get("numpy")
-
-
 def first_non_finite(values) -> int | None:
     """The index of the first NaN or infinite entry of a float64 buffer, or
-    None.  Without numpy, a finite sum clears them all in one pass: an
-    infinite or NaN entry leaves every float sum infinite or NaN (finite
-    entries can sum to inf too, so only then are they looked at one by
-    one)."""
-    np = loaded_numpy()
-    if np is not None:
-        bad = ~np.isfinite(np.frombuffer(values))
-        return int(bad.argmax()) if bad.any() else None
+    None.  A finite sum clears them all in one pass: an infinite or NaN
+    entry leaves every float sum infinite or NaN (finite entries can sum to
+    inf too, so only then are they looked at one by one)."""
     if math.isfinite(sum(values)):
         return None
     return next((i for i, v in enumerate(values) if not math.isfinite(v)), None)

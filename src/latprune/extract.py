@@ -11,7 +11,7 @@ independent check of the reported solution.
 
 from __future__ import annotations
 
-from .arch import ArchitectureSpec, MANIFEST_KEY, dump_json, kept_elements, loaded_numpy
+from .arch import ArchitectureSpec, MANIFEST_KEY, dump_json, kept_elements
 from .errors import ValidationError
 from .importance import Assignment, ImportanceVector, RawScores, objective_value
 from .latency import TableSet, constraint_value
@@ -120,29 +120,12 @@ def top_elements(scores, count: int, cut: float | None = None) -> list[int]:
     largest score, then the first of those equal to it (0.0 and -0.0 are
     equal).  `cut` may give that score (an importance vector's cutoff) to
     spare a sort; a value that is not it is found out, and the scores are
-    sorted.  The scans are numpy's where it is loaded (see
-    ``arch.loaded_numpy``)."""
-    np = loaded_numpy()
-    if np is not None:
-        return _top_numpy(np, np.asarray(scores, dtype=np.float64), count, cut)
+    sorted."""
     scores = scores.tolist()  # floats, from a numpy array too
     kept = None if cut is None else _selected(scores, count, cut)
     if kept is None:
         kept = _selected(scores, count, sorted(scores, reverse=True)[count - 1])
     return kept
-
-
-def _top_numpy(np, x, count: int, cut: float | None) -> list[int]:
-    """``top_elements`` by numpy: the elements above `cut` and the first
-    that equal it when `cut` is the `count`-th largest of `x` (see
-    `_selected`), else the first `count` of numpy's stable sort."""
-    if cut is not None:
-        above = np.flatnonzero(x > cut)
-        if above.size <= count:
-            ties = np.flatnonzero(x == cut)[:count - above.size]
-            if above.size + ties.size == count:
-                return (np.sort(np.concatenate((above, ties))) + 1).tolist()
-    return (np.sort(np.argsort(-x, kind="stable")[:count]) + 1).tolist()
 
 
 def _selected(scores: list[float], count: int, cut: float) -> list[int] | None:

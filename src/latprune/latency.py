@@ -29,8 +29,7 @@ from functools import reduce
 from numbers import Integral
 
 from .arch import ArchitectureSpec, BlockSpec, MANIFEST_KEY, kept_counts, numbers, records
-from .arch import TRANSFORMER_PARTS, dump_json, first_non_finite, loaded_numpy, require_keys
-from .arch import shown, typed
+from .arch import TRANSFORMER_PARTS, dump_json, first_non_finite, require_keys, shown, typed
 from .errors import ParseError, ValidationError
 from .importance import Assignment, synth_rng
 from .record import Record
@@ -43,8 +42,8 @@ class LatencyTable(Record, frozen=True):
     block_id: int
     part: str
     axes: tuple[str, ...]
-    # Milliseconds: a C-contiguous float64 buffer with one axis per entry of
-    # `axes`, an n-d memoryview (format "d") as the readers build it.
+    # Milliseconds, one axis per entry of `axes`: an n-d memoryview (format
+    # "d") as the readers build it, or a numpy array built in code.
     data: memoryview
     layer: int | None = None  # 1-based, conv_layer only
 
@@ -66,16 +65,13 @@ class LatencyTable(Record, frozen=True):
             raise ValidationError(
                 f"{label}: expected {rank} axes, found {len(self.axes)}"
             )
-        view = memoryview(self.data)
-        if view.format != "d" or not view.c_contiguous:
-            raise ValidationError(f"{label}: data must be a C-contiguous float64 buffer")
-        flat = _flat(view)
+        flat, shape = _flat(self.data), self.data.shape
         k = first_non_finite(flat)
         if k is not None:
-            raise ValidationError(f"{label}: non-finite entry at index {_index(k, view.shape)}")
+            raise ValidationError(f"{label}: non-finite entry at index {_index(k, shape)}")
         k = _first_negative(flat)
         if k is not None:
-            raise ValidationError(f"{label}: negative entry at index {_index(k, view.shape)}")
+            raise ValidationError(f"{label}: negative entry at index {_index(k, shape)}")
 
     def label(self) -> str:
         if self.part == "conv_layer":
@@ -84,17 +80,20 @@ class LatencyTable(Record, frozen=True):
 
 
 def _flat(data) -> memoryview:
-    """The entries of a checked table's data (see ``LatencyTable.validate``),
-    row-major, as one flat float64 view."""
-    return memoryview(data).cast("B").cast("d")
+    """The entries of a table's data, row-major, as one flat float64 view.
+    Data in another buffer format or order (a float32, integer or
+    Fortran-order numpy array built in code) is read through numpy as a
+    float64 copy."""
+    view = memoryview(data)
+    if view.format != "d" or not view.c_contiguous:
+        import numpy as np
+
+        view = memoryview(np.ascontiguousarray(data, dtype=np.float64))
+    return view.cast("B").cast("d")
 
 
 def _first_negative(flat: memoryview) -> int | None:
     """The index of the first negative entry of finite `flat`, or None."""
-    np = loaded_numpy()
-    if np is not None:
-        bad = np.frombuffer(flat) < 0
-        return int(bad.argmax()) if bad.any() else None
     if min(flat) >= 0:
         return None
     return next(i for i, v in enumerate(flat) if v < 0)
@@ -102,9 +101,7 @@ def _first_negative(flat: memoryview) -> int | None:
 
 def _largest(data) -> float:
     """The largest entry of a checked table's data."""
-    np = loaded_numpy()
-    flat = _flat(data)
-    return max(flat) if np is None else float(np.frombuffer(flat).max())
+    return max(_flat(data))
 
 
 def _index(k: int, shape: tuple[int, ...]) -> tuple[int, ...]:

@@ -21,11 +21,6 @@ from latprune import (
 from latprune.latency import block_latency
 from latprune.solver import PruningProblem, assemble
 
-# The two ways the readers run (see `latprune.arch.loaded_numpy`), as
-# `mock.patch.dict(sys.modules, state)` states: numpy loaded, as in a solve,
-# and every import of it failing, as in a check.
-NUMPY_STATES = ({}, {"numpy": None})
-
 # `--hypothesis-profile=ci` prints a `@reproduce_failure` blob with each
 # falsifying example, so a failure seen only in CI can be replayed locally.
 settings.register_profile("ci", print_blob=True)
