@@ -421,7 +421,8 @@ def cmd_extract(args) -> int:
     for name in ("omega", "kappa"):
         for key, value in arch_mod.typed(plan[name], dict, f"report: assignment.{name}").items():
             arch_mod.typed(value, int, f"report: assignment.{name}[{key!r}]")
-    if not all(b.isdecimal() for b in plan["kappa"]):
+    # Only the ids the writer emits, str() of an int: ASCII digits, no leading zero.
+    if not all(b.isdecimal() and b == str(int(b)) for b in plan["kappa"]):
         raise ParseError(f"report: assignment.kappa: block ids must be integers, "
                          f"got {sorted(plan['kappa'])}")
     assignment = imp_mod.Assignment(

@@ -1087,6 +1087,10 @@ def _edit(fn):
     return mutate
 
 
+def _alias_kappa(kappa: dict, key: str) -> None:
+    kappa[key] = kappa[str(int(key))]
+
+
 BAD_REPORTS = [
     pytest.param(lambda text: text[:-4], "invalid JSON", id="invalid-json"),
     pytest.param(lambda text: "[1, 2]", "expected an object", id="not-an-object"),
@@ -1111,6 +1115,17 @@ BAD_REPORTS = [
     ),
     pytest.param(
         _edit(lambda r: r["assignment"]["kappa"].update({"x": 1})), "kappa", id="kappa-block-id"
+    ),
+    # Block ids the writer never emits, though int() reads them: "02" as 2
+    # and the Arabic-Indic digit three as 3. Each repeats its block's value,
+    # so the plan read is the solved one.
+    *(
+        pytest.param(
+            _edit(lambda r, key=key: _alias_kappa(r["assignment"]["kappa"], key)),
+            "report: assignment.kappa: block ids must be integers",
+            id=name,
+        )
+        for key, name in (("02", "kappa-leading-zero"), ("\u0663", "kappa-non-ascii-digit"))
     ),
     pytest.param(
         _edit(lambda r: r["assignment"]["omega"].update(zz_unknown=1)),
@@ -1171,6 +1186,13 @@ class TestExtractCommand:
         solved.pop("_manifest")
         re_extracted.pop("_manifest")
         assert solved == re_extracted
+        for name in ("summary.csv", "summary.txt"):  # their stamp lines aside
+            solved, re_extracted = (
+                [line for line in (d / name).read_text().splitlines()
+                 if not line.startswith(("# manifest: ", "manifest: "))]
+                for d in (run, out)
+            )
+            assert solved == re_extracted, name
 
     @pytest.mark.parametrize("mutate, named", BAD_REPORTS)
     def test_malformed_report_exits_3_and_names_the_field(
@@ -1320,6 +1342,7 @@ class TestProcessEntry:
         # default file encoding and standard output are ASCII.
         ascii_locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
         doc = json.loads((DATA / "tiny_mixed.arch.json").read_text())
+        doc["name"] += "_é"  # written into structure.json and summary.txt
         renamed = {d["id"]: d["id"] + "_é" for d in doc["dims"] if d["role"] != "fixed_external"}
         for d in doc["dims"]:
             d["id"] = renamed.get(d["id"], d["id"])
@@ -1332,6 +1355,13 @@ class TestProcessEntry:
         assert self.process(args, **ascii_locale).returncode == 0
         assert self.entry(solve_args(arch, inputs, tmp_path / "default", "0.12")) == 0
         self.assert_same_outputs(tmp_path / "ascii", tmp_path / "default")
+        extract = ["extract", "--report", str(tmp_path / "default" / "report.json"), "--arch",
+                   str(arch), "--scores", str(inputs / "scores.json"), "--lut",
+                   str(inputs / "lut.json"), "--out"]
+        for locale, env in (("ascii", ascii_locale), ("default", {})):
+            assert self.process([*extract, str(tmp_path / f"extract_{locale}")],
+                                **env).returncode == 0
+        self.assert_same_outputs(tmp_path / "extract_ascii", tmp_path / "extract_default")
         # A FAIL line naming such an id is printed escaped.
         scores = json.loads((inputs / "scores.json").read_text())
         scores["scores"] = [r for r in scores["scores"] if r["dim_id"] != "b1_c1_é"]

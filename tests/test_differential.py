@@ -39,6 +39,7 @@ The drawn instances include chains fed by a permanent block's conv output,
 nested or not, the one cross-block dependency in the model.
 """
 
+import json
 import math
 import sys
 from pathlib import Path
@@ -51,7 +52,6 @@ from hypothesis import example, given, settings, strategies as st
 from latprune import (
     Assignment,
     BlockSpec,
-    LatencyModelParams,
     LatencyTable,
     SolverConfig,
     TableSet,
@@ -60,13 +60,14 @@ from latprune import (
     build_all_vectors,
     constraint_value,
     parse_architecture,
+    parse_lut,
+    parse_scores,
     solve,
     solve_budgets,
     solve_exhaustive,
-    synth_lut,
-    synth_scores,
 )
 from latprune import solver
+from latprune.cli import main
 from latprune.importance import ImportanceVector, RawScores
 from latprune.latency import block_latency
 from latprune.solver import _frontiers, _lp_rounding, _pareto_dp, _plan, _room
@@ -681,18 +682,38 @@ def test_any_magnitude_solves_as_exhaustive_or_is_refused(case, percent, e, f):
     agrees_or_refuses(arch, vectors, scaled, budget)
 
 
-def test_hull_slope_past_float64_is_refused_naming_the_scores():
+def test_hull_slope_past_float64_is_refused_naming_the_scores(tmp_path, capsys):
     """tiny_mixed as `latprune synth --seed 0` writes it, with the first
     score of every dimension at 1e307 and the rest at 0.5: every total is
     finite, but an importance step over a ~0.01 ms latency step is not.
-    Branch-and-bound reported a worse plan than exhaustive as optimal."""
-    arch = parse_architecture((DATA / "tiny_mixed.arch.json").read_text())
-    raw = {d: RawScores(dim_id=d, scores=np.array([1e307] + [0.5] * (len(r.scores) - 1)))
-           for d, r in synth_scores(arch, 0).items()}
-    tables = synth_lut(arch, LatencyModelParams(), 0, noise=0.02)
+    Branch-and-bound reported a worse plan than exhaustive as optimal. In
+    the CLI, `solve` and `sweep` exit 3 naming the scores and write nothing;
+    `check` builds no bound, so it prints OK (README, "Finite slopes")."""
+    arch_path, inputs = DATA / "tiny_mixed.arch.json", tmp_path / "inputs"
+    assert main(["synth", "--arch", str(arch_path), "--seed", "0", "--out", str(inputs)]) == 0
+    doc = json.loads((inputs / "scores.json").read_text())
+    for record in doc["scores"]:
+        record["scores"] = [1e307] + [0.5] * (len(record["scores"]) - 1)
+    (inputs / "scores.json").write_text(json.dumps(doc))
+    arch = parse_architecture(arch_path.read_text())
+    raw = parse_scores((inputs / "scores.json").read_text())
+    tables = parse_lut((inputs / "lut.json").read_text())
     oracle, refused = agrees_or_refuses(arch, build_all_vectors(arch, raw), tables, 0.12)
     assert (oracle.status, oracle.importance) == ("optimal", 7e307)
     assert refused == ["branch_and_bound", "heuristic_only"]
+    docs = ["--arch", str(arch_path), "--scores", str(inputs / "scores.json"),
+            "--lut", str(inputs / "lut.json")]
+    capsys.readouterr()
+    for command, budget in (("solve", "--budget-ms=0.12"), ("sweep", "--budgets=0.1,0.12")):
+        out = tmp_path / command
+        assert main([command, *docs, budget, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: importance vectors: a hull step's importance per ms passes float64's range; "
+            "scale the scores down"
+        )
+        assert not out.exists()
+    assert main(["check", *docs]) == 0
+    assert capsys.readouterr().out.endswith("problem shapes: OK\nOK\n")
 
 
 @pytest.mark.parametrize("lat, imp, hull", [

@@ -12,6 +12,7 @@ built-in SHA-256; only ``synth`` draws random numbers), and the lazily
 resolved public names are the objects their home modules define.
 """
 
+import functools
 import importlib.util
 import json
 import os
@@ -28,9 +29,11 @@ DATA = Path(__file__).parent.parent / "demos" / "data"
 ARCH = str(DATA / "tiny_mixed.arch.json")
 
 
-def loaded_modules(code: str) -> set[str]:
+@functools.cache
+def loaded_modules(code: str) -> frozenset[str]:
     """The latprune modules, hashlib, _hashlib, numpy, numpy.ma and
-    dataclasses loaded by a fresh interpreter after running `code`."""
+    dataclasses loaded by a fresh interpreter after running `code`.  Each
+    code runs once: the tests below read the same runs."""
     script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -41,9 +44,9 @@ def loaded_modules(code: str) -> set[str]:
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
     modules = json.loads(run.stdout.splitlines()[-1])
-    return {m for m in modules
-            if m.startswith("latprune")
-            or m in ("hashlib", "_hashlib", "numpy", "numpy.ma", "dataclasses")}
+    return frozenset(m for m in modules
+                     if m.startswith("latprune")
+                     or m in ("hashlib", "_hashlib", "numpy", "numpy.ma", "dataclasses"))
 
 
 def test_import_loads_no_submodule():
@@ -51,65 +54,16 @@ def test_import_loads_no_submodule():
 
 
 @pytest.fixture(scope="module")
-def inputs(tmp_path_factory) -> Path:
-    out = tmp_path_factory.mktemp("inputs")
-    assert main(["synth", "--arch", ARCH, "--seed", "0", "--out", str(out)]) == 0
-    return out
-
-
-@pytest.mark.parametrize("command, extra, unloaded", [
-    ("synth", ["--seed", "1"], {"latprune.solver", "latprune.extract"}),
-    ("check", [], {"latprune.solver", "latprune.extract", "hashlib"}),
-    ("sweep", ["--budgets", "0.2,0.3"], {"latprune.extract"}),
-    ("extract", [], {"latprune.solver"}),  # a saved plan is rechecked, not solved
-])
-def test_command_loads_only_what_it_runs(inputs, tmp_path, command, extra, unloaded):
-    args = ["--arch", ARCH]
-    if command != "synth":
-        args += ["--scores", str(inputs / "scores.json"), "--lut", str(inputs / "lut.json")]
-    if command == "extract":
-        run = tmp_path / "run"
-        assert main(["solve", *args, "--budget-ms", "0.25", "--out", str(run)]) == 0
-        args += ["--report", str(run / "report.json")]
-    if command != "check":
-        args += ["--out", str(tmp_path / "out")]
-    code = (
-        "from latprune.cli import main\n"
-        f"assert main({[command, *args, *extra]!r}) == 0\n"
-    )
-    loaded = loaded_modules(code)
-    assert "latprune.latency" in loaded
-    assert not loaded & unloaded
-
-
-@pytest.mark.parametrize("command, extra", [
-    ("solve", ["--budget-ms", "0.25"]),
-    ("solve", ["--budget-ms", "0.25", "--mode", "heuristic_only"]),
-    ("sweep", ["--budgets", "0.2,0.3"]),
-    ("extract", []),
-], ids=["solve", "solve-heuristic_only", "sweep", "extract"])
-def test_command_loads_numpy_ma_only_if_numpy_does(inputs, tmp_path, command, extra):
-    docs = ["--arch", ARCH, "--scores", str(inputs / "scores.json"),
-            "--lut", str(inputs / "lut.json")]
-    args = [*docs, "--out", str(tmp_path / "out")]
-    if command == "extract":
-        run = tmp_path / "run"
-        assert main(["solve", *docs, "--budget-ms", "0.25", "--out", str(run)]) == 0
-        args += ["--report", str(run / "report.json")]
-    code = (
-        "from latprune.cli import main\n"
-        f"assert main({[command, *args, *extra]!r}) == 0\n"
-    )
-    bare = "numpy.ma" in loaded_modules("import numpy")
-    loaded = loaded_modules(code)
-    assert ("numpy.ma" in loaded) == (bare and "numpy" in loaded)
-
-
-@pytest.fixture(scope="module")
-def chain(tmp_path_factory) -> Path:
-    """A one-chain architecture, its synthesized tables and a trajectory
-    over it, for ``compare-latency-models``."""
-    out = tmp_path_factory.mktemp("chain")
+def documents(tmp_path_factory) -> Path:
+    """tiny_mixed's synthesized documents, a solve report over them for
+    ``extract``, and a one-chain architecture with tables and a trajectory
+    over it for ``compare-latency-models``."""
+    root = tmp_path_factory.mktemp("documents")
+    assert main(["synth", "--arch", ARCH, "--seed", "0", "--out", str(root)]) == 0
+    assert main(["solve", "--arch", ARCH, "--scores", str(root / "scores.json"),
+                 "--lut", str(root / "lut.json"), "--budget-ms", "0.25",
+                 "--out", str(root / "run")]) == 0
+    chain = root / "chain"
     arch = {
         "name": "chain",
         "dims": [
@@ -120,50 +74,77 @@ def chain(tmp_path_factory) -> Path:
         "blocks": [{"id": 1, "kind": "cnn_chain", "removable": False, "input_ref": "stem",
                     "dims": ["c1"]}],
     }
-    (out / "arch.json").write_text(json.dumps(arch))
-    assert main(["synth", "--arch", str(out / "arch.json"), "--out", str(out)]) == 0
-    (out / "trajectory.json").write_text(json.dumps({"steps": [{"c1": 1}]}))
-    return out
+    chain.mkdir()
+    (chain / "arch.json").write_text(json.dumps(arch))
+    assert main(["synth", "--arch", str(chain / "arch.json"), "--out", str(chain)]) == 0
+    (chain / "trajectory.json").write_text(json.dumps({"steps": [{"c1": 1}]}))
+    return root
 
 
 COMMANDS = ["synth", "check", "solve", "sweep", "extract", "compare-latency-models"]
+# What a solve and a sweep need besides the documents and the output directory.
+FLAGS = {"solve": ["--budget-ms", "0.25"], "sweep": ["--budgets", "0.2,0.3"]}
 
 
-def modules_of_command(command: str, inputs: Path, chain: Path, tmp_path: Path) -> set[str]:
-    """`loaded_modules` of a process that runs `command` on the tiny_mixed
-    inputs (the one-chain instance for ``compare-latency-models``)."""
-    docs = ["--arch", ARCH, "--scores", str(inputs / "scores.json"),
-            "--lut", str(inputs / "lut.json")]
-    out = ["--out", str(tmp_path / "out")]
+def modules_of_command(documents: Path, command: str, *extra: str) -> frozenset[str]:
+    """`loaded_modules` of a process that runs `command` with `extra` on the
+    tiny_mixed documents (the one-chain instance for
+    ``compare-latency-models``)."""
+    docs = ["--arch", ARCH, "--scores", str(documents / "scores.json"),
+            "--lut", str(documents / "lut.json")]
+    out = ["--out", str(documents / "out" / command)]
+    chain = documents / "chain"
     args = {
         "synth": ["--arch", ARCH, *out],
         "check": docs,
-        "solve": [*docs, "--budget-ms", "0.25", *out],
-        "sweep": [*docs, "--budgets", "0.2,0.3", *out],
-        "extract": [*docs, "--report", str(tmp_path / "run" / "report.json"), *out],
+        "solve": [*docs, *out],
+        "sweep": [*docs, *out],
+        "extract": [*docs, "--report", str(documents / "run" / "report.json"), *out],
         "compare-latency-models": [
             "--arch", str(chain / "arch.json"), "--lut", str(chain / "lut.json"),
             "--trajectory", str(chain / "trajectory.json"), *out],
     }[command]
-    if command == "extract":
-        assert main(["solve", *docs, "--budget-ms", "0.25", "--out", str(tmp_path / "run")]) == 0
     code = (
         "from latprune.cli import main\n"
-        f"assert main({[command, *args]!r}) == 0\n"
+        f"assert main({[command, *args, *extra]!r}) == 0\n"
     )
     return loaded_modules(code)
 
 
+@pytest.mark.parametrize("command, extra, unloaded", [
+    ("synth", [], {"latprune.solver", "latprune.extract"}),
+    ("check", [], {"latprune.solver", "latprune.extract", "hashlib"}),
+    ("sweep", FLAGS["sweep"], {"latprune.extract"}),
+    ("extract", [], {"latprune.solver"}),  # a saved plan is rechecked, not solved
+])
+def test_command_loads_only_what_it_runs(documents, command, extra, unloaded):
+    loaded = modules_of_command(documents, command, *extra)
+    assert "latprune.latency" in loaded
+    assert not loaded & unloaded
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("solve", FLAGS["solve"]),
+    ("solve", [*FLAGS["solve"], "--mode", "heuristic_only"]),
+    ("sweep", FLAGS["sweep"]),
+    ("extract", []),
+], ids=["solve", "solve-heuristic_only", "sweep", "extract"])
+def test_command_loads_numpy_ma_only_if_numpy_does(documents, command, extra):
+    bare = "numpy.ma" in loaded_modules("import numpy")
+    loaded = modules_of_command(documents, command, *extra)
+    assert ("numpy.ma" in loaded) == (bare and "numpy" in loaded)
+
+
 @pytest.mark.parametrize("command", COMMANDS)
-def test_only_solving_and_synthesis_load_numpy(inputs, chain, tmp_path, command):
-    loaded = modules_of_command(command, inputs, chain, tmp_path)
+def test_only_solving_and_synthesis_load_numpy(documents, command):
+    loaded = modules_of_command(documents, command, *FLAGS.get(command, []))
     assert "latprune.latency" in loaded
     assert ("numpy" in loaded) == (command in ("synth", "solve", "sweep"))
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_no_command_loads_dataclasses(inputs, chain, tmp_path, command):
-    loaded = modules_of_command(command, inputs, chain, tmp_path)
+def test_no_command_loads_dataclasses(documents, command):
+    loaded = modules_of_command(documents, command, *FLAGS.get(command, []))
     assert "latprune.record" in loaded
     assert "dataclasses" not in loaded
 
@@ -174,8 +155,8 @@ def test_no_command_loads_dataclasses(inputs, chain, tmp_path, command):
            "input digests come from hashlib",
 )
 @pytest.mark.parametrize("command", COMMANDS)
-def test_no_command_loads_openssl(inputs, chain, tmp_path, command):
-    loaded = modules_of_command(command, inputs, chain, tmp_path)
+def test_no_command_loads_openssl(documents, command):
+    loaded = modules_of_command(documents, command, *FLAGS.get(command, []))
     assert "latprune.cli" in loaded
     openssl = loaded & {"hashlib", "_hashlib"}
     if command == "synth":
