@@ -25,7 +25,6 @@ from . import importance as imp_mod
 from . import latency as lat_mod
 from .arch import MANIFEST_KEY
 from .errors import LatPruneError, ParseError, SolveError, ValidationError
-from .record import Record
 
 if TYPE_CHECKING:
     from .solver import SolverConfig
@@ -46,28 +45,6 @@ def __getattr__(name: str):
     if name in _LAZY:
         return importlib.import_module(f".{_LAZY[name]}", __package__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-class RunManifest(Record, frozen=True):
-    """Input hashes and parameters of one command invocation."""
-
-    command: str
-    inputs: dict[str, dict[str, str]]  # name -> {path, sha256}
-    params: dict
-
-    def to_obj(self) -> dict:
-        return {"command": self.command, "inputs": self.inputs, "params": self.params}
-
-    def hash(self) -> str:
-        # Content-addressed: input paths are recorded for humans but do not
-        # enter the hash, so identical content reproduces identical outputs
-        # from any directory.
-        hashed_inputs = {name: entry["sha256"] for name, entry in self.inputs.items()}
-        payload = json.dumps(
-            {"command": self.command, "inputs": hashed_inputs, "params": self.params},
-            sort_keys=True,
-        ).encode()
-        return _sha256_hex(payload)
 
 
 def _sha256_hex(data: bytes) -> str:
@@ -99,17 +76,22 @@ def _read_text(name: str, path: str) -> str:
     return _decode(Path(path).read_bytes(), name, path)
 
 
-def _manifest(
-    command: str, inputs: dict[str, str], params: dict
-) -> tuple[RunManifest, dict[str, str]]:
-    """The run's manifest and its input documents as text.  Each file is
-    read once, so the hash covers exactly the bytes that are parsed."""
+def _manifest(command: str, inputs: dict[str, str], params: dict) -> tuple[dict, dict[str, str]]:
+    """The run's manifest, as manifest.json holds it, and its input documents
+    as text.  Each file is read once, so the hash covers exactly the bytes
+    that are parsed."""
     hashed, texts = {}, {}
     for name, path in inputs.items():
         data = Path(path).read_bytes()
         hashed[name] = {"path": str(path), "sha256": _sha256_hex(data)}
         texts[name] = _decode(data, name, path)
-    return RunManifest(command=command, inputs=hashed, params=params), texts
+    # Content-addressed: input paths are recorded for humans but do not enter
+    # the hash, so identical content reproduces identical outputs from any
+    # directory.
+    payload = {"command": command, "inputs": {n: e["sha256"] for n, e in hashed.items()},
+               "params": params}
+    digest = _sha256_hex(json.dumps(payload, sort_keys=True).encode())
+    return {"command": command, "inputs": hashed, "params": params, "hash": digest}, texts
 
 
 def _write(path: Path, text: str) -> None:
@@ -123,10 +105,6 @@ def _write_json(path: Path, obj: dict) -> None:
     # Encoded before the file is opened, so a value JSON cannot hold writes
     # nothing.
     _write(path, arch_mod.dump_json(obj))
-
-
-def _write_manifest(out: Path, manifest: RunManifest) -> None:
-    _write_json(out / "manifest.json", {**manifest.to_obj(), "hash": manifest.hash()})
 
 
 def _write_structure(out: Path, structure, stamp: str) -> None:
@@ -247,9 +225,9 @@ def cmd_synth(args) -> int:
     scores = imp_mod.synth_scores(arch, args.seed, args.distribution)
     tables = lat_mod.synth_lut(arch, params, args.seed, noise=args.noise)
     out = Path(args.out)
-    _write_json(out / "scores.json", imp_mod.scores_to_obj(scores, manifest=manifest.hash()))
-    _write_json(out / "lut.json", lat_mod.lut_to_obj(tables, manifest=manifest.hash()))
-    _write_manifest(out, manifest)
+    _write_json(out / "scores.json", imp_mod.scores_to_obj(scores, manifest=manifest["hash"]))
+    _write_json(out / "lut.json", lat_mod.lut_to_obj(tables, manifest=manifest["hash"]))
+    _write_json(out / "manifest.json", manifest)
     print(f"synth: wrote scores.json and lut.json under {out}")
     return EXIT_OK
 
@@ -307,10 +285,10 @@ def cmd_solve(args) -> int:
     solution = solver_mod.solve(problem, config)
 
     out = Path(args.out)
-    stamp = manifest.hash()
+    stamp = manifest["hash"]
     _write_json(out / "report.json", _solution_report(solution, args.budget_ms, stamp))
     _write_json(out / "timing.json", {"wall_time_s": solution.wall_time})
-    _write_manifest(out, manifest)
+    _write_json(out / "manifest.json", manifest)
     if solution.status == "infeasible":
         print(f"solve: infeasible ({solution.message})")
         return EXIT_INFEASIBLE
@@ -340,7 +318,7 @@ def cmd_sweep(args) -> int:
     manifest, _, arch, raw_scores, vectors, tables = _load_problem(
         args, "sweep", {"budgets_ms": budgets, **params}
     )
-    stamp = manifest.hash()
+    stamp = manifest["hash"]
     rows = [f"# manifest: {stamp}", "budget_ms,status,importance,latency_ms,gap,node_count"]
     # One assembled problem and one batch: every budget reuses its frontiers
     # and LP bound, and the merge runs all budgets side by side.
@@ -367,7 +345,7 @@ def cmd_sweep(args) -> int:
     _write(out / "sweep.csv", "\n".join(rows) + "\n")
     # The batch's solve time, from its start to its last report.
     _write_json(out / "timing.json", {"wall_time_s": max(s.wall_time for s in solutions)})
-    _write_manifest(out, manifest)
+    _write_json(out / "manifest.json", manifest)
     print(f"sweep: wrote {len(budgets)} rows to {out / 'sweep.csv'}")
     return EXIT_OK
 
@@ -384,7 +362,7 @@ def cmd_compare_latency_models(args) -> int:
     traj = lat_mod.PruneTrajectory(steps=tuple(steps))
     report = lat_mod.replay_trajectory(traj, tables, arch)
 
-    stamp = manifest.hash()
+    stamp = manifest["hash"]
     rows = [f"# manifest: {stamp}", "step,scope,dim_id,true_ms,linear_ms,gap,epsilon,bound"]
     for step in report:
         rows.append(
@@ -394,7 +372,7 @@ def cmd_compare_latency_models(args) -> int:
             rows.append(f"{step.step},layer,{dim_id},,,,{eps!r},{bound!r}")
     out = Path(args.out)
     _write(out / "latency_models.csv", "\n".join(rows) + "\n")
-    _write_manifest(out, manifest)
+    _write_json(out / "manifest.json", manifest)
     print(f"compare-latency-models: wrote {out / 'latency_models.csv'}")
     return EXIT_OK
 
@@ -421,10 +399,11 @@ def cmd_extract(args) -> int:
     for name in ("omega", "kappa"):
         for key, value in arch_mod.typed(plan[name], dict, f"report: assignment.{name}").items():
             arch_mod.typed(value, int, f"report: assignment.{name}[{key!r}]")
-    # Only the ids the writer emits, str() of an int: ASCII digits, no leading zero.
-    if not all(b.isdecimal() and b == str(int(b)) for b in plan["kappa"]):
+    # Only the ids the writer emits, str() of an int: ASCII digits, no leading
+    # zero, and no more than 640, the least digit limit int() can be set to.
+    if not all(b.isdecimal() and len(b) <= 640 and b == str(int(b)) for b in plan["kappa"]):
         raise ParseError(f"report: assignment.kappa: block ids must be integers, "
-                         f"got {sorted(plan['kappa'])}")
+                         f"got {arch_mod.shown(sorted(plan['kappa']))}")
     assignment = imp_mod.Assignment(
         omega=dict(plan["omega"]), kappa={int(b): k for b, k in plan["kappa"].items()}
     )
@@ -446,8 +425,8 @@ def cmd_extract(args) -> int:
         raise ValidationError(f"report: the plan's latency {structure.latency!r} ms exceeds "
                               f"budget_ms {budget!r}")
     out = Path(args.out)
-    _write_structure(out, structure, manifest.hash())
-    _write_manifest(out, manifest)
+    _write_structure(out, structure, manifest["hash"])
+    _write_json(out / "manifest.json", manifest)
     print(f"extract: wrote structure files under {out}")
     return EXIT_OK
 

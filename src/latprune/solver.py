@@ -546,7 +546,8 @@ class _Bound:
         np.maximum(j - 1, 0, out=j)
         # imp + base + (cum_imp[j] + slope[j] * (extra - cum_lat[j])) in place; + and * commute
         extra -= self.cum_lat[k][j]
-        extra *= self.slope[k][j]
+        with np.errstate(over="ignore"):  # -inf only for a candidate that cannot fit
+            extra *= self.slope[k][j]
         extra += self.cum_imp[k][j]
         extra += imp + self.base_imp[k]
         return extra
@@ -720,13 +721,17 @@ def _pareto_dp(models, frontiers, bound, floor, tolerance, deadline, margin, roo
     last = len(frontiers) - 1
 
     # Lagrangian pre-cut at each budget's root LP multiplier lam: for any
-    # completion, importance <= imp + lam * (room - lat) + phi[k + 1] with
-    # phi[k] = sum over blocks b >= k of max(imp - lam * lat), which is
-    # separable, so each parent expands only the points of highest
-    # imp - lam * lat.  The exact LP bound then judges those.
+    # completion, importance <= imp + lam * (room - base_lat[k] - lat) +
+    # phi[k + 1] with phi[k] = sum over blocks b >= k of max(imp - lam * (lat
+    # - the block's least latency)), which is separable, so each parent
+    # expands only the points of highest score.  The exact LP bound then
+    # judges those.  Latency is priced above each block's fastest point, so
+    # no term of a point that fits can overflow; one that cannot fit may
+    # score -inf.  Each block's scores are budget by point.
     i = np.searchsorted(bound.cum_lat[0], room - bound.base_lat[0], side="right") - 1
     lam = bound.slope[0][i]
-    scores = [f.imp - lam[:, None] * f.lat for f in frontiers]  # budget by point
+    with np.errstate(over="ignore"):
+        scores = [f.imp - lam[:, None] * (f.lat - f.lat[f.hull[0]]) for f in frontiers]
     top = np.array([s.max(axis=1) for s in scores]).reshape(-1, n)
     phi = np.concatenate((np.cumsum(top[::-1], axis=0)[::-1], np.zeros((1, n))))
 
@@ -737,7 +742,7 @@ def _pareto_dp(models, frontiers, bound, floor, tolerance, deadline, margin, roo
             dims = open_dims + [model.dim_ids[p] for p in f.reads]
             still = [c for c, d in enumerate(dims) if last_reader[d] > k]
             open_dims = [dims[c] for c in still]
-        head = imp + phi[k + 1][bud] + lam[bud] * (room[bud] - lat)
+        head = imp + phi[k + 1][bud] + lam[bud] * (room[bud] - bound.base_lat[k] - lat)
         need = (floor + tolerance - 2 * margin)[bud] - head
         perm, start, counts = _precut(scores[k], f.inp, f.offsets, bud, sets, need)
         rest = np.flatnonzero(counts < f.sizes[sets])

@@ -90,6 +90,11 @@ class TestParse:
         with pytest.raises(ValidationError, match="x9"):
             parse_architecture(json.dumps(doc))
 
+    def test_undeclared_dimension_named(self):
+        arch = parse_architecture(json.dumps(MINIMAL_DOC))
+        with pytest.raises(ValidationError, match="unknown dimension 'x9'"):
+            arch.dim("x9")
+
     def test_dangling_input_ref(self):
         doc = json.loads(json.dumps(MINIMAL_DOC))
         doc["blocks"][0]["input_ref"] = "nope"
@@ -330,6 +335,14 @@ class TestValidateShapes:
         some_dim = next(iter(vectors))
         del vectors[some_dim]
         with pytest.raises(ValidationError, match=some_dim):
+            validate_problem_shapes(arch, tables, vectors)
+
+    def test_wrong_vector_length_named(self):
+        arch, tables, vectors = self._consistent(4)
+        dim_id, vec = next(iter(vectors.items()))
+        vectors[dim_id] = ImportanceVector(dim_id, array("d", [*vec.values, 0.0]))
+        with pytest.raises(ValidationError, match=rf"importance vector for '{dim_id}': expected "
+                                                  rf"length {len(vec.values)}, found "):
             validate_problem_shapes(arch, tables, vectors)
 
     @pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])

@@ -1012,6 +1012,7 @@ class TestCompareLatencyModels:
             ('{"steps": [{"c1": "x", "c2": 1}]}', "'c1'"),
             ('{"steps": [{"c1": true, "c2": 1}]}', "'c1'"),
             ('{"steps": [["c1", "c2"]]}', "step 0"),
+            ('{"steps": [{"c1": 5, "c2": 1}]}', "'c1' option 5 out of range [1, 4]"),
         ],
     )
     def test_malformed_trajectory_exits_3(self, tmp_path, capsys, text, named):
@@ -1126,6 +1127,12 @@ BAD_REPORTS = [
             id=name,
         )
         for key, name in (("02", "kappa-leading-zero"), ("\u0663", "kappa-non-ascii-digit"))
+    ),
+    # Past int()'s digit limit, which raised ValueError with a traceback.
+    pytest.param(
+        _edit(lambda r: r["assignment"]["kappa"].update({"9" * 5000: 1})),
+        "report: assignment.kappa: block ids must be integers",
+        id="kappa-past-the-digit-limit",
     ),
     pytest.param(
         _edit(lambda r: r["assignment"]["omega"].update(zz_unknown=1)),

@@ -31,9 +31,10 @@
   merge, whose floors rise chunk by chunk at the last stage, must equal
   each budget's merge alone, node counts included.
 * with importance and latency scaled by powers of two over float64's whole
-  exponent range, ``branch_and_bound`` must return exhaustive's status and
-  importance or refuse the problem naming the scores, and
-  ``heuristic_only`` must report finite sums or refuse it too.
+  exponent range, each latency table by its own, ``branch_and_bound`` must
+  return exhaustive's status and importance or refuse the problem naming
+  the scores, and ``heuristic_only`` must report finite sums or refuse it
+  too; neither may warn.
 
 The drawn instances include chains fed by a permanent block's conv output,
 nested or not, the one cross-block dependency in the model.
@@ -662,23 +663,55 @@ def agrees_or_refuses(arch, vectors, tables, budget):
     return oracle, refused
 
 
+def chains(count):
+    """(arch, raw scores, tables) of `count` one-layer chains on the trunk,
+    the first permanent and the others removable, every score and latency 1."""
+    layers = [conv_dim(f"b{b}_c1", 1) for b in range(1, count + 1)]
+    arch = make_arch([trunk_dim("trunk"), *layers], [
+        BlockSpec(id=b, kind="cnn_chain", dims=(d.id,), removable=b > 1, input_ref="trunk")
+        for b, d in enumerate(layers, 1)
+    ])
+    raw = {d.id: RawScores(dim_id=d.id, scores=np.ones(d.max_elements)) for d in arch.dims.values()}
+    tables = TableSet()
+    for block in arch.blocks:
+        (part, layer, dims), = arch.parts(block)
+        tables.add(LatencyTable(block_id=block.id, part=part, layer=layer,
+                                axes=tuple(d.id for d in dims), data=np.ones((1, 1))))
+    return arch, raw, tables
+
+
 @settings(max_examples=200, deadline=None)
 @given(instances(max_layers=2), st.integers(0, 110), st.integers(-1080, 1023),
-       st.integers(-1080, 1022))
-def test_any_magnitude_solves_as_exhaustive_or_is_refused(case, percent, e, f):
-    """Importance scaled by 2^e and latencies and budget by 2^f, over
-    float64's whole exponent range: scaling by a power of two is exact until
-    a value leaves the normal range, so the instance is the drawn one."""
+       st.integers(-1080, 1022), st.lists(st.integers(0, 64), min_size=1, max_size=3))
+# The 2^58 ms chain's slope times the permanent 2^64 ms chain's latency
+# overflowed in the pre-cut.
+@example(chains(2), 99, 1018, 64, [0, 6])
+# The 1 ms chain's slope times the overshoot of the 2^64 ms chain, which does
+# not fit, overflowed in the LP bound.
+@example(chains(3), 50, 1000, 64, [64, 0, 64])
+# The 2^58 ms chain's slope times the 2^64 ms chain's latency: that chain does
+# not fit, and its pre-cut score is -inf.
+@example(chains(3), 1, 1020, 64, [64, 6, 0])
+def test_any_magnitude_solves_as_exhaustive_or_is_refused(case, percent, e, f, g):
+    """Importance scaled by 2^e, the i-th latency table by its own 2^(f - g[i])
+    (cyclically), so blocks' latencies may differ widely, and the budget by
+    2^(f - 64), over float64's whole exponent range: scaling by a power of
+    two is exact until a value leaves the normal range, so the instance is
+    the drawn one."""
     arch, raw, tables = case
-    dense = constraint_value(dense_assignment(arch), tables, arch)
+    spread = TableSet()  # entries still integers at 2^(64 - g[i]): the budget rounds there
+    for i, t in enumerate(tables):
+        spread.add(LatencyTable(block_id=t.block_id, part=t.part, layer=t.layer,
+                                axes=t.axes, data=np.ldexp(t.data, 64 - g[i % len(g)])))
+    dense = constraint_value(dense_assignment(arch), spread, arch)
     with np.errstate(over="ignore"):  # an inf entry is refused by assemble
         vectors = {d: ImportanceVector(dim_id=d, values=np.ldexp(v.values, e))
                    for d, v in build_all_vectors(arch, raw).items()}
         scaled = TableSet()
-        for t in tables:
+        for t in spread:
             scaled.add(LatencyTable(block_id=t.block_id, part=t.part, layer=t.layer,
-                                    axes=t.axes, data=np.ldexp(t.data, f)))
-        budget = float(np.ldexp(max(1.0, float(round(dense * percent / 100))), f))
+                                    axes=t.axes, data=np.ldexp(t.data, f - 64)))
+        budget = float(np.ldexp(max(1.0, float(round(dense * percent / 100))), f - 64))
     agrees_or_refuses(arch, vectors, scaled, budget)
 
 
@@ -714,6 +747,44 @@ def test_hull_slope_past_float64_is_refused_naming_the_scores(tmp_path, capsys):
         assert not out.exists()
     assert main(["check", *docs]) == 0
     assert capsys.readouterr().out.endswith("problem shapes: OK\nOK\n")
+
+
+def test_latencies_far_apart_solve_as_exhaustive_without_overflow(tmp_path, capsys):
+    """A permanent 1e300 ms chain and a removable 2e291 ms one scoring 1e300,
+    under a 1e300 ms budget.  The pre-cut priced 1e300 ms at the removable
+    chain's slope, 5e8 per ms, which overflowed: the merge expanded no plan.
+    `solve` in every mode and `sweep` exit 0 with exhaustive's importance, and
+    a warning would fail the test (tier-1 makes it an error)."""
+    dims = [("stem", "fixed_external"), ("b1_c1", "conv_out"), ("b2_c1", "conv_out")]
+    docs = {
+        "arch": {"name": "far", "dims": [
+            {"id": d, "role": role, "option_count": 1, "group_size": 1, "max_elements": 1}
+            for d, role in dims], "blocks": [
+            {"id": b, "kind": "cnn_chain", "removable": b == 2, "input_ref": "stem",
+             "dims": [f"b{b}_c1"]} for b in (1, 2)]},
+        "scores": {"scores": [{"dim_id": d, "scores": [s]}
+                              for (d, _), s in zip(dims, (1.0, 1.0, 1e300))]},
+        "lut": {"tables": [
+            {"block_id": b, "part": "conv_layer", "layer": 1, "axes": ["stem", f"b{b}_c1"],
+             "shape": [1, 1], "data": [ms]} for b, ms in ((1, 1e300), (2, 2e291))]},
+    }
+    args = []
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        args += [f"--{name}", str(tmp_path / f"{name}.json")]
+    reports = {}
+    for mode in ("exhaustive", "branch_and_bound", "heuristic_only"):
+        out = tmp_path / mode
+        assert main(["solve", *args, "--budget-ms", "1e300", "--mode", mode,
+                     "--out", str(out)]) == 0
+        reports[mode] = json.loads((out / "report.json").read_text())
+    assert {r["importance"] for r in reports.values()} == {reports["exhaustive"]["importance"]}
+    assert reports["branch_and_bound"]["node_count"] > 0
+    assert main(["sweep", *args, "--budgets", "1e300", "--out", str(tmp_path / "sweep")]) == 0
+    row = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[2].split(",")
+    assert row[1:3] == ["optimal", repr(reports["exhaustive"]["importance"])]
+    assert int(row[-1]) > 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("lat, imp, hull", [

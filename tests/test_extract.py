@@ -91,6 +91,13 @@ class TestExtract:
         with pytest.raises(ValidationError, match="c1"):
             extract_structure(assignment, *inputs, raw)
 
+    def test_wrong_score_count_named(self):
+        inputs, raw = scored_inputs()
+        raw["c1"] = RawScores(dim_id="c1", scores=np.array([0.2, 0.9]))
+        assignment = Assignment(omega={"c1": 1}, kappa={1: 1})
+        with pytest.raises(ValidationError, match="scores for 'c1': expected 3 values, found 2"):
+            extract_structure(assignment, *inputs, raw)
+
     @given(
         scores=st.lists(st.sampled_from([0.0, -0.0, 5e-324, -1.0, 0.5, 2.0, 1e308, -1e308]),
                         min_size=1, max_size=60),

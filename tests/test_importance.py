@@ -213,6 +213,14 @@ class TestObjective:
         with pytest.raises(ValidationError, match="c2"):
             objective_value(asg, {"c1": build_importance_vector(vec("c1", [1, 2]), arch.dim("c1"))}, arch)
 
+    def test_option_out_of_range_named(self):
+        arch = self._two_dim_arch()
+        vectors = build_all_vectors(arch, {d: vec(d, [1.0] * arch.dims[d].max_elements)
+                                           for d in arch.dims})
+        asg = Assignment(omega={"c1": 1, "c2": 3}, kappa={1: 1})
+        with pytest.raises(ValidationError, match=r"'c2': option 3 out of range \[1, 2\]"):
+            objective_value(asg, vectors, arch)
+
     def test_scaling_by_power_of_two_is_exact(self):
         rng = np.random.default_rng(9)
         arch = random_architecture(rng)

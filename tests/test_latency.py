@@ -188,6 +188,17 @@ class TestJointForm:
         after = constraint_value(asg, tables, arch)
         assert before - after == pytest.approx(partial, rel=1e-12)
 
+    @pytest.mark.parametrize("option", [0, 4])
+    def test_option_off_the_table_named(self, option):
+        from latprune.latency import block_latency
+
+        arch = single_conv_arch()
+        tables = TableSet()
+        tables.add(conv_table(1, 1, ("t", "c1"), [[1.0, 2.0, 3.0]]))
+        with pytest.raises(ValidationError, match=rf"block 1 conv_layer 1: choice {option} "
+                                                  r"out of range on axis 1 \(size 3\)"):
+            block_latency(Assignment(omega={"c1": option}), tables, arch, arch.blocks[0])
+
 
 class TestSynthLut:
     def test_product_form_without_noise(self):
@@ -287,6 +298,11 @@ class TestLinearModel:
             linear_channel_cost(self.table_row2(), 3, 1)
         with pytest.raises(ValidationError):
             linear_channel_cost(self.table_row2(), 1, 0)
+
+    def test_transformer_table_refused(self):
+        table = LatencyTable(block_id=2, part="mlp", axes=("e", "m"), data=np.ones((2, 2)))
+        with pytest.raises(ValidationError, match="block 2 mlp: linear model applies to conv"):
+            linear_channel_cost(table, 1, 1)
 
 
 class TestEstimationError:

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from latprune.arch import ArchitectureSpec, BlockSpec, DimensionSpec
-from latprune.cli import RunManifest
 from latprune.extract import BlockOutcome, DimOutcome, PrunedStructure
 from latprune.importance import Assignment, ImportanceVector, RawScores
 from latprune.latency import LatencyModelParams, LatencyTable, PruneTrajectory, ReplayStep
@@ -32,7 +31,6 @@ RECORDS = {
     SolverConfig: dict(mode="exhaustive", time_limit=5.0, tolerance=0.25),
     PruningSolution: dict(status="optimal", assignment=None, importance=1.0, latency=2.0,
                           bound=1.0, node_count=3, wall_time=0.1, message="done"),
-    RunManifest: dict(command="check", inputs={}, params={"seed": 0}),
     DimOutcome: dict(dim_id="d", role="conv_out", option=1, kept_count=2, max_elements=8,
                      kept_elements=(3, 5)),
     BlockOutcome: dict(block_id=1, kind="cnn_chain", kept=True, dims=()),
