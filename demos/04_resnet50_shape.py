@@ -77,9 +77,9 @@ for keep in (0.5, 0.3, 0.15, 0.08):
 # --- width profile of the tightest plan ---------------------------------------
 structure = lp.extract_structure(sol.assignment, arch, vectors, tables, scores)
 print("\nwidth profile at keep ratio 0.08 (mid-conv widths per block):")
-for block in structure.blocks:
-    if not block.kept:
-        print(f"  block {block.block_id:>2}: removed")
+for block in structure["blocks"]:
+    if not block["kept"]:
+        print(f"  block {block['block_id']:>2}: removed")
     else:
-        widths = " ".join(f"{d.kept_count:>4}" for d in block.dims)
-        print(f"  block {block.block_id:>2}: {widths}")
+        widths = " ".join(f"{d['kept_count']:>4}" for d in block["dims"])
+        print(f"  block {block['block_id']:>2}: {widths}")

@@ -24,7 +24,7 @@ _EXPORTS = {
         "validate_problem_shapes",
     ),
     "errors": ("LatPruneError", "ParseError", "SolveError", "ValidationError"),
-    "extract": ("PrunedStructure", "extract_structure", "summarize"),
+    "extract": ("extract_structure", "summarize"),
     "importance": (
         "Assignment", "ImportanceVector", "RawScores", "build_all_vectors",
         "build_importance_vector", "objective_value", "parse_scores",

@@ -360,6 +360,14 @@ def _plain(value) -> bool:
     return plain
 
 
+def csv_field(text: str) -> str:
+    """`text` as one CSV field: quoted by RFC 4180, its quotes doubled, only
+    when it holds a comma, a quote, CR or LF; any other text as it is."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def shown(value) -> str:
     """A decoded value's repr for a message, cut to at most 80 characters (a
     whole table would be hundreds of thousands); a value nested too deeply

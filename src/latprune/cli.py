@@ -176,7 +176,7 @@ def _assignment_csv(arch, assignment, manifest_hash: str) -> str:
         if block.removable:
             rows.append(f"kappa,{block.id},,{assignment.kappa[block.id]}")
         for dim_id in block.dims:
-            rows.append(f"omega,{block.id},{dim_id},{assignment.omega[dim_id]}")
+            rows.append(f"omega,{block.id},{arch_mod.csv_field(dim_id)},{assignment.omega[dim_id]}")
     return "\n".join(rows) + "\n"
 
 
@@ -298,7 +298,7 @@ def cmd_solve(args) -> int:
     )
     _write_structure(out, structure, stamp)
     _write(out / "assignment.csv", _assignment_csv(arch, solution.assignment, stamp))
-    if structure.degenerate:
+    if structure["degenerate"]:
         print(f"solve: warning: {solution.status} plan removes every block "
               f"(degenerate network)")
     print(
@@ -369,7 +369,7 @@ def cmd_compare_latency_models(args) -> int:
             f"{step.step},step,,{step.true_ms!r},{step.linear_ms!r},{step.gap!r},,"
         )
         for dim_id, eps, bound in step.layer_errors:
-            rows.append(f"{step.step},layer,{dim_id},,,,{eps!r},{bound!r}")
+            rows.append(f"{step.step},layer,{arch_mod.csv_field(dim_id)},,,,{eps!r},{bound!r}")
     out = Path(args.out)
     _write(out / "latency_models.csv", "\n".join(rows) + "\n")
     _write_json(out / "manifest.json", manifest)
@@ -417,13 +417,13 @@ def cmd_extract(args) -> int:
         raise ValidationError(f"report: status {arch_mod.shown(report['status'])} is not one "
                               f"a solve writes")
     structure = extract_mod.extract_structure(assignment, arch, vectors, tables, raw_scores)
-    for key, total in (("importance", structure.importance), ("latency_ms", structure.latency)):
-        if arch_mod.number(report[key], f"report: {key}") != total:
+    for key in ("importance", "latency_ms"):
+        if arch_mod.number(report[key], f"report: {key}") != structure[key]:
             raise ValidationError(f"report: {key} {report[key]!r} is not the plan's "
-                                  f"recomputed {total!r}")
-    if structure.latency > budget:
-        raise ValidationError(f"report: the plan's latency {structure.latency!r} ms exceeds "
-                              f"budget_ms {budget!r}")
+                                  f"recomputed {structure[key]!r}")
+    if structure["latency_ms"] > budget:
+        raise ValidationError(f"report: the plan's latency {structure['latency_ms']!r} ms "
+                              f"exceeds budget_ms {budget!r}")
     out = Path(args.out)
     _write_structure(out, structure, manifest["hash"])
     _write_json(out / "manifest.json", manifest)

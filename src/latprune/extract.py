@@ -1,51 +1,26 @@
-"""Turn a solved assignment into a concrete pruned-structure description.
+"""Turn a solved assignment into the pruned structure, as plain data.
 
-For every kept block the chosen option fixes how many elements survive along
-each dimension; the survivors are the highest-scoring elements under the
-same descending-score, original-index tie-break used to build the importance
-vectors.  Removed blocks vanish entirely, whatever the solver assigned to
-their dimensions.  Totals are recomputed here from the vectors and tables
-rather than copied out of the solver, so extraction doubles as an
-independent check of the reported solution.
+``extract_structure`` returns the document structure.json holds, without
+its stamp: the network's ``name``, ``importance`` and ``latency_ms``,
+``depth_kept`` of ``depth_total`` blocks, ``degenerate`` (every block of a
+network that has blocks is removed) and ``blocks``.  Each block has
+``block_id``, ``kind``, ``kept`` and ``dims``, empty for a removed block
+whatever the solver assigned to its dimensions.  Each dimension has
+``dim_id``, ``role``, ``option``, ``kept_count``, ``max_elements`` and
+``kept_elements``: the chosen option fixes how many elements survive, and
+the survivors, 1-based and ascending, are the highest-scoring ones under
+the descending-score, original-index tie-break that built the importance
+vectors.  Totals are recomputed here from the vectors and tables rather
+than copied out of the solver, so extraction doubles as an independent
+check of the reported solution.
 """
 
 from __future__ import annotations
 
-from .arch import ArchitectureSpec, MANIFEST_KEY, dump_json, kept_elements
+from .arch import ArchitectureSpec, MANIFEST_KEY, csv_field, dump_json, kept_elements
 from .errors import ValidationError
 from .importance import Assignment, ImportanceVector, RawScores, objective_value
 from .latency import TableSet, constraint_value
-from .record import Record
-
-
-class DimOutcome(Record, frozen=True):
-    dim_id: str
-    role: str
-    option: int
-    kept_count: int
-    max_elements: int
-    kept_elements: tuple[int, ...]  # 1-based original indices, ascending
-
-
-class BlockOutcome(Record, frozen=True):
-    block_id: int
-    kind: str
-    kept: bool
-    dims: tuple[DimOutcome, ...]  # empty for removed blocks
-
-
-class PrunedStructure(Record, frozen=True):
-    name: str
-    blocks: tuple[BlockOutcome, ...]
-    importance: float
-    latency: float
-    depth_kept: int
-    depth_total: int
-
-    @property
-    def degenerate(self) -> bool:
-        """Every block of a network that has blocks is removed."""
-        return self.depth_kept == 0 < self.depth_total
 
 
 def extract_structure(
@@ -54,10 +29,10 @@ def extract_structure(
     vectors: dict[str, ImportanceVector],
     tables: TableSet,
     raw_scores: dict[str, RawScores],
-) -> PrunedStructure:
-    """Materialize the kept-element lists of a plan: a solution's
-    assignment, None for an infeasible solve.  `vectors` and `tables` are
-    the ones the plan was solved against, shape-checked as ``assemble``
+) -> dict:
+    """The structure of a plan (a solution's assignment, None for an
+    infeasible solve), as structure.json holds it.  `vectors` and `tables`
+    are the ones the plan was solved against, shape-checked as ``assemble``
     checks them."""
     if assignment is None:
         raise ValidationError("cannot extract a structure from an infeasible solve")
@@ -65,19 +40,13 @@ def extract_structure(
     blocks = []
     kept_blocks = 0
     for block in arch.blocks:
-        if assignment.kappa_of(block) == 0:
-            blocks.append(
-                BlockOutcome(block_id=block.id, kind=block.kind, kept=False, dims=())
-            )
-            continue
-        kept_blocks += 1
+        kept = bool(assignment.kappa_of(block) != 0)
+        kept_blocks += kept
         dims = []
-        for dim in arch.block_dims(block):
+        for dim in arch.block_dims(block) if kept else ():
             raw = raw_scores.get(dim.id)
             if raw is None:
-                raise ValidationError(
-                    f"missing raw scores for retained dimension {dim.id!r}"
-                )
+                raise ValidationError(f"missing raw scores for retained dimension {dim.id!r}")
             if len(raw.scores) != dim.max_elements:
                 raise ValidationError(
                     f"scores for {dim.id!r}: expected {dim.max_elements} values, "
@@ -87,31 +56,20 @@ def extract_structure(
             count = kept_elements(dim, option)
             vec = vectors.get(dim.id)
             cut = None if vec is None or vec.cutoffs is None else vec.cutoffs[option - 1]
-            chosen = top_elements(raw.scores, count, cut)
-            dims.append(
-                DimOutcome(
-                    dim_id=dim.id,
-                    role=dim.role,
-                    option=option,
-                    kept_count=count,
-                    max_elements=dim.max_elements,
-                    kept_elements=tuple(chosen),
-                )
-            )
-        blocks.append(
-            BlockOutcome(block_id=block.id, kind=block.kind, kept=True, dims=tuple(dims))
-        )
+            dims.append({"dim_id": dim.id, "role": dim.role, "option": option,
+                         "kept_count": count, "max_elements": dim.max_elements,
+                         "kept_elements": top_elements(raw.scores, count, cut)})
+        blocks.append({"block_id": block.id, "kind": block.kind, "kept": kept, "dims": dims})
 
-    importance = objective_value(assignment, vectors, arch)
-    latency = constraint_value(assignment, tables, arch)
-    return PrunedStructure(
-        name=arch.name,
-        blocks=tuple(blocks),
-        importance=importance,
-        latency=latency,
-        depth_kept=kept_blocks,
-        depth_total=len(arch.blocks),
-    )
+    return {
+        "name": arch.name,
+        "importance": objective_value(assignment, vectors, arch),
+        "latency_ms": constraint_value(assignment, tables, arch),
+        "depth_kept": kept_blocks,
+        "depth_total": len(arch.blocks),
+        "degenerate": kept_blocks == 0 < len(arch.blocks),
+        "blocks": blocks,
+    }
 
 
 def top_elements(scores, count: int, cut: float | None = None) -> list[int]:
@@ -146,73 +104,38 @@ def _selected(scores: list[float], count: int, cut: float) -> list[int] | None:
     return kept
 
 
-def summarize(structure: PrunedStructure) -> tuple[str, str]:
-    """Human-readable text plus a CSV of per-dimension width outcomes."""
+def summarize(structure: dict) -> tuple[str, str]:
+    """Human-readable text plus a CSV of per-dimension width outcomes, of
+    the document ``extract_structure`` returns."""
+    removed = structure["depth_total"] - structure["depth_kept"]
     lines = [
-        f"pruned structure for {structure.name}",
-        f"depth {structure.depth_kept}/{structure.depth_total} blocks kept "
-        f"({structure.depth_total - structure.depth_kept} removed)",
-        f"importance {structure.importance!r}",
-        f"latency_ms {structure.latency!r}",
+        f"pruned structure for {structure['name']}",
+        f"depth {structure['depth_kept']}/{structure['depth_total']} blocks kept "
+        f"({removed} removed)",
+        f"importance {structure['importance']!r}",
+        f"latency_ms {structure['latency_ms']!r}",
     ]
-    if structure.degenerate:
+    if structure["degenerate"]:
         lines.append("warning: degenerate network, every block was removed")
-    for block in structure.blocks:
-        if not block.kept:
-            lines.append(f"block {block.block_id} ({block.kind}): removed")
-            continue
-        widths = ", ".join(
-            f"{d.dim_id}={d.kept_count}/{d.max_elements}" for d in block.dims
-        )
-        lines.append(f"block {block.block_id} ({block.kind}): {widths}")
-    text = "\n".join(lines) + "\n"
-
     rows = ["block_id,kind,kept,dim_id,role,option,kept_count,max_elements"]
-    for block in structure.blocks:
-        if not block.kept:
-            rows.append(f"{block.block_id},{block.kind},0,,,,,")
+    for block in structure["blocks"]:
+        head = f"block {block['block_id']} ({block['kind']}):"
+        if not block["kept"]:
+            lines.append(f"{head} removed")
+            rows.append(f"{block['block_id']},{block['kind']},0,,,,,")
             continue
-        for d in block.dims:
-            rows.append(
-                f"{block.block_id},{block.kind},1,{d.dim_id},{d.role},"
-                f"{d.option},{d.kept_count},{d.max_elements}"
-            )
-    csv = "\n".join(rows) + "\n"
-    return text, csv
+        dims = block["dims"]
+        lines.append(head + " " + ", ".join(
+            f"{d['dim_id']}={d['kept_count']}/{d['max_elements']}" for d in dims))
+        rows.extend(
+            f"{block['block_id']},{block['kind']},1,{csv_field(d['dim_id'])},{d['role']},"
+            f"{d['option']},{d['kept_count']},{d['max_elements']}"
+            for d in dims
+        )
+    return "\n".join(lines) + "\n", "\n".join(rows) + "\n"
 
 
-def structure_to_obj(structure: PrunedStructure) -> dict:
-    return {
-        "name": structure.name,
-        "importance": structure.importance,
-        "latency_ms": structure.latency,
-        "depth_kept": structure.depth_kept,
-        "depth_total": structure.depth_total,
-        "degenerate": structure.degenerate,
-        "blocks": [
-            {
-                "block_id": b.block_id,
-                "kind": b.kind,
-                "kept": b.kept,
-                "dims": [
-                    {
-                        "dim_id": d.dim_id,
-                        "role": d.role,
-                        "option": d.option,
-                        "kept_count": d.kept_count,
-                        "max_elements": d.max_elements,
-                        "kept_elements": list(d.kept_elements),
-                    }
-                    for d in b.dims
-                ],
-            }
-            for b in structure.blocks
-        ],
-    }
-
-
-def serialize_structure(structure: PrunedStructure, manifest: str | None = None) -> str:
-    doc = structure_to_obj(structure)
-    if manifest is not None:
-        doc[MANIFEST_KEY] = manifest
-    return dump_json(doc)
+def serialize_structure(structure: dict, manifest: str | None = None) -> str:
+    """structure.json: the document, stamped with `manifest` when given;
+    `structure` itself is left as it is."""
+    return dump_json(structure if manifest is None else {**structure, MANIFEST_KEY: manifest})

@@ -308,6 +308,7 @@ def _enumerate(problem: PruningProblem) -> tuple[float, float, Assignment] | Non
 # ---------------------------------------------------------------------------
 
 _CHUNK = 32768  # candidate plans expanded at a time
+_FOLD = 8  # a stage folds the survivors it holds past this many chunks' worth
 _CODE_CAP = 2**62  # integer codes stay below this, so no product of them overflows
 
 
@@ -665,6 +666,15 @@ def _raise_max(out: np.ndarray, values: np.ndarray, bud) -> None:
     out[bud] = max(out[bud], values.max())
 
 
+def _fold(kept: list, bud: np.ndarray, margin: float) -> list:
+    """A stage's held chunk survivors as one chunk: those that no survivor
+    of the same budget and open producer options dominates."""
+    par, pt, c_lat, c_imp, kappa_code, omega_code, cols = map(np.concatenate, zip(*kept))
+    keep = _pareto(c_lat, c_imp, (kappa_code, omega_code), margin,
+                   _group_ids(np.column_stack((bud[par], cols))))
+    return [a[keep] for a in (par, pt, c_lat, c_imp, kappa_code, omega_code, cols)]
+
+
 def _precut(scores, inp, offsets, bud, sets, need) -> tuple:
     """(perm, start, counts): each budget's row of `scores` sorted by the
     points' input option `inp` (ascending, runs at `offsets`), then score
@@ -702,10 +712,13 @@ def _pareto_dp(models, frontiers, bound, floor, tolerance, deadline, margin, roo
     producer options dominates.  Partial plans stay budget-major, so each
     budget's values are read per contiguous segment.  Candidates are made
     and filtered in chunks, and a stage of several chunks filters their
-    survivors once more.  A chunk may span budgets except at the last
-    stage, where each chunk raises its budget's floor for the next, so
-    every budget's chunks there start and end as they would alone.  The
-    pre-cut below is one sort and one search per stage (``_precut``).
+    survivors once more (``_fold``).  It folds them also whenever those it
+    holds pass ``_FOLD`` chunks' worth and twice the last fold's, so its
+    memory follows its own Pareto set, not every chunk's.  A chunk may span
+    budgets except at the last stage, where each chunk raises its budget's
+    floor for the next, so every budget's chunks there start and end as
+    they would alone.  The pre-cut below is one sort and one search per
+    stage (``_precut``).
     """
     n = floor.size
     floor = floor.copy()
@@ -756,7 +769,7 @@ def _pareto_dp(models, frontiers, bound, floor, tolerance, deadline, margin, roo
             kappa_rank = _dense(kappa_rank)
         if int(omega_rank.max(initial=0)) >= _CODE_CAP // f.rank_span:
             omega_rank = _dense(omega_rank)
-        kept = []
+        kept, held, folded = [], 0, 0
         lo = 0
         while lo < lat.size:
             if time.perf_counter() > deadline:
@@ -791,7 +804,13 @@ def _pareto_dp(models, frontiers, bound, floor, tolerance, deadline, margin, roo
                 keep = _pareto(c_lat, c_imp, chunk[4:6], margin, _group_ids(cols))
                 chunk = [a[keep] for a in chunk]
             kept.append(chunk)
+            held += chunk[0].size
+            if k < last and held > max(_FOLD * _CHUNK, 2 * folded):
+                kept = [_fold(kept, bud, margin)]
+                held = folded = kept[0][0].size
             lo = hi
+        if k < last and len(kept) > 1:  # once more over the chunks' survivors
+            kept = [_fold(kept, bud, margin)]
         par, pt, c_lat, c_imp, kappa_code, omega_code, *cols = (
             kept[0] if len(kept) == 1 else map(np.concatenate, zip(*kept)))
         cand = bud[par]
@@ -809,13 +828,7 @@ def _pareto_dp(models, frontiers, bound, floor, tolerance, deadline, margin, roo
             for j, b in enumerate(cand[best].tolist()):
                 leaves[b] = (float(c_imp[best[j]]), float(c_lat[best[j]]), points[j])
             break
-        cols = cols[0]
-        if len(kept) > 1:  # once more over the chunks' survivors
-            keep = _pareto(c_lat, c_imp, (kappa_code, omega_code), margin,
-                           _group_ids(np.column_stack((cand, cols))))
-            par, pt, c_lat, c_imp, kappa_code, omega_code, cols, cand = (
-                a[keep] for a in (par, pt, c_lat, c_imp, kappa_code, omega_code, cols, cand))
-        lat, imp, opts = c_lat, c_imp, cols
+        lat, imp, opts = c_lat, c_imp, cols[0]
         kappa_rank, omega_rank = kappa_code, omega_code
         back.append((par, pt))
         sizes = np.bincount(cand, minlength=n)

@@ -450,7 +450,7 @@ class TestDumpJson:
         # instance: a slide back to json.dumps for its outputs fails here.
         from latprune import (LatencyModelParams, assemble, constraint_value, solve,
                               synth_lut, synth_scores)
-        from latprune.extract import extract_structure, structure_to_obj
+        from latprune.extract import extract_structure
         from latprune.latency import lut_to_obj
         from conftest import dense_assignment, vit_b12_architecture
 
@@ -462,7 +462,7 @@ class TestDumpJson:
         plan = solve(assemble(arch, vectors, tables, budget)).assignment
         structure = extract_structure(plan, arch, vectors, tables, raw)
         # Where the installed orjson writes them, still json.dumps' bytes.
-        for doc in (structure_to_obj(structure), lut_to_obj(tables, manifest="0" * 64)):
+        for doc in (structure, lut_to_obj(tables, manifest="0" * 64)):
             assert arch_mod._plain(doc)
             assert dump_json(doc) == reference_json(doc)
 

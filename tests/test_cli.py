@@ -1,3 +1,4 @@
+import csv
 import gc
 import hashlib
 import json
@@ -13,7 +14,7 @@ import pytest
 
 from latprune import (
     Assignment, LatencyModelParams, assemble, build_all_vectors, constraint_value,
-    parse_architecture, parse_lut, parse_scores, serialize_lut, serialize_scores, solve,
+    extract_structure, parse_architecture, parse_lut, parse_scores, serialize_lut, serialize_scores, solve,
     synth_lut, synth_scores,
 )
 from latprune import cli
@@ -447,10 +448,11 @@ class TestSolve:
         assert report["importance"] == oracle["importance"]
         assert report["assignment"] == oracle["assignment"]
 
-        for name in ("report", "structure"):
-            golden = GOLDEN / f"tiny_mixed_{name}.json"
+        for name in ("report.json", "structure.json", "summary.csv", "summary.txt",
+                     "assignment.csv"):
+            golden = GOLDEN / f"tiny_mixed_{name}"
             assert golden.exists(), f"golden file {golden} is missing"
-            assert (out / f"{name}.json").read_bytes() == golden.read_bytes()
+            assert (out / name).read_bytes() == golden.read_bytes()
 
     def test_reruns_and_thread_counts_are_byte_identical(self, tmp_path):
         inputs = synth(tmp_path)
@@ -1201,6 +1203,29 @@ class TestExtractCommand:
             )
             assert solved == re_extracted, name
 
+    def test_structure_json_is_the_extracted_structure(self, tmp_path):
+        # What solve and extract write is extract_structure's document of the
+        # same plan, stamped, and nothing else.
+        inputs = synth(tmp_path)
+        arch_path = DATA / "tiny_mixed.arch.json"
+        run, out = tmp_path / "run", tmp_path / "re"
+        assert main(solve_args(arch_path, inputs, run, "0.25")) == 0
+        assert main(["extract", "--report", str(run / "report.json"), "--arch", str(arch_path),
+                     "--scores", str(inputs / "scores.json"), "--lut", str(inputs / "lut.json"),
+                     "--out", str(out)]) == 0
+        arch = parse_architecture(arch_path.read_text())
+        raw = parse_scores((inputs / "scores.json").read_text())
+        tables = parse_lut((inputs / "lut.json").read_text())
+        plan = json.loads((run / "report.json").read_text())["assignment"]
+        assignment = Assignment(omega=plan["omega"],
+                                kappa={int(b): k for b, k in plan["kappa"].items()})
+        want = extract_structure(assignment, arch, build_all_vectors(arch, raw), tables, raw)
+        assert [b["kept"] for b in want["blocks"]] == [True, False, True]
+        for d in (run, out):
+            doc = json.loads((d / "structure.json").read_text())
+            assert doc.pop("_manifest") == json.loads((d / "manifest.json").read_text())["hash"]
+            assert doc == want
+
     @pytest.mark.parametrize("mutate, named", BAD_REPORTS)
     def test_malformed_report_exits_3_and_names_the_field(
         self, tmp_path, capsys, mutate, named
@@ -1279,6 +1304,45 @@ def command_args(command: str, root: Path, out: Path) -> list[str]:
             "--lut", str(chain / "lut.json"), "--trajectory", str(chain / "trajectory.json"),
             "--out", str(out)],
     }[command]
+
+
+class TestCsvQuoting:
+    # A comma in one id; a quote and a newline in another.
+    IDS = {"b1_c1": "b1,c1", "b2_c1": 'b2"c2\nx'}
+
+    def test_ids_that_need_quoting_round_trip_through_a_csv_reader(self, tmp_path):
+        doc = json.loads((DATA / "tiny_mixed.arch.json").read_text())
+        for d in doc["dims"]:
+            d["id"] = self.IDS.get(d["id"], d["id"])
+        for b in doc["blocks"]:
+            b["dims"] = [self.IDS.get(x, x) for x in b["dims"]]
+        arch = tmp_path / "arch.json"
+        arch.write_text(json.dumps(doc))
+        inputs = synth(tmp_path, arch)
+        out = tmp_path / "out"
+        # A budget above the dense plan's latency: every block is kept.
+        assert main(solve_args(arch, inputs, out, "1e9")) == 0
+        # Trajectories replay on convolution chains only: blocks 1 and 2.
+        doc["blocks"] = [b for b in doc["blocks"] if b["kind"] == "cnn_chain"]
+        doc["dims"] = [d for d in doc["dims"] if d["role"] in ("fixed_external", "conv_out")]
+        chain = tmp_path / "chain"
+        chain.mkdir()
+        (chain / "arch.json").write_text(json.dumps(doc))
+        step = {d["id"]: 1 for d in doc["dims"] if d["role"] == "conv_out"}
+        (chain / "trajectory.json").write_text(json.dumps({"steps": [step]}))
+        assert main(["synth", "--arch", str(chain / "arch.json"), "--out", str(chain)]) == 0
+        assert main(["compare-latency-models", "--arch", str(chain / "arch.json"), "--lut",
+                     str(chain / "lut.json"), "--trajectory", str(chain / "trajectory.json"),
+                     "--out", str(out)]) == 0
+        for name in ("summary.csv", "assignment.csv", "latency_models.csv"):
+            with open(out / name, newline="", encoding="utf-8") as f:
+                stamp, *rows = csv.reader(f)
+            assert stamp[0].startswith("# manifest: "), name
+            header, rows = rows[0], rows[1:]
+            assert {len(row) for row in rows} == {len(header)}, name
+            ids = {row[header.index("dim_id")] for row in rows}
+            assert set(self.IDS.values()) <= ids, name
+            assert "b1_c2" in ids, name  # a plain id, as it is
 
 
 class TestProcessEntry:

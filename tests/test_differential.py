@@ -553,6 +553,49 @@ def test_codes_made_dense_under_a_low_cap_solve_as_before(cap):
     assert {"_group_ids", "_pareto_dp"} <= callers
 
 
+def test_folded_merge_equals_one_that_never_folds():
+    """A merge stage folds the chunk survivors it holds once they pass
+    ``_FOLD`` chunks' worth.  With 7-plan chunks it folds in the middle of
+    many stages and must return, per budget, the leaves, node counts and
+    largest pruned bounds of a merge whose threshold no stage reaches, with
+    one budget and with several, unseeded and as ``solve_budgets`` seeds
+    it."""
+    fold = solver._fold
+
+    def run(threshold, problem, budgets):
+        mid_stage = []
+
+        def spy(kept, bud, margin):
+            caller = sys._getframe(1).f_locals
+            mid_stage.append(caller["lo"] < caller["lat"].size)  # chunks still to come
+            return fold(kept, bud, margin)
+
+        margin, frontiers, bound, _ = problem.core
+        room = np.array([_room(b) for b in budgets])
+        with (mock.patch.object(solver, "_CHUNK", 7), mock.patch.object(solver, "_FOLD", threshold),
+              mock.patch.object(solver, "_fold", spy)):
+            leaves, nodes, pruned, _ = _pareto_dp(
+                problem.models, frontiers, bound, np.full(len(budgets), -math.inf), 0.0,
+                math.inf, margin, room, np.minimum(budgets, room))
+            solved = [_fields(sol) for sol in solve_budgets(problem, budgets)]
+        return (leaves, nodes.tolist(), pruned.tolist(), solved), sum(mid_stage)
+
+    folds = 0
+    for seed in range(40):
+        rng = np.random.default_rng(9300 + seed)
+        arch = random_architecture(rng, max_blocks=8, state_cap=10**7, chained_cap=10**6)
+        problem = integer_problem(rng, arch)
+        budget = pick_budget(arch, problem.tables, rng)
+        problem = assemble(arch, problem.vectors, problem.tables, budget)
+        for budgets in ([budget], [budget * 0.8, budget, budget * 1.25]):
+            never, none = run(2**40, problem, budgets)
+            folded, mid_stage = run(solver._FOLD, problem, budgets)
+            assert none == 0
+            assert folded == never
+            folds += mid_stage
+    assert folds > 20
+
+
 @settings(max_examples=120, deadline=None)
 @given(instances(max_layers=2), st.data())
 def test_with_budget_solves_as_a_fresh_assemble(case, data):

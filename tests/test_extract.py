@@ -1,3 +1,4 @@
+import copy
 import json
 from array import array
 
@@ -17,6 +18,7 @@ from latprune import (
     solve_exhaustive,
     summarize,
 )
+from latprune.arch import dump_json
 from latprune.extract import serialize_structure, top_elements
 
 from conftest import (
@@ -65,18 +67,18 @@ class TestExtract:
         inputs, raw = scored_inputs()
         assignment = Assignment(omega={"c1": 2}, kappa={1: 1})
         structure = extract_structure(assignment, *inputs, raw)
-        dim = structure.blocks[0].dims[0]
+        dim = structure["blocks"][0]["dims"][0]
         # Scores [0.2, 0.9, 0.5]: top-2 are elements 2 and 3 (1-based).
-        assert dim.kept_elements == (2, 3)
-        assert dim.kept_count == 2
+        assert dim["kept_elements"] == [2, 3]
+        assert dim["kept_count"] == 2
 
     def test_removed_block_absent_regardless_of_options(self):
         inputs, raw = scored_inputs()
         assignment = Assignment(omega={"c1": 3}, kappa={1: 0})
         structure = extract_structure(assignment, *inputs, raw)
-        assert structure.blocks[0].kept is False
-        assert structure.blocks[0].dims == ()
-        assert structure.degenerate
+        assert structure["blocks"][0]["kept"] is False
+        assert structure["blocks"][0]["dims"] == []
+        assert structure["degenerate"] is True
 
     def test_infeasible_solution_rejected(self):
         # An infeasible solve's assignment is None.
@@ -119,9 +121,9 @@ class TestExtract:
         count = data.draw(st.integers(1, n), label="option")
         assignment = Assignment(omega={"c1": count}, kappa={})
         structure = extract_structure(assignment, arch, vectors, tables, raw)
-        kept = structure.blocks[0].dims[0].kept_elements
+        kept = structure["blocks"][0]["dims"][0]["kept_elements"]
         want = np.sort(np.argsort(-np.array(scores), kind="stable")[:count]) + 1
-        assert kept == tuple(want.tolist())
+        assert kept == want.tolist()
         assert all(type(i) is int for i in kept)
 
     # A cut above the count-th largest score that some element equals; the
@@ -147,8 +149,8 @@ class TestExtract:
         structure = extract_structure(
             sol.assignment, problem.arch, problem.vectors, problem.tables, raw
         )
-        assert structure.importance == sol.importance
-        assert structure.latency == sol.latency
+        assert structure["importance"] == sol.importance
+        assert structure["latency_ms"] == sol.latency
 
     def test_kept_counts_and_lists_are_consistent(self):
         rng = np.random.default_rng(88)
@@ -161,16 +163,17 @@ class TestExtract:
         )
         from latprune import kept_elements
 
-        for block_out, block in zip(structure.blocks, problem.arch.blocks):
-            if not block_out.kept:
+        for block_out, block in zip(structure["blocks"], problem.arch.blocks):
+            if not block_out["kept"]:
                 continue
-            for dim_out in block_out.dims:
-                dim = problem.arch.dims[dim_out.dim_id]
-                assert dim_out.kept_count == kept_elements(dim, dim_out.option)
-                assert len(dim_out.kept_elements) == dim_out.kept_count
-                assert len(set(dim_out.kept_elements)) == dim_out.kept_count
-                assert all(1 <= e <= dim.max_elements for e in dim_out.kept_elements)
-                assert list(dim_out.kept_elements) == sorted(dim_out.kept_elements)
+            for dim_out in block_out["dims"]:
+                dim = problem.arch.dims[dim_out["dim_id"]]
+                kept = dim_out["kept_elements"]
+                assert dim_out["kept_count"] == kept_elements(dim, dim_out["option"])
+                assert len(kept) == dim_out["kept_count"]
+                assert len(set(kept)) == dim_out["kept_count"]
+                assert all(1 <= e <= dim.max_elements for e in kept)
+                assert kept == sorted(kept)
 
     def test_importance_matches_sum_of_kept_scores(self):
         rng = np.random.default_rng(89)
@@ -182,11 +185,11 @@ class TestExtract:
             sol.assignment, problem.arch, problem.vectors, problem.tables, raw
         )
         total = 0.0
-        for block_out in structure.blocks:
-            for dim_out in block_out.dims:
-                scores = raw[dim_out.dim_id].scores
-                total += float(sum(scores[e - 1] for e in dim_out.kept_elements))
-        assert total == pytest.approx(structure.importance, rel=1e-9, abs=1e-9)
+        for block_out in structure["blocks"]:
+            for dim_out in block_out["dims"]:
+                scores = raw[dim_out["dim_id"]].scores
+                total += float(sum(scores[e - 1] for e in dim_out["kept_elements"]))
+        assert total == pytest.approx(structure["importance"], rel=1e-9, abs=1e-9)
 
 
 class TestSummarize:
@@ -236,3 +239,19 @@ class TestSerialize:
         assert obj["_manifest"] == "abc"
         assert obj["depth_kept"] == 1
         assert obj["blocks"][0]["dims"][0]["kept_elements"] == [2, 3]
+
+    def test_stamping_leaves_the_plain_structure_as_it_is(self):
+        inputs, raw = scored_inputs()
+        assignment = Assignment(omega={"c1": 2}, kappa={1: 1})
+        structure = extract_structure(assignment, *inputs, raw)
+        assert set(structure) == {"name", "importance", "latency_ms", "depth_kept",
+                                  "depth_total", "degenerate", "blocks"}
+        block = structure["blocks"][0]
+        assert set(block) == {"block_id", "kind", "kept", "dims"}
+        assert set(block["dims"][0]) == {"dim_id", "role", "option", "kept_count",
+                                         "max_elements", "kept_elements"}
+        before = copy.deepcopy(structure)
+        text = serialize_structure(structure, manifest="abc")
+        assert structure == before
+        assert json.loads(text) == {**before, "_manifest": "abc"}
+        assert serialize_structure(structure) == dump_json(before)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from latprune.arch import ArchitectureSpec, BlockSpec, DimensionSpec
-from latprune.extract import BlockOutcome, DimOutcome, PrunedStructure
 from latprune.importance import Assignment, ImportanceVector, RawScores
 from latprune.latency import LatencyModelParams, LatencyTable, PruneTrajectory, ReplayStep
 from latprune.record import Record
@@ -31,11 +30,6 @@ RECORDS = {
     SolverConfig: dict(mode="exhaustive", time_limit=5.0, tolerance=0.25),
     PruningSolution: dict(status="optimal", assignment=None, importance=1.0, latency=2.0,
                           bound=1.0, node_count=3, wall_time=0.1, message="done"),
-    DimOutcome: dict(dim_id="d", role="conv_out", option=1, kept_count=2, max_elements=8,
-                     kept_elements=(3, 5)),
-    BlockOutcome: dict(block_id=1, kind="cnn_chain", kept=True, dims=()),
-    PrunedStructure: dict(name="net", blocks=(), importance=1.0, latency=2.0, depth_kept=0,
-                          depth_total=0),
 }
 MUTABLE = {Assignment, PruningSolution}
 DEFAULTS = {
