@@ -34,21 +34,22 @@ print("layer-2 latency table (rows: input option, cols: output option):")
 print(np.array_str(np.asarray(tables.get(1, "conv_layer", 2).data), precision=4), "\n")
 
 # Prune both layers at every step: each step invalidates the next layer's
-# remembered input width.
-schedule = lp.PruneTrajectory(steps=(
+# remembered input width.  A schedule is the trajectory document's list of
+# {dim_id: option} steps; the replay gives one dict per step.
+schedule = [
     {"c1": 3, "c2": 3},
     {"c1": 2, "c2": 2},
     {"c1": 1, "c2": 1},
-))
+]
 report = lp.replay_trajectory(schedule, tables, arch)
 
 print(f"{'step':>4} {'true ms':>10} {'linear ms':>10} {'gap ms':>10}")
-for step in report:
-    print(f"{step.step:>4} {step.true_ms:>10.4f} {step.linear_ms:>10.4f} {step.gap:>10.4f}")
+for row in report:
+    print(f"{row['step']:>4} {row['true_ms']:>10.4f} {row['linear_ms']:>10.4f} {row['gap']:>10.4f}")
 
-worst = max(report, key=lambda s: s.gap)
-print(f"\nper-layer marginal-cost error vs analytic bound (step {worst.step}):")
-for dim_id, eps, bound in worst.layer_errors:
+worst = max(report, key=lambda row: row["gap"])
+print(f"\nper-layer marginal-cost error vs analytic bound (step {worst['step']}):")
+for dim_id, eps, bound in worst["layers"]:
     print(f"  {dim_id}: epsilon {eps:.4f} <= bound {bound:.4f}")
 
 # The misestimated step remembers input option 4 for layer 2 while the true
@@ -64,6 +65,6 @@ for j in range(1, 5):
           f"epsilon {eps:.4f} <= bound {bound:.4f}")
 
 # A schedule that never touches an input width has zero gap by construction.
-lazy = lp.PruneTrajectory(steps=({"c1": 4, "c2": 3}, {"c1": 4, "c2": 1}))
-gaps = [step.gap for step in lp.replay_trajectory(lazy, tables, arch)]
+lazy = [{"c1": 4, "c2": 3}, {"c1": 4, "c2": 1}]
+gaps = [row["gap"] for row in lp.replay_trajectory(lazy, tables, arch)]
 print(f"\nlast-layer-only schedule gaps: {gaps} (inputs never change)")

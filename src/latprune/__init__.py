@@ -26,14 +26,13 @@ _EXPORTS = {
     "errors": ("LatPruneError", "ParseError", "SolveError", "ValidationError"),
     "extract": ("extract_structure", "summarize"),
     "importance": (
-        "Assignment", "ImportanceVector", "RawScores", "build_all_vectors",
-        "build_importance_vector", "objective_value", "parse_scores",
-        "serialize_scores", "synth_scores",
+        "Assignment", "ImportanceVector", "build_all_vectors", "build_importance_vector",
+        "objective_value", "parse_scores", "serialize_scores", "synth_scores",
     ),
     "latency": (
-        "LatencyModelParams", "LatencyTable", "PruneTrajectory", "TableSet",
-        "constraint_value", "estimation_error", "linear_channel_cost", "parse_lut",
-        "replay_trajectory", "serialize_lut", "synth_lut",
+        "LatencyModelParams", "LatencyTable", "TableSet", "constraint_value",
+        "estimation_error", "linear_channel_cost", "parse_lut", "replay_trajectory",
+        "serialize_lut", "synth_lut",
     ),
     "solver": (
         "PruningProblem", "PruningSolution", "SolverConfig", "assemble", "solve",

@@ -359,17 +359,14 @@ def cmd_compare_latency_models(args) -> int:
     arch = arch_mod.parse_architecture(texts["arch"])
     tables = lat_mod.parse_lut(texts["lut"])
     steps = arch_mod.records(texts["trajectory"], "trajectory", "steps")
-    traj = lat_mod.PruneTrajectory(steps=tuple(steps))
-    report = lat_mod.replay_trajectory(traj, tables, arch)
+    report = lat_mod.replay_trajectory(steps, tables, arch)
 
     stamp = manifest["hash"]
     rows = [f"# manifest: {stamp}", "step,scope,dim_id,true_ms,linear_ms,gap,epsilon,bound"]
-    for step in report:
-        rows.append(
-            f"{step.step},step,,{step.true_ms!r},{step.linear_ms!r},{step.gap!r},,"
-        )
-        for dim_id, eps, bound in step.layer_errors:
-            rows.append(f"{step.step},layer,{arch_mod.csv_field(dim_id)},,,,{eps!r},{bound!r}")
+    for r in report:
+        rows.append(f"{r['step']},step,,{r['true_ms']!r},{r['linear_ms']!r},{r['gap']!r},,")
+        for dim_id, eps, bound in r["layers"]:
+            rows.append(f"{r['step']},layer,{arch_mod.csv_field(dim_id)},,,,{eps!r},{bound!r}")
     out = Path(args.out)
     _write(out / "latency_models.csv", "\n".join(rows) + "\n")
     _write_json(out / "manifest.json", manifest)

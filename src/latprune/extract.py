@@ -17,9 +17,11 @@ check of the reported solution.
 
 from __future__ import annotations
 
+import json
+
 from .arch import ArchitectureSpec, MANIFEST_KEY, csv_field, dump_json, kept_elements
 from .errors import ValidationError
-from .importance import Assignment, ImportanceVector, RawScores, objective_value
+from .importance import Assignment, ImportanceVector, objective_value
 from .latency import TableSet, constraint_value
 
 
@@ -28,12 +30,13 @@ def extract_structure(
     arch: ArchitectureSpec,
     vectors: dict[str, ImportanceVector],
     tables: TableSet,
-    raw_scores: dict[str, RawScores],
+    raw_scores: dict,
 ) -> dict:
     """The structure of a plan (a solution's assignment, None for an
     infeasible solve), as structure.json holds it.  `vectors` and `tables`
     are the ones the plan was solved against, shape-checked as ``assemble``
-    checks them."""
+    checks them; `raw_scores` holds each dimension's element scores, as
+    ``parse_scores`` returns them."""
     if assignment is None:
         raise ValidationError("cannot extract a structure from an infeasible solve")
 
@@ -44,13 +47,13 @@ def extract_structure(
         kept_blocks += kept
         dims = []
         for dim in arch.block_dims(block) if kept else ():
-            raw = raw_scores.get(dim.id)
-            if raw is None:
+            scores = raw_scores.get(dim.id)
+            if scores is None:
                 raise ValidationError(f"missing raw scores for retained dimension {dim.id!r}")
-            if len(raw.scores) != dim.max_elements:
+            if len(scores) != dim.max_elements:
                 raise ValidationError(
                     f"scores for {dim.id!r}: expected {dim.max_elements} values, "
-                    f"found {len(raw.scores)}"
+                    f"found {len(scores)}"
                 )
             option = assignment.omega[dim.id]
             count = kept_elements(dim, option)
@@ -58,7 +61,7 @@ def extract_structure(
             cut = None if vec is None or vec.cutoffs is None else vec.cutoffs[option - 1]
             dims.append({"dim_id": dim.id, "role": dim.role, "option": option,
                          "kept_count": count, "max_elements": dim.max_elements,
-                         "kept_elements": top_elements(raw.scores, count, cut)})
+                         "kept_elements": top_elements(scores, count, cut)})
         blocks.append({"block_id": block.id, "kind": block.kind, "kept": kept, "dims": dims})
 
     return {
@@ -126,13 +129,22 @@ def summarize(structure: dict) -> tuple[str, str]:
             continue
         dims = block["dims"]
         lines.append(head + " " + ", ".join(
-            f"{d['dim_id']}={d['kept_count']}/{d['max_elements']}" for d in dims))
+            f"{_text_id(d['dim_id'])}={d['kept_count']}/{d['max_elements']}" for d in dims))
         rows.extend(
             f"{block['block_id']},{block['kind']},1,{csv_field(d['dim_id'])},{d['role']},"
             f"{d['option']},{d['kept_count']},{d['max_elements']}"
             for d in dims
         )
     return "\n".join(lines) + "\n", "\n".join(rows) + "\n"
+
+
+def _text_id(dim_id: str) -> str:
+    """A dimension id as summary.txt writes it: as it is, unless it holds a
+    character that would split or blur its line (``, = / " \\`` or one that
+    is not printable), then as ``json.dumps`` writes it."""
+    if dim_id.isprintable() and not any(c in dim_id for c in ',=/"\\'):
+        return dim_id
+    return json.dumps(dim_id)
 
 
 def serialize_structure(structure: dict, manifest: str | None = None) -> str:

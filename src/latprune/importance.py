@@ -27,11 +27,6 @@ from .errors import ParseError, ValidationError
 from .record import Record
 
 
-class RawScores(Record, frozen=True):
-    dim_id: str
-    scores: array  # float64 (typecode "d"), one entry per element
-
-
 class ImportanceVector(Record, frozen=True):
     dim_id: str
     values: array  # float64 (typecode "d"), one entry per keep-count option
@@ -81,14 +76,14 @@ class Assignment(Record):
                 )
 
 
-def build_importance_vector(raw: RawScores, dim: DimensionSpec) -> ImportanceVector:
-    """Fold element scores into per-option top-k prefix sums, added one by
-    one in descending score order (an overflow to inf is refused by
-    ``arch.checked_vectors``).  A process that has already imported numpy
-    (``solve``, ``sweep``, ``synth``) folds with it, about five times
-    faster than the standard library on ViT-B-12's scores; the readers never
-    import it.  The two folds give the same bits."""
-    scores = raw.scores
+def build_importance_vector(scores, dim: DimensionSpec) -> ImportanceVector:
+    """Fold a dimension's element scores (``array("d")`` as the readers
+    build them, or a numpy array built in code) into per-option top-k prefix
+    sums, added one by one in descending score order (an overflow to inf is
+    refused by ``arch.checked_vectors``).  A process that has already
+    imported numpy (``solve``, ``sweep``, ``synth``) folds with it, about
+    five times faster than the standard library on ViT-B-12's scores; the
+    readers never import it.  The two folds give the same bits."""
     if len(scores) != dim.max_elements:
         raise ValidationError(
             f"scores for {dim.id!r}: expected {dim.max_elements} values, found {len(scores)}"
@@ -123,18 +118,17 @@ def _fold_numpy(np, scores, counts: array) -> tuple[array, array]:
     return array("d", prefix.tobytes()), array("d", ordered[at].tobytes())
 
 
-def build_all_vectors(
-    arch: ArchitectureSpec, raw_scores: dict[str, RawScores]
-) -> dict[str, ImportanceVector]:
-    """The importance vector of every dimension of `arch`.  Each needs its
-    raw scores, and scores for a dimension `arch` does not declare are
-    refused, naming it."""
+def build_all_vectors(arch: ArchitectureSpec, raw_scores: dict) -> dict[str, ImportanceVector]:
+    """The importance vector of every dimension of `arch` from `raw_scores`,
+    its element scores keyed by dimension id.  Each dimension needs its
+    scores, and scores for a dimension `arch` does not declare are refused,
+    naming it."""
     vectors = {}
     for dim in arch.dims.values():
-        raw = raw_scores.get(dim.id)
-        if raw is None:
+        scores = raw_scores.get(dim.id)
+        if scores is None:
             raise ValidationError(f"missing raw scores for dimension {dim.id!r}")
-        vectors[dim.id] = build_importance_vector(raw, dim)
+        vectors[dim.id] = build_importance_vector(scores, dim)
     for dim_id in raw_scores:
         if dim_id not in arch.dims:
             raise ValidationError(
@@ -174,9 +168,10 @@ def objective_value(
     return total
 
 
-def parse_scores(document: str) -> dict[str, RawScores]:
-    """Parse a JSON scores document: a list of {dim_id, scores} records."""
-    out: dict[str, RawScores] = {}
+def parse_scores(document: str) -> dict[str, array]:
+    """Parse a JSON scores document, a list of {dim_id, scores} records,
+    into each dimension's scores as ``array("d")``, keyed by its id."""
+    out: dict[str, array] = {}
     for i, entry in enumerate(records(document, "scores", "scores")):
         where = f"scores[{i}]"
         require_keys(entry, {"dim_id", "scores"}, set(), where)
@@ -191,19 +186,19 @@ def parse_scores(document: str) -> dict[str, RawScores]:
             raise ValidationError(
                 f"scores for {dim_id!r}: non-finite value at element {k}: {values[k]}"
             )
-        out[dim_id] = RawScores(dim_id=dim_id, scores=values)
+        out[dim_id] = values
     return out
 
 
-def serialize_scores(scores: dict[str, RawScores], manifest: str | None = None) -> str:
+def serialize_scores(scores: dict, manifest: str | None = None) -> str:
     return dump_json(scores_to_obj(scores, manifest))
 
 
-def scores_to_obj(scores: dict[str, RawScores], manifest: str | None = None) -> dict:
+def scores_to_obj(scores: dict, manifest: str | None = None) -> dict:
     doc: dict = {
         "scores": [
-            {"dim_id": s.dim_id, "scores": [float(v) for v in s.scores]}
-            for s in scores.values()
+            {"dim_id": dim_id, "scores": [float(v) for v in values]}
+            for dim_id, values in scores.items()
         ]
     }
     if manifest is not None:
@@ -224,8 +219,9 @@ def synth_rng(seed: int):
 
 def synth_scores(
     arch: ArchitectureSpec, seed: int, distribution: str = "uniform01"
-) -> dict[str, RawScores]:
-    """Draw deterministic nonnegative saliency scores for every dimension."""
+) -> dict[str, array]:
+    """Draw deterministic nonnegative saliency scores for every dimension,
+    as ``parse_scores`` returns them."""
     if distribution not in ("uniform01", "exponential"):
         raise ValidationError(f"unknown score distribution {distribution!r}")
     rng = synth_rng(seed)
@@ -235,5 +231,5 @@ def synth_scores(
             draws = rng.random(dim.max_elements)
         else:
             draws = rng.exponential(1.0, dim.max_elements)
-        out[dim.id] = RawScores(dim_id=dim.id, scores=array("d", draws.tobytes()))
+        out[dim.id] = array("d", draws.tobytes())
     return out

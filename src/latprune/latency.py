@@ -338,99 +338,77 @@ def estimation_error(
     return epsilon, bound
 
 
-class PruneTrajectory(Record, frozen=True):
-    """Per-step keep-count configurations of an iterative pruning schedule.
-
-    Each step maps every conv dimension id to its option index after that
-    step; the schedule implicitly starts from the dense network (every
-    dimension at its last option).  Kept counts may only shrink step over
-    step.
-    """
-
-    steps: tuple[dict[str, int], ...]
-
-    def validate_for(self, arch: ArchitectureSpec) -> None:
-        conv_dims = []
-        for block in arch.blocks:
-            if block.kind != "cnn_chain":
-                raise ValidationError(
-                    f"block {block.id}: trajectories only apply to cnn_chain "
-                    f"architectures"
-                )
-            conv_dims.extend(block.dims)
-        prev = {d: arch.dim(d).option_count for d in conv_dims}
-        for t, step in enumerate(self.steps):
-            if not isinstance(step, dict) or set(step) != set(conv_dims):
-                raise ValidationError(
-                    f"trajectory step {t}: must assign exactly the conv dimensions "
-                    f"{sorted(conv_dims)}"
-                )
-            for d, j in step.items():
-                dim = arch.dim(d)
-                if isinstance(j, bool) or not isinstance(j, int):
-                    raise ValidationError(
-                        f"trajectory step {t}: {d!r} option must be an integer, got {shown(j)}"
-                    )
-                if not 1 <= j <= dim.option_count:
-                    raise ValidationError(
-                        f"trajectory step {t}: {d!r} option {j} out of range "
-                        f"[1, {dim.option_count}]"
-                    )
-                if j > prev[d]:
-                    raise ValidationError(
-                        f"trajectory step {t}: {d!r} grows from option {prev[d]} "
-                        f"to {j}; kept counts must be nonincreasing"
-                    )
-            prev = dict(step)
-
-
-class ReplayStep(Record, frozen=True):
-    step: int
-    true_ms: float
-    linear_ms: float
-    gap: float
-    layer_errors: tuple[tuple[str, float, float], ...]  # (dim_id, epsilon, bound)
-
-
-def replay_trajectory(
-    traj: PruneTrajectory, tables: TableSet, arch: ArchitectureSpec
-) -> list[ReplayStep]:
+def replay_trajectory(steps: list, tables: TableSet, arch: ArchitectureSpec) -> list[dict]:
     """Replay a pruning schedule and compare both latency models per step.
 
-    The true latency reads every layer's table at the step's actual (input,
-    output) options; the linear estimate reads each layer's row at the input
-    option remembered from the previous step.  The gap is zero exactly when
-    no layer's input changed in the step.
+    `steps` is the schedule as the trajectory document holds it: after each
+    step, a ``{dim_id: option}`` dict over exactly the conv dimensions of a
+    ``cnn_chain``-only `arch`.  It starts from the dense network (every
+    dimension at its last option), and kept counts only shrink step over
+    step.  The schedule is checked, then the tables against `arch`.
+
+    Each step gives a dict: ``step`` (0-based), ``true_ms``, the latency
+    read from every layer's table at the step's actual (input, output)
+    options, ``linear_ms``, the estimate reading each layer's row at the
+    input option remembered from the previous step, ``gap`` (``linear_ms -
+    true_ms``) and ``layers``, one ``(dim_id, epsilon, bound)`` per layer
+    (``estimation_error`` of its output option).  Both sums add a subtotal
+    per block, so the gap is exactly 0.0 when no layer's input changed in
+    the step.
     """
-    traj.validate_for(arch)
+    conv_dims = []
+    for block in arch.blocks:
+        if block.kind != "cnn_chain":
+            raise ValidationError(
+                f"block {block.id}: trajectories only apply to cnn_chain architectures"
+            )
+        conv_dims.extend(block.dims)
+    prev = {d: arch.dim(d).option_count for d in conv_dims}
+    for t, step in enumerate(steps):
+        if not isinstance(step, dict) or set(step) != set(conv_dims):
+            raise ValidationError(
+                f"trajectory step {t}: must assign exactly the conv dimensions "
+                f"{sorted(conv_dims)}"
+            )
+        for d, j in step.items():
+            dim = arch.dim(d)
+            if isinstance(j, bool) or not isinstance(j, int):
+                raise ValidationError(
+                    f"trajectory step {t}: {d!r} option must be an integer, got {shown(j)}"
+                )
+            if not 1 <= j <= dim.option_count:
+                raise ValidationError(
+                    f"trajectory step {t}: {d!r} option {j} out of range "
+                    f"[1, {dim.option_count}]"
+                )
+            if j > prev[d]:
+                raise ValidationError(
+                    f"trajectory step {t}: {d!r} grows from option {prev[d]} "
+                    f"to {j}; kept counts must be nonincreasing"
+                )
+        prev = step
     tables.validate_for(arch)
-    report = []
+    rows = []
+    kappa = {b.id: 1 for b in arch.blocks if b.removable}
     # The dense network: every dimension at its last option, a trunk width at its only one.
     prev_cfg = {d.id: d.option_count for d in arch.dims.values()}
-    for t, step in enumerate(traj.steps):
+    for t, step in enumerate(steps):
         cfg = prev_cfg | step
-        asg = Assignment(omega=dict(step), kappa={b.id: 1 for b in arch.blocks if b.removable})
-        true_ms = constraint_value(asg, tables, arch)
+        true_ms = constraint_value(Assignment(omega=step, kappa=kappa), tables, arch)
         linear_ms = 0.0
-        layer_errors = []
+        layers = []
         for block in arch.blocks:
+            subtotal = 0.0  # per block, as constraint_value adds
             for part, layer, (din, dout) in arch.parts(block):
                 table = tables.get(block.id, part, layer)
                 in_prev, in_now, out_now = prev_cfg[din.id], cfg[din.id], cfg[dout.id]
-                linear_ms += _at(table, in_prev, out_now)
-                eps, bound = estimation_error(table, in_prev, in_now, out_now)
-                layer_errors.append((dout.id, eps, bound))
-        report.append(
-            ReplayStep(
-                step=t,
-                true_ms=true_ms,
-                linear_ms=linear_ms,
-                gap=linear_ms - true_ms,
-                layer_errors=tuple(layer_errors),
-            )
-        )
+                subtotal += _at(table, in_prev, out_now)
+                layers.append((dout.id, *estimation_error(table, in_prev, in_now, out_now)))
+            linear_ms += subtotal
+        rows.append({"step": t, "true_ms": true_ms, "linear_ms": linear_ms,
+                     "gap": linear_ms - true_ms, "layers": layers})
         prev_cfg = cfg
-    return report
+    return rows
 
 
 def parse_lut(document: str) -> TableSet:

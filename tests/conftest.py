@@ -13,7 +13,6 @@ from latprune import (
     BlockSpec,
     DimensionSpec,
     LatencyTable,
-    RawScores,
     TableSet,
     build_all_vectors,
     constraint_value,
@@ -144,7 +143,7 @@ def random_scores(arch: ArchitectureSpec, rng: np.random.Generator, signed: bool
             values = rng.normal(0.0, 1.0, dim.max_elements)
         else:
             values = rng.random(dim.max_elements)
-        out[dim.id] = RawScores(dim_id=dim.id, scores=values)
+        out[dim.id] = values
     return out
 
 
@@ -168,7 +167,7 @@ def random_tables(arch: ArchitectureSpec, rng: np.random.Generator, scale: float
 def integer_problem(rng, arch):
     """Integer scores in [-1, 3] and latencies in [0, 3]: many exact ties."""
     raw = {
-        d.id: RawScores(dim_id=d.id, scores=rng.integers(-1, 4, d.max_elements).astype(float))
+        d.id: rng.integers(-1, 4, d.max_elements).astype(float)
         for d in arch.dims.values()
     }
     tables = TableSet()

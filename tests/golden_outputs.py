@@ -28,7 +28,6 @@ import hashlib
 import importlib.util
 import io
 import json
-import sys
 import tempfile
 from pathlib import Path
 
@@ -77,13 +76,15 @@ def commands(run: Path) -> list[tuple[str, list[str]]]:
             (base / f"{name}.json").write_text(text)
         problem = [f"--{n}={base / f'{n}.json'}" for n in ("arch", "scores", "lut")]
         out.append((f"check/{key}", ["check", *problem]))
-        for mode in ("branch_and_bound", "heuristic_only") + (("exhaustive",) if key == "tiny" else ()):
+        modes = ("branch_and_bound", "heuristic_only") + (("exhaustive",) if key == "tiny" else ())
+        for mode in modes:
             solved = run / f"solve-{mode}" / key
             budget = repr(inst.budget(SOLVE_FRACTION[key]))
             out.append((f"solve-{mode}/{key}", ["solve", *problem, f"--budget-ms={budget}",
                                                 f"--mode={mode}", f"--out={solved}"]))
-            out.append((f"extract-{mode}/{key}", ["extract", f"--report={solved / 'report.json'}",
-                                                  *problem, f"--out={run / f'extract-{mode}' / key}"]))
+            report = f"--report={solved / 'report.json'}"
+            out.append((f"extract-{mode}/{key}", ["extract", report, *problem,
+                                                  f"--out={run / f'extract-{mode}' / key}"]))
         budgets = ",".join(repr(inst.budget(f)) for f in SWEEP_FRACTIONS)
         out.append((f"sweep/{key}", ["sweep", *problem, f"--budgets={budgets}",
                                      f"--out={run / 'sweep' / key}"]))

@@ -15,7 +15,6 @@ from latprune import (
     Assignment,
     LatencyModelParams,
     LatencyTable,
-    PruneTrajectory,
     SolverConfig,
     TableSet,
     build_all_vectors,
@@ -174,16 +173,16 @@ def test_linear_model_error_properties():
             seed=0,
             noise=0.0,
         )
-        traj = PruneTrajectory(steps=({"c1": 2, "c2": 2}, {"c1": 1, "c2": 1}))
-        report = replay_trajectory(traj, tables, arch)
-        assert any(step.gap > 0 for step in report)
-        for step, cfg in zip(report, traj.steps):
+        steps = [{"c1": 2, "c2": 2}, {"c1": 1, "c2": 1}]
+        report = replay_trajectory(steps, tables, arch)
+        assert any(step["gap"] > 0 for step in report)
+        for step, cfg in zip(report, steps):
             asg = Assignment(omega=dict(cfg))
             exact = float(tables.get(1, "conv_layer", 1).data[0, cfg["c1"] - 1]) + float(
                 tables.get(1, "conv_layer", 2).data[cfg["c1"] - 1, cfg["c2"] - 1]
             )
-            assert step.true_ms == pytest.approx(exact, rel=1e-12)
-            assert step.true_ms == constraint_value(asg, tables, arch)
+            assert step["true_ms"] == pytest.approx(exact, rel=1e-12)
+            assert step["true_ms"] == constraint_value(asg, tables, arch)
 
 
 def test_solve_time_target_resnet50_shape():

@@ -1307,10 +1307,12 @@ def command_args(command: str, root: Path, out: Path) -> list[str]:
 
 
 class TestCsvQuoting:
-    # A comma in one id; a quote and a newline in another.
-    IDS = {"b1_c1": "b1,c1", "b2_c1": 'b2"c2\nx'}
+    # A comma in one id; a quote and a newline in another; a tab in a third.
+    IDS = {"b1_c1": "b1,c1", "b2_c1": 'b2"c2\nx', "b2_c2": "b2\tc2"}
 
-    def test_ids_that_need_quoting_round_trip_through_a_csv_reader(self, tmp_path):
+    def _solve(self, tmp_path) -> tuple[dict, Path]:
+        """tiny_mixed with the ids renamed, and the directory of its solve at
+        a budget above the dense plan's latency: every block is kept."""
         doc = json.loads((DATA / "tiny_mixed.arch.json").read_text())
         for d in doc["dims"]:
             d["id"] = self.IDS.get(d["id"], d["id"])
@@ -1320,8 +1322,11 @@ class TestCsvQuoting:
         arch.write_text(json.dumps(doc))
         inputs = synth(tmp_path, arch)
         out = tmp_path / "out"
-        # A budget above the dense plan's latency: every block is kept.
         assert main(solve_args(arch, inputs, out, "1e9")) == 0
+        return doc, out
+
+    def test_ids_that_need_quoting_round_trip_through_a_csv_reader(self, tmp_path):
+        doc, out = self._solve(tmp_path)
         # Trajectories replay on convolution chains only: blocks 1 and 2.
         doc["blocks"] = [b for b in doc["blocks"] if b["kind"] == "cnn_chain"]
         doc["dims"] = [d for d in doc["dims"] if d["role"] in ("fixed_external", "conv_out")]
@@ -1343,6 +1348,17 @@ class TestCsvQuoting:
             ids = {row[header.index("dim_id")] for row in rows}
             assert set(self.IDS.values()) <= ids, name
             assert "b1_c2" in ids, name  # a plain id, as it is
+
+    def test_summary_txt_writes_ids_it_cannot_print_plainly_as_json_strings(self, tmp_path):
+        _, out = self._solve(tmp_path)
+        lines = (out / "summary.txt").read_text(encoding="utf-8").splitlines()
+        assert [line for line in lines if line.startswith("block ")] == [
+            'block 1 (cnn_chain): "b1,c1"=16/16, b1_c2=16/16',
+            r'block 2 (cnn_chain): "b2\"c2\nx"=24/24, "b2\tc2"=16/16',
+            "block 3 (transformer): b3_emb=32/32, b3_head=4/4, b3_qk=32/32, b3_v=32/32, "
+            "b3_mlp=96/96",
+        ]
+        assert len(lines) == 8  # four header lines, three blocks, the stamp
 
 
 class TestProcessEntry:

@@ -69,7 +69,7 @@ from latprune import (
 )
 from latprune import solver
 from latprune.cli import main
-from latprune.importance import ImportanceVector, RawScores
+from latprune.importance import ImportanceVector
 from latprune.latency import block_latency
 from latprune.solver import _frontiers, _lp_rounding, _pareto_dp, _plan, _room
 
@@ -137,7 +137,7 @@ def instances(draw, max_options=3, tf_options=2, max_layers=3, top=3, min_blocks
         return np.array(draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n)), dtype=float)
 
     raw = {
-        d.id: RawScores(dim_id=d.id, scores=integers(d.max_elements, -1, top))
+        d.id: integers(d.max_elements, -1, top)
         for d in arch.dims.values()
     }
     tables = TableSet()
@@ -158,7 +158,7 @@ def all_tied_chain():
     arch = make_arch([trunk_dim("trunk"), *layers], [BlockSpec(
         id=1, kind="cnn_chain", dims=tuple(d.id for d in layers), removable=False,
         input_ref="trunk")])
-    raw = {d.id: RawScores(dim_id=d.id, scores=np.zeros(d.max_elements)) for d in arch.dims.values()}
+    raw = {d.id: np.zeros(d.max_elements) for d in arch.dims.values()}
     rng = np.random.default_rng(0)
     tables = TableSet()
     for part, layer, dims in arch.parts(arch.blocks[0]):
@@ -295,7 +295,7 @@ def nested_chain():
         BlockSpec(id=b, kind="cnn_chain", dims=(d.id,), removable=False, input_ref=ref)
         for b, d, ref in zip((1, 2, 3), layers, ("trunk", "b1_c1", "b2_c1"))
     ])
-    raw = {d.id: RawScores(dim_id=d.id, scores=np.ones(d.max_elements)) for d in arch.dims.values()}
+    raw = {d.id: np.ones(d.max_elements) for d in arch.dims.values()}
     latency = {1: [[1.0, 1.0]], 2: [[1.0, 1.0], [9.0, 1.0]], 3: [[0.0], [5.0]]}
     tables = TableSet()
     for block in arch.blocks:
@@ -489,10 +489,10 @@ def kept_or_removed_tie():
     arch = make_arch([trunk_dim("trunk"), *layers], [
         BlockSpec(id=b, kind="cnn_chain", dims=(f"b{b}_c1",), removable=True, input_ref="trunk")
         for b in cost])
-    raw = {"trunk": RawScores(dim_id="trunk", scores=np.ones(4))}
+    raw = {"trunk": np.ones(4)}
     tables = TableSet()
     for b, ms in cost.items():
-        raw[f"b{b}_c1"] = RawScores(dim_id=f"b{b}_c1", scores=np.array([ms]))
+        raw[f"b{b}_c1"] = np.array([ms])
         tables.add(LatencyTable(block_id=b, part="conv_layer", layer=1,
                                 axes=("trunk", f"b{b}_c1"), data=np.array([[ms]])))
     return assemble(arch, build_all_vectors(arch, raw), tables, 3.0)
@@ -559,10 +559,19 @@ def test_folded_merge_equals_one_that_never_folds():
     many stages and must return, per budget, the leaves, node counts and
     largest pruned bounds of a merge whose threshold no stage reaches, with
     one budget and with several, unseeded and as ``solve_budgets`` seeds
-    it."""
-    fold = solver._fold
+    it.  That merge filters each stage's chunk survivors at its end by the
+    rule written out here, not by ``_fold``, so a fault of ``_fold`` shows."""
 
-    def run(threshold, problem, budgets):
+    def stage_end(kept, bud, margin):
+        """The survivors that no survivor of the same budget and open
+        producer options dominates, ties broken by the plans' codes."""
+        par, pt, c_lat, c_imp, kappa_code, omega_code, cols = map(np.concatenate, zip(*kept))
+        rows = np.column_stack((bud[par], cols))
+        group = np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+        keep = solver._pareto(c_lat, c_imp, (kappa_code, omega_code), margin, group)
+        return [a[keep] for a in (par, pt, c_lat, c_imp, kappa_code, omega_code, cols)]
+
+    def run(threshold, fold, problem, budgets):
         mid_stage = []
 
         def spy(kept, bud, margin):
@@ -588,8 +597,8 @@ def test_folded_merge_equals_one_that_never_folds():
         budget = pick_budget(arch, problem.tables, rng)
         problem = assemble(arch, problem.vectors, problem.tables, budget)
         for budgets in ([budget], [budget * 0.8, budget, budget * 1.25]):
-            never, none = run(2**40, problem, budgets)
-            folded, mid_stage = run(solver._FOLD, problem, budgets)
+            never, none = run(2**40, stage_end, problem, budgets)
+            folded, mid_stage = run(solver._FOLD, solver._fold, problem, budgets)
             assert none == 0
             assert folded == never
             folds += mid_stage
@@ -714,7 +723,7 @@ def chains(count):
         BlockSpec(id=b, kind="cnn_chain", dims=(d.id,), removable=b > 1, input_ref="trunk")
         for b, d in enumerate(layers, 1)
     ])
-    raw = {d.id: RawScores(dim_id=d.id, scores=np.ones(d.max_elements)) for d in arch.dims.values()}
+    raw = {d.id: np.ones(d.max_elements) for d in arch.dims.values()}
     tables = TableSet()
     for block in arch.blocks:
         (part, layer, dims), = arch.parts(block)

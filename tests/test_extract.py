@@ -9,7 +9,6 @@ from hypothesis import example, given, strategies as st
 from latprune import (
     Assignment,
     LatencyTable,
-    RawScores,
     TableSet,
     ValidationError,
     build_all_vectors,
@@ -38,8 +37,8 @@ def scored_inputs(removable=True):
     blocks = [BlockSpec(id=1, kind="cnn_chain", dims=("c1",), removable=removable, input_ref="t")]
     arch = make_arch(dims, blocks)
     raw = {
-        "t": RawScores(dim_id="t", scores=np.zeros(4)),
-        "c1": RawScores(dim_id="c1", scores=np.array([0.2, 0.9, 0.5])),
+        "t": np.zeros(4),
+        "c1": np.array([0.2, 0.9, 0.5]),
     }
     vectors = build_all_vectors(arch, raw)
     tables = TableSet()
@@ -95,7 +94,7 @@ class TestExtract:
 
     def test_wrong_score_count_named(self):
         inputs, raw = scored_inputs()
-        raw["c1"] = RawScores(dim_id="c1", scores=np.array([0.2, 0.9]))
+        raw["c1"] = np.array([0.2, 0.9])
         assignment = Assignment(omega={"c1": 1}, kappa={1: 1})
         with pytest.raises(ValidationError, match="scores for 'c1': expected 3 values, found 2"):
             extract_structure(assignment, *inputs, raw)
@@ -113,7 +112,7 @@ class TestExtract:
             [trunk_dim("t"), conv_dim("c1", n)],
             [BlockSpec(id=1, kind="cnn_chain", dims=("c1",), removable=False, input_ref="t")],
         )
-        raw = {"t": RawScores("t", np.zeros(4)), "c1": RawScores("c1", np.array(scores))}
+        raw = {"t": np.zeros(4), "c1": np.array(scores)}
         tables = TableSet()
         tables.add(LatencyTable(block_id=1, part="conv_layer", layer=1, axes=("t", "c1"),
                                 data=np.ones((1, n))))
@@ -187,7 +186,7 @@ class TestExtract:
         total = 0.0
         for block_out in structure["blocks"]:
             for dim_out in block_out["dims"]:
-                scores = raw[dim_out["dim_id"]].scores
+                scores = raw[dim_out["dim_id"]]
                 total += float(sum(scores[e - 1] for e in dim_out["kept_elements"]))
         assert total == pytest.approx(structure["importance"], rel=1e-9, abs=1e-9)
 

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 from latprune import (
     Assignment,
     ParseError,
-    RawScores,
     ValidationError,
     build_all_vectors,
     build_importance_vector,
@@ -34,8 +33,8 @@ from conftest import (
 )
 
 
-def vec(dim_id, values):
-    return RawScores(dim_id=dim_id, scores=np.asarray(values, dtype=float))
+def vec(values):
+    return np.asarray(values, dtype=float)
 
 
 # Scores whose order or sums a reader can get wrong: ties, both zeros, the
@@ -62,7 +61,7 @@ def assert_folded_as_the_stable_sort(scores, group):
         want = np.cumsum(ordered)[kept - 1]
     for state in NUMPY_STATES:
         with mock.patch.dict(sys.modules, state):
-            got = build_importance_vector(RawScores("d", array("d", scores)), dim)
+            got = build_importance_vector(array("d", scores), dim)
         assert isinstance(got.values, array) and got.values.typecode == "d"
         assert got.values.tobytes() == want.tobytes()
         assert got.cutoffs.tobytes() == ordered[kept - 1].tobytes()
@@ -85,28 +84,28 @@ class TestVectorsAgainstTheStableSort:
 class TestBuildVector:
     def test_prefix_sums_of_descending_sort(self):
         dim = conv_dim("d", 3)
-        out = build_importance_vector(vec("d", [0.2, 0.9, 0.5]), dim)
+        out = build_importance_vector(vec([0.2, 0.9, 0.5]), dim)
         assert np.allclose(out.values, [0.9, 1.4, 1.6])
 
     def test_uniform_scores_with_grouping(self):
         dim = conv_dim("d", 2, group=2, max_elements=4)
-        out = build_importance_vector(vec("d", [1, 1, 1, 1]), dim)
+        out = build_importance_vector(vec([1, 1, 1, 1]), dim)
         assert np.allclose(out.values, [2.0, 4.0])
 
     def test_negative_scores_allowed(self):
         dim = conv_dim("d", 2)
-        out = build_importance_vector(vec("d", [0.5, -0.1]), dim)
+        out = build_importance_vector(vec([0.5, -0.1]), dim)
         assert np.allclose(out.values, [0.5, 0.4])
         assert out.values[1] < out.values[0]
 
     def test_length_mismatch(self):
         dim = conv_dim("d", 3)
         with pytest.raises(ValidationError, match="expected 3"):
-            build_importance_vector(vec("d", [1.0, 2.0]), dim)
+            build_importance_vector(vec([1.0, 2.0]), dim)
 
     def test_clamped_option_sums_all_elements(self):
         dim = conv_dim("d", 2, group=2, max_elements=3)
-        out = build_importance_vector(vec("d", [3.0, 1.0, 2.0]), dim)
+        out = build_importance_vector(vec([3.0, 1.0, 2.0]), dim)
         assert np.allclose(out.values, [5.0, 6.0])
 
     # A last option that clamps to max_elements, and one that does not.
@@ -121,23 +120,23 @@ class TestBuildVector:
         assert kept_counts(dim).tolist() == kept
         prefix = np.cumsum(np.sort(scores)[::-1])
         want = np.array([prefix[k - 1] for k in kept])
-        got = build_importance_vector(vec("d", scores), dim).values
+        got = build_importance_vector(vec(scores), dim).values
         assert got.tobytes() == want.tobytes()
 
     @given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=12))
     def test_nonnegative_scores_give_nondecreasing_vector(self, scores):
         dim = conv_dim("d", len(scores))
-        out = build_importance_vector(vec("d", scores), dim)
+        out = build_importance_vector(vec(scores), dim)
         assert np.all(np.diff(out.values) >= -0.0)
 
     @settings(max_examples=30)
     @given(st.lists(st.floats(-5, 5), min_size=2, max_size=10), st.randoms())
     def test_permutation_invariance(self, scores, pyrandom):
         dim = conv_dim("d", len(scores))
-        base = build_importance_vector(vec("d", scores), dim)
+        base = build_importance_vector(vec(scores), dim)
         shuffled = list(scores)
         pyrandom.shuffle(shuffled)
-        again = build_importance_vector(vec("d", shuffled), dim)
+        again = build_importance_vector(vec(shuffled), dim)
         assert np.allclose(base.values, again.values, rtol=0, atol=1e-12)
 
 
@@ -152,9 +151,9 @@ class TestObjective:
     def test_simple_sum(self):
         arch = self._two_dim_arch()
         vectors = {
-            "t": build_importance_vector(vec("t", [0.0] * 4), arch.dim("t")),
-            "c1": build_importance_vector(vec("c1", [1.4, 0.1]), arch.dim("c1")),
-            "c2": build_importance_vector(vec("c2", [2.0, 0.5]), arch.dim("c2")),
+            "t": build_importance_vector(vec([0.0] * 4), arch.dim("t")),
+            "c1": build_importance_vector(vec([1.4, 0.1]), arch.dim("c1")),
+            "c2": build_importance_vector(vec([2.0, 0.5]), arch.dim("c2")),
         }
         asg = Assignment(omega={"c1": 1, "c2": 1}, kappa={1: 1})
         assert objective_value(asg, vectors, arch) == pytest.approx(3.4)
@@ -162,9 +161,9 @@ class TestObjective:
     def test_removed_block_contributes_zero(self):
         arch = self._two_dim_arch()
         vectors = {
-            "t": build_importance_vector(vec("t", [0.0] * 4), arch.dim("t")),
-            "c1": build_importance_vector(vec("c1", [1.4, 0.1]), arch.dim("c1")),
-            "c2": build_importance_vector(vec("c2", [2.0, 0.5]), arch.dim("c2")),
+            "t": build_importance_vector(vec([0.0] * 4), arch.dim("t")),
+            "c1": build_importance_vector(vec([1.4, 0.1]), arch.dim("c1")),
+            "c2": build_importance_vector(vec([2.0, 0.5]), arch.dim("c2")),
         }
         asg = Assignment(omega={"c1": 1, "c2": 1}, kappa={1: 0})
         assert objective_value(asg, vectors, arch) == 0.0
@@ -211,11 +210,11 @@ class TestObjective:
         arch = self._two_dim_arch()
         asg = Assignment(omega={"c1": 1, "c2": 1}, kappa={1: 1})
         with pytest.raises(ValidationError, match="c2"):
-            objective_value(asg, {"c1": build_importance_vector(vec("c1", [1, 2]), arch.dim("c1"))}, arch)
+            objective_value(asg, {"c1": build_importance_vector(vec([1, 2]), arch.dim("c1"))}, arch)
 
     def test_option_out_of_range_named(self):
         arch = self._two_dim_arch()
-        vectors = build_all_vectors(arch, {d: vec(d, [1.0] * arch.dims[d].max_elements)
+        vectors = build_all_vectors(arch, {d: vec([1.0] * arch.dims[d].max_elements)
                                            for d in arch.dims})
         asg = Assignment(omega={"c1": 1, "c2": 3}, kappa={1: 1})
         with pytest.raises(ValidationError, match=r"'c2': option 3 out of range \[1, 2\]"):
@@ -225,9 +224,7 @@ class TestObjective:
         rng = np.random.default_rng(9)
         arch = random_architecture(rng)
         raw = random_scores(arch, rng)
-        scaled_raw = {
-            d: RawScores(dim_id=d, scores=4.0 * r.scores) for d, r in raw.items()
-        }
+        scaled_raw = {d: 4.0 * r for d, r in raw.items()}
         vectors = build_all_vectors(arch, raw)
         scaled = build_all_vectors(arch, scaled_raw)
         asg = dense_assignment(arch)
@@ -240,7 +237,7 @@ class TestParseScores:
     def test_single_dim(self):
         out = parse_scores(json.dumps([{"dim_id": "a", "scores": [1.0, 2.0, 3.0]}]))
         assert set(out) == {"a"}
-        assert out["a"].scores == array("d", [1.0, 2.0, 3.0])
+        assert out["a"] == array("d", [1.0, 2.0, 3.0])
 
     def test_duplicate_dim_rejected(self):
         doc = json.dumps(
@@ -265,7 +262,7 @@ class TestParseScores:
         x = np.array(scores)
         document = json.dumps([{"dim_id": "a", "scores": scores}])
         if np.isfinite(x).all():
-            assert parse_scores(document)["a"].scores.tobytes() == x.tobytes()
+            assert parse_scores(document)["a"].tobytes() == x.tobytes()
             return
         k = int(np.flatnonzero(~np.isfinite(x))[0])
         with pytest.raises(ValidationError,
@@ -279,12 +276,12 @@ class TestParseScores:
         again = parse_scores(serialize_scores(scores))
         assert set(again) == set(scores)
         for d in scores:
-            assert np.array_equal(again[d].scores, scores[d].scores)
+            assert np.array_equal(again[d], scores[d])
 
     def test_non_finite_score_is_not_written(self):
         # A bare NaN token would be invalid JSON that parse_scores rejects.
         with pytest.raises(ValueError):
-            serialize_scores({"a": RawScores("a", np.array([float("nan"), 1.0]))})
+            serialize_scores({"a": np.array([float("nan"), 1.0])})
 
 
 class TestSynthScores:
@@ -294,21 +291,21 @@ class TestSynthScores:
         a = synth_scores(arch, 123)
         b = synth_scores(arch, 123)
         for d in a:
-            assert np.array_equal(a[d].scores, b[d].scores)
+            assert np.array_equal(a[d], b[d])
 
     def test_uniform_range(self):
         rng = np.random.default_rng(2)
         arch = random_architecture(rng)
         scores = synth_scores(arch, 9, "uniform01")
         for s in scores.values():
-            assert 0.0 <= min(s.scores) and max(s.scores) < 1.0
+            assert 0.0 <= min(s) and max(s) < 1.0
 
     def test_exponential_mean(self):
         dims = [trunk_dim("t"), conv_dim("c", 10_000, group=1)]
         blocks = [BlockSpec(id=1, kind="cnn_chain", dims=("c",), removable=False, input_ref="t")]
         arch = make_arch(dims, blocks)
         scores = synth_scores(arch, 0, "exponential")
-        mean = float(np.mean(scores["c"].scores))
+        mean = float(np.mean(scores["c"]))
         assert abs(mean - 1.0) < 0.05
 
     def test_unknown_distribution(self):
@@ -327,4 +324,4 @@ class TestSynthScores:
         arch = random_architecture(np.random.default_rng(2))
         a, b = synth_scores(arch, np.int64(7)), synth_scores(arch, 7)
         for d in a:
-            assert np.array_equal(a[d].scores, b[d].scores)
+            assert np.array_equal(a[d], b[d])

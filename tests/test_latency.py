@@ -13,7 +13,6 @@ from latprune import (
     LatencyModelParams,
     LatencyTable,
     ParseError,
-    PruneTrajectory,
     SolveError,
     TableSet,
     ValidationError,
@@ -345,44 +344,82 @@ class TestReplay:
 
     def test_last_layer_only_trajectory_has_zero_gap(self):
         arch, tables = self._tiled_setup()
-        traj = PruneTrajectory(
-            steps=(
-                {"c1": 3, "c2": 2},
-                {"c1": 3, "c2": 1},
-            )
-        )
-        report = replay_trajectory(traj, tables, arch)
-        assert [r.gap for r in report] == [0.0, 0.0]
+        report = replay_trajectory([{"c1": 3, "c2": 2}, {"c1": 3, "c2": 1}], tables, arch)
+        assert [r["gap"] for r in report] == [0.0, 0.0]
 
     def test_empty_trajectory(self):
         arch, tables = self._tiled_setup()
-        assert replay_trajectory(PruneTrajectory(steps=()), tables, arch) == []
+        assert replay_trajectory([], tables, arch) == []
 
     def test_aggressive_trajectory_matches_hand_computation(self):
         arch = two_layer_arch(opt1=2, opt2=2)
         tables = TableSet()
         tables.add(conv_table(1, 1, ("t", "c1"), [[1.0, 2.0]]))
         tables.add(conv_table(1, 2, ("c1", "c2"), [[1.0, 2.0], [3.0, 4.0]]))
-        traj = PruneTrajectory(steps=({"c1": 1, "c2": 1},))
-        report = replay_trajectory(traj, tables, arch)
+        report = replay_trajectory([{"c1": 1, "c2": 1}], tables, arch)
         # True: layer1 (fixed in, out 1) = 1.0; layer2 (in 1, out 1) = 1.0.
         # Linear: layer2 still reads the dense input row (in 2, out 1) = 3.0.
-        assert report[0].true_ms == pytest.approx(2.0)
-        assert report[0].linear_ms == pytest.approx(4.0)
-        assert report[0].gap == pytest.approx(2.0)
+        # Layer 2's marginal cost: stale 3.0 - 0, true 1.0 - 0; bound |3-1| + 0.
+        assert report == [{"step": 0, "true_ms": 2.0, "linear_ms": 4.0, "gap": 2.0,
+                           "layers": [("c1", 0.0, 0.0), ("c2", 2.0, 2.0)]}]
 
     def test_growing_trajectory_rejected(self):
         arch, tables = self._tiled_setup()
-        traj = PruneTrajectory(steps=({"c1": 2, "c2": 2}, {"c1": 3, "c2": 2}))
         with pytest.raises(ValidationError, match="nonincreasing"):
-            replay_trajectory(traj, tables, arch)
+            replay_trajectory([{"c1": 2, "c2": 2}, {"c1": 3, "c2": 2}], tables, arch)
 
     @pytest.mark.parametrize("option", ["2", True, 2.0])
     def test_non_integer_option_rejected(self, option):
         arch, tables = self._tiled_setup()
-        traj = PruneTrajectory(steps=({"c1": 3, "c2": option},))
         with pytest.raises(ValidationError, match="'c2' option must be an integer"):
-            replay_trajectory(traj, tables, arch)
+            replay_trajectory([{"c1": 3, "c2": option}], tables, arch)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.booleans())
+    def test_rows_are_the_two_models_summed_per_block(self, seed, integer):
+        """On random chain-only instances and nonincreasing schedules, whose
+        steps change nothing, only widths no layer reads, or any widths."""
+        rng = np.random.default_rng(seed)
+        arch = random_architecture(rng)
+        while any(b.kind != "cnn_chain" for b in arch.blocks):
+            arch = random_architecture(rng)
+        tables = random_tables(arch, rng)
+        if integer:
+            tables = TableSet()
+            for t in random_tables(arch, rng):
+                tables.add(conv_table(t.block_id, t.layer, t.axes, np.floor(4 * t.data)))
+        read = {din.id for b in arch.blocks for _, _, (din, _) in arch.parts(b)}
+        cfg = {d.id: d.option_count for d in arch.dims.values()}
+        conv = [d for b in arch.blocks for d in b.dims]
+        steps = []
+        for _ in range(int(rng.integers(0, 5))):
+            movable = ((), [d for d in conv if d not in read], conv)[int(rng.integers(0, 3))]
+            steps.append({d: int(rng.integers(1, cfg[d] + 1)) if d in movable else cfg[d]
+                          for d in conv})
+            cfg = cfg | steps[-1]
+        report = replay_trajectory(steps, tables, arch)
+
+        assert [r["step"] for r in report] == list(range(len(steps)))
+        prev = {d.id: d.option_count for d in arch.dims.values()}
+        kappa = {b.id: 1 for b in arch.blocks if b.removable}
+        for row, step in zip(report, steps):
+            now = prev | step
+            assert row["true_ms"] == constraint_value(Assignment(step, kappa), tables, arch)
+            stale = 0.0
+            for b in arch.blocks:
+                subtotal = 0.0
+                for part, layer, (din, dout) in arch.parts(b):
+                    data = tables.get(b.id, part, layer).data
+                    subtotal += float(data[prev[din.id] - 1, now[dout.id] - 1])
+                stale += subtotal
+            assert row["linear_ms"] == stale
+            assert row["gap"] == row["linear_ms"] - row["true_ms"]
+            if all(prev[d] == now[d] for d in read):
+                assert row["gap"] == 0.0
+            assert [d for d, _, _ in row["layers"]] == conv
+            if integer:
+                assert all(eps <= bound for _, eps, bound in row["layers"])
+            prev = now
 
     def test_transformer_arch_rejected(self):
         rng = np.random.default_rng(31)
@@ -391,7 +428,7 @@ class TestReplay:
             arch = random_architecture(rng)
         tables = random_tables(arch, rng)
         with pytest.raises(ValidationError, match="cnn_chain"):
-            replay_trajectory(PruneTrajectory(steps=()), tables, arch)
+            replay_trajectory([], tables, arch)
 
 
 @st.composite

@@ -1,14 +1,12 @@
 """The record classes: construction, defaults, equality, repr, hashing and
 frozen-ness, for every ``latprune.record.Record`` subclass."""
 
-from array import array
-
 import numpy as np
 import pytest
 
 from latprune.arch import ArchitectureSpec, BlockSpec, DimensionSpec
-from latprune.importance import Assignment, ImportanceVector, RawScores
-from latprune.latency import LatencyModelParams, LatencyTable, PruneTrajectory, ReplayStep
+from latprune.importance import Assignment, ImportanceVector
+from latprune.latency import LatencyModelParams, LatencyTable
 from latprune.record import Record
 from latprune.solver import PruningSolution, SolverConfig
 
@@ -19,14 +17,10 @@ RECORDS = {
     DimensionSpec: dict(id="d", role="conv_out", option_count=2, group_size=4, max_elements=8),
     BlockSpec: dict(id=1, kind="cnn_chain", dims=("d",), removable=True, input_ref="t"),
     ArchitectureSpec: dict(name="net", blocks=(), dims={}),
-    RawScores: dict(dim_id="d", scores=np.arange(3.0)),
     ImportanceVector: dict(dim_id="d", values=np.arange(2.0), cutoffs=np.arange(2.0)),
     Assignment: dict(omega={"d": 1}, kappa={1: 0}),
     LatencyTable: dict(block_id=1, part="mlp", axes=("e", "m"), data=np.ones((2, 2)), layer=None),
     LatencyModelParams: dict(unit_cost=1e-3, overhead=0.5, tile=8, spatial=2.0),
-    PruneTrajectory: dict(steps=({"c": 1},)),
-    ReplayStep: dict(step=0, true_ms=1.0, linear_ms=1.5, gap=0.5,
-                     layer_errors=(("c", 0.1, 0.2),)),
     SolverConfig: dict(mode="exhaustive", time_limit=5.0, tolerance=0.25),
     PruningSolution: dict(status="optimal", assignment=None, importance=1.0, latency=2.0,
                           bound=1.0, node_count=3, wall_time=0.1, message="done"),
@@ -148,8 +142,3 @@ def test_architecture_equality_ignores_its_cached_parts():
     assert cached == fresh and fresh == cached
     assert cached.parts(cached.blocks[0]) is parts  # computed once
 
-
-def test_raw_scores_compare_by_value():
-    scores = RawScores(dim_id="d", scores=array("d", [0.5, 2.0, 0.5, -1.0]))
-    assert scores == RawScores(dim_id="d", scores=array("d", [0.5, 2.0, 0.5, -1.0]))
-    assert scores != RawScores(dim_id="d", scores=array("d", [0.5, 2.0, 0.5, 1.0]))

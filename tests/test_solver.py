@@ -27,7 +27,6 @@ from latprune import (
     synth_scores,
 )
 from latprune import solver
-from latprune.importance import RawScores
 from latprune.solver import _frontiers
 
 from conftest import (
@@ -86,8 +85,8 @@ def three_chain_problem(budget=THREE_CHAIN_BUDGET):
         for i in (1, 2, 3)
     ]
     arch = make_arch(dims, blocks)
-    raw = {"t": RawScores(dim_id="t", scores=np.zeros(4))}
-    raw.update({f"c{i}": RawScores(dim_id=f"c{i}", scores=np.ones(1)) for i in (1, 2, 3)})
+    raw = {"t": np.zeros(4)}
+    raw.update({f"c{i}": np.ones(1) for i in (1, 2, 3)})
     tables = TableSet()
     for i, ms in enumerate(THREE_CHAIN_LATENCIES, start=1):
         tables.add(LatencyTable(block_id=i, part="conv_layer", layer=1, axes=("t", f"c{i}"),
@@ -439,9 +438,9 @@ class TestBranchAndBound:
         ]
         arch = make_arch(dims, blocks)
         raw = {
-            "t": RawScores(dim_id="t", scores=np.zeros(4)),
-            "c1": RawScores(dim_id="c1", scores=np.array([0.3, 4e-17])),
-            "c2": RawScores(dim_id="c2", scores=np.array([1.0])),
+            "t": np.zeros(4),
+            "c1": np.array([0.3, 4e-17]),
+            "c2": np.array([1.0]),
         }
         vectors = build_all_vectors(arch, raw)
         assert vectors["c1"].values[1] > vectors["c1"].values[0]
@@ -470,9 +469,7 @@ class TestBranchAndBound:
             ref = solve_exhaustive(base)
             if ref.status == "infeasible":
                 continue
-            scaled_raw = {
-                d: RawScores(dim_id=d, scores=8.0 * r.scores) for d, r in raw.items()
-            }
+            scaled_raw = {d: 8.0 * r for d, r in raw.items()}
             scaled = assemble(arch, build_all_vectors(arch, scaled_raw), tables, budget)
             sol = solve(scaled)
             assert sol.assignment == ref.assignment
@@ -511,8 +508,8 @@ class TestBranchAndBound:
             for i in (1, 2)
         ]
         arch = make_arch(dims, blocks)
-        raw = {"t": RawScores(dim_id="t", scores=np.zeros(4))}
-        raw.update({f"c{i}": RawScores(dim_id=f"c{i}", scores=np.ones(2)) for i in (1, 2)})
+        raw = {"t": np.zeros(4)}
+        raw.update({f"c{i}": np.ones(2) for i in (1, 2)})
         tables = TableSet()
         for i in (1, 2):
             tables.add(LatencyTable(block_id=i, part="conv_layer", layer=1, axes=("t", f"c{i}"),
