@@ -359,7 +359,7 @@ class TestReplay:
         report = replay_trajectory([{"c1": 1, "c2": 1}], tables, arch)
         # True: layer1 (fixed in, out 1) = 1.0; layer2 (in 1, out 1) = 1.0.
         # Linear: layer2 still reads the dense input row (in 2, out 1) = 3.0.
-        # Layer 2's marginal cost: stale 3.0 - 0, true 1.0 - 0; bound |3-1| + 0.
+        # Layer 2's marginal cost: stale 3.0 - 0, true 1.0 - 0; bound |0 - 0| + |3 - 1|.
         assert report == [{"step": 0, "true_ms": 2.0, "linear_ms": 4.0, "gap": 2.0,
                            "layers": [("c1", 0.0, 0.0), ("c2", 2.0, 2.0)]}]
 
