@@ -7,7 +7,6 @@ budgets, and prints the extracted structures.
 Run:  python3 demos/01_build_and_solve.py
 """
 
-import json
 from pathlib import Path
 
 import latprune as lp
@@ -44,7 +43,7 @@ print(f"dense latency: {dense_ms:.4f} ms\n")
 # ----------------------------------------------------------------------------
 for budget in (0.6 * dense_ms, 0.12 * dense_ms):
     problem = lp.assemble(arch, vectors, tables, budget)
-    solution = lp.solve(problem, lp.SolverConfig(time_limit=30.0))
+    solution = lp.solve(problem, time_limit=30.0)
     print(f"budget {budget:.4f} ms -> {solution.status}, "
           f"importance {solution.importance:.3f}, latency {solution.latency:.4f} ms, "
           f"{solution.node_count} nodes")

@@ -68,7 +68,7 @@ print(f"{'keep ratio':>10} {'status':>9} {'wall s':>7} {'nodes':>6} "
 for keep in (0.5, 0.3, 0.15, 0.08):
     problem = lp.assemble(arch, vectors, tables, keep * dense_ms)
     t0 = time.perf_counter()
-    sol = lp.solve(problem, lp.SolverConfig(time_limit=60.0))
+    sol = lp.solve(problem, time_limit=60.0)
     wall = time.perf_counter() - t0
     removed = [b for b, v in sorted(sol.assignment.kappa.items()) if v == 0]
     print(f"{keep:>10.2f} {sol.status:>9} {wall:>7.2f} {sol.node_count:>6} "

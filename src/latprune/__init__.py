@@ -35,8 +35,8 @@ _EXPORTS = {
         "serialize_lut", "synth_lut",
     ),
     "solver": (
-        "PruningProblem", "PruningSolution", "SolverConfig", "assemble", "solve",
-        "solve_budgets", "solve_exhaustive",
+        "PruningProblem", "PruningSolution", "assemble", "solve", "solve_budgets",
+        "solve_exhaustive",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

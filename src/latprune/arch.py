@@ -51,7 +51,7 @@ MANIFEST_KEY = "_manifest"
 ORJSON_MAX_CONTAINERS = 1000
 
 
-class DimensionSpec(Record, frozen=True):
+class DimensionSpec(Record):
     """One prunable (or fixed) size in the network."""
 
     id: str
@@ -112,7 +112,7 @@ def kept_counts(dim: DimensionSpec) -> array:
                        for kept in range(step, dim.option_count * step + 1, step)])
 
 
-class BlockSpec(Record, frozen=True):
+class BlockSpec(Record):
     """A residually skipped group of layers; the unit of whole removal."""
 
     id: int
@@ -122,7 +122,7 @@ class BlockSpec(Record, frozen=True):
     input_ref: str | None = None
 
 
-class ArchitectureSpec(Record, frozen=True):
+class ArchitectureSpec(Record):
     name: str
     blocks: tuple[BlockSpec, ...]
     dims: dict[str, DimensionSpec]

@@ -18,16 +18,12 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import arch as arch_mod
 from . import importance as imp_mod
 from . import latency as lat_mod
 from .arch import MANIFEST_KEY
 from .errors import LatPruneError, ParseError, SolveError, ValidationError
-
-if TYPE_CHECKING:
-    from .solver import SolverConfig
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -180,18 +176,15 @@ def _assignment_csv(arch, assignment, manifest_hash: str) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _solver_config(args) -> tuple[SolverConfig, dict]:
-    """The solver's configuration and its parameters as the manifest
-    records them."""
-    from . import solver as solver_mod
-
+def _solver_config(args) -> dict:
+    """The solver's settings, as the manifest records them and as
+    ``solve_budgets`` takes them."""
     if args.threads < 1:
         raise ValidationError(f"--threads must be >= 1, got {args.threads}")
     for flag, value in (("--time-limit", args.time_limit), ("--tolerance", args.tolerance)):
         if not math.isfinite(value):
             raise ValidationError(f"{flag} must be finite, got {value!r}")
-    params = {"mode": args.mode, "time_limit": args.time_limit, "tolerance": args.tolerance}
-    return solver_mod.SolverConfig(**params), params
+    return {"mode": args.mode, "time_limit": args.time_limit, "tolerance": args.tolerance}
 
 
 # ---------------------------------------------------------------------------
@@ -202,28 +195,26 @@ def _solver_config(args) -> tuple[SolverConfig, dict]:
 def cmd_synth(args) -> int:
     if args.seed < 0:
         raise ValidationError(f"--seed must be a non-negative integer, got {args.seed}")
-    params = lat_mod.LatencyModelParams(
-        unit_cost=args.unit_cost,
-        overhead=args.overhead,
-        tile=args.tile,
-        spatial=args.spatial,
-    )
+    model = {
+        "unit_cost": args.unit_cost,
+        "overhead": args.overhead,
+        "tile": args.tile,
+        "spatial": args.spatial,
+    }
     manifest, texts = _manifest(
         "synth",
         {"arch": args.arch},
         {
             "seed": args.seed,
             "distribution": args.distribution,
-            "unit_cost": params.unit_cost,
-            "overhead": params.overhead,
-            "tile": params.tile,
-            "spatial": params.spatial,
+            **model,
             "noise": args.noise,
         },
     )
     arch = arch_mod.parse_architecture(texts["arch"])
     scores = imp_mod.synth_scores(arch, args.seed, args.distribution)
-    tables = lat_mod.synth_lut(arch, params, args.seed, noise=args.noise)
+    tables = lat_mod.synth_lut(arch, lat_mod.LatencyModelParams(**model), args.seed,
+                               noise=args.noise)
     out = Path(args.out)
     _write_json(out / "scores.json", imp_mod.scores_to_obj(scores, manifest=manifest["hash"]))
     _write_json(out / "lut.json", lat_mod.lut_to_obj(tables, manifest=manifest["hash"]))
@@ -277,12 +268,12 @@ def cmd_solve(args) -> int:
     from . import solver as solver_mod
 
     _budget(args.budget_ms, "--budget-ms")
-    config, params = _solver_config(args)
+    params = _solver_config(args)
     manifest, _, arch, raw_scores, vectors, tables = _load_problem(
         args, "solve", {"budget_ms": args.budget_ms, **params}
     )
     problem = solver_mod.assemble(arch, vectors, tables, args.budget_ms)
-    solution = solver_mod.solve(problem, config)
+    solution = solver_mod.solve(problem, **params)
 
     out = Path(args.out)
     stamp = manifest["hash"]
@@ -314,7 +305,7 @@ def cmd_sweep(args) -> int:
     budgets = [_budget(b.strip(), "--budgets") for b in args.budgets.split(",") if b.strip()]
     if not budgets:
         raise ValidationError("sweep: --budgets needs at least one value")
-    config, params = _solver_config(args)
+    params = _solver_config(args)
     manifest, _, arch, raw_scores, vectors, tables = _load_problem(
         args, "sweep", {"budgets_ms": budgets, **params}
     )
@@ -323,7 +314,7 @@ def cmd_sweep(args) -> int:
     # One assembled problem and one batch: every budget reuses its frontiers
     # and LP bound, and the merge runs all budgets side by side.
     base = solver_mod.assemble(arch, vectors, tables, budgets[0])
-    solutions = solver_mod.solve_budgets(base, budgets, config)
+    solutions = solver_mod.solve_budgets(base, budgets, **params)
     optimal = []
     for budget, solution in zip(budgets, solutions):
         if solution.status == "optimal":
@@ -335,7 +326,7 @@ def cmd_sweep(args) -> int:
     # one budget fits every larger one.
     best = (-math.inf, 0.0)
     for budget, importance in sorted(optimal):
-        if importance < best[0] - config.tolerance:
+        if importance < best[0] - params["tolerance"]:
             raise SolveError(
                 f"internal error: optimal importance {importance!r} at budget "
                 f"{budget!r} ms is below {best[0]!r} at budget {best[1]!r} ms"

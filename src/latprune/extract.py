@@ -112,7 +112,7 @@ def summarize(structure: dict) -> tuple[str, str]:
     the document ``extract_structure`` returns."""
     removed = structure["depth_total"] - structure["depth_kept"]
     lines = [
-        f"pruned structure for {structure['name']}",
+        f"pruned structure for {_text_id(structure['name'])}",
         f"depth {structure['depth_kept']}/{structure['depth_total']} blocks kept "
         f"({removed} removed)",
         f"importance {structure['importance']!r}",
@@ -138,13 +138,13 @@ def summarize(structure: dict) -> tuple[str, str]:
     return "\n".join(lines) + "\n", "\n".join(rows) + "\n"
 
 
-def _text_id(dim_id: str) -> str:
-    """A dimension id as summary.txt writes it: as it is, unless it holds a
+def _text_id(text: str) -> str:
+    """An id or name as summary.txt writes it: as it is, unless it holds a
     character that would split or blur its line (``, = / " \\`` or one that
     is not printable), then as ``json.dumps`` writes it."""
-    if dim_id.isprintable() and not any(c in dim_id for c in ',=/"\\'):
-        return dim_id
-    return json.dumps(dim_id)
+    if text.isprintable() and not any(c in text for c in ',=/"\\'):
+        return text
+    return json.dumps(text)
 
 
 def serialize_structure(structure: dict, manifest: str | None = None) -> str:

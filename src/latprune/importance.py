@@ -27,8 +27,7 @@ from .errors import ParseError, ValidationError
 from .record import Record
 
 
-class ImportanceVector(Record, frozen=True):
-    dim_id: str
+class ImportanceVector(Record):
     values: array  # float64 (typecode "d"), one entry per keep-count option
     # Per option, the least score it keeps (the kept_elements-th largest), so
     # extraction need not sort the scores again; None when not known.
@@ -94,7 +93,7 @@ def build_importance_vector(scores, dim: DimensionSpec) -> ImportanceVector:
         values, cutoffs = _fold(scores.tolist(), counts)  # floats, from a numpy array too
     else:
         values, cutoffs = _fold_numpy(np, scores, counts)
-    return ImportanceVector(dim_id=dim.id, values=values, cutoffs=cutoffs)
+    return ImportanceVector(values=values, cutoffs=cutoffs)
 
 
 def _fold(scores: list[float], counts: array) -> tuple[array, array]:

@@ -38,7 +38,7 @@ PARTS = ("conv_layer", *TRANSFORMER_PARTS)
 PART_RANK = {"conv_layer": 2, **{part: len(roles) for part, roles in TRANSFORMER_PARTS.items()}}
 
 
-class LatencyTable(Record, frozen=True):
+class LatencyTable(Record):
     block_id: int
     part: str
     axes: tuple[str, ...]
@@ -224,7 +224,7 @@ def constraint_value(
     return total
 
 
-class LatencyModelParams(Record, frozen=True):
+class LatencyModelParams(Record):
     """Synthetic cost-model knobs standing in for on-hardware measurement."""
 
     unit_cost: float = 1e-6  # ms per multiply-accumulate equivalent

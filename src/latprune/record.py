@@ -10,20 +10,16 @@ class Record:
     value is a field's default.  It takes them by position or keyword, its
     ``repr`` lists them, and ``==`` compares the exact type and the fields
     only, not the ``__dict__``, where a ``cached_property`` keeps its value.
-    ``class R(Record, frozen=True)`` refuses assignment and deletion and
-    hashes by its fields; other records are mutable and unhashable."""
+    A record is a frozen value: it refuses assignment and deletion and hashes
+    by its fields, though a dict or array field stays mutable."""
 
-    def __init_subclass__(cls, frozen: bool = False, **kwargs) -> None:
+    def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
         cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
-        if frozen:
-            cls.__setattr__ = cls.__delattr__ = _refuse
-            if cls.__dict__.get("__hash__") is None:  # unset, or None beside its own __eq__
-                cls.__hash__ = lambda self: hash(self._values())
 
     def __init__(self, *args, **kwargs) -> None:
-        # object.__setattr__ in field order: a frozen record refuses setattr,
+        # object.__setattr__ in field order: a record refuses setattr,
         # and all instances of a class share one attribute layout.
         cls = type(self)
         if len(args) > len(cls._fields):
@@ -48,6 +44,10 @@ class Record:
     def __eq__(self, other):
         return self._values() == other._values() if type(other) is type(self) else NotImplemented
 
+    def __hash__(self) -> int:
+        return hash(self._values())
 
-def _refuse(self, name, *value) -> None:
-    raise AttributeError(f"cannot set or delete {name!r} of a frozen {type(self).__name__}")
+    def __setattr__(self, name, *value) -> None:
+        raise AttributeError(f"cannot set or delete {name!r} of a frozen {type(self).__name__}")
+
+    __delattr__ = __setattr__

@@ -53,7 +53,7 @@ form (frontier points, or grid columns in the oracle) with its importance
 and latency sums until ``_solution`` reports it, after one recheck that the
 sums equal the public evaluators' bit for bit and fit the budget.
 
-Determinism: identical problem + config give identical solutions and node
+Determinism: identical problem + settings give identical solutions and node
 counts.  The solver runs sequentially in the calling thread.
 """
 
@@ -78,20 +78,6 @@ EXHAUSTIVE_GUARD = 10**6
 
 _NEG_INF = float("-inf")
 _NORMAL_MIN = sys.float_info.min
-
-
-class SolverConfig(Record, frozen=True):
-    mode: str = "branch_and_bound"  # exhaustive | branch_and_bound | heuristic_only
-    time_limit: float = 60.0  # seconds
-    tolerance: float = 0.0  # absolute optimality gap accepted
-
-    def validate(self) -> None:
-        if self.mode not in ("exhaustive", "branch_and_bound", "heuristic_only"):
-            raise ValidationError(f"unknown solver mode {self.mode!r}")
-        if not self.time_limit > 0:  # NaN fails every comparison
-            raise ValidationError(f"time_limit must be positive, got {self.time_limit!r}")
-        if not self.tolerance >= 0:
-            raise ValidationError(f"tolerance must be nonnegative, got {self.tolerance!r}")
 
 
 class PruningSolution(Record):
@@ -846,13 +832,16 @@ def _room(budget: float) -> float:
 
 
 def solve_budgets(
-    problem: PruningProblem, budgets, config: SolverConfig | None = None
+    problem: PruningProblem, budgets, *, mode: str = "branch_and_bound",
+    time_limit: float = 60.0, tolerance: float = 0.0,
 ) -> list[PruningSolution]:
     """Solve `problem` under each of `budgets`, one solution per budget in
-    their order, each equal to ``solve(assemble(..., b), config)`` apart
-    from its wall time.  Every budget is checked as ``assemble`` checks one
-    before any is solved; mode ``exhaustive`` then runs ``solve_exhaustive``
-    per budget.
+    their order, each equal to ``solve(assemble(..., b), **settings)`` apart
+    from its wall time.  `mode` is ``exhaustive``, ``branch_and_bound`` or
+    ``heuristic_only``; `time_limit` is in seconds, and `tolerance` is the
+    absolute optimality gap accepted.  The settings are checked first, then
+    every budget as ``assemble`` checks one, before any is solved; mode
+    ``exhaustive`` then runs ``solve_exhaustive`` per budget.
 
     The other modes seed each budget by rounding the root LP optimum, which
     sets its importance floor, and then merge the frontiers of
@@ -860,29 +849,33 @@ def solve_budgets(
     by side (``_pareto_dp``), so the merge's per-stage fixed cost is paid
     once for the whole list.  A budget's answer, the better of its seed and
     its leaf by importance and then ``tie_key``, goes through ``_solution``
-    and its one recheck.  It is proven optimal within ``config.tolerance``,
+    and its one recheck.  It is proven optimal within `tolerance`,
     with bound the largest pruned bound (at least the importance), or, when
     the time limit ends the merge first, feasible with the root LP bound.
     ``node_count`` is the number of partial plans kept, summed over stages.
     In mode ``heuristic_only`` the answer is the seed with the root LP
     bound; the merge runs only when the rounding finds no plan.
 
-    The pass checks one deadline, ``len(budgets) * config.time_limit``
+    The pass checks one deadline, ``len(budgets) * time_limit``
     seconds after the call starts; a budget whose merge is still open then
     reports as a timed-out solve does.  Each solution's ``wall_time`` runs
     from the call's start to its report.
     """
-    config = config or SolverConfig()
-    config.validate()
+    if mode not in ("exhaustive", "branch_and_bound", "heuristic_only"):
+        raise ValidationError(f"unknown solver mode {mode!r}")
+    if not time_limit > 0:  # NaN fails every comparison
+        raise ValidationError(f"time_limit must be positive, got {time_limit!r}")
+    if not tolerance >= 0:
+        raise ValidationError(f"tolerance must be nonnegative, got {tolerance!r}")
     budgets = [checked_budget(b) for b in budgets]
-    if config.mode == "exhaustive":
+    if mode == "exhaustive":
         return [solve_exhaustive(PruningProblem(problem.arch, problem.vectors, problem.tables, b))
                 for b in budgets]
     if not budgets:
         return []
     start = time.perf_counter()
-    deadline = start + len(budgets) * config.time_limit
-    heuristic = config.mode == "heuristic_only"
+    deadline = start + len(budgets) * time_limit
+    heuristic = mode == "heuristic_only"
     margin, frontiers, bound, reserve = problem.core
     rooms = [_room(b) for b in budgets]
     seeds = [None if bound.base_lat[0] > room else _lp_rounding(b, frontiers, bound, reserve)
@@ -894,7 +887,7 @@ def solve_budgets(
         floor = np.array([_NEG_INF if seeds[j] is None else seeds[j][0] for j in merged])
         room = np.array([rooms[j] for j in merged])
         limit = np.array([min(budgets[j], rooms[j]) for j in merged])
-        results = _pareto_dp(problem.models, frontiers, bound, floor, config.tolerance,
+        results = _pareto_dp(problem.models, frontiers, bound, floor, tolerance,
                              deadline, margin, room, limit)
         merge = {j: (leaf, int(nodes), float(pruned), bool(timed_out))
                  for j, leaf, nodes, pruned, timed_out in zip(merged, *results)}
@@ -930,6 +923,7 @@ def solve_budgets(
     return solutions
 
 
-def solve(problem: PruningProblem, config: SolverConfig | None = None) -> PruningSolution:
-    """Solve `problem` in ``config.mode``: the batch of one budget."""
-    return solve_budgets(problem, [problem.budget], config)[0]
+def solve(problem: PruningProblem, **settings) -> PruningSolution:
+    """Solve `problem`: the batch of one budget, with the settings
+    (`mode`, `time_limit`, `tolerance`) of ``solve_budgets``."""
+    return solve_budgets(problem, [problem.budget], **settings)[0]

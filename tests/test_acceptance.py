@@ -2,8 +2,6 @@
 PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
 """
 
-import itertools
-import json
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -15,13 +13,9 @@ from latprune import (
     Assignment,
     LatencyModelParams,
     LatencyTable,
-    SolverConfig,
-    TableSet,
-    build_all_vectors,
     constraint_value,
     estimation_error,
     linear_channel_cost,
-    objective_value,
     replay_trajectory,
     solve,
     solve_exhaustive,
@@ -36,7 +30,6 @@ from conftest import (
     make_arch,
     random_architecture,
     random_problem,
-    random_scores,
     random_tables,
     resnet50_like_problem,
     trunk_dim,
@@ -103,7 +96,7 @@ def test_feasibility_soundness_ten_thousand_solves():
             for budget in budgets:
                 p = assemble(problem.arch, problem.vectors, problem.tables, float(budget))
                 for mode, solver in (
-                    ("branch_and_bound", lambda q: solve(q, SolverConfig())),
+                    ("branch_and_bound", lambda q: solve(q)),
                     ("exhaustive", solve_exhaustive),
                 ):
                     sol = solver(p)
@@ -191,7 +184,7 @@ def test_solve_time_target_resnet50_shape():
         assert len(problem.arch.blocks) == 16
         assert len(problem.arch.dims) == 53
         started = time.perf_counter()
-        sol = solve(problem, SolverConfig(time_limit=60.0))
+        sol = solve(problem, time_limit=60.0)
         elapsed = time.perf_counter() - started
         assert sol.status == "optimal", f"status {sol.status} after {elapsed:.1f}s"
         assert elapsed < 60.0, f"solve took {elapsed:.1f}s (limit 60s)"

@@ -340,7 +340,7 @@ class TestValidateShapes:
     def test_wrong_vector_length_named(self):
         arch, tables, vectors = self._consistent(4)
         dim_id, vec = next(iter(vectors.items()))
-        vectors[dim_id] = ImportanceVector(dim_id, array("d", [*vec.values, 0.0]))
+        vectors[dim_id] = ImportanceVector(array("d", [*vec.values, 0.0]))
         with pytest.raises(ValidationError, match=rf"importance vector for '{dim_id}': expected "
                                                   rf"length {len(vec.values)}, found "):
             validate_problem_shapes(arch, tables, vectors)
@@ -352,7 +352,7 @@ class TestValidateShapes:
         dim_id = next(d for d, v in vectors.items() if len(v.values) >= 2)
         values = array("d", vectors[dim_id].values)
         values[at] = math.nan
-        vectors[dim_id] = ImportanceVector(dim_id, values)
+        vectors[dim_id] = ImportanceVector(values)
         with pytest.raises(ValidationError, match=r"largest \|entries\| sum to nan"):
             validate_problem_shapes(arch, tables, vectors)
 

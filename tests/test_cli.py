@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from latprune import (
-    Assignment, LatencyModelParams, assemble, build_all_vectors, constraint_value,
+    Assignment, LatencyModelParams, PruningSolution, assemble, build_all_vectors, constraint_value,
     extract_structure, parse_architecture, parse_lut, parse_scores, serialize_lut, serialize_scores, solve,
     synth_lut, synth_scores,
 )
@@ -810,11 +810,10 @@ class TestSweep:
 
         solve_budgets = cli.solver_mod.solve_budgets
 
-        def timed(problem, budgets, config):
-            solutions = solve_budgets(problem, budgets, config)
-            for solution, wall in zip(solutions, (0.5, 2.0, 1.0)):
-                solution.wall_time = wall  # seconds from the batch's start
-            return solutions
+        def timed(problem, budgets, **settings):
+            solutions = solve_budgets(problem, budgets, **settings)
+            walls = (0.5, 2.0, 1.0)  # seconds from the batch's start
+            return [PruningSolution(**{**vars(s), "wall_time": w}) for s, w in zip(solutions, walls)]
 
         monkeypatch.setattr(cli.solver_mod, "solve_budgets", timed)
         inputs = synth(tmp_path)
@@ -833,9 +832,11 @@ class TestSweep:
 
         solve_budgets = cli.solver_mod.solve_budgets
 
-        def faulty(problem, budgets, config):
-            solutions = solve_budgets(problem, budgets, config)
-            solutions[budgets.index(1.0)].importance -= 1e6
+        def faulty(problem, budgets, **settings):
+            solutions = solve_budgets(problem, budgets, **settings)
+            j = budgets.index(1.0)
+            solutions[j] = PruningSolution(
+                **{**vars(solutions[j]), "importance": solutions[j].importance - 1e6})
             return solutions
 
         monkeypatch.setattr(cli.solver_mod, "solve_budgets", faulty)
@@ -849,6 +850,29 @@ class TestSweep:
         assert code == 3
         assert "internal error: optimal importance" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("tolerance, code", [("0.5", 0), ("0.125", 3)])
+    def test_a_fall_within_the_tolerance_is_accepted(self, tmp_path, monkeypatch, tolerance, code):
+        from latprune import cli
+
+        solve_budgets = cli.solver_mod.solve_budgets
+
+        def fallen(problem, budgets, **settings):
+            solutions = solve_budgets(problem, budgets, **settings)
+            small, large = budgets.index(0.5), budgets.index(1.0)
+            importance = solutions[small].importance - 0.25
+            solutions[large] = PruningSolution(**{**vars(solutions[large]), "importance": importance})
+            return solutions
+
+        monkeypatch.setattr(cli.solver_mod, "solve_budgets", fallen)
+        inputs = synth(tmp_path)
+        out = tmp_path / "sweep"
+        assert main([
+            "sweep", "--arch", str(DATA / "tiny_mixed.arch.json"),
+            "--scores", str(inputs / "scores.json"), "--lut", str(inputs / "lut.json"),
+            "--budgets", "1.0,0.5", "--tolerance", tolerance, "--out", str(out),
+        ]) == code
+        assert out.exists() == (code == 0)
 
 
 class TestOverflowingTotals:
@@ -1309,11 +1333,13 @@ def command_args(command: str, root: Path, out: Path) -> list[str]:
 class TestCsvQuoting:
     # A comma in one id; a quote and a newline in another; a tab in a third.
     IDS = {"b1_c1": "b1,c1", "b2_c1": 'b2"c2\nx', "b2_c2": "b2\tc2"}
+    NAME = "tiny\nmixed, v2"
 
     def _solve(self, tmp_path) -> tuple[dict, Path]:
-        """tiny_mixed with the ids renamed, and the directory of its solve at
-        a budget above the dense plan's latency: every block is kept."""
+        """tiny_mixed with the name and ids renamed, and the directory of its
+        solve at a budget above the dense plan's latency: every block is kept."""
         doc = json.loads((DATA / "tiny_mixed.arch.json").read_text())
+        doc["name"] = self.NAME
         for d in doc["dims"]:
             d["id"] = self.IDS.get(d["id"], d["id"])
         for b in doc["blocks"]:
@@ -1359,6 +1385,11 @@ class TestCsvQuoting:
             "b3_mlp=96/96",
         ]
         assert len(lines) == 8  # four header lines, three blocks, the stamp
+
+    def test_summary_txt_writes_a_name_it_cannot_print_plainly_as_a_json_string(self, tmp_path):
+        _, out = self._solve(tmp_path)
+        text = (out / "summary.txt").read_text(encoding="utf-8")
+        assert text.startswith('pruned structure for "tiny\\nmixed, v2"\ndepth 3/3 blocks kept')
 
 
 class TestProcessEntry:

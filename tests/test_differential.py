@@ -54,7 +54,6 @@ from latprune import (
     Assignment,
     BlockSpec,
     LatencyTable,
-    SolverConfig,
     TableSet,
     ValidationError,
     assemble,
@@ -319,7 +318,7 @@ def test_lp_rounding_fits_whenever_a_plan_does(case, percent):
     rounded = _lp_rounding(budget, *problem.core[1:])
     assert rounded is not None
     assert constraint_value(_plan(problem, problem.core[1], rounded[2]), tables, arch) <= budget
-    heuristic = solve(problem, SolverConfig(mode="heuristic_only"))
+    heuristic = solve(problem, mode="heuristic_only")
     assert heuristic.status == "feasible_heuristic"
 
 
@@ -615,14 +614,14 @@ def test_with_budget_solves_as_a_fresh_assemble(case, data):
     dense = constraint_value(dense_assignment(arch), tables, arch)
     percents = data.draw(st.lists(st.integers(0, 110), min_size=2, max_size=5))
     budgets = data.draw(st.permutations([max(0.5, dense * p / 100) for p in percents] + [math.inf]))
-    config = SolverConfig(mode=data.draw(st.sampled_from(["branch_and_bound", "heuristic_only"])))
+    mode = data.draw(st.sampled_from(["branch_and_bound", "heuristic_only"]))
     base = assemble(arch, vectors, tables, budgets[0])
     outcomes = []
     for budget in budgets:
-        outcomes.append(_fields(solve_budgets(base, [budget], config)[0]))
-        assert outcomes[-1] == _fields(solve(assemble(arch, vectors, tables, budget), config))
+        outcomes.append(_fields(solve_budgets(base, [budget], mode=mode)[0]))
+        assert outcomes[-1] == _fields(solve(assemble(arch, vectors, tables, budget), mode=mode))
     # No solve changed the problem's core: the first budget solves as before.
-    assert _fields(solve(base, config)) == outcomes[0]
+    assert _fields(solve(base, mode=mode)) == outcomes[0]
 
 
 @pytest.mark.parametrize("chunk", [solver._CHUNK, 7])  # 7 spans budgets and splits the last stage
@@ -638,12 +637,11 @@ def test_solve_budgets_equals_separate_solves(chunk, case, percents, data):
     problem = assemble(arch, build_all_vectors(arch, raw), tables, budgets[0])
     with mock.patch.object(solver, "_CHUNK", chunk):
         for mode in ("branch_and_bound", "heuristic_only", "exhaustive"):
-            config = SolverConfig(mode=mode)
-            batch = solve_budgets(problem, budgets, config)
+            batch = solve_budgets(problem, budgets, mode=mode)
             assert len(batch) == len(budgets)
             for budget, got in zip(budgets, batch):
                 fresh = assemble(arch, problem.vectors, tables, budget)
-                assert _fields(got) == _fields(solve(fresh, config))
+                assert _fields(got) == _fields(solve(fresh, mode=mode))
         # Unseeded, every budget's floor rises many times in its last stage.
         floors = [-math.inf] * len(budgets)
         assert merge(problem, budgets, floors) == [merge(problem, [b], [-math.inf])[0] for b in budgets]
@@ -666,7 +664,7 @@ def test_with_budget_rejects_what_assemble_rejects(budget):
               mock.patch.object(solver, "_pareto_dp", side_effect=error),
               mock.patch.object(solver, "_enumerate", side_effect=error),
               pytest.raises(ValidationError) as late):
-            solve_budgets(problem, [problem.budget, budget], SolverConfig(mode=mode))
+            solve_budgets(problem, [problem.budget, budget], mode=mode)
         assert str(late.value) == str(fresh.value)
 
 
@@ -702,7 +700,7 @@ def agrees_or_refuses(arch, vectors, tables, budget):
     refused = []
     for mode in ("branch_and_bound", "heuristic_only"):
         try:
-            sol = solve(problem, SolverConfig(mode=mode))
+            sol = solve(problem, mode=mode)
         except ValidationError as exc:
             assert "scores" in str(exc)
             refused.append(mode)
@@ -757,7 +755,7 @@ def test_any_magnitude_solves_as_exhaustive_or_is_refused(case, percent, e, f, g
                                 axes=t.axes, data=np.ldexp(t.data, 64 - g[i % len(g)])))
     dense = constraint_value(dense_assignment(arch), spread, arch)
     with np.errstate(over="ignore"):  # an inf entry is refused by assemble
-        vectors = {d: ImportanceVector(dim_id=d, values=np.ldexp(v.values, e))
+        vectors = {d: ImportanceVector(values=np.ldexp(v.values, e))
                    for d, v in build_all_vectors(arch, raw).items()}
         scaled = TableSet()
         for t in spread:

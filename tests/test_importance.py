@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from latprune import (
     Assignment,
-    ParseError,
     ValidationError,
     build_all_vectors,
     build_importance_vector,

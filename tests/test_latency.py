@@ -16,7 +16,6 @@ from latprune import (
     SolveError,
     TableSet,
     ValidationError,
-    build_all_vectors,
     constraint_value,
     estimation_error,
     linear_channel_cost,

@@ -10,12 +10,10 @@ from latprune import (
     LatencyModelParams,
     LatencyTable,
     SolveError,
-    SolverConfig,
     TableSet,
     ValidationError,
     assemble,
     build_all_vectors,
-    build_importance_vector,
     constraint_value,
     objective_value,
     parse_architecture,
@@ -58,8 +56,8 @@ def one_dim_problem(importances, latencies, budget, removable=False):
     blocks = [BlockSpec(id=1, kind="cnn_chain", dims=("c1",), removable=removable, input_ref="t")]
     arch = make_arch(dims, blocks)
     vectors = {
-        "t": ImportanceVector(dim_id="t", values=np.zeros(1)),
-        "c1": ImportanceVector(dim_id="c1", values=np.asarray(importances, dtype=float)),
+        "t": ImportanceVector(values=np.zeros(1)),
+        "c1": ImportanceVector(values=np.asarray(importances, dtype=float)),
     }
     tables = TableSet()
     tables.add(
@@ -186,7 +184,7 @@ class TestExhaustive:
         from latprune import ImportanceVector
 
         arch = make_arch([trunk_dim("t")], [])
-        vectors = {"t": ImportanceVector(dim_id="t", values=np.zeros(1))}
+        vectors = {"t": ImportanceVector(values=np.zeros(1))}
         problem = assemble(arch, vectors, TableSet(), 1.0)
         for solver in (solve_exhaustive, solve):
             sol = solver(problem)
@@ -258,7 +256,7 @@ class TestDualBound:
 
     def test_no_relaxation_gap_when_unconstrained_max_fits(self):
         problem, _ = one_dim_problem([1.0, 3.0], [1.0, 2.0], budget=100.0)
-        sol = solve(problem, SolverConfig(mode="heuristic_only"))
+        sol = solve(problem, mode="heuristic_only")
         assert sol.status == "feasible_heuristic"
         assert sol.bound == sol.importance == 3.0
 
@@ -267,7 +265,7 @@ class TestDualBound:
         rng = np.random.default_rng(3000 + seed)
         problem, _ = random_problem(rng, state_cap=3000, chained_cap=3000)
         oracle = solve_exhaustive(problem)
-        sol = solve(problem, SolverConfig(mode="heuristic_only"))
+        sol = solve(problem, mode="heuristic_only")
         if oracle.status == "infeasible":
             assert sol.status == "infeasible"
             return
@@ -290,10 +288,10 @@ class TestDualBound:
         if repaired is None:
             return
         floor = objective_value(repaired, problem.vectors, problem.arch)
-        sol = solve(problem, SolverConfig(mode="heuristic_only"))
+        sol = solve(problem, mode="heuristic_only")
         assert sol.status == "feasible_heuristic"
         assert sol.bound >= floor
-        exact = solve(problem, SolverConfig(mode="branch_and_bound"))
+        exact = solve(problem, mode="branch_and_bound")
         assert exact.status == "optimal"
         assert exact.importance >= floor
 
@@ -331,9 +329,8 @@ class TestBranchAndBound:
         arch = parse_architecture((DATA / "tiny_mixed.arch.json").read_text())
         vectors = build_all_vectors(arch, synth_scores(arch, 0))
         problem = assemble(arch, vectors, synth_lut(arch, LatencyModelParams(), 0), math.inf)
-        config = SolverConfig(mode=mode)
         huge = assemble(problem.arch, problem.vectors, problem.tables, budget)
-        want, got = solve(problem, config), solve(huge, config)
+        want, got = solve(problem, mode=mode), solve(huge, mode=mode)
         assert got.status == want.status != "infeasible"
         assert got.assignment == want.assignment
         assert (got.importance, got.latency, got.bound) == (
@@ -342,8 +339,8 @@ class TestBranchAndBound:
     def test_deterministic_repeat_runs(self):
         rng = np.random.default_rng(71)
         problem, _ = random_problem(rng)
-        a = solve(problem, SolverConfig())
-        b = solve(problem, SolverConfig())
+        a = solve(problem)
+        b = solve(problem)
         assert a.assignment == b.assignment
         assert a.node_count == b.node_count
         assert a.importance == b.importance
@@ -391,13 +388,12 @@ class TestBranchAndBound:
                            dense / 2)
         sol = solve(problem)
         assert sol.status == "optimal" and sol.latency <= problem.budget
-        assert sol.importance >= solve(
-            problem, SolverConfig(mode="heuristic_only")).importance
+        assert sol.importance >= solve(problem, mode="heuristic_only").importance
 
     def test_time_limit_degrades_to_feasible_heuristic(self):
         rng = np.random.default_rng(75)
         problem, _ = random_problem(rng, budget=None)
-        sol = solve(problem, SolverConfig(time_limit=1e-9))
+        sol = solve(problem, time_limit=1e-9)
         if sol.status == "infeasible":
             return  # budget drew below the feasible range; nothing to degrade
         assert sol.status in ("optimal", "feasible_heuristic")
@@ -410,7 +406,7 @@ class TestBranchAndBound:
         for _ in range(5):
             problem, _ = random_problem(rng)
             exact = solve(problem)
-            loose = solve(problem, SolverConfig(tolerance=0.5))
+            loose = solve(problem, tolerance=0.5)
             assert loose.status == exact.status
             if exact.status == "optimal":
                 assert loose.bound - loose.importance <= 0.5 + 1e-9
@@ -420,7 +416,7 @@ class TestBranchAndBound:
     def test_vit_b12_data_seed_3_is_proved_optimal(self):
         # This instance once ran into the 60 s limit (feasible_heuristic).
         problem = vit_b12_problem(seed=3, budget_fraction=0.25)
-        sol = solve(problem, SolverConfig(time_limit=30))
+        sol = solve(problem, time_limit=30)
         assert sol.status == "optimal"
         assert constraint_value(sol.assignment, problem.tables, problem.arch) == sol.latency
         assert sol.latency <= problem.budget
@@ -484,7 +480,7 @@ class TestBranchAndBound:
         assert constraint_value(dense_assignment(problem.arch), problem.tables,
                                 problem.arch) == THREE_CHAIN_BUDGET
         assert solve_exhaustive(problem).status == "optimal"
-        sol = solve(problem, SolverConfig(mode="heuristic_only"))
+        sol = solve(problem, mode="heuristic_only")
         assert sol.status == "feasible_heuristic"
         assert sol.assignment == solve(problem).assignment
         assert sol.latency == THREE_CHAIN_BUDGET
@@ -496,7 +492,7 @@ class TestBranchAndBound:
         # The merge's room lies a hair above the budget; a complete plan
         # must still fit the budget itself.
         problem = three_chain_problem(budget=math.nextafter(THREE_CHAIN_BUDGET, 0.0))
-        assert solve(problem, SolverConfig(mode=mode)).status == "infeasible"
+        assert solve(problem, mode=mode).status == "infeasible"
 
     def test_rounding_breaks_slope_ties_toward_earlier_blocks(self):
         # Both chains' one hull segment has slope 1 and the budget takes
@@ -515,7 +511,7 @@ class TestBranchAndBound:
             tables.add(LatencyTable(block_id=i, part="conv_layer", layer=1, axes=("t", f"c{i}"),
                                     data=np.array([[1.0, 2.0]])))
         problem = assemble(arch, build_all_vectors(arch, raw), tables, 3.0)
-        heuristic = solve(problem, SolverConfig(mode="heuristic_only"))
+        heuristic = solve(problem, mode="heuristic_only")
         assert heuristic.assignment.omega == {"c1": 2, "c2": 1}
         assert solve(problem).assignment.omega == {"c1": 1, "c2": 2}
 
@@ -527,11 +523,11 @@ class TestOneRecheck:
     @pytest.mark.parametrize("mode", ["branch_and_bound", "heuristic_only"])
     def test_frontier_sums_off_the_evaluators_raise(self, mode):
         problem = three_chain_problem(budget=1.0)
-        assert solve(problem, SolverConfig(mode=mode)).importance == 3.0
+        assert solve(problem, mode=mode).importance == 3.0
         problem = three_chain_problem(budget=1.0)
         problem.core[1][0].imp += 1e-6
         with pytest.raises(SolveError, match="recheck"):
-            solve(problem, SolverConfig(mode=mode))
+            solve(problem, mode=mode)
 
     def test_state_sums_off_the_evaluators_raise(self):
         problem = three_chain_problem(budget=1.0)
@@ -577,23 +573,54 @@ class TestAssemble:
 
 
 class TestSolverConfig:
-    @pytest.mark.parametrize(
-        "field, value",
-        [("time_limit", float("nan")), ("time_limit", 0.0), ("tolerance", float("nan")),
-         ("tolerance", -1.0)],
-    )
+    """The solver's settings, keywords of ``solve`` and ``solve_budgets``,
+    are checked in the order mode, time_limit, tolerance, before any
+    budget."""
+
+    BAD = {
+        ("mode", "greedy"): "unknown solver mode 'greedy'",
+        ("time_limit", float("nan")): "time_limit must be positive, got nan",
+        ("time_limit", 0.0): "time_limit must be positive, got 0.0",
+        ("tolerance", float("nan")): "tolerance must be nonnegative, got nan",
+        ("tolerance", -1.0): "tolerance must be nonnegative, got -1.0",
+    }
+
+    @pytest.mark.parametrize("field, value", list(BAD))
     def test_invalid_field_rejected(self, field, value):
-        with pytest.raises(ValidationError, match=field):
-            SolverConfig(**{field: value}).validate()
+        problem, _ = one_dim_problem([1.0], [1.0], budget=2.0)
+        for call in (lambda: solve(problem, **{field: value}),
+                     lambda: solve_budgets(problem, [2.0, 1.0], **{field: value}),
+                     lambda: solve_budgets(problem, [], **{field: value})):
+            with pytest.raises(ValidationError) as caught:
+                call()
+            assert str(caught.value) == self.BAD[field, value]
+
+    @pytest.mark.parametrize("budget", [-1.0, math.nan, "x"])
+    def test_a_bad_setting_is_reported_before_a_bad_budget(self, budget):
+        problem, _ = one_dim_problem([1.0], [1.0], budget=2.0)
+        for settings in ({"mode": "greedy", "time_limit": 0.0, "tolerance": -1.0},
+                         {"time_limit": 0.0, "tolerance": -1.0}, {"tolerance": -1.0}):
+            with pytest.raises(ValidationError) as caught:
+                solve_budgets(problem, [2.0, budget], **settings)
+            assert str(caught.value) == self.BAD[next(iter(settings.items()))]
+
+    def test_a_positional_or_misspelt_setting_is_a_type_error(self):
+        problem, _ = one_dim_problem([1.0], [1.0], budget=2.0)
+        for call in (lambda: solve(problem, "exhaustive"),
+                     lambda: solve_budgets(problem, [2.0], "exhaustive"),
+                     lambda: solve(problem, time_limt=1.0),
+                     lambda: solve_budgets(problem, [2.0], modes="exhaustive")):
+            with pytest.raises(TypeError):
+                call()
 
 
 class TestSolveDispatcher:
     def test_modes(self):
         rng = np.random.default_rng(90)
         problem, _ = random_problem(rng, state_cap=2000, chained_cap=2000)
-        ex = solve(problem, SolverConfig(mode="exhaustive"))
-        bb = solve(problem, SolverConfig(mode="branch_and_bound"))
-        he = solve(problem, SolverConfig(mode="heuristic_only"))
+        ex = solve(problem, mode="exhaustive")
+        bb = solve(problem, mode="branch_and_bound")
+        he = solve(problem, mode="heuristic_only")
         assert ex.status == bb.status
         assert he.status == ("feasible_heuristic" if ex.status == "optimal" else "infeasible")
         if ex.status == "optimal":
@@ -605,15 +632,15 @@ class TestSolveDispatcher:
         problem, _ = one_dim_problem([1.0], [1.0], budget=2.0)
         for mode in ("exhaustive", "branch_and_bound", "heuristic_only"):
             with pytest.raises(ValidationError, match="time_limit"):
-                solve(problem, SolverConfig(mode=mode, time_limit=0.0))
+                solve(problem, mode=mode, time_limit=0.0)
         with pytest.raises(ValidationError, match="mode"):
-            solve(problem, SolverConfig(mode="greedy"))
+            solve(problem, mode="greedy")
 
     def test_solutions_are_recheckable(self):
         rng = np.random.default_rng(91)
         for _ in range(10):
             problem, _ = random_problem(rng)
-            sol = solve(problem, SolverConfig())
+            sol = solve(problem)
             if sol.status != "infeasible":
                 lat = constraint_value(sol.assignment, problem.tables, problem.arch)
                 imp = objective_value(sol.assignment, problem.vectors, problem.arch)
@@ -634,12 +661,11 @@ class TestSolveBudgets:
         problem, _ = resnet50_like_problem()
         dense = constraint_value(dense_assignment(problem.arch), problem.tables, problem.arch)
         budgets = [float(f * dense) for f in np.linspace(0.01, 1.2, 16)]
-        config = SolverConfig(time_limit=1e-9)
-        batch = solve_budgets(problem, budgets, config)
+        batch = solve_budgets(problem, budgets, time_limit=1e-9)
         assert len(batch) == 16
         for budget, got in zip(budgets, batch):
             fresh = assemble(problem.arch, problem.vectors, problem.tables, budget)
-            assert _fields(got) == _fields(solve(fresh, config))
+            assert _fields(got) == _fields(solve(fresh, time_limit=1e-9))
             assert got.status in ("feasible_heuristic", "infeasible")
             if got.status == "feasible_heuristic":
                 assert got.message.startswith("time limit reached")
@@ -656,7 +682,7 @@ class TestSolveBudgets:
 
         monkeypatch.setattr(solver, "_pareto_dp", spy)
         budgets = [problem.budget * f for f in (0.5, 1.0, 1.5)]
-        solve_budgets(problem, budgets, SolverConfig(time_limit=100.0))
+        solve_budgets(problem, budgets, time_limit=100.0)
         ((merged, left),) = seen
         assert merged == 3 and 299.0 < left <= 300.0
 
@@ -665,7 +691,7 @@ class TestSolveBudgets:
         with pytest.raises(ValidationError, match="budget must be positive"):
             solve_budgets(problem, [2.0, -1.0])
         with pytest.raises(ValidationError, match="time_limit"):
-            solve_budgets(problem, [2.0], SolverConfig(time_limit=0.0))
+            solve_budgets(problem, [2.0], time_limit=0.0)
         assert solve_budgets(problem, []) == []
 
 
