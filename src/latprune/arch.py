@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from array import array
 from functools import cached_property
 from numbers import Real
-
-import orjson
 
 from .errors import ParseError, ValidationError
 from .record import Record
@@ -49,6 +48,9 @@ MANIFEST_KEY = "_manifest"
 # The most containers a document may hold for `load_json` to hand it to
 # orjson: as deep as json.loads goes under the default recursion limit.
 ORJSON_MAX_CONTAINERS = 1000
+# The fewest characters for which `load_json` imports orjson: its import
+# (~10 ms: zoneinfo, uuid, platform) repays itself from about this size.
+ORJSON_MIN_CHARS = 2**20
 
 
 class DimensionSpec(Record):
@@ -283,20 +285,21 @@ def load_json(document: str, where: str):
     """Decode a JSON document; an error becomes a ParseError naming `where`.
 
     The value is ``json.loads(document)``'s: the same types, key order,
-    duplicate-key result and float bits.  It is decoded by orjson, several
-    times faster, unless orjson refuses the document (a ``NaN`` or
-    ``Infinity`` token, a lone-surrogate escape, a number beyond the float
-    range, or a syntax error) or the document holds more than
+    duplicate-key result and float bits.  orjson decodes it, several times
+    faster, where `_orjson` gives it, unless orjson refuses the document (a
+    ``NaN`` or ``Infinity`` token, a lone-surrogate escape, a number beyond
+    the float range, or a syntax error) or the document holds more than
     `ORJSON_MAX_CONTAINERS` ``[`` and ``{`` characters; then ``json.loads``
     decodes it, and its syntax errors are the messages.  orjson has no
     nesting limit and crashes the process on a deep enough document, while
     ``json.loads`` stops near the interpreter's recursion limit: that is a
     ParseError too, as is an integer literal longer than the interpreter's
-    digit limit for ``int``.  One difference remains: orjson reads an
-    integer literal outside [-2**63, 2**64) as the nearest float64, which
-    number fields read as the value they read the integer as, and integer
-    fields reject."""
-    if document.count("[") + document.count("{") <= ORJSON_MAX_CONTAINERS:
+    digit limit for ``int``.  One difference remains where orjson decodes:
+    it reads an integer literal outside [-2**63, 2**64) as the nearest
+    float64, which number fields read as the value they read the integer
+    as, and integer fields reject."""
+    orjson = _orjson(len(document))
+    if orjson and document.count("[") + document.count("{") <= ORJSON_MAX_CONTAINERS:
         try:
             return orjson.loads(document)
         except orjson.JSONDecodeError:
@@ -318,17 +321,27 @@ def dump_json(obj) -> str:
 
     The text is exactly ``json.dumps(obj, indent=2, sort_keys=True,
     allow_nan=False) + "\\n"``.  orjson writes it, several times faster,
-    when `_plain` finds that it prints `obj` alike; otherwise, or when orjson
-    refuses a type (``np.float64``), ``json.dumps`` does.  A value of any
-    other type (``np.int64``, a set, ...) and a dict key that is not a
-    ``str``, at any depth, raise TypeError."""
-    if _plain(obj):
+    when `_plain` finds that it prints `obj` alike and the process has orjson
+    or numpy loaded (see `_orjson`); otherwise, or when orjson refuses a type
+    (``np.float64``), ``json.dumps`` does.  A value of any other type
+    (``np.int64``, a set, ...) and a dict key that is not a ``str``, at any
+    depth, raise TypeError."""
+    if _plain(obj) and (orjson := _orjson()):
         try:
             return orjson.dumps(obj, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS
                                 | orjson.OPT_APPEND_NEWLINE).decode()
         except TypeError:
             pass
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _orjson(chars: int = 0):
+    """orjson if the process has it or numpy (which imports most of what it
+    loads) loaded or a document has `chars` >= `ORJSON_MIN_CHARS`, else None."""
+    if chars >= ORJSON_MIN_CHARS or "orjson" in sys.modules or "numpy" in sys.modules:
+        import orjson
+        return orjson
+    return None
 
 
 def _plain(value) -> bool:

@@ -9,7 +9,8 @@ class Record:
     """A record's fields are its class annotations, in order; a class-level
     value is a field's default.  It takes them by position or keyword, its
     ``repr`` lists them, and ``==`` compares the exact type and the fields
-    only, not the ``__dict__``, where a ``cached_property`` keeps its value.
+    only, not the ``__dict__``, where a ``cached_property`` keeps its value;
+    a field that is a numpy array compares by its shape and elements.
     A record is a frozen value: it refuses assignment and deletion and hashes
     by its fields, though a dict or array field stays mutable."""
 
@@ -42,7 +43,9 @@ class Record:
         return f"{type(self).__qualname__}({shown})"
 
     def __eq__(self, other):
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(map(_equal, self._values(), other._values()))
 
     def __hash__(self) -> int:
         return hash(self._values())
@@ -51,3 +54,16 @@ class Record:
         raise AttributeError(f"cannot set or delete {name!r} of a frozen {type(self).__name__}")
 
     __delattr__ = __setattr__
+
+
+def _equal(a, b) -> bool:
+    """``a == b`` as one bool.  A numpy array's ``==`` is elementwise (and
+    raises on shapes that do not broadcast), so two values that both have a
+    ``shape`` are equal only when their shapes and all elements are."""
+    if a is b:
+        return True
+    shapes = getattr(a, "shape", None), getattr(b, "shape", None)
+    if None not in shapes and shapes[0] != shapes[1]:
+        return False
+    equal = a == b
+    return equal if type(equal) is bool else bool(equal.all())

@@ -16,7 +16,11 @@ Each line is ``<sha256>  <command>/<name>``: one per stamped output, and one
 each for a command's exit code, standard output and standard error, with the
 run directory written as ``$RUN``.  ``timing.json`` and ``manifest.json``
 (wall times and input paths) are left out.  ``test_golden_outputs.py``
-recomputes the list and compares it with ``golden/outputs.sha256``.
+recomputes the list and compares it with ``golden/outputs.sha256``, and
+recomputes each instance's lines again with the numpy-free commands
+(``FRESH``) run in fresh interpreters: a process that has neither numpy nor
+orjson loaded reads and writes small documents with the ``json`` module, a
+path the one-process list never takes.
 
 Run:  PYTHONPATH=src python tests/golden_outputs.py   (rewrites the list)
 """
@@ -28,6 +32,9 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -35,6 +42,9 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "outputs.sha256"
 TINY_ARCH = ROOT / "demos" / "data" / "tiny_mixed.arch.json"
 UNSTAMPED = ("timing.json", "manifest.json")
+INSTANCES = ("vit", "resnet", "chain", "tiny")
+# The commands that load no numpy (see test_imports.py).
+FRESH = ("check", "extract", "compare-latency-models")
 
 # Fraction of the dense latency each instance's solve runs at, as in the
 # benchmark's workloads, and the sweep's fractions.
@@ -63,12 +73,12 @@ def schedule(arch: dict) -> list[dict[str, int]]:
     return [dense, first, second]
 
 
-def commands(run: Path) -> list[tuple[str, list[str]]]:
-    """Write the inputs under `run` and return (label, argv) of each
-    command, in the order they run."""
+def commands(run: Path, instances=INSTANCES) -> list[tuple[str, list[str]]]:
+    """Write the inputs of `instances` under `run` and return (label, argv)
+    of each command over them and of ``synth``, in the order they run."""
     gen = _gen()
     out: list[tuple[str, list[str]]] = []
-    for key in ("vit", "resnet", "chain", "tiny"):
+    for key in instances:
         inst = gen.Instance(key, 0, 0)
         base = run / "inputs" / key
         base.mkdir(parents=True)
@@ -103,16 +113,39 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest_lines(run: Path) -> list[str]:
-    """The digest list of the commands run under the empty directory `run`."""
+def _in_process(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, standard output and standard error of ``main(argv)``."""
     from latprune.cli import main
 
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _in_fresh_interpreter(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, standard output and standard error of
+    ``python -m latprune.cli ARGV`` over the imported package's source."""
+    import latprune
+
+    env = dict(os.environ, PYTHONIOENCODING="utf-8")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(latprune.__file__).parents[1]), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run([sys.executable, "-m", "latprune.cli", *argv], env=env,
+                          capture_output=True, encoding="utf-8", timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def digest_lines(run: Path, instances=INSTANCES, fresh: bool = False) -> list[str]:
+    """The digest list of the commands over `instances` run under the empty
+    directory `run`; with `fresh`, each ``FRESH`` command runs in a fresh
+    interpreter and every other in this process."""
     lines = []
-    for label, argv in commands(run):
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(argv)
-        streams = {"exit": str(code), "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+    for label, argv in commands(run, instances):
+        runner = _in_fresh_interpreter if fresh and argv[0] in FRESH else _in_process
+        code, stdout, stderr = runner(argv)
+        streams = {"exit": str(code), "stdout": stdout, "stderr": stderr}
         for name, text in streams.items():
             lines.append(f"{_sha(text.replace(str(run), '$RUN').encode())}  {label}/{name}")
         written = run / label

@@ -595,7 +595,8 @@ class TestLoadJson:
             def loads(text):
                 raise AssertionError("orjson was given the document")
 
-        monkeypatch.setattr(arch_mod, "orjson", Refusing)
+        # What `load_json` imports; numpy is loaded here, so it is consulted.
+        monkeypatch.setitem(sys.modules, "orjson", Refusing)
         text = "[" + ", ".join(["[1.5]"] * 998) + ', {"a": []}]'  # 1,001 containers, 3 deep
         assert text.count("[") + text.count("{") == 1001
         assert_reads_as_json(text)
@@ -611,7 +612,7 @@ class TestLoadJson:
                 calls.append(text)
                 return orjson.loads(text)
 
-        monkeypatch.setattr(arch_mod, "orjson", Counting)
+        monkeypatch.setitem(sys.modules, "orjson", Counting)
         text = "[" + ", ".join(["[1.5]"] * 997) + ', {"a": []}]'
         assert text.count("[") + text.count("{") == 1000
         assert_reads_as_json(text)
@@ -619,10 +620,14 @@ class TestLoadJson:
 
     def test_deep_document_is_a_parse_error_not_a_crash(self):
         # In a child process: without the container guard orjson would
-        # decode this and crash the interpreter (SIGSEGV).
+        # decode this and crash the interpreter (SIGSEGV).  The child loads
+        # orjson first, so `load_json` offers it this document, shorter than
+        # `ORJSON_MIN_CHARS`, as a solving process would.
         code = (
-            "from latprune.arch import load_json\n"
+            "import orjson\n"
+            "from latprune.arch import _orjson, load_json\n"
             "from latprune.errors import ParseError\n"
+            "assert _orjson() is orjson\n"
             "try:\n"
             "    load_json('[' * 200_000 + ']' * 200_000, 'doc')\n"
             "except ParseError as exc:\n"

@@ -4,12 +4,17 @@ A command loads only the modules it runs (see the package and CLI module
 docstrings).  Only the commands that solve or synthesize load numpy:
 ``check``, ``extract`` and ``compare-latency-models`` read and check the
 documents as standard-library float64 buffers, and none of them loads it.
-None loads ``numpy.ma`` unless numpy is loaded and a bare ``import numpy``
-loads it (numpy 1.x), none loads ``dataclasses`` (the record classes are
-plain classes, see ``latprune.record``), none loads ``hashlib`` or OpenSSL's
-``_hashlib`` unless ``numpy.random`` does (input digests come from CPython's
-built-in SHA-256; only ``synth`` draws random numbers), and the lazily
-resolved public names are the objects their home modules define.
+Only the commands that load numpy, and a command that reads a document of
+at least ``ORJSON_MIN_CHARS`` characters, load ``orjson``
+(``latprune.arch.load_json`` and ``dump_json`` import it only then): the
+others read and write their documents with ``json``, and so never load
+``zoneinfo`` either.  None loads ``numpy.ma`` unless numpy is loaded and a
+bare ``import numpy`` loads it (numpy 1.x), none loads ``dataclasses`` (the
+record classes are plain classes, see ``latprune.record``), none loads
+``hashlib`` or OpenSSL's ``_hashlib`` unless ``numpy.random`` does (input
+digests come from CPython's built-in SHA-256; only ``synth`` draws random
+numbers), and the lazily resolved public names are the objects their home
+modules define.
 """
 
 import functools
@@ -23,6 +28,7 @@ from pathlib import Path
 import pytest
 
 import latprune
+from latprune.arch import ORJSON_MIN_CHARS
 from latprune.cli import main
 
 DATA = Path(__file__).parent.parent / "demos" / "data"
@@ -31,9 +37,9 @@ ARCH = str(DATA / "tiny_mixed.arch.json")
 
 @functools.cache
 def loaded_modules(code: str) -> frozenset[str]:
-    """The latprune modules, hashlib, _hashlib, numpy, numpy.ma and
-    dataclasses loaded by a fresh interpreter after running `code`.  Each
-    code runs once: the tests below read the same runs."""
+    """The latprune modules, hashlib, _hashlib, numpy, numpy.ma, orjson,
+    zoneinfo and dataclasses loaded by a fresh interpreter after running
+    `code`.  Each code runs once: the tests below read the same runs."""
     script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -46,7 +52,8 @@ def loaded_modules(code: str) -> frozenset[str]:
     modules = json.loads(run.stdout.splitlines()[-1])
     return frozenset(m for m in modules
                      if m.startswith("latprune")
-                     or m in ("hashlib", "_hashlib", "numpy", "numpy.ma", "dataclasses"))
+                     or m in ("hashlib", "_hashlib", "numpy", "numpy.ma", "orjson", "zoneinfo",
+                              "dataclasses"))
 
 
 def test_import_loads_no_submodule():
@@ -78,6 +85,9 @@ def documents(tmp_path_factory) -> Path:
     (chain / "arch.json").write_text(json.dumps(arch))
     assert main(["synth", "--arch", str(chain / "arch.json"), "--out", str(chain)]) == 0
     (chain / "trajectory.json").write_text(json.dumps({"steps": [{"c1": 1}]}))
+    # tiny_mixed's scores padded with spaces to the size orjson decodes.
+    scores = (root / "scores.json").read_text()
+    (root / "large_scores.json").write_text(scores + " " * (ORJSON_MIN_CHARS - len(scores)))
     return root
 
 
@@ -86,11 +96,12 @@ COMMANDS = ["synth", "check", "solve", "sweep", "extract", "compare-latency-mode
 FLAGS = {"solve": ["--budget-ms", "0.25"], "sweep": ["--budgets", "0.2,0.3"]}
 
 
-def modules_of_command(documents: Path, command: str, *extra: str) -> frozenset[str]:
+def modules_of_command(documents: Path, command: str, *extra: str,
+                       scores: str = "scores.json") -> frozenset[str]:
     """`loaded_modules` of a process that runs `command` with `extra` on the
-    tiny_mixed documents (the one-chain instance for
-    ``compare-latency-models``)."""
-    docs = ["--arch", ARCH, "--scores", str(documents / "scores.json"),
+    tiny_mixed documents, its scores read from `scores` (the one-chain
+    instance for ``compare-latency-models``)."""
+    docs = ["--arch", ARCH, "--scores", str(documents / scores),
             "--lut", str(documents / "lut.json")]
     out = ["--out", str(documents / "out" / command)]
     chain = documents / "chain"
@@ -140,6 +151,33 @@ def test_only_solving_and_synthesis_load_numpy(documents, command):
     loaded = modules_of_command(documents, command, *FLAGS.get(command, []))
     assert "latprune.latency" in loaded
     assert ("numpy" in loaded) == (command in ("synth", "solve", "sweep"))
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_only_numpy_commands_load_orjson_on_small_documents(documents, command):
+    loaded = modules_of_command(documents, command, *FLAGS.get(command, []))
+    assert "latprune.arch" in loaded
+    numpy_command = command in ("synth", "solve", "sweep")
+    assert ("orjson" in loaded) == numpy_command
+    if not numpy_command:
+        assert "zoneinfo" not in loaded
+
+
+def test_check_loads_orjson_for_a_document_of_its_minimum_size(documents):
+    assert "numpy" not in modules_of_command(documents, "check", scores="large_scores.json")
+    assert "orjson" in modules_of_command(documents, "check", scores="large_scores.json")
+
+
+@pytest.mark.parametrize("chars, loads", [(ORJSON_MIN_CHARS - 1, False), (ORJSON_MIN_CHARS, True)])
+def test_load_json_imports_orjson_from_its_minimum_size(chars, loads):
+    code = f"from latprune.arch import load_json\nload_json('[]' + ' ' * {chars - 2}, 'doc')\n"
+    assert ("orjson" in loaded_modules(code)) == loads
+
+
+def test_dump_json_imports_orjson_only_once_numpy_is_loaded():
+    dump = "from latprune.arch import dump_json\ndump_json({'a': [1.5]})\n"
+    assert "orjson" not in loaded_modules(dump)
+    assert "orjson" in loaded_modules(f"import numpy\n{dump}")
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -124,6 +124,35 @@ def test_frozen_records_refuse_assignment_and_hash_by_fields(cls):
         assert hash(record) == key == hash(cls(**fields))
 
 
+class TestNumpyFields:
+    """A numpy array field compares by shape and elements, as records
+    built in code may hold one in place of the readers' buffers."""
+
+    def test_importance_vectors_compare_their_arrays(self):
+        vector = ImportanceVector(values=np.arange(2.0))
+        assert vector == ImportanceVector(values=np.arange(2.0))
+        assert vector == ImportanceVector(values=array("d", [0.0, 1.0]))
+        for other in (np.arange(3.0), np.array([0.0, 2.0]), np.arange(2.0).reshape(2, 1)):
+            assert vector != ImportanceVector(values=other)
+        assert vector != ImportanceVector(values=np.arange(2.0), cutoffs=np.arange(2.0))
+
+    def test_latency_tables_compare_their_arrays(self):
+        def table(data):
+            return LatencyTable(block_id=1, part="mlp", axes=("e", "m"), data=data)
+
+        assert table(np.ones((2, 2))) == table(np.ones((2, 2)))
+        buffer = memoryview(array("d", [1.0] * 4)).cast("B").cast("d", (2, 2))
+        assert table(np.ones((2, 2))) == table(buffer)
+        for other in (np.ones((2, 3)), np.ones(4), np.ones((1, 2)), np.eye(2)):
+            assert table(np.ones((2, 2))) != table(other)
+            assert table(other) != table(np.ones((2, 2)))
+
+    def test_numpy_scalars_equal_the_floats_they_hold(self):
+        params = LatencyModelParams(unit_cost=1e-3)
+        assert params == LatencyModelParams(unit_cost=np.float64(1e-3))
+        assert params != LatencyModelParams(unit_cost=np.float64(2e-3))
+
+
 def test_architecture_equality_ignores_its_cached_parts():
     def arch():
         block = BlockSpec(id=1, kind="cnn_chain", dims=("c1",), removable=True, input_ref="t")
