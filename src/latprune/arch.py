@@ -48,9 +48,10 @@ MANIFEST_KEY = "_manifest"
 # The most containers a document may hold for `load_json` to hand it to
 # orjson: as deep as json.loads goes under the default recursion limit.
 ORJSON_MAX_CONTAINERS = 1000
-# The fewest characters for which `load_json` imports orjson: its import
-# (~10 ms: zoneinfo, uuid, platform) repays itself from about this size.
-ORJSON_MIN_CHARS = 2**20
+# Characters a process decodes before it imports orjson (8-10 ms), under the
+# break-even of `check` (~1 MiB) and of `extract` (~400 KiB, see README).
+ORJSON_MIN_CHARS = 2**18
+_decoded = 0  # characters given to `load_json` in this process
 
 
 class DimensionSpec(Record):
@@ -321,11 +322,10 @@ def dump_json(obj) -> str:
 
     The text is exactly ``json.dumps(obj, indent=2, sort_keys=True,
     allow_nan=False) + "\\n"``.  orjson writes it, several times faster,
-    when `_plain` finds that it prints `obj` alike and the process has orjson
-    or numpy loaded (see `_orjson`); otherwise, or when orjson refuses a type
-    (``np.float64``), ``json.dumps`` does.  A value of any other type
-    (``np.int64``, a set, ...) and a dict key that is not a ``str``, at any
-    depth, raise TypeError."""
+    when `_plain` finds that it prints `obj` alike and `_orjson` gives it;
+    otherwise, or when orjson refuses a type (``np.float64``), ``json.dumps``
+    does.  A value of any other type (``np.int64``, a set, ...) and a dict
+    key that is not a ``str``, at any depth, raise TypeError."""
     if _plain(obj) and (orjson := _orjson()):
         try:
             return orjson.dumps(obj, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS
@@ -337,8 +337,10 @@ def dump_json(obj) -> str:
 
 def _orjson(chars: int = 0):
     """orjson if the process has it or numpy (which imports most of what it
-    loads) loaded or a document has `chars` >= `ORJSON_MIN_CHARS`, else None."""
-    if chars >= ORJSON_MIN_CHARS or "orjson" in sys.modules or "numpy" in sys.modules:
+    loads) loaded, or has decoded `ORJSON_MIN_CHARS` counting `chars`."""
+    global _decoded
+    _decoded += chars
+    if _decoded >= ORJSON_MIN_CHARS or "orjson" in sys.modules or "numpy" in sys.modules:
         import orjson
         return orjson
     return None

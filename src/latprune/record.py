@@ -57,13 +57,25 @@ class Record:
 
 
 def _equal(a, b) -> bool:
-    """``a == b`` as one bool.  A numpy array's ``==`` is elementwise (and
-    raises on shapes that do not broadcast), so two values that both have a
-    ``shape`` are equal only when their shapes and all elements are."""
+    """``a == b`` as one bool.  A numpy array's ``==`` is elementwise and
+    broadcasts (a (1,) array would equal a (2,) buffer of its element, and
+    shapes that do not broadcast raise), so a value that has a shape, as a
+    numpy array or a buffer such as the readers' ``array('d')`` does, equals
+    another only when their shapes and all their elements are equal."""
     if a is b:
         return True
-    shapes = getattr(a, "shape", None), getattr(b, "shape", None)
-    if None not in shapes and shapes[0] != shapes[1]:
+    shape_a, shape_b = _shape(a), _shape(b)
+    if shape_a != shape_b and (shape_a or shape_b):  # () against None: scalars
         return False
     equal = a == b
     return equal if type(equal) is bool else bool(equal.all())
+
+
+def _shape(value) -> tuple[int, ...] | None:
+    """`value`'s shape as a buffer or numpy gives it; None for a value that
+    has neither."""
+    try:
+        with memoryview(value) as view:
+            return view.shape
+    except (TypeError, ValueError):  # no buffer, or a dtype no buffer holds
+        return getattr(value, "shape", None)

@@ -19,8 +19,9 @@ run directory written as ``$RUN``.  ``timing.json`` and ``manifest.json``
 recomputes the list and compares it with ``golden/outputs.sha256``, and
 recomputes each instance's lines again with the numpy-free commands
 (``FRESH``) run in fresh interpreters: a process that has neither numpy nor
-orjson loaded reads and writes small documents with the ``json`` module, a
-path the one-process list never takes.
+orjson loaded, and has decoded fewer than ``arch.ORJSON_MIN_CHARS``
+characters, reads and writes with the ``json`` module, a path the
+one-process list never takes.
 
 Run:  PYTHONPATH=src python tests/golden_outputs.py   (rewrites the list)
 """

@@ -621,8 +621,8 @@ class TestLoadJson:
     def test_deep_document_is_a_parse_error_not_a_crash(self):
         # In a child process: without the container guard orjson would
         # decode this and crash the interpreter (SIGSEGV).  The child loads
-        # orjson first, so `load_json` offers it this document, shorter than
-        # `ORJSON_MIN_CHARS`, as a solving process would.
+        # orjson first, so `load_json` offers it this document whatever
+        # `ORJSON_MIN_CHARS` is, as a solving process would.
         code = (
             "import orjson\n"
             "from latprune.arch import _orjson, load_json\n"

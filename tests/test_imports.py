@@ -4,8 +4,8 @@ A command loads only the modules it runs (see the package and CLI module
 docstrings).  Only the commands that solve or synthesize load numpy:
 ``check``, ``extract`` and ``compare-latency-models`` read and check the
 documents as standard-library float64 buffers, and none of them loads it.
-Only the commands that load numpy, and a command that reads a document of
-at least ``ORJSON_MIN_CHARS`` characters, load ``orjson``
+Only the commands that load numpy, and a command whose documents hold at
+least ``ORJSON_MIN_CHARS`` characters together, load ``orjson``
 (``latprune.arch.load_json`` and ``dump_json`` import it only then): the
 others read and write their documents with ``json``, and so never load
 ``zoneinfo`` either.  None loads ``numpy.ma`` unless numpy is loaded and a
@@ -163,14 +163,22 @@ def test_only_numpy_commands_load_orjson_on_small_documents(documents, command):
         assert "zoneinfo" not in loaded
 
 
-def test_check_loads_orjson_for_a_document_of_its_minimum_size(documents):
-    assert "numpy" not in modules_of_command(documents, "check", scores="large_scores.json")
-    assert "orjson" in modules_of_command(documents, "check", scores="large_scores.json")
+@pytest.mark.parametrize("command", ["check", "extract"])
+def test_a_command_loads_orjson_once_its_documents_reach_the_minimum(documents, command):
+    loaded = modules_of_command(documents, command, scores="large_scores.json")
+    assert "numpy" not in loaded
+    assert "orjson" in loaded
 
 
-@pytest.mark.parametrize("chars, loads", [(ORJSON_MIN_CHARS - 1, False), (ORJSON_MIN_CHARS, True)])
-def test_load_json_imports_orjson_from_its_minimum_size(chars, loads):
-    code = f"from latprune.arch import load_json\nload_json('[]' + ' ' * {chars - 2}, 'doc')\n"
+@pytest.mark.parametrize("sizes, loads", [
+    ((ORJSON_MIN_CHARS - 1,), False),
+    ((ORJSON_MIN_CHARS,), True),
+    ((ORJSON_MIN_CHARS // 2, ORJSON_MIN_CHARS // 2 - 1), False),
+    ((ORJSON_MIN_CHARS // 2, ORJSON_MIN_CHARS // 2), True),  # the process's total counts
+], ids=["one-below", "one-at", "two-below", "two-at"])
+def test_load_json_imports_orjson_once_a_process_decodes_its_minimum(sizes, loads):
+    code = "from latprune.arch import load_json\n" + "".join(
+        f"load_json('[]' + ' ' * {chars - 2}, 'doc')\n" for chars in sizes)
     assert ("orjson" in loaded_modules(code)) == loads
 
 

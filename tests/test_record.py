@@ -132,8 +132,14 @@ class TestNumpyFields:
         vector = ImportanceVector(values=np.arange(2.0))
         assert vector == ImportanceVector(values=np.arange(2.0))
         assert vector == ImportanceVector(values=array("d", [0.0, 1.0]))
-        for other in (np.arange(3.0), np.array([0.0, 2.0]), np.arange(2.0).reshape(2, 1)):
+        for other in (np.arange(3.0), np.array([0.0, 2.0]), np.arange(2.0).reshape(2, 1),
+                      array("d", [0.0, 1.0, 2.0]), array("d", [0.0])):
             assert vector != ImportanceVector(values=other)
+            assert ImportanceVector(values=other) != vector
+        # A buffer field has a shape too: numpy's broadcasting does not decide.
+        ones = ImportanceVector(values=array("d", [1.0, 1.0]))
+        assert ImportanceVector(values=np.array([1.0])) != ones
+        assert ones != ImportanceVector(values=np.array([1.0]))
         assert vector != ImportanceVector(values=np.arange(2.0), cutoffs=np.arange(2.0))
 
     def test_latency_tables_compare_their_arrays(self):
