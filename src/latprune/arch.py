@@ -282,6 +282,17 @@ class ArchitectureSpec(Record):
                 )
 
 
+def document_text(data: bytes, name: str, path: str) -> str:
+    """A document's bytes as UTF-8 text; other bytes are a ParseError naming
+    the document."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{name}: {path} is not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+
+
 def load_json(document: str, where: str):
     """Decode a JSON document; an error becomes a ParseError naming `where`.
 
@@ -300,7 +311,7 @@ def load_json(document: str, where: str):
     float64, which number fields read as the value they read the integer
     as, and integer fields reject."""
     orjson = _orjson(len(document))
-    if orjson and document.count("[") + document.count("{") <= ORJSON_MAX_CONTAINERS:
+    if orjson and _few_containers(document):
         try:
             return orjson.loads(document)
         except orjson.JSONDecodeError:
@@ -314,6 +325,19 @@ def load_json(document: str, where: str):
         raise ParseError(f"{where}: nested too deeply") from None
     except ValueError as exc:  # an integer literal past sys.get_int_max_str_digits()
         raise ParseError(f"{where}: {str(exc).split(';')[0]}") from None
+
+
+def _few_containers(document: str) -> bool:
+    """Whether `document` holds at most `ORJSON_MAX_CONTAINERS` ``[`` and
+    ``{``, leapt to by ``str.find`` (``str.count`` steps through every
+    character) up to the one past the limit."""
+    found = 0
+    for bracket in "[{":
+        at = document.find(bracket)
+        while at >= 0 and found <= ORJSON_MAX_CONTAINERS:
+            found += 1
+            at = document.find(bracket, at + 1)
+    return found <= ORJSON_MAX_CONTAINERS
 
 
 def dump_json(obj) -> str:

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types and command-line exit codes shared across the package."""
+
+EXIT_OK = 0
+EXIT_INFEASIBLE = 2
+EXIT_VALIDATION = 3
+EXIT_IO = 4
 
 
 class LatPruneError(Exception):

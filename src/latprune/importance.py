@@ -20,8 +20,8 @@ from itertools import accumulate
 from numbers import Integral
 
 from .arch import (
-    ArchitectureSpec, BlockSpec, DimensionSpec, MANIFEST_KEY, dump_json, first_non_finite,
-    kept_counts, numbers, records, require_keys, typed,
+    ArchitectureSpec, BlockSpec, DimensionSpec, MANIFEST_KEY, checked_vectors, dump_json,
+    first_non_finite, kept_counts, numbers, records, require_keys, typed,
 )
 from .errors import ParseError, ValidationError
 from .record import Record
@@ -83,10 +83,7 @@ def build_importance_vector(scores, dim: DimensionSpec) -> ImportanceVector:
     imported numpy (``solve``, ``sweep``, ``synth``) folds with it, about
     five times faster than the standard library on ViT-B-12's scores; the
     readers never import it.  The two folds give the same bits."""
-    if len(scores) != dim.max_elements:
-        raise ValidationError(
-            f"scores for {dim.id!r}: expected {dim.max_elements} values, found {len(scores)}"
-        )
+    _check_length(scores, dim)
     counts = kept_counts(dim)
     np = sys.modules.get("numpy")
     if np is None:
@@ -94,6 +91,13 @@ def build_importance_vector(scores, dim: DimensionSpec) -> ImportanceVector:
     else:
         values, cutoffs = _fold_numpy(np, scores, counts)
     return ImportanceVector(values=values, cutoffs=cutoffs)
+
+
+def _check_length(scores, dim: DimensionSpec) -> None:
+    if len(scores) != dim.max_elements:
+        raise ValidationError(
+            f"scores for {dim.id!r}: expected {dim.max_elements} values, found {len(scores)}"
+        )
 
 
 def _fold(scores: list[float], counts: array) -> tuple[array, array]:
@@ -122,18 +126,51 @@ def build_all_vectors(arch: ArchitectureSpec, raw_scores: dict) -> dict[str, Imp
     its element scores keyed by dimension id.  Each dimension needs its
     scores, and scores for a dimension `arch` does not declare are refused,
     naming it."""
-    vectors = {}
+    return {dim.id: build_importance_vector(scores, dim)
+            for dim, scores in _scores_by_dim(arch, raw_scores)}
+
+
+def _scores_by_dim(arch: ArchitectureSpec, raw_scores: dict):
+    """Each dimension of `arch` with its scores, in declared order; then
+    the first id in `raw_scores` that `arch` does not declare is refused."""
     for dim in arch.dims.values():
         scores = raw_scores.get(dim.id)
         if scores is None:
             raise ValidationError(f"missing raw scores for dimension {dim.id!r}")
-        vectors[dim.id] = build_importance_vector(scores, dim)
+        yield dim, scores
     for dim_id in raw_scores:
         if dim_id not in arch.dims:
             raise ValidationError(
                 f"scores for {dim_id!r}: architecture {arch.name!r} declares no such dimension"
             )
-    return vectors
+
+
+# `checked_scores` folds only from this bound on (float64's range ends below 2**1024).
+FOLD_FROM = 2.0**1020
+
+
+def checked_scores(arch: ArchitectureSpec, raw_scores: dict) -> dict:
+    """`raw_scores`, finite scores as ``parse_scores`` reads them, if
+    ``checked_vectors(arch, build_all_vectors(arch, raw_scores))`` passes,
+    else its error.  The dimension and length checks are
+    ``build_all_vectors``' own, in its order, but the scores are folded only
+    once B = Σ_d n_d·M_d (dimension d's n_d scores, M_d their largest
+    magnitude, from one ``max`` and one ``min``) reaches `FOLD_FROM`.
+
+    Below it no fold fails.  A float sum of m ≤ 2**52 terms (any array in
+    memory) exceeds the sum of their magnitudes by a factor of at most
+    (1 + 2**-53)**m < 2, and falls short of it, for nonnegative terms, by
+    less than 2.  So B < 2**1020 means Σ_d n_d·M_d < 2**1021; each vector
+    entry, a float sum of at most n_d scores, is below 2·n_d·M_d in
+    magnitude; and ``checked_vectors``' total of each dimension's largest
+    |entry| is below 4·Σ_d n_d·M_d < 2**1023: finite."""
+    bound = 0.0
+    for dim, scores in _scores_by_dim(arch, raw_scores):
+        _check_length(scores, dim)
+        bound += len(scores) * max(max(scores), -min(scores))
+    if bound >= FOLD_FROM:
+        checked_vectors(arch, build_all_vectors(arch, raw_scores))
+    return raw_scores
 
 
 def objective_value(

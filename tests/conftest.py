@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import settings
 
 from latprune import (
@@ -23,6 +24,22 @@ from latprune.solver import PruningProblem, assemble
 # `--hypothesis-profile=ci` prints a `@reproduce_failure` blob with each
 # falsifying example, so a failure seen only in CI can be replayed locally.
 settings.register_profile("ci", print_blob=True)
+
+
+@pytest.fixture
+def folds(monkeypatch) -> list:
+    """The folds of scores into importance vectors from here on, one entry
+    per call of ``importance._fold`` or ``_fold_numpy`` (which one runs
+    depends on whether the process has numpy loaded; this one has)."""
+    from latprune import importance
+
+    calls = []
+    for name in ("_fold", "_fold_numpy"):
+        def spy(*args, fold=getattr(importance, name)):
+            calls.append(fold.__name__)
+            return fold(*args)
+        monkeypatch.setattr(importance, name, spy)
+    return calls
 
 
 def make_arch(dims: list[DimensionSpec], blocks: list[BlockSpec], name="test") -> ArchitectureSpec:

@@ -14,12 +14,15 @@ import pytest
 
 from latprune import (
     Assignment, LatencyModelParams, PruningSolution, assemble, build_all_vectors, constraint_value,
-    extract_structure, parse_architecture, parse_lut, parse_scores, serialize_lut, serialize_scores, solve,
-    synth_lut, synth_scores,
+    extract_structure, parse_architecture, parse_lut, parse_scores, serialize_architecture,
+    serialize_lut, serialize_scores, solve, synth_lut, synth_scores,
 )
 from latprune import cli
 from latprune.arch import ORJSON_MAX_CONTAINERS
-from latprune.cli import _write_json, main
+from latprune.cli import main
+from latprune.stamped import _sha256_hex, _write_json
+
+from conftest import vit_b12_architecture
 
 DATA = Path(__file__).parent.parent / "demos" / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -918,6 +921,33 @@ class TestOverflowingTotals:
         assert not out.exists()
 
 
+class TestCheckFoldsNothing:
+    """`check` proves the importance vectors' totals finite from each
+    dimension's largest |score| (`importance.checked_scores`) and folds the
+    scores only when that bound comes near float64's range."""
+
+    @pytest.mark.parametrize("instance", ["tiny_mixed", "vit_b12"])
+    def test_check_folds_no_scores(self, tmp_path, capsys, folds, instance):
+        arch = DATA / "tiny_mixed.arch.json"
+        if instance == "vit_b12":
+            arch = tmp_path / "vit_b12.arch.json"
+            arch.write_text(serialize_architecture(vit_b12_architecture()))
+        inputs = synth(tmp_path, arch)
+        folds.clear()  # synth folds nothing either, but only `check` is under test
+        capsys.readouterr()
+        assert main(["check", "--arch", str(arch), "--scores", str(inputs / "scores.json"),
+                     "--lut", str(inputs / "lut.json")]) == 0
+        assert capsys.readouterr().out.endswith("importance vectors: OK\nproblem shapes: OK\nOK\n")
+        assert folds == []
+
+    def test_check_folds_scores_whose_bound_nears_the_range(self, tmp_path, capsys, folds):
+        inputs = synth(tmp_path)
+        _overflow(inputs, "scores", every=False)
+        assert main(["check", *problem_args(inputs)]) == 3
+        assert "importance vectors: FAIL" in capsys.readouterr().out
+        assert folds
+
+
 def test_json_writer_rejects_non_finite_values(tmp_path):
     with pytest.raises(ValueError):
         _write_json(tmp_path / "x.json", {"budget_ms": float("inf")})
@@ -940,14 +970,14 @@ class TestSha256Hex:
 
     @pytest.mark.parametrize("data", SHA256_CASES.values(), ids=SHA256_CASES.keys())
     def test_equals_hashlib(self, data):
-        assert cli._sha256_hex(data) == hashlib.sha256(data).hexdigest()
+        assert _sha256_hex(data) == hashlib.sha256(data).hexdigest()
 
     @pytest.mark.parametrize("data", SHA256_CASES.values(), ids=SHA256_CASES.keys())
     def test_hashlib_fallback_gives_the_same_digest(self, monkeypatch, data):
         want = hashlib.sha256(data).hexdigest()
         monkeypatch.setitem(sys.modules, "_sha2", None)  # CPython 3.12+
         monkeypatch.setitem(sys.modules, "_sha256", None)  # CPython 3.10-3.11
-        assert cli._sha256_hex(data) == want
+        assert _sha256_hex(data) == want
 
 
 class TestCompareLatencyModels:

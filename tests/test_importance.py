@@ -18,7 +18,8 @@ from latprune import (
     serialize_scores,
     synth_scores,
 )
-from latprune.arch import kept_counts, kept_elements
+from latprune.arch import checked_vectors, kept_counts, kept_elements
+from latprune.importance import FOLD_FROM, checked_scores
 
 from conftest import (
     BlockSpec,
@@ -137,6 +138,77 @@ class TestBuildVector:
         pyrandom.shuffle(shuffled)
         again = build_importance_vector(vec(shuffled), dim)
         assert np.allclose(base.values, again.values, rtol=0, atol=1e-12)
+
+
+def outcome(check, *args) -> str:
+    """"OK", or "FAIL" and the message of the ValidationError `check` raises."""
+    try:
+        check(*args)
+    except ValidationError as exc:
+        return f"FAIL {exc}"
+    return "OK"
+
+
+def fold_and_check(arch, raw_scores):
+    """What ``checked_scores`` stands in for."""
+    return checked_vectors(arch, build_all_vectors(arch, raw_scores))
+
+
+# Magnitudes from 0 to 1.7e308, two thirds of them within a few powers of
+# two of the largest float64, where a fold may overflow or may not; of
+# those, half are of one sign and above 2**1022, so that two of them in a
+# sum overflow.
+LARGE_SCORES = st.one_of(
+    st.floats(-1.7e308, 1.7e308),
+    st.builds(lambda m, e: m * 2.0**e, st.floats(-1.0, 1.0), st.integers(1012, 1023)),
+    st.floats(2.0**1022, 1.7e308),
+)
+
+
+class TestCheckedScores:
+    """`checked_scores` bounds the importance vectors' totals instead of
+    folding the scores; its outcome is that of folding them and checking
+    the vectors, the order of its messages included."""
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**32 - 1),
+           st.one_of(st.none(), st.sampled_from(["missing", "short", "undeclared"])), st.data())
+    def test_outcome_is_that_of_folding(self, seed, edit, data):
+        arch = random_architecture(np.random.default_rng(seed), max_blocks=2)
+        raw = {dim.id: array("d", data.draw(st.lists(
+                   LARGE_SCORES, min_size=dim.max_elements, max_size=dim.max_elements)))
+               for dim in arch.dims.values()}
+        dim_id = data.draw(st.sampled_from(sorted(raw)))
+        if edit == "missing":
+            del raw[dim_id]
+        elif edit == "short":
+            raw[dim_id] = raw[dim_id][:-1] if len(raw[dim_id]) > 1 else raw[dim_id] * 2
+        elif edit == "undeclared":
+            raw["undeclared"] = array("d", [1.0])
+        assert outcome(checked_scores, arch, raw) == outcome(fold_and_check, arch, raw)
+
+    @pytest.mark.parametrize("scores, folded, ok", [
+        ([2.0**1018, 0.0], False, True),
+        ([2.0**1019 * (1 - 2**-53), -0.0], False, True),  # the bound one ulp below FOLD_FROM
+        ([0.0, -2.0**1019], True, True),  # at FOLD_FROM: folded, and the total is finite
+        ([1.7e308, -1.7e308], True, True),  # past it, and the sums cancel
+        ([1.7e308, 1.7e308], True, False),  # past it, and the second option overflows
+    ], ids=["below", "one-ulp-below", "at", "cancelling", "overflowing"])
+    def test_folds_only_from_the_bound(self, folds, scores, folded, ok):
+        arch = make_arch([trunk_dim("trunk", 2), conv_dim("c", 2)],
+                         [BlockSpec(id=1, kind="cnn_chain", dims=("c",), removable=False,
+                                    input_ref="trunk")])
+        raw = {"trunk": array("d", [0.0, 0.0]), "c": array("d", scores)}
+        assert (2 * max(map(abs, scores)) >= FOLD_FROM) == folded
+        got = outcome(checked_scores, arch, raw)
+        assert bool(folds) == folded
+        assert got == outcome(fold_and_check, arch, raw)
+        assert (got == "OK") == ok
+
+    def test_returns_the_scores(self):
+        arch = make_arch([trunk_dim("trunk", 2)], [])
+        raw = {"trunk": array("d", [1.0, 2.0])}
+        assert checked_scores(arch, raw) is raw
 
 
 class TestObjective:

@@ -1,7 +1,11 @@
 """What importing the package and running a command load.
 
 A command loads only the modules it runs (see the package and CLI module
-docstrings).  Only the commands that solve or synthesize load numpy:
+docstrings): ``check`` runs in ``latprune.cli`` and never loads
+``latprune.stamped``, which holds the five commands that write stamped
+outputs, and under ``python -m latprune.cli`` no command imports
+``latprune.cli`` a second time.  Only the commands that solve or
+synthesize load numpy:
 ``check``, ``extract`` and ``compare-latency-models`` read and check the
 documents as standard-library float64 buffers, and none of them loads it.
 Only the commands that load numpy, and a command whose documents hold at
@@ -96,11 +100,10 @@ COMMANDS = ["synth", "check", "solve", "sweep", "extract", "compare-latency-mode
 FLAGS = {"solve": ["--budget-ms", "0.25"], "sweep": ["--budgets", "0.2,0.3"]}
 
 
-def modules_of_command(documents: Path, command: str, *extra: str,
-                       scores: str = "scores.json") -> frozenset[str]:
-    """`loaded_modules` of a process that runs `command` with `extra` on the
-    tiny_mixed documents, its scores read from `scores` (the one-chain
-    instance for ``compare-latency-models``)."""
+def command_line(documents: Path, command: str, scores: str = "scores.json") -> list[str]:
+    """`command` and its arguments on the tiny_mixed documents, its scores
+    read from `scores` (the one-chain instance for
+    ``compare-latency-models``), with the flags of `FLAGS`."""
     docs = ["--arch", ARCH, "--scores", str(documents / scores),
             "--lut", str(documents / "lut.json")]
     out = ["--out", str(documents / "out" / command)]
@@ -115,17 +118,23 @@ def modules_of_command(documents: Path, command: str, *extra: str,
             "--arch", str(chain / "arch.json"), "--lut", str(chain / "lut.json"),
             "--trajectory", str(chain / "trajectory.json"), *out],
     }[command]
+    return [command, *args, *FLAGS.get(command, [])]
+
+
+def modules_of_command(documents: Path, command: str, *extra: str,
+                       scores: str = "scores.json") -> frozenset[str]:
+    """`loaded_modules` of a process that runs `command_line` with `extra`."""
     code = (
         "from latprune.cli import main\n"
-        f"assert main({[command, *args, *extra]!r}) == 0\n"
+        f"assert main({[*command_line(documents, command, scores), *extra]!r}) == 0\n"
     )
     return loaded_modules(code)
 
 
 @pytest.mark.parametrize("command, extra, unloaded", [
     ("synth", [], {"latprune.solver", "latprune.extract"}),
-    ("check", [], {"latprune.solver", "latprune.extract", "hashlib"}),
-    ("sweep", FLAGS["sweep"], {"latprune.extract"}),
+    ("check", [], {"latprune.solver", "latprune.extract", "latprune.stamped", "hashlib"}),
+    ("sweep", [], {"latprune.extract"}),
     ("extract", [], {"latprune.solver"}),  # a saved plan is rechecked, not solved
 ])
 def test_command_loads_only_what_it_runs(documents, command, extra, unloaded):
@@ -134,10 +143,36 @@ def test_command_loads_only_what_it_runs(documents, command, extra, unloaded):
     assert not loaded & unloaded
 
 
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c != "check"])
+def test_every_command_but_check_loads_the_stamped_commands(documents, command):
+    assert "latprune.stamped" in modules_of_command(documents, command)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_python_m_imports_no_second_cli(documents, command):
+    """Under ``python -m latprune.cli`` the CLI runs as ``__main__``; a
+    module that imported ``latprune.cli`` would compile and run it again,
+    and ``-X importtime`` would list it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(latprune.__file__).parents[1]), env.get("PYTHONPATH")) if p
+    )
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "latprune.cli",
+         *command_line(documents, command)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert ("latprune.stamped" in imported) == (command != "check")
+    assert "latprune.cli" not in imported
+
+
 @pytest.mark.parametrize("command, extra", [
-    ("solve", FLAGS["solve"]),
-    ("solve", [*FLAGS["solve"], "--mode", "heuristic_only"]),
-    ("sweep", FLAGS["sweep"]),
+    ("solve", []),
+    ("solve", ["--mode", "heuristic_only"]),
+    ("sweep", []),
     ("extract", []),
 ], ids=["solve", "solve-heuristic_only", "sweep", "extract"])
 def test_command_loads_numpy_ma_only_if_numpy_does(documents, command, extra):
@@ -148,14 +183,14 @@ def test_command_loads_numpy_ma_only_if_numpy_does(documents, command, extra):
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_only_solving_and_synthesis_load_numpy(documents, command):
-    loaded = modules_of_command(documents, command, *FLAGS.get(command, []))
+    loaded = modules_of_command(documents, command)
     assert "latprune.latency" in loaded
     assert ("numpy" in loaded) == (command in ("synth", "solve", "sweep"))
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_only_numpy_commands_load_orjson_on_small_documents(documents, command):
-    loaded = modules_of_command(documents, command, *FLAGS.get(command, []))
+    loaded = modules_of_command(documents, command)
     assert "latprune.arch" in loaded
     numpy_command = command in ("synth", "solve", "sweep")
     assert ("orjson" in loaded) == numpy_command
@@ -190,7 +225,7 @@ def test_dump_json_imports_orjson_only_once_numpy_is_loaded():
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_no_command_loads_dataclasses(documents, command):
-    loaded = modules_of_command(documents, command, *FLAGS.get(command, []))
+    loaded = modules_of_command(documents, command)
     assert "latprune.record" in loaded
     assert "dataclasses" not in loaded
 
@@ -202,7 +237,7 @@ def test_no_command_loads_dataclasses(documents, command):
 )
 @pytest.mark.parametrize("command", COMMANDS)
 def test_no_command_loads_openssl(documents, command):
-    loaded = modules_of_command(documents, command, *FLAGS.get(command, []))
+    loaded = modules_of_command(documents, command)
     assert "latprune.cli" in loaded
     openssl = loaded & {"hashlib", "_hashlib"}
     if command == "synth":
