@@ -139,12 +139,6 @@ class ArchitectureSpec(Record):
     def block_dims(self, block: BlockSpec) -> list[DimensionSpec]:
         return [self.dim(d) for d in block.dims]
 
-    def owner_block(self, dim_id: str) -> BlockSpec | None:
-        for block in self.blocks:
-            if dim_id in block.dims:
-                return block
-        return None
-
     def parts(
         self, block: BlockSpec
     ) -> tuple[tuple[str, int | None, tuple[DimensionSpec, ...]], ...]:

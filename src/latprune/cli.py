@@ -45,8 +45,8 @@ def _read_text(name: str, path: str) -> str:
 
 
 def cmd_check(args) -> int:
-    """Each document parsed, then the scores (``importance.checked_scores``:
-    bounded, not folded) and the tables checked against the architecture."""
+    """Each document parsed; then the scores (``importance.checked_scores``)
+    and, unless they fail, the tables checked against the architecture."""
     checks: list[tuple[str, str]] = []
 
     def record(name: str, fn) -> object:
@@ -69,7 +69,7 @@ def cmd_check(args) -> int:
         )
     if args.lut:
         tables = record("lut", lambda: lat_mod.parse_lut(_read_text("lut", args.lut)))
-    scored = None
+    scored = raw_scores if args.scores else {}  # None once a scores step fails
     if arch is not None and raw_scores is not None:
         scored = record("importance vectors", lambda: imp_mod.checked_scores(arch, raw_scores))
     if arch is not None and tables is not None and scored is not None:

@@ -21,7 +21,7 @@ import json
 
 from .arch import ArchitectureSpec, MANIFEST_KEY, csv_field, dump_json, kept_elements
 from .errors import ValidationError
-from .importance import Assignment, ImportanceVector, objective_value
+from .importance import Assignment, ImportanceVector, _check_length, objective_value
 from .latency import TableSet, constraint_value
 
 
@@ -50,11 +50,7 @@ def extract_structure(
             scores = raw_scores.get(dim.id)
             if scores is None:
                 raise ValidationError(f"missing raw scores for retained dimension {dim.id!r}")
-            if len(scores) != dim.max_elements:
-                raise ValidationError(
-                    f"scores for {dim.id!r}: expected {dim.max_elements} values, "
-                    f"found {len(scores)}"
-                )
+            _check_length(scores, dim)
             option = assignment.omega[dim.id]
             count = kept_elements(dim, option)
             vec = vectors.get(dim.id)

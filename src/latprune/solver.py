@@ -25,18 +25,20 @@ depends on that producer's option.
 * a seed plan comes from rounding the root LP optimum, read in the bound's
   own segment order, reserving at each block the least latency the later
   blocks still need at the input widths the plan has fixed, so the seed
-  fits whenever any plan does, up to the order of float additions;
+  fits whenever any plan does, up to the order of float additions; each
+  frontier holds that reserve for its block and the chains below it;
 * stages merge the frontiers in block-declaration order, dropping partial
   plans that the LP bound and the seed's importance rule out, or that
   another plan with the same open producer options dominates.
 
-The frontiers, their hulls, the bound and the rounding's reserve depend on
-the architecture, vectors and tables but not on the budget, which enters
-only as the room the merge may fill.  They form ``PruningProblem.core``,
-built on the problem's first solve and kept by it, so later solves of the
-problem reuse it.  ``solve_budgets`` merges a list of budgets in one pass,
-side by side, each partial plan carrying its budget, so a sweep pays each
-stage's fixed cost once, its pre-cut's one sort and one search included.
+The frontiers, with their hulls and the rounding's reserve, and the bound
+depend on the architecture, vectors and tables but not on the budget,
+which enters only as the room the merge may fill.  They form
+``PruningProblem.core``, built on the problem's first solve and kept by
+it, so later solves of the problem reuse it.  ``solve_budgets`` merges a
+list of budgets in one pass, side by side, each partial plan carrying its
+budget, so a sweep pays each stage's fixed cost once, its pre-cut's one
+sort and one search included.
 ``solve`` is its batch of one, so every solve runs the same merge.
 
 Mode ``heuristic_only`` reports the seed with the root LP bound; only when
@@ -99,7 +101,8 @@ class _BlockModel:
     each as (data, positions): the block position of each table axis, -1
     for a chain's input.  ``inputs`` counts that input's options (1 when it
     is a fixed trunk width or there is none), and ``input_dim_id`` names it
-    when it is another block's conv output.
+    when it is another block's conv output.  ``producer`` and ``readers``
+    place the block in the chain forest (``PruningProblem``).
     """
 
     def __init__(
@@ -123,6 +126,7 @@ class _BlockModel:
             outer += [d for d in dims if d.id not in self.dim_ids]
         self.inputs = outer[0].option_count if outer else 1
         self.input_dim_id = outer[0].id if outer and outer[0].role != "fixed_external" else None
+        self.producer, self.readers = None, []
 
     def state_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(importance, latency) per state, in the order of ``objective_value``
@@ -161,6 +165,13 @@ class PruningProblem:
 
     Built by ``assemble``; read-only afterwards.  ``solve_budgets`` solves
     it under other budgets.
+
+    A chain reading a conv output hangs below the (permanent) block that
+    owns it, so the blocks form a forest, stated once here: each model's
+    ``producer`` is the index of the block whose conv output it reads
+    (None when it reads none), and its ``readers`` are the (reader index,
+    read position) pairs of the chains reading its dimensions, ascending by
+    reader.
     """
 
     def __init__(
@@ -175,17 +186,22 @@ class PruningProblem:
         self.tables = tables
         self.budget = budget
         self.models = [_BlockModel(arch, b, vectors, tables) for b in arch.blocks]
+        owner = {d: (k, p) for k, m in enumerate(self.models) for p, d in enumerate(m.dim_ids)}
+        for r, m in enumerate(self.models):
+            if m.input_dim_id is not None:
+                m.producer, pos = owner[m.input_dim_id]
+                self.models[m.producer].readers.append((r, pos))
         self.dim_order = [d for b in arch.blocks for d in b.dims]
 
     @cached_property
-    def core(self) -> tuple[float, list[_Frontier], _Bound, _Reserve]:
+    def core(self) -> tuple[float, list[_Frontier], _Bound]:
         """The budget-free part of a solve, built on first use: (dominance
-        margin, block frontiers, their suffix LP bound, the latency reserve
-        of the LP rounding).  No solve changes it."""
+        margin, block frontiers with the LP rounding's latency reserve, their
+        suffix LP bound).  No solve changes it."""
         scale = sum(float(np.max(np.abs(v))) for m in self.models for v in m.imp)
         margin = 1e-9 * (1.0 + scale)
         frontiers = _frontiers(self.models, margin)
-        return margin, frontiers, _Bound(frontiers), _Reserve(self.models, frontiers)
+        return margin, frontiers, _Bound(frontiers)
 
     def tie_key(self, assignment: Assignment):
         """Kept blocks sort first, then option indices ascending."""
@@ -261,13 +277,12 @@ def _enumerate(problem: PruningProblem) -> tuple[float, float, Assignment] | Non
     imp_total = lat_total = np.zeros(())
     for k, model in enumerate(models):
         imp, lat = model.state_tables()
-        if model.input_dim_id is None:
+        if model.producer is None:
             lat = lat[:, 0]
         else:
-            producer = problem.arch.owner_block(model.input_dim_id).id - 1
-            options = models[producer].option_of_dim(model.input_dim_id)
+            options = models[model.producer].option_of_dim(model.input_dim_id)
             shape = [1] * (k + 1)
-            shape[producer], shape[k] = options.size, imp.size
+            shape[model.producer], shape[k] = options.size, imp.size
             lat = lat[:, options - 1].T.reshape(shape)
         imp_total = imp_total[..., None] + imp
         lat_total = lat_total[..., None] + lat
@@ -449,8 +464,8 @@ class _Frontier:
     arrays ascending by input option (a single option unless a chain reads
     another block's conv output), ``sizes`` and ``offsets`` locating each
     option's points; and the upper hull of them all.  Points of a block
-    whose dimensions later chains read (the positions in `reads`) are kept
-    apart per option of those.
+    whose dimensions later chains read (its ``readers``; the positions read
+    in ``reads``) are kept apart per option of those.
 
     ``lat`` and ``imp`` are the block's latency and importance subtotals,
     summed in the order ``constraint_value`` and ``objective_value`` use.
@@ -458,24 +473,37 @@ class _Frontier:
     their option tuples (-1 for the removed state), ``opts`` holds the
     0-based option of each of the block's dimensions (0 when removed) and
     ``inp`` the 0-based option of the block's input.
+
+    The LP rounding's reserve, the least latency the block needs with the
+    chains below it in the forest, comes from its readers' frontiers, built
+    first.  ``total`` is each point's latency plus, per reader in ascending
+    order, that reader's ``need`` at the option the point gives the
+    dimension it reads; ``need[s]`` is the smallest ``total`` among the
+    points for input option s; ``known`` is the need before any block is
+    placed: ``need[0]`` when the block has no producer, else 0.
     """
 
-    def __init__(self, model: _BlockModel, reads: list[int], margin: float) -> None:
-        self.reads = reads
-        self.lat, self.imp, self.rank, self.opts, self.inp = _points(model, reads, margin)
+    def __init__(self, model: _BlockModel, frontiers: list, margin: float) -> None:
+        self.readers = model.readers
+        self.reads = sorted({p for _, p in model.readers})
+        self.lat, self.imp, self.rank, self.opts, self.inp = _points(model, self.reads, margin)
         self.removed = (self.rank < 0).astype(np.int64)
         self.sizes = np.bincount(self.inp, minlength=model.inputs)
         self.offsets = np.cumsum(self.sizes) - self.sizes
         self.rank_span = int(self.rank.max()) + 2
         self.hull = _hull(self.lat, self.imp)
+        self.total = self.lat
+        for r, pos in self.readers:
+            self.total = self.total + frontiers[r].need[self.opts[:, pos]]
+        self.need = np.minimum.reduceat(self.total, self.offsets)
+        self.known = float(self.need[0]) if model.producer is None else 0.0
 
 
 def _frontiers(models: list[_BlockModel], margin: float) -> list[_Frontier]:
-    read = {m.input_dim_id for m in models}
-    return [
-        _Frontier(m, [p for p, d in enumerate(m.dim_ids) if d in read], margin)
-        for m in models
-    ]
+    frontiers = [None] * len(models)
+    for k in range(len(models) - 1, -1, -1):  # readers first: a frontier reads their needs
+        frontiers[k] = _Frontier(models[k], frontiers, margin)
+    return frontiers
 
 
 class _Bound:
@@ -540,38 +568,6 @@ class _Bound:
         return extra
 
 
-class _Reserve:
-    """The least latency each block, with the chains reading it, needs.
-
-    A chain reading a conv output hangs below its (permanent) producer, so
-    the blocks form a forest.  Backward over the blocks, ``total[k]`` is
-    each frontier point's latency plus, per chain reading block k, that
-    chain's ``need`` at the option the point gives the dimension it reads;
-    ``need[k][s]`` is the smallest ``total[k]`` among the points for input
-    option s.  ``readers[k]`` lists (reader, read position) pairs, and
-    ``known[k]`` is block k's need before any block is placed: its one
-    value when its input is a trunk width, else 0.
-    """
-
-    def __init__(self, models: list[_BlockModel], frontiers: list[_Frontier]) -> None:
-        self.readers = [
-            [(r, m.dim_ids.index(c.input_dim_id)) for r, c in enumerate(models)
-             if c.input_dim_id in m.dim_ids]
-            for m in models
-        ]
-        self.total, self.need = {}, {}
-        for k in range(len(models) - 1, -1, -1):
-            f = frontiers[k]
-            total = f.lat
-            for r, pos in self.readers[k]:
-                total = total + self.need[r][f.opts[:, pos]]
-            self.total[k] = total
-            self.need[k] = np.minimum.reduceat(total, f.offsets)
-        self.known = [
-            float(self.need[k][0]) if m.input_dim_id is None else 0.0 for k, m in enumerate(models)
-        ]
-
-
 def _plan(problem: PruningProblem, frontiers: list[_Frontier], points: list[int]) -> Assignment:
     """The assignment of one frontier point per block."""
     omega, kappa = {}, {}
@@ -583,7 +579,7 @@ def _plan(problem: PruningProblem, frontiers: list[_Frontier], points: list[int]
 
 
 def _lp_rounding(
-    budget: float, frontiers: list[_Frontier], bound: _Bound, reserve: _Reserve
+    budget: float, frontiers: list[_Frontier], bound: _Bound
 ) -> tuple[float, float, list[int]] | None:
     """Round the root LP optimum to a plan that fits `budget` whenever any
     plan does, up to the order of float additions, as (importance, latency,
@@ -617,11 +613,11 @@ def _lp_rounding(
             stopped.add(k)
 
     chosen, imp, used = [], 0.0, 0.0
-    inputs, waiting = [0] * len(frontiers), list(reserve.known)
+    inputs, waiting = [0] * len(frontiers), [f.known for f in frontiers]
     for k, f in enumerate(frontiers):
         lo = int(f.offsets[inputs[k]])
         hi = lo + int(f.sizes[inputs[k]])
-        allowed = used + reserve.total[k][lo:hi] + sum(waiting[k + 1:]) <= budget
+        allowed = used + f.total[lo:hi] + sum(waiting[k + 1:]) <= budget
         if not allowed.any():
             return None
         limit = float(f.lat[f.hull[step[k]]]) + left
@@ -632,9 +628,9 @@ def _lp_rounding(
         imp += float(f.imp[i])
         used += float(f.lat[i])
         chosen.append(i)
-        for r, pos in reserve.readers[k]:  # their input options are now known
+        for r, pos in f.readers:  # their input options are now known
             inputs[r] = int(f.opts[i, pos])
-            waiting[r] = float(reserve.need[r][inputs[r]])
+            waiting[r] = float(frontiers[r].need[inputs[r]])
     return imp, used, chosen
 
 
@@ -876,9 +872,9 @@ def solve_budgets(
     start = time.perf_counter()
     deadline = start + len(budgets) * time_limit
     heuristic = mode == "heuristic_only"
-    margin, frontiers, bound, reserve = problem.core
+    margin, frontiers, bound = problem.core
     rooms = [_room(b) for b in budgets]
-    seeds = [None if bound.base_lat[0] > room else _lp_rounding(b, frontiers, bound, reserve)
+    seeds = [None if bound.base_lat[0] > room else _lp_rounding(b, frontiers, bound)
              for b, room in zip(budgets, rooms)]
     merged = [j for j, (room, seed) in enumerate(zip(rooms, seeds))
               if bound.base_lat[0] <= room and not (heuristic and seed)]

@@ -91,8 +91,11 @@ def random_architecture(
     allow_chain: bool = True,
     state_cap: int = 200_000,
     chained_cap: int = 20_000,
+    feed_any_layer: bool = False,
 ) -> ArchitectureSpec:
-    """Mixed cnn/transformer instance with bounded enumeration size."""
+    """Mixed cnn/transformer instance with bounded enumeration size.  A chain
+    may read the last layer of the chain before it; with `feed_any_layer`,
+    most chains read any layer of any earlier permanent chain instead."""
     for _ in range(200):
         n_blocks = int(rng.integers(1, max_blocks + 1))
         dims = [trunk_dim("trunk", width=int(rng.integers(2, 9)))]
@@ -100,6 +103,7 @@ def random_architecture(
         total_states = 1
         chained = False
         prev_cnn_last: tuple[int, str] | None = None  # (block index, last dim id)
+        fed: list[str] = []  # the layers of the permanent chains so far
         for b in range(1, n_blocks + 1):
             kind = "cnn_chain" if rng.random() < 0.6 else "transformer"
             removable = bool(rng.random() < 0.5)
@@ -131,7 +135,11 @@ def random_architecture(
                     )
                 dims.extend(layer_dims)
                 input_ref = "trunk"
-                if allow_chain and prev_cnn_last is not None and rng.random() < 0.4:
+                if feed_any_layer:
+                    if fed and rng.random() < 0.7:
+                        input_ref = fed[int(rng.integers(len(fed)))]
+                        chained = True
+                elif allow_chain and prev_cnn_last is not None and rng.random() < 0.4:
                     producer_idx, producer_dim = prev_cnn_last
                     if not blocks[producer_idx].removable:
                         input_ref = producer_dim
@@ -147,6 +155,7 @@ def random_architecture(
                 )
                 states = math.prod(d.option_count for d in layer_dims)
                 prev_cnn_last = (b - 1, layer_dims[-1].id)
+                fed += [] if removable else [d.id for d in layer_dims]
             total_states *= states + (1 if removable else 0)
         if total_states <= (chained_cap if chained else state_cap):
             return make_arch(dims, blocks, name=f"rand{rng.integers(10**9)}")
@@ -216,6 +225,7 @@ def dense_start_repair(problem: PruningProblem) -> Assignment | None:
     arch = problem.arch
     asg = dense_assignment(arch)
     readers = {d: [] for d in problem.dim_order}
+    owner = {d: block for block in arch.blocks for d in block.dims}
     for block in arch.blocks:
         if block.kind == "cnn_chain" and block.input_ref in readers:
             readers[block.input_ref].append(block)
@@ -232,7 +242,7 @@ def dense_start_repair(problem: PruningProblem) -> Assignment | None:
                 if saved > 0 and (best is None or (lost / saved, lost, order) < best[:3]):
                     best = (lost / saved, lost, order, "kappa", block.id)
         for order, d in enumerate(problem.dim_order, start=len(arch.blocks)):
-            block, j = arch.owner_block(d), asg.omega[d]
+            block, j = owner[d], asg.omega[d]
             if asg.kappa_of(block) == 1 and j > 1:
                 affected = [block] + readers[d]
                 before = kept_latency(affected)

@@ -232,6 +232,33 @@ class TestCheck:
         assert code == 3
         assert "lut: FAIL" in out and "rank" in out
 
+    @pytest.mark.parametrize("scores", ["none", "valid", "short"])
+    def test_tables_checked_unless_a_scores_step_fails(self, tmp_path, capsys, scores):
+        # b1_c1 declares 3 options in a copy of tiny_mixed; its tables hold 4.
+        inputs = synth(tmp_path, flags=["--seed", "0"])
+        doc = json.loads((DATA / "tiny_mixed.arch.json").read_text())
+        next(d for d in doc["dims"] if d["id"] == "b1_c1")["option_count"] = 3
+        arch = tmp_path / "arch.json"
+        arch.write_text(json.dumps(doc))
+        argv = ["check", "--arch", str(arch), "--lut", str(inputs / "lut.json")]
+        if scores != "none":
+            doc = json.loads((inputs / "scores.json").read_text())
+            if scores == "short":
+                next(e for e in doc["scores"] if e["dim_id"] == "b1_c1")["scores"].pop()
+            (inputs / "scores.json").write_text(json.dumps(doc))
+            argv += ["--scores", str(inputs / "scores.json")]
+        capsys.readouterr()
+        assert main(argv) == 3
+        shapes = ("problem shapes: FAIL block 1: conv_layer 1 table axis 1 ('b1_c1'): "
+                  "expected 3, found 4")
+        lines = {"none": ["architecture: OK", "lut: OK", shapes],
+                 "valid": ["architecture: OK", "scores: OK", "lut: OK", "importance vectors: OK",
+                           shapes],
+                 "short": ["architecture: OK", "scores: OK", "lut: OK",
+                           "importance vectors: FAIL scores for 'b1_c1': expected 16 values, "
+                           "found 15"]}[scores]
+        assert capsys.readouterr().out == "\n".join([*lines, "1 check(s) failed\n"])
+
     @pytest.mark.parametrize("command", ["check", "solve"])
     @pytest.mark.parametrize("field, value", [("axes", 5), ("block_id", [1]), ("layer", "1")])
     def test_mistyped_lut_field_named(self, tmp_path, capsys, command, field, value):

@@ -9,6 +9,10 @@
 * each block frontier the solver builds must be exactly the tie-safe Pareto
   filter of the block's enumerated states, and one grouped Pareto filter
   must keep what a filter per group keeps.
+* each block model must name the owner of its chain's input as its
+  producer and the chains reading it as its readers, and each frontier's
+  reserve must be the least latency of its block and every chain below it
+  in the forest, per input option, from the enumerated states.
 * the LP rounding that seeds the merge must fit the budget whenever the
   exhaustive oracle finds a plan, and ``heuristic_only`` must then return
   a ``feasible_heuristic`` plan.  That holds up to the order of float
@@ -268,7 +272,7 @@ def merge(problem, budgets, floors):
     """Per budget, (importance, tie key, node count, largest pruned bound)
     of one batched merge of `budgets` at importance `floors`; importance and
     tie key are None where the merge finds no leaf."""
-    margin, frontiers, bound, _ = problem.core
+    margin, frontiers, bound = problem.core
     room = np.array([_room(b) for b in budgets])
     limit = np.minimum(budgets, room)
     leaves, nodes, pruned, timed_out = _pareto_dp(
@@ -320,6 +324,35 @@ def test_lp_rounding_fits_whenever_a_plan_does(case, percent):
     assert constraint_value(_plan(problem, problem.core[1], rounded[2]), tables, arch) <= budget
     heuristic = solve(problem, mode="heuristic_only")
     assert heuristic.status == "feasible_heuristic"
+
+
+def test_frontiers_carry_the_least_latency_of_their_subtrees():
+    read = {"middle": 0, "nested": 0, "shared": 0}
+    for seed in range(80):
+        rng = np.random.default_rng(9700 + seed)
+        problem, _ = random_problem(rng, max_blocks=6, max_options=3, state_cap=10**6,
+                                    chained_cap=10**6, feed_any_layer=True)
+        models, blocks = problem.models, problem.arch.blocks
+        owner = {d: k for k, b in enumerate(blocks) for d in b.dims}
+        readers = [[(r, m.dim_ids.index(c.input_ref)) for r, c in enumerate(blocks)
+                    if owner.get(c.input_ref) == k] for k, m in enumerate(models)]
+        for k, (model, block) in enumerate(zip(models, blocks)):
+            assert model.producer == owner.get(block.input_ref)
+            assert model.readers == readers[k]
+            read["middle"] += any(p < len(model.dim_ids) - 1 for _, p in readers[k])
+            read["nested"] += model.producer is not None and bool(readers[k])
+            read["shared"] += len(readers[k]) > 1
+
+        def least(k):  # per input option, from every state of block k and its subtree
+            _, lat = models[k].state_tables()
+            for r, p in readers[k]:
+                lat = lat + least(r)[models[k].option_of_dim(models[k].dim_ids[p]) - 1, None]
+            return lat.min(axis=0)
+
+        for k, f in enumerate(_frontiers(models, 1e-9)):
+            assert f.need.tolist() == least(k).tolist()
+            assert f.known == (f.need[0] if models[k].producer is None else 0.0)
+    assert min(read.values()) >= 5, read  # middle layers read, chains of chains, blocks read twice
 
 
 @settings(max_examples=150, deadline=None)
@@ -578,7 +611,7 @@ def test_folded_merge_equals_one_that_never_folds():
             mid_stage.append(caller["lo"] < caller["lat"].size)  # chunks still to come
             return fold(kept, bud, margin)
 
-        margin, frontiers, bound, _ = problem.core
+        margin, frontiers, bound = problem.core
         room = np.array([_room(b) for b in budgets])
         with (mock.patch.object(solver, "_CHUNK", 7), mock.patch.object(solver, "_FOLD", threshold),
               mock.patch.object(solver, "_fold", spy)):
